@@ -641,8 +641,8 @@ fn run_query_cache_baseline(args: &Args) {
     eprintln!("wrote {}", path.display());
 }
 
-/// Candidate-level ablations (the Criterion benches cover timing; these
-/// report the machine-independent counters).
+/// Candidate-level ablations: the machine-independent counters of each
+/// design choice.
 fn run_ablations(args: &Args, cfg: &SweepConfig) {
     use vaq_core::ExpansionPolicy;
     use vaq_workload::Distribution;

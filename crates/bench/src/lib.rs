@@ -4,17 +4,15 @@
 //! Queries Based on Voronoi Diagrams* (ICDE 2020), plus the ablation
 //! studies called out in DESIGN.md.
 //!
-//! * `cargo run --release -p vaq-bench --bin reproduce` — runs the paper's
-//!   two sweeps, prints Table I / Table II in the paper's layout, and
-//!   writes `results/table1.csv`, `results/table2.csv` and
-//!   `results/fig{4,5,6,7}.csv` (each figure is a column pair of the
-//!   corresponding table, exactly as in the paper).
-//! * `cargo bench -p vaq-bench` — Criterion timing benches:
-//!   `fig4_time_vs_data_size`, `fig6_time_vs_query_size`, `components`
-//!   (substrate micro-benches), `ablations` (design-choice comparisons).
+//! `cargo run --release -p vaq-bench --bin reproduce` runs the paper's
+//! two sweeps, prints Table I / Table II in the paper's layout, and
+//! writes `results/table1.csv`, `results/table2.csv` and
+//! `results/fig{4,5,6,7}.csv` (each figure is a column pair of the
+//! corresponding table, exactly as in the paper). Its other targets
+//! record the `results/BENCH_*.json` baselines with provenance.
 //!
-//! This library crate holds the small helpers the benches and the binary
-//! share: pre-generated polygon batches and engine construction.
+//! This library crate holds what those targets share: pre-generated
+//! polygon batches, engine construction, and one module per baseline.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

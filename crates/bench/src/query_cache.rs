@@ -13,8 +13,7 @@
 //!   distinct area; every repeat runs on fast primitives for free.
 //!
 //! The same measurement backs the `reproduce query-cache` subcommand
-//! (which records the JSON baseline), the `repeated_areas` Criterion
-//! bench, and sanity tests. Timing is a best-of-batches loop over a
+//! (which records the JSON baseline) and sanity tests. Timing is a best-of-batches loop over a
 //! deterministic workload; the interesting outputs are the *ratios*.
 
 use crate::provenance::Provenance;

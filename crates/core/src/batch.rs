@@ -21,13 +21,12 @@
 //! zero extra dispatch here.
 
 use crate::area::{AreaFingerprint, QueryArea};
-use crate::engine::{AreaQueryEngine, QueryResult};
+use crate::engine::AreaQueryEngine;
 use crate::plan::{ExecutionPlan, PlanFeatures, PlannedPath, Planner};
 use crate::query::{PrepareMode, QueryOutput, QuerySession, QuerySpec};
 use crate::stats::CacheCounters;
-use crate::sync::{scope, ClaimCounter};
+use crate::sync::par_map;
 use std::sync::Arc;
-use vaq_geom::{Polygon, PreparedPolygon};
 
 /// Prepared-area resolution for one whole batch: each distinct area
 /// fingerprint is query-compiled exactly once on the calling thread and
@@ -118,77 +117,35 @@ impl AreaQueryEngine {
         if spec.method.is_auto() {
             return self.execute_batch_auto(spec, areas, threads);
         }
-        let shared = if spec.prepare == PrepareMode::Cached {
-            prepare_batch_shared(spec, areas)
-        } else {
-            // PrepareOnce keeps its documented per-query semantics (each
-            // worker compiles per query); Raw has nothing to prepare.
-            None
+        // PrepareOnce keeps its documented per-query semantics (each
+        // worker compiles per query); Raw has nothing to prepare. The
+        // sequential path shares the once-per-batch preparation, so cache
+        // counters (and the preparation count) do not depend on the
+        // thread count — and a batch with more distinct areas than the
+        // session LRU holds cannot thrash it.
+        let shared = match spec.prepare {
+            PrepareMode::Cached => prepare_batch_shared(spec, areas),
+            PrepareMode::Raw | PrepareMode::PrepareOnce => None,
         };
         let raw_spec = spec.prepare(PrepareMode::Raw);
-        if threads <= 1 || areas.len() <= 1 {
-            // Same once-per-batch preparation as the parallel path, so
-            // cache counters (and the preparation count) do not depend on
-            // the thread count — and a batch with more distinct areas
-            // than the session LRU holds cannot thrash it.
-            let mut session = QuerySession::new(self);
-            return areas
-                .iter()
-                .enumerate()
-                .map(
-                    |(i, area)| match shared.as_ref().and_then(|s| s.resolved[i].as_deref()) {
-                        Some(prepared) => {
-                            let mut out = session.execute(&raw_spec, prepared);
-                            out.stats_mut().prepared_cache =
-                                shared.as_ref().expect("resolved implies shared").counters[i];
-                            out
-                        }
-                        None => session.execute(spec, area),
-                    },
-                )
-                .collect();
-        }
-        let next = ClaimCounter::new();
-        let workers = threads.min(areas.len());
-        let mut slots: Vec<Option<QueryOutput>> = Vec::new();
-        slots.resize_with(areas.len(), || None);
-        scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let next = &next;
-                    let shared = shared.as_ref();
-                    let raw_spec = &raw_spec;
-                    scope.spawn(move || {
-                        let mut session = QuerySession::new(self);
-                        let mut done = Vec::new();
-                        loop {
-                            let i = next.claim();
-                            let Some(area) = areas.get(i) else { break };
-                            let out = match shared.and_then(|s| s.resolved[i].as_deref()) {
-                                Some(prepared) => {
-                                    let mut out = session.execute(raw_spec, prepared);
-                                    out.stats_mut().prepared_cache =
-                                        shared.expect("resolved implies shared").counters[i];
-                                    out
-                                }
-                                None => session.execute(spec, area),
-                            };
-                            done.push((i, out));
-                        }
-                        done
-                    })
-                })
-                .collect();
-            for h in handles {
-                for (i, out) in h.join().expect("batch worker does not panic") {
-                    slots[i] = Some(out);
+        par_map(
+            areas.len(),
+            threads,
+            || QuerySession::new(self),
+            |session, i| {
+                let resolved = shared
+                    .as_ref()
+                    .and_then(|s| Some((s.resolved[i].as_deref()?, s.counters[i])));
+                match resolved {
+                    Some((prepared, counters)) => {
+                        let mut out = session.execute(&raw_spec, prepared);
+                        out.stats_mut().prepared_cache = counters;
+                        out
+                    }
+                    None => session.execute(spec, &areas[i]),
                 }
-            }
-        });
-        slots
-            .into_iter()
-            .map(|o| o.expect("every query index is claimed exactly once"))
-            .collect()
+            },
+        )
     }
 
     /// The batched planned path: every area's plan is resolved **up
@@ -226,112 +183,17 @@ impl AreaQueryEngine {
                 planner.resolve(spec, &features)
             })
             .collect();
-        let mut outs = if threads <= 1 || areas.len() <= 1 {
-            let mut session = QuerySession::new(self);
-            areas
-                .iter()
-                .zip(&plans)
-                .map(|(area, (resolved, _))| session.execute(resolved, area))
-                .collect()
-        } else {
-            let next = ClaimCounter::new();
-            let workers = threads.min(areas.len());
-            let mut slots: Vec<Option<QueryOutput>> = Vec::new();
-            slots.resize_with(areas.len(), || None);
-            scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        let next = &next;
-                        let plans = &plans;
-                        scope.spawn(move || {
-                            let mut session = QuerySession::new(self);
-                            let mut done = Vec::new();
-                            loop {
-                                let i = next.claim();
-                                let Some(area) = areas.get(i) else { break };
-                                done.push((i, session.execute(&plans[i].0, area)));
-                            }
-                            done
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    for (i, out) in h.join().expect("planned batch worker does not panic") {
-                        slots[i] = Some(out);
-                    }
-                }
-            });
-            slots
-                .into_iter()
-                .map(|o| o.expect("every query index is claimed exactly once"))
-                .collect::<Vec<QueryOutput>>()
-        };
+        let mut outs = par_map(
+            areas.len(),
+            threads,
+            || QuerySession::new(self),
+            |session, i| session.execute(&plans[i].0, &areas[i]),
+        );
         for (out, (_, plan)) in outs.iter_mut().zip(&plans) {
             out.stats_mut().plan = Some(*plan);
         }
         outs
     }
-
-    /// Answers `areas` sequentially with the Voronoi method, reusing one
-    /// session across the batch — [`QuerySession::execute`] in a loop with
-    /// the default spec.
-    pub fn voronoi_batch<A: QueryArea>(&self, areas: &[A]) -> Vec<QueryResult> {
-        let spec = QuerySpec::voronoi();
-        let mut session = QuerySession::new(self);
-        collect_results(areas.iter().map(|a| session.execute(&spec, a)).collect())
-    }
-
-    /// Answers `areas` with the Voronoi method on `threads` worker
-    /// threads. Results come back in input order. Wrapper over
-    /// [`AreaQueryEngine::execute_batch`] with the default spec.
-    ///
-    /// `threads == 0` or `1` falls back to the sequential path.
-    pub fn voronoi_batch_parallel<A: QueryArea + Sync>(
-        &self,
-        areas: &[A],
-        threads: usize,
-    ) -> Vec<QueryResult> {
-        collect_results(self.execute_batch(&QuerySpec::voronoi(), areas, threads))
-    }
-
-    /// As [`AreaQueryEngine::voronoi_batch`], but every area is
-    /// **prepared once up front** (query compilation: slab index + edge
-    /// grid + cached MBR/interior point) before any query runs, so the
-    /// per-candidate and per-frontier primitives inside the batch hot
-    /// loop are index-backed. Results are identical to the raw batch.
-    pub fn voronoi_batch_prepared(&self, areas: &[Polygon]) -> Vec<QueryResult> {
-        let prepared = prepare_all(areas);
-        self.voronoi_batch(&prepared)
-    }
-
-    /// As [`AreaQueryEngine::voronoi_batch_parallel`] with prepare-once
-    /// semantics: preparation happens once on the calling thread, and the
-    /// immutable prepared areas are shared by every worker.
-    pub fn voronoi_batch_parallel_prepared(
-        &self,
-        areas: &[Polygon],
-        threads: usize,
-    ) -> Vec<QueryResult> {
-        let prepared = prepare_all(areas);
-        self.voronoi_batch_parallel(&prepared, threads)
-    }
-}
-
-/// Unwraps a batch of collect-mode outputs into plain results.
-fn collect_results(outputs: Vec<QueryOutput>) -> Vec<QueryResult> {
-    outputs
-        .into_iter()
-        .map(|o| o.into_result().expect("collect-mode batch"))
-        .collect()
-}
-
-/// Query-compiles a slice of polygons (shared helper of the prepared
-/// batch entry points).
-fn prepare_all(areas: &[Polygon]) -> Vec<PreparedPolygon> {
-    areas
-        .iter()
-        .map(|a| PreparedPolygon::new(a.clone()))
-        .collect()
 }
 
 #[cfg(test)]
@@ -363,13 +225,23 @@ mod tests {
             .collect()
     }
 
+    fn collect(outs: Vec<QueryOutput>) -> Vec<crate::QueryResult> {
+        outs.into_iter()
+            .map(|o| o.into_result().expect("collect output"))
+            .collect()
+    }
+
     #[test]
     fn batch_matches_individual_queries() {
         let engine = AreaQueryEngine::build(&uniform(3000, 17));
         let areas = squares();
-        let batch = engine.voronoi_batch(&areas);
+        let batch = collect(engine.execute_batch(&QuerySpec::voronoi(), &areas, 1));
         for (area, got) in areas.iter().zip(&batch) {
-            assert_eq!(got.sorted_indices(), engine.voronoi(area).sorted_indices());
+            let single = engine.execute(&QuerySpec::voronoi(), area);
+            assert_eq!(
+                got.sorted_indices(),
+                single.result().unwrap().sorted_indices()
+            );
         }
     }
 
@@ -377,9 +249,9 @@ mod tests {
     fn parallel_batch_matches_sequential() {
         let engine = AreaQueryEngine::build(&uniform(3000, 18));
         let areas = squares();
-        let seq = engine.voronoi_batch(&areas);
+        let seq = collect(engine.execute_batch(&QuerySpec::voronoi(), &areas, 1));
         for threads in [1, 2, 4, 7] {
-            let par = engine.voronoi_batch_parallel(&areas, threads);
+            let par = collect(engine.execute_batch(&QuerySpec::voronoi(), &areas, threads));
             assert_eq!(par.len(), seq.len());
             for (a, b) in par.iter().zip(&seq) {
                 assert_eq!(a.indices, b.indices, "threads={threads}");
@@ -392,18 +264,15 @@ mod tests {
     fn prepared_batch_matches_raw_batch() {
         let engine = AreaQueryEngine::build(&uniform(3000, 21));
         let areas = squares();
-        let raw = engine.voronoi_batch(&areas);
-        let prepared = engine.voronoi_batch_prepared(&areas);
-        assert_eq!(raw.len(), prepared.len());
-        for (a, b) in raw.iter().zip(&prepared) {
-            assert_eq!(a.indices, b.indices);
-            assert_eq!(a.stats.candidates, b.stats.candidates);
-            assert_eq!(a.stats.segment_tests, b.stats.segment_tests);
-        }
-        for threads in [2, 4] {
-            let par = engine.voronoi_batch_parallel_prepared(&areas, threads);
-            for (a, b) in raw.iter().zip(&par) {
+        let prepared_spec = QuerySpec::voronoi().prepare(PrepareMode::PrepareOnce);
+        let raw = collect(engine.execute_batch(&QuerySpec::voronoi(), &areas, 1));
+        for threads in [1, 2, 4] {
+            let prepared = collect(engine.execute_batch(&prepared_spec, &areas, threads));
+            assert_eq!(raw.len(), prepared.len());
+            for (a, b) in raw.iter().zip(&prepared) {
                 assert_eq!(a.indices, b.indices, "threads={threads}");
+                assert_eq!(a.stats.candidates, b.stats.candidates);
+                assert_eq!(a.stats.segment_tests, b.stats.segment_tests);
             }
         }
     }
@@ -414,7 +283,6 @@ mod tests {
     /// input-order occurrence = miss, every repeat = hit.
     #[test]
     fn cached_parallel_batch_prepares_each_fingerprint_once() {
-        use crate::query::{PrepareMode, QuerySpec};
         let engine = AreaQueryEngine::build(&uniform(2000, 23));
         let distinct = squares();
         let mut areas = Vec::new();
@@ -463,7 +331,10 @@ mod tests {
     fn empty_batch() {
         let engine = AreaQueryEngine::build(&uniform(100, 19));
         let areas: Vec<Polygon> = Vec::new();
-        assert!(engine.voronoi_batch(&areas).is_empty());
-        assert!(engine.voronoi_batch_parallel(&areas, 4).is_empty());
+        for threads in [1, 4] {
+            assert!(engine
+                .execute_batch(&QuerySpec::voronoi(), &areas, threads)
+                .is_empty());
+        }
     }
 }

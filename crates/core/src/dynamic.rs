@@ -227,10 +227,10 @@ impl DynamicAreaQueryEngine {
 
     /// Executes `spec` over `area` through the same
     /// [`QuerySpec`]/session funnel as the static engine: the base query
-    /// honours the spec's method, seed index, expansion policy and
-    /// prepare mode (including the owned prepared-area cache — repeated
-    /// dashboard areas hit it across dynamic queries), then the live
-    /// delta is scanned linearly. Both passes **emit into the spec's
+    /// honours the spec's method, expansion policy and prepare mode
+    /// (including the owned prepared-area cache — repeated dashboard
+    /// areas hit it across dynamic queries), then the live delta is
+    /// scanned linearly. Both passes **emit into the spec's
     /// result sink** in external-id space, with tombstoned ids filtered
     /// *before* the sink (so a bounded sink like
     /// [`OutputMode::TopKNearest`](crate::OutputMode) never wastes a
@@ -243,10 +243,8 @@ impl DynamicAreaQueryEngine {
     ///
     /// # Panics
     ///
-    /// Panics if the spec requests an index the base engine did not build
-    /// (the dynamic engine builds default bases: R-tree + Delaunay), or
-    /// for `OutputMode::Classify` (classification is whole-diagram and
-    /// undefined over a base + delta overlay).
+    /// Panics for `OutputMode::Classify` (classification is whole-diagram
+    /// and undefined over a base + delta overlay).
     pub fn execute<A: QueryArea + ?Sized>(
         &mut self,
         spec: &QuerySpec,

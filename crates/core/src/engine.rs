@@ -3,7 +3,7 @@
 //!
 //! Build once per dataset, query many times — the workflow of the paper's
 //! experiments (and of any GIS serving area queries). The intended surface
-//! is a [`QuerySpec`] executed through a
+//! is a [`QuerySpec`](crate::QuerySpec) executed through a
 //! [`QuerySession`](crate::QuerySession):
 //!
 //! ```
@@ -32,44 +32,20 @@
 //! );
 //! ```
 //!
-//! The named convenience methods below ([`AreaQueryEngine::traditional`],
-//! [`AreaQueryEngine::voronoi`], the counting and prepared variants, …)
-//! are thin wrappers over that same funnel — same results, same stats,
-//! bit for bit (`tests/legacy_equivalence.rs` enforces it).
-//!
 //! On realistic data sizes the Voronoi method validates far fewer
 //! candidates than the window query (the point of the paper); the
 //! `voronoi_produces_fewer_candidates_on_irregular_areas` test below and
 //! the benchmark harness quantify it.
 
 use crate::area::QueryArea;
-use crate::classify::PointClass;
 use crate::payload::RecordStore;
 use crate::plan::DensityMap;
-use crate::query::{OutputMode, PrepareMode, QuerySpec};
 use crate::scratch::QueryScratch;
 use crate::stats::QueryStats;
-use crate::traditional::FilterIndex;
-use crate::voronoi_query::ExpansionPolicy;
 use vaq_delaunay::{DiagramKind, SiteMetric, Triangulation};
-use vaq_geom::{Point, Polygon, Rect};
+use vaq_geom::{Point, Rect};
 use vaq_kdtree::KdTree;
-use vaq_quadtree::Quadtree;
-use vaq_rtree::{RTree, SplitAlgorithm};
-
-/// Which index answers the Voronoi method's seed nearest-neighbour query.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SeedIndex {
-    /// R-tree best-first NN — the paper's choice ("for fairness, the index
-    /// used to provide the NN query in our method is also R-tree").
-    #[default]
-    RTree,
-    /// kd-tree NN (ablation; requires [`EngineBuilder::with_kdtree`]).
-    KdTree,
-    /// Greedy walk on the Delaunay graph itself — no second index at all
-    /// (ablation).
-    DelaunayWalk,
-}
+use vaq_rtree::RTree;
 
 /// The outcome of one area query: matching point ids plus statistics.
 #[derive(Clone, Debug, Default)]
@@ -90,33 +66,9 @@ impl QueryResult {
     }
 }
 
-/// The index-build parameters an engine was constructed under, recorded
-/// on the engine so a snapshot can rebuild the exact same secondary
-/// indexes on load — the R-tree's node structure (and hence its
-/// traversal counters in [`QueryStats::index`](crate::QueryStats)) is a
-/// deterministic function of the points *and* these parameters.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct IndexConfig {
-    /// R-tree fan-out (max entries per node).
-    pub rtree_fanout: usize,
-    /// One-at-a-time R-tree inserts instead of STR bulk loading.
-    pub incremental_rtree: bool,
-    /// Insertion heuristics for the incremental R-tree.
-    pub rtree_algorithm: SplitAlgorithm,
-    /// Whether a kd-tree was built.
-    pub kdtree: bool,
-    /// Whether a PR quadtree was built.
-    pub quadtree: bool,
-}
-
-/// Builder for [`AreaQueryEngine`] with optional extra indexes and tuning.
+/// Builder for [`AreaQueryEngine`] with payload records or site weights.
 pub struct EngineBuilder {
     points: Vec<Point>,
-    rtree_fanout: usize,
-    incremental_rtree: bool,
-    rtree_algorithm: SplitAlgorithm,
-    build_kdtree: bool,
-    build_quadtree: bool,
     payload_bytes: usize,
     records: Option<RecordStore>,
     weights: Option<Vec<f64>>,
@@ -127,48 +79,10 @@ impl EngineBuilder {
     pub fn new(points: &[Point]) -> EngineBuilder {
         EngineBuilder {
             points: points.to_vec(),
-            rtree_fanout: vaq_rtree::DEFAULT_MAX_ENTRIES,
-            incremental_rtree: false,
-            rtree_algorithm: SplitAlgorithm::Quadratic,
-            build_kdtree: false,
-            build_quadtree: false,
             payload_bytes: 0,
             records: None,
             weights: None,
         }
-    }
-
-    /// Sets the R-tree fan-out (max entries per node).
-    pub fn rtree_fanout(mut self, fanout: usize) -> EngineBuilder {
-        self.rtree_fanout = fanout;
-        self
-    }
-
-    /// Builds the R-tree by one-at-a-time inserts instead of STR bulk
-    /// loading (ablation of bulk-load quality).
-    pub fn incremental_rtree(mut self) -> EngineBuilder {
-        self.incremental_rtree = true;
-        self
-    }
-
-    /// Insertion heuristics for the incremental R-tree (Guttman quadratic
-    /// or R\*; only meaningful with [`EngineBuilder::incremental_rtree`]).
-    pub fn rtree_algorithm(mut self, algorithm: SplitAlgorithm) -> EngineBuilder {
-        self.rtree_algorithm = algorithm;
-        self
-    }
-
-    /// Also builds a kd-tree (enables [`SeedIndex::KdTree`] and
-    /// [`FilterIndex::KdTree`]).
-    pub fn with_kdtree(mut self) -> EngineBuilder {
-        self.build_kdtree = true;
-        self
-    }
-
-    /// Also builds a PR quadtree (enables [`FilterIndex::Quadtree`]).
-    pub fn with_quadtree(mut self) -> EngineBuilder {
-        self.build_quadtree = true;
-        self
     }
 
     /// Attaches a simulated geometry record of `bytes` bytes to every
@@ -211,16 +125,9 @@ impl EngineBuilder {
         self
     }
 
-    /// Builds the engine: R-tree, Delaunay triangulation and any requested
-    /// extra indexes.
+    /// Builds the engine: STR-bulk-loaded R-tree and Delaunay (or
+    /// regular) triangulation.
     pub fn build(self) -> AreaQueryEngine {
-        let config = IndexConfig {
-            rtree_fanout: self.rtree_fanout,
-            incremental_rtree: self.incremental_rtree,
-            rtree_algorithm: self.rtree_algorithm,
-            kdtree: self.build_kdtree,
-            quadtree: self.build_quadtree,
-        };
         let tri = if self.points.is_empty() {
             None
         } else {
@@ -239,7 +146,7 @@ impl EngineBuilder {
             })
         });
         let density = DensityMap::from_points(&self.points);
-        AreaQueryEngine::assemble(self.points, tri, records, density, config, None, None)
+        AreaQueryEngine::assemble(self.points, tri, records, density, None, None)
     }
 }
 
@@ -253,8 +160,6 @@ pub struct AreaQueryEngine {
     /// Delaunay triangulation, non-uniform weights the regular
     /// triangulation of the power diagram.
     pub(crate) tri: Option<Triangulation<SiteMetric>>,
-    pub(crate) kdtree: Option<KdTree>,
-    pub(crate) quadtree: Option<Quadtree>,
     /// Simulated geometry records (None = pure in-memory regime).
     pub(crate) records: Option<RecordStore>,
     data_bbox: Rect,
@@ -277,40 +182,25 @@ pub struct AreaQueryEngine {
     /// sweep is a window lookup instead of an `O(hidden)` rect scan.
     /// `None` when nothing is hidden (every Euclidean engine).
     pub(crate) hidden_index: Option<KdTree>,
-    /// The index-build parameters (see [`IndexConfig`]); persisted in
-    /// snapshots so a load rebuilds identical secondary indexes.
-    config: IndexConfig,
 }
 
 impl AreaQueryEngine {
-    /// Assembles an engine from a built (or loaded) triangulation plus
-    /// the index parameters — the shared tail of [`EngineBuilder::build`]
-    /// and the snapshot loader. The secondary indexes (R-tree, kd-tree,
-    /// quadtree, hidden-site index) are deterministic functions of the
-    /// points and `config`, so rebuilding them here keeps a loaded engine
+    /// Assembles an engine from a built (or loaded) triangulation — the
+    /// shared tail of [`EngineBuilder::build`] and the snapshot loader.
+    /// The hidden-site index is a deterministic function of the
+    /// triangulation, so rebuilding it here keeps a loaded engine
     /// bit-identical to a freshly built one.
     pub(crate) fn assemble(
         points: Vec<Point>,
         tri: Option<Triangulation<SiteMetric>>,
         records: Option<RecordStore>,
         density: DensityMap,
-        config: IndexConfig,
         boundary_straddlers: Option<Vec<bool>>,
         prebuilt_rtree: Option<RTree>,
     ) -> AreaQueryEngine {
         // A snapshot hands back the exact arena the saved engine was
         // built with; fresh builds construct it here.
-        let rtree = prebuilt_rtree.unwrap_or_else(|| {
-            if config.incremental_rtree {
-                let mut t = RTree::with_algorithm(config.rtree_fanout, config.rtree_algorithm);
-                for (i, &p) in points.iter().enumerate() {
-                    t.insert(i as u32, p);
-                }
-                t
-            } else {
-                RTree::bulk_load_with_params(&points, config.rtree_fanout)
-            }
-        });
+        let rtree = prebuilt_rtree.unwrap_or_else(|| RTree::bulk_load(&points));
         // How far a positive weight can pull a cell towards a location:
         // pow_p(x) = |x − p|² − w ≤ 0 within distance √w of p, so window
         // and shard-boundary expansions grow by the largest such radius.
@@ -322,8 +212,6 @@ impl AreaQueryEngine {
             }
             _ => 0.0,
         };
-        let kdtree = config.kdtree.then(|| KdTree::build(&points));
-        let quadtree = config.quadtree.then(|| Quadtree::bulk_load(&points));
         if let Some(rs) = records.as_ref() {
             assert_eq!(
                 rs.len(),
@@ -343,22 +231,15 @@ impl AreaQueryEngine {
             points,
             rtree,
             tri,
-            kdtree,
-            quadtree,
             records,
             data_bbox,
             density,
             weight_radius,
             boundary_straddlers,
             hidden_index,
-            config,
         }
     }
 
-    /// The index-build parameters this engine was constructed under.
-    pub fn index_config(&self) -> IndexConfig {
-        self.config
-    }
     /// Builds with defaults: STR-bulk-loaded R-tree + Delaunay
     /// triangulation (exactly the paper's setup).
     pub fn build(points: &[Point]) -> AreaQueryEngine {
@@ -375,7 +256,8 @@ impl AreaQueryEngine {
         EngineBuilder::new(points).weights(weights).build()
     }
 
-    /// Starts a [`EngineBuilder`] for non-default configurations.
+    /// Starts an [`EngineBuilder`] for engines with payload records or
+    /// site weights.
     pub fn builder(points: &[Point]) -> EngineBuilder {
         EngineBuilder::new(points)
     }
@@ -422,8 +304,8 @@ impl AreaQueryEngine {
         self.records.as_ref()
     }
 
-    /// Fresh scratch space for [`AreaQueryEngine::voronoi_with`]; reuse it
-    /// across queries on one thread.
+    /// Fresh scratch space for the Voronoi BFS; reuse it across queries
+    /// on one thread (a [`QuerySession`](crate::QuerySession) does).
     pub fn new_scratch(&self) -> QueryScratch {
         QueryScratch::new(self.tri.as_ref().map_or(0, Triangulation::vertex_count))
     }
@@ -476,139 +358,14 @@ impl AreaQueryEngine {
         let r = self.data_bbox.union(&area.mbr());
         r.expand((r.width() + r.height()).max(1.0) + self.weight_radius)
     }
-
-    /// Unwraps a collect-mode funnel output (the wrappers below always
-    /// request `OutputMode::Collect`).
-    fn collected(out: crate::query::QueryOutput) -> QueryResult {
-        out.into_result().expect("collect-mode query")
-    }
-
-    /// Traditional filter–refine query with the R-tree (the paper's
-    /// baseline). Wrapper over `execute(&QuerySpec::traditional(), area)`.
-    pub fn traditional<A: QueryArea + ?Sized>(&self, area: &A) -> QueryResult {
-        self.traditional_with(area, FilterIndex::RTree)
-    }
-
-    /// Traditional query with an explicit filter index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the requested index was not built (see
-    /// [`EngineBuilder::with_kdtree`] / [`EngineBuilder::with_quadtree`]).
-    pub fn traditional_with<A: QueryArea + ?Sized>(
-        &self,
-        area: &A,
-        filter: FilterIndex,
-    ) -> QueryResult {
-        Self::collected(self.run_spec(&QuerySpec::traditional().filter(filter), area, None))
-    }
-
-    /// Voronoi-based area query (Algorithm 1) with the paper's defaults:
-    /// R-tree seed NN and the segment expansion policy. Allocates fresh
-    /// scratch; for repeated queries prefer a
-    /// [`QuerySession`](crate::QuerySession) (or
-    /// [`AreaQueryEngine::voronoi_with`]).
-    pub fn voronoi<A: QueryArea + ?Sized>(&self, area: &A) -> QueryResult {
-        Self::collected(self.run_spec(&QuerySpec::voronoi(), area, None))
-    }
-
-    /// Voronoi-based area query with explicit policy, seed index and
-    /// caller-owned reusable scratch — `execute` with a spec of
-    /// `QuerySpec::voronoi().policy(policy).seed(seed_index)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`SeedIndex::KdTree`] is requested but the kd-tree was not
-    /// built.
-    pub fn voronoi_with<A: QueryArea + ?Sized>(
-        &self,
-        area: &A,
-        policy: ExpansionPolicy,
-        seed_index: SeedIndex,
-        scratch: &mut QueryScratch,
-    ) -> QueryResult {
-        let spec = QuerySpec::voronoi().policy(policy).seed(seed_index);
-        Self::collected(self.run_spec(&spec, area, Some(scratch)))
-    }
-
-    /// Voronoi-based area query over a **prepared** polygon: the area is
-    /// query-compiled once (slab decomposition + edge grid + cached
-    /// MBR/interior point, see `vaq_geom::prepared`) and the per-
-    /// candidate `contains` / per-frontier segment tests run against the
-    /// index instead of scanning all `k` polygon edges. Wrapper over
-    /// `execute` with [`PrepareMode::PrepareOnce`].
-    ///
-    /// Results are identical to [`AreaQueryEngine::voronoi`] — the
-    /// prepared layer is exact. For repeated queries with the same areas,
-    /// use a [`QuerySession`](crate::QuerySession) with
-    /// [`PrepareMode::Cached`] instead; this convenience re-prepares per
-    /// call.
-    pub fn voronoi_prepared(&self, area: &Polygon) -> QueryResult {
-        let spec = QuerySpec::voronoi().prepare(PrepareMode::PrepareOnce);
-        Self::collected(self.run_spec(&spec, area, None))
-    }
-
-    /// Traditional filter–refine query with a prepared refine step (the
-    /// exact containment tests run against the prepared index). Identical
-    /// results to [`AreaQueryEngine::traditional`].
-    pub fn traditional_prepared(&self, area: &Polygon) -> QueryResult {
-        let spec = QuerySpec::traditional().prepare(PrepareMode::PrepareOnce);
-        Self::collected(self.run_spec(&spec, area, None))
-    }
-
-    /// Counts the points inside `area` without materialising them — the
-    /// aggregate form of the area query (`SELECT COUNT(*) WHERE
-    /// Contains(A, p)`), using the Voronoi method's candidate generation.
-    /// Wrapper over `execute` with [`OutputMode::Count`]: the count runs
-    /// the same seeded, stats-tracked BFS as collection.
-    ///
-    /// Count queries magnify the paper's point: with no result set to
-    /// build, candidate generation and validation are the *entire* cost.
-    pub fn voronoi_count<A: QueryArea + ?Sized>(
-        &self,
-        area: &A,
-        scratch: &mut QueryScratch,
-    ) -> usize {
-        let spec = QuerySpec::voronoi().output(OutputMode::Count);
-        self.run_spec(&spec, area, Some(scratch)).count()
-    }
-
-    /// Counts the points inside `area` with the traditional method
-    /// (window count is not enough — the exact test still runs per
-    /// candidate; only the result vector is avoided). Wrapper over
-    /// `execute` with [`OutputMode::Count`].
-    pub fn traditional_count<A: QueryArea + ?Sized>(&self, area: &A) -> usize {
-        let spec = QuerySpec::traditional().output(OutputMode::Count);
-        self.run_spec(&spec, area, None).count()
-    }
-
-    /// Reference oracle: a linear scan validating every point. `O(n·|A|)`.
-    /// Wrapper over `execute` with
-    /// [`QueryMethod::BruteForce`](crate::QueryMethod::BruteForce); use the
-    /// spec form to get stats too.
-    pub fn brute_force<A: QueryArea + ?Sized>(&self, area: &A) -> Vec<u32> {
-        Self::collected(self.run_spec(&QuerySpec::brute_force(), area, None)).indices
-    }
-
-    /// Classifies every canonical vertex as internal / boundary / external
-    /// relative to `area` (see [`PointClass`]). Returns `None` for an empty
-    /// engine. Wrapper over `execute` with [`OutputMode::Classify`].
-    pub fn classify<A: QueryArea + ?Sized>(&self, area: &A) -> Option<Vec<PointClass>> {
-        self.tri.as_ref()?;
-        let spec = QuerySpec::new().output(OutputMode::Classify);
-        match self.run_spec(&spec, area, None) {
-            crate::query::QueryOutput::Classified { classes, .. } => Some(classes),
-            // vaq-lint: allow(panic-hygiene) -- run_spec returns the
-            // variant matching the spec's OutputMode, and the spec two
-            // lines up is pinned to Classify.
-            _ => unreachable!("classify-mode query"),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::classify::PointClass;
+    use crate::query::{OutputMode, PrepareMode, QueryMethod, QuerySpec};
+    use crate::voronoi_query::ExpansionPolicy;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use vaq_geom::{Polygon, PreparedPolygon};
@@ -642,40 +399,45 @@ mod tests {
         .unwrap()
     }
 
+    fn collect<A: QueryArea + ?Sized>(
+        engine: &AreaQueryEngine,
+        spec: QuerySpec,
+        area: &A,
+    ) -> QueryResult {
+        engine.execute(&spec, area).into_result().unwrap()
+    }
+
+    fn count<A: QueryArea + ?Sized>(engine: &AreaQueryEngine, spec: QuerySpec, area: &A) -> usize {
+        engine
+            .execute(&spec.output(OutputMode::Count), area)
+            .count()
+    }
+
+    fn brute<A: QueryArea + ?Sized>(engine: &AreaQueryEngine, area: &A) -> Vec<u32> {
+        collect(engine, QuerySpec::brute_force(), area).sorted_indices()
+    }
+
+    fn classes<A: QueryArea + ?Sized>(engine: &AreaQueryEngine, area: &A) -> Vec<PointClass> {
+        let spec = QuerySpec::new().output(OutputMode::Classify);
+        engine.execute(&spec, area).classes().unwrap().to_vec()
+    }
+
     #[test]
     fn methods_agree_with_each_other_and_brute_force() {
         let pts = uniform(600, 81);
-        let engine = AreaQueryEngine::builder(&pts)
-            .with_kdtree()
-            .with_quadtree()
-            .build();
-        let mut scratch = engine.new_scratch();
+        let engine = AreaQueryEngine::build(&pts);
+        let mut session = engine.session();
         for seed in 0..8u64 {
             let area = star_polygon(p(0.5, 0.5), 0.25, 10, seed);
-            let mut want = engine.brute_force(&area);
-            want.sort_unstable();
-            assert_eq!(engine.traditional(&area).sorted_indices(), want);
+            let want = brute(&engine, &area);
             assert_eq!(
-                engine
-                    .traditional_with(&area, FilterIndex::KdTree)
-                    .sorted_indices(),
-                want
-            );
-            assert_eq!(
-                engine
-                    .traditional_with(&area, FilterIndex::Quadtree)
-                    .sorted_indices(),
+                collect(&engine, QuerySpec::traditional(), &area).sorted_indices(),
                 want
             );
             for policy in [ExpansionPolicy::Segment, ExpansionPolicy::Cell] {
-                for seed_idx in [SeedIndex::RTree, SeedIndex::KdTree, SeedIndex::DelaunayWalk] {
-                    let r = engine.voronoi_with(&area, policy, seed_idx, &mut scratch);
-                    assert_eq!(
-                        r.sorted_indices(),
-                        want,
-                        "policy {policy:?}, seed {seed_idx:?}"
-                    );
-                }
+                let spec = QuerySpec::voronoi().policy(policy);
+                let r = session.execute(&spec, &area).into_result().unwrap();
+                assert_eq!(r.sorted_indices(), want, "policy {policy:?}");
             }
         }
     }
@@ -689,8 +451,12 @@ mod tests {
         let engine = AreaQueryEngine::build(&pts);
         for seed in 0..6u64 {
             let area = star_polygon(p(0.5, 0.5), 0.25, 24, 700 + seed);
-            let raw_v = engine.voronoi(&area);
-            let prep_v = engine.voronoi_prepared(&area);
+            let raw_v = collect(&engine, QuerySpec::voronoi(), &area);
+            let prep_v = collect(
+                &engine,
+                QuerySpec::voronoi().prepare(PrepareMode::PrepareOnce),
+                &area,
+            );
             assert_eq!(raw_v.indices, prep_v.indices, "voronoi results");
             assert_eq!(
                 raw_v.stats.candidates, prep_v.stats.candidates,
@@ -700,23 +466,20 @@ mod tests {
                 raw_v.stats.segment_tests, prep_v.stats.segment_tests,
                 "voronoi segment tests"
             );
-            let raw_t = engine.traditional(&area);
-            let prep_t = engine.traditional_prepared(&area);
+            let raw_t = collect(&engine, QuerySpec::traditional(), &area);
+            let prep_t = collect(
+                &engine,
+                QuerySpec::traditional().prepare(PrepareMode::PrepareOnce),
+                &area,
+            );
             assert_eq!(raw_t.indices, prep_t.indices, "traditional results");
             assert_eq!(raw_t.stats.candidates, prep_t.stats.candidates);
             // Classification and counts flow through the same trait.
             let prep = PreparedPolygon::new(area.clone());
-            assert_eq!(engine.classify(&area), engine.classify(&prep));
-            let mut s1 = engine.new_scratch();
-            let mut s2 = engine.new_scratch();
-            assert_eq!(
-                engine.voronoi_count(&area, &mut s1),
-                engine.voronoi_count(&prep, &mut s2)
-            );
-            assert_eq!(
-                engine.traditional_count(&area),
-                engine.traditional_count(&prep)
-            );
+            assert_eq!(classes(&engine, &area), classes(&engine, &prep));
+            for spec in [QuerySpec::voronoi(), QuerySpec::traditional()] {
+                assert_eq!(count(&engine, spec, &area), count(&engine, spec, &prep));
+            }
         }
     }
 
@@ -724,20 +487,19 @@ mod tests {
     fn voronoi_produces_fewer_candidates_on_irregular_areas() {
         let pts = uniform(3000, 82);
         let engine = AreaQueryEngine::build(&pts);
-        let mut scratch = engine.new_scratch();
+        let mut session = engine.session();
         let mut total_trad = 0usize;
         let mut total_voro = 0usize;
         for seed in 0..10u64 {
             let area = star_polygon(p(0.5, 0.5), 0.2, 10, 1000 + seed);
-            let t = engine.traditional(&area);
-            let v = engine.voronoi_with(
-                &area,
-                ExpansionPolicy::Segment,
-                SeedIndex::RTree,
-                &mut scratch,
-            );
-            total_trad += t.stats.candidates;
-            total_voro += v.stats.candidates;
+            total_trad += session
+                .execute(&QuerySpec::traditional(), &area)
+                .stats()
+                .candidates;
+            total_voro += session
+                .execute(&QuerySpec::voronoi(), &area)
+                .stats()
+                .candidates;
         }
         assert!(
             total_voro < total_trad,
@@ -750,21 +512,25 @@ mod tests {
         let engine = AreaQueryEngine::build(&[]);
         let area = star_polygon(p(0.5, 0.5), 0.2, 10, 1);
         assert!(engine.is_empty());
-        assert!(engine.traditional(&area).indices.is_empty());
-        assert!(engine.voronoi(&area).indices.is_empty());
-        assert!(engine.brute_force(&area).is_empty());
-        assert!(engine.classify(&area).is_none());
+        for spec in [
+            QuerySpec::traditional(),
+            QuerySpec::voronoi(),
+            QuerySpec::brute_force(),
+        ] {
+            assert!(collect(&engine, spec, &area).indices.is_empty());
+        }
+        assert!(classes(&engine, &area).is_empty());
     }
 
     #[test]
     fn single_point_engine() {
         let engine = AreaQueryEngine::build(&[p(0.5, 0.5)]);
         let inside = Polygon::new(vec![p(0.0, 0.0), p(1.0, 0.0), p(0.5, 1.0)]).unwrap();
-        assert_eq!(engine.voronoi(&inside).indices, vec![0]);
-        assert_eq!(engine.traditional(&inside).indices, vec![0]);
         let outside = Polygon::new(vec![p(5.0, 5.0), p(6.0, 5.0), p(5.5, 6.0)]).unwrap();
-        assert!(engine.voronoi(&outside).indices.is_empty());
-        assert!(engine.traditional(&outside).indices.is_empty());
+        for spec in [QuerySpec::voronoi(), QuerySpec::traditional()] {
+            assert_eq!(collect(&engine, spec, &inside).indices, vec![0]);
+            assert!(collect(&engine, spec, &outside).indices.is_empty());
+        }
     }
 
     #[test]
@@ -778,10 +544,10 @@ mod tests {
         ];
         let engine = AreaQueryEngine::build(&pts);
         let area = Polygon::new(vec![p(0.4, 0.4), p(0.6, 0.4), p(0.6, 0.6), p(0.4, 0.6)]).unwrap();
-        let v = engine.voronoi(&area);
+        let v = collect(&engine, QuerySpec::voronoi(), &area);
         assert_eq!(v.sorted_indices(), vec![0, 1, 2]);
         assert_eq!(v.stats.result_size, 3);
-        let t = engine.traditional(&area);
+        let t = collect(&engine, QuerySpec::traditional(), &area);
         assert_eq!(t.sorted_indices(), vec![0, 1, 2]);
     }
 
@@ -791,27 +557,11 @@ mod tests {
         let engine = AreaQueryEngine::build(&pts);
         let area =
             Polygon::new(vec![p(0.25, 0.4), p(0.55, 0.4), p(0.55, 0.6), p(0.25, 0.6)]).unwrap();
-        let mut want = engine.brute_force(&area);
-        want.sort_unstable();
+        let want = brute(&engine, &area);
         assert!(!want.is_empty());
-        assert_eq!(engine.voronoi(&area).sorted_indices(), want);
-        assert_eq!(engine.traditional(&area).sorted_indices(), want);
-    }
-
-    #[test]
-    fn incremental_rtree_engine_matches_bulk() {
-        let pts = uniform(300, 83);
-        let bulk = AreaQueryEngine::build(&pts);
-        let inc = AreaQueryEngine::builder(&pts).incremental_rtree().build();
-        let area = star_polygon(p(0.5, 0.5), 0.3, 10, 84);
-        assert_eq!(
-            bulk.traditional(&area).sorted_indices(),
-            inc.traditional(&area).sorted_indices()
-        );
-        assert_eq!(
-            bulk.voronoi(&area).sorted_indices(),
-            inc.voronoi(&area).sorted_indices()
-        );
+        for spec in [QuerySpec::voronoi(), QuerySpec::traditional()] {
+            assert_eq!(collect(&engine, spec, &area).sorted_indices(), want);
+        }
     }
 
     #[test]
@@ -819,7 +569,7 @@ mod tests {
         let pts = uniform(1000, 85);
         let engine = AreaQueryEngine::build(&pts);
         let area = star_polygon(p(0.5, 0.5), 0.25, 10, 86);
-        let t = engine.traditional(&area);
+        let t = collect(&engine, QuerySpec::traditional(), &area);
         assert_eq!(t.stats.result_size, t.indices.len());
         assert_eq!(t.stats.accepted, t.indices.len());
         assert_eq!(t.stats.containment_tests, t.stats.candidates as u64);
@@ -827,7 +577,7 @@ mod tests {
             t.stats.redundant_validations(),
             t.stats.candidates - t.stats.accepted
         );
-        let v = engine.voronoi(&area);
+        let v = collect(&engine, QuerySpec::voronoi(), &area);
         assert_eq!(v.stats.result_size, v.indices.len());
         assert_eq!(v.stats.containment_tests, v.stats.candidates as u64);
         assert!(v.stats.seed.is_some());
@@ -838,25 +588,25 @@ mod tests {
     fn count_queries_match_materialised_results() {
         let pts = uniform(2000, 89);
         let engine = AreaQueryEngine::build(&pts);
-        let mut scratch = engine.new_scratch();
+        let methods = [QueryMethod::Voronoi, QueryMethod::Traditional];
         for seed in 0..5u64 {
             let area = star_polygon(p(0.5, 0.5), 0.25, 10, 900 + seed);
-            let want = engine.brute_force(&area).len();
-            assert_eq!(engine.voronoi_count(&area, &mut scratch), want);
-            assert_eq!(engine.traditional_count(&area), want);
+            let want = brute(&engine, &area).len();
+            for m in methods {
+                assert_eq!(count(&engine, QuerySpec::new().method(m), &area), want);
+            }
         }
         // Duplicates are counted with multiplicity.
         let dup_engine =
             AreaQueryEngine::build(&[p(0.5, 0.5), p(0.5, 0.5), p(0.5, 0.5), p(0.9, 0.9)]);
-        let mut s = dup_engine.new_scratch();
         let area = star_polygon(p(0.5, 0.5), 0.2, 10, 1);
-        let want = dup_engine.brute_force(&area).len();
-        assert_eq!(dup_engine.voronoi_count(&area, &mut s), want);
+        let want = brute(&dup_engine, &area).len();
+        assert_eq!(count(&dup_engine, QuerySpec::voronoi(), &area), want);
         // Empty engine counts zero.
         let empty = AreaQueryEngine::build(&[]);
-        let mut s = empty.new_scratch();
-        assert_eq!(empty.voronoi_count(&area, &mut s), 0);
-        assert_eq!(empty.traditional_count(&area), 0);
+        for m in methods {
+            assert_eq!(count(&empty, QuerySpec::new().method(m), &area), 0);
+        }
     }
 
     #[test]
@@ -864,11 +614,10 @@ mod tests {
         let pts = uniform(400, 87);
         let engine = AreaQueryEngine::build(&pts);
         let area = star_polygon(p(0.5, 0.5), 0.3, 10, 88);
-        let classes = engine.classify(&area).unwrap();
-        let internal = classes
+        let internal = classes(&engine, &area)
             .iter()
             .filter(|&&c| c == PointClass::Internal)
             .count();
-        assert_eq!(internal, engine.brute_force(&area).len());
+        assert_eq!(internal, brute(&engine, &area).len());
     }
 }

@@ -8,19 +8,20 @@
 //! closed polygon `A`. Two implementations:
 //!
 //! * **Traditional filter–refine** ([`traditional_area_query`], module
-//!   [`traditional`]): window query with `MBR(A)` on a spatial index, then
+//!   [`traditional`]): window query with `MBR(A)` on the R-tree, then
 //!   exact validation of each candidate. Candidates ≈ all points in the
 //!   MBR, so irregular areas validate mostly garbage.
 //! * **Voronoi-based incremental generation** ([`voronoi_area_query`],
 //!   module [`voronoi_query`] — the paper's Algorithm 1): seed with the
-//!   nearest site to a point of `A`, then BFS over Voronoi neighbours,
+//!   nearest site to a point of `A` (an R-tree NN query — the paper uses
+//!   the same index for both methods), then BFS over Voronoi neighbours,
 //!   expanding from outside-points only across the area boundary.
 //!   Candidates = internal points + a one-cell-thick boundary ring.
 //!
 //! [`AreaQueryEngine`] packages both behind **one query surface**: a
-//! [`QuerySpec`] names a point in the evaluation grid (method × filter
-//! index × seed index × expansion policy × prepare mode × output shape)
-//! and a [`QuerySession`] executes it, owning the reusable scratch and a
+//! [`QuerySpec`] names a point in the evaluation grid (method × expansion
+//! policy × prepare mode × shard pruning × output shape) and a
+//! [`QuerySession`] executes it, owning the reusable scratch and a
 //! bounded LRU **prepared-area cache** for dashboard-style repeated
 //! queries. A brute-force oracle and the paper's Section III point
 //! classification ([`classify`]) run through the same funnel. Callers
@@ -104,7 +105,7 @@ pub mod voronoi_query;
 pub use area::{AreaFingerprint, QueryArea};
 pub use classify::{classify_points, PointClass};
 pub use dynamic::{DynamicAreaQueryEngine, DynamicQueryResult};
-pub use engine::{AreaQueryEngine, EngineBuilder, IndexConfig, QueryResult, SeedIndex};
+pub use engine::{AreaQueryEngine, EngineBuilder, QueryResult};
 pub use payload::{RecordStore, RecordStoreError};
 pub use plan::{DensityMap, ExecutionPlan, PlanFeatures, PlannedPath, Planner};
 pub use query::{
@@ -121,5 +122,5 @@ pub use sink::{
 };
 pub use snapshot::{LoadedEngine, SnapshotError, SnapshotInfo, SnapshotKind, SNAPSHOT_VERSION};
 pub use stats::{CacheCounters, PredicateCounters, QueryStats};
-pub use traditional::{traditional_area_query, FilterIndex};
+pub use traditional::traditional_area_query;
 pub use voronoi_query::{voronoi_area_query, ExpansionPolicy};

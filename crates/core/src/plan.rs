@@ -449,8 +449,8 @@ impl Planner {
 
     /// Resolves an automatic spec into `(explicit spec, plan)` for the
     /// query described by `features`. The returned spec preserves
-    /// `spec`'s filter, seed index and output mode and pins method,
-    /// expansion policy, prepare mode and shard pruning; the plan
+    /// `spec`'s output mode and pins method, expansion policy, prepare
+    /// mode and shard pruning; the plan
     /// records the choice and its predicted cost. Resolution is pure:
     /// it neither executes anything nor mutates the planner
     /// (calibration moves only through [`Planner::observe`]).

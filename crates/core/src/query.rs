@@ -2,13 +2,15 @@
 //! [`QuerySession`] owns the per-caller state needed to run it.
 //!
 //! The paper's evaluation is a grid over independent axes — query method,
-//! filter index, seed index, expansion policy, prepared-or-raw area, and
-//! output shape. Instead of one entrypoint per grid cell, [`QuerySpec`] is
-//! a plain-data point in that grid and every query funnels through
-//! [`QuerySession::execute`]:
+//! expansion policy, prepared-or-raw area, and output shape (plus shard
+//! pruning on sharded engines). Both methods run on one STR-bulk-loaded
+//! R-tree, as in the paper: its window query is the traditional filter and
+//! its nearest-neighbour query the Voronoi seed. Instead of one entrypoint
+//! per grid cell, [`QuerySpec`] is a plain-data point in that grid and
+//! every query funnels through [`QuerySession::execute`]:
 //!
 //! ```
-//! use vaq_core::{OutputMode, QuerySpec, SeedIndex};
+//! use vaq_core::{ExpansionPolicy, OutputMode, QuerySpec};
 //! use vaq_geom::{Point, Polygon};
 //!
 //! let pts: Vec<Point> = (0..100)
@@ -22,7 +24,7 @@
 //! ]).unwrap();
 //!
 //! let mut session = engine.session();
-//! let spec = QuerySpec::voronoi().seed(SeedIndex::RTree);
+//! let spec = QuerySpec::voronoi().policy(ExpansionPolicy::Cell);
 //! let collected = session.execute(&spec, &area);
 //! let counted = session.execute(&spec.output(OutputMode::Count), &area);
 //! assert_eq!(collected.count(), counted.count());
@@ -52,14 +54,14 @@
 
 use crate::area::{AreaFingerprint, QueryArea};
 use crate::classify::classify_points;
-use crate::engine::{AreaQueryEngine, QueryResult, SeedIndex};
+use crate::engine::{AreaQueryEngine, QueryResult};
 use crate::plan::{PlanFeatures, PlannedPath, Planner};
 use crate::scratch::QueryScratch;
 use crate::sink::{
     dispatch_sink, DynamicSink, Emit, EngineSink, Neighbor, ResultSink, SinkId, SinkVisitor,
 };
 use crate::stats::{CacheCounters, QueryStats};
-use crate::traditional::{refine_each, FilterIndex};
+use crate::traditional::refine_each;
 use crate::voronoi_query::{
     arbitrary_position_in, voronoi_area_query_with_boundary, ExpansionPolicy,
 };
@@ -71,7 +73,7 @@ use vaq_geom::Point;
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum QueryMethod {
     /// Traditional filter–refine: window query with `MBR(A)` on the
-    /// [`FilterIndex`], exact validation of every candidate (the paper's
+    /// R-tree, exact validation of every candidate (the paper's
     /// baseline).
     Traditional,
     /// The paper's Algorithm 1: seed with the nearest site to a point of
@@ -196,7 +198,7 @@ pub enum OutputMode {
     Count,
     /// Classify every canonical vertex as internal / boundary / external
     /// (the paper's Section III). Classification is defined on the Voronoi
-    /// diagram and ignores `method`, `filter` and `seed`.
+    /// diagram and ignores `method` and `policy`.
     Classify,
     /// kNN-within-area: of the points inside the area, the `k` nearest to
     /// `origin` by exact squared Euclidean distance, ties broken by
@@ -219,10 +221,10 @@ pub enum OutputMode {
 }
 
 /// A plain-data description of one area query: a point in the evaluation
-/// grid `method × filter × seed × policy × prepare × output`.
+/// grid `method × policy × prepare × shard_pruning × output`.
 ///
 /// The default (`QuerySpec::new()`) is the paper's setup: Voronoi method,
-/// R-tree filter and seed, segment expansion, raw area, collected output.
+/// segment expansion, raw area, collected output.
 /// Builder-style setters return `self`, so specs compose inline;
 /// the fields are public, so struct-update syntax works too.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -230,12 +232,6 @@ pub struct QuerySpec {
     /// Which algorithm runs — a fixed method, or [`MethodChoice::Auto`]
     /// to let the planner decide per query.
     pub method: MethodChoice,
-    /// Index serving the traditional filter step (ignored by the other
-    /// methods).
-    pub filter: FilterIndex,
-    /// Index serving the Voronoi method's seed NN query (ignored by the
-    /// other methods).
-    pub seed: SeedIndex,
     /// Expansion test of the Voronoi BFS (ignored by the other methods).
     pub policy: ExpansionPolicy,
     /// Whether the area is query-compiled first.
@@ -276,8 +272,7 @@ impl QuerySpec {
     /// A spec that defers method, expansion policy, prepare mode and
     /// shard pruning to the engine's cost-model planner
     /// ([`Planner`]); the chosen strategy is recorded in
-    /// [`QueryStats::plan`]. Filter, seed and output are taken from the
-    /// spec as usual.
+    /// [`QueryStats::plan`]. The output is taken from the spec as usual.
     pub fn auto() -> QuerySpec {
         QuerySpec {
             method: MethodChoice::Auto,
@@ -289,18 +284,6 @@ impl QuerySpec {
     /// [`MethodChoice`]).
     pub fn method(mut self, method: impl Into<MethodChoice>) -> QuerySpec {
         self.method = method.into();
-        self
-    }
-
-    /// Sets the traditional filter index.
-    pub fn filter(mut self, filter: FilterIndex) -> QuerySpec {
-        self.filter = filter;
-        self
-    }
-
-    /// Sets the Voronoi seed index.
-    pub fn seed(mut self, seed: SeedIndex) -> QuerySpec {
-        self.seed = seed;
         self
     }
 
@@ -591,8 +574,32 @@ impl SessionState {
         self.cache.len()
     }
 
-    /// The session funnel body: resolves the prepared-area cache, lends
-    /// the scratch, and dispatches into the engine.
+    /// Resolves `spec.prepare` for `area`: the compiled form to run —
+    /// from the LRU cache under [`PrepareMode::Cached`] (which degrades to
+    /// `PrepareOnce` when the cache is disabled or the area has no
+    /// fingerprint), freshly prepared under `PrepareOnce` — or `None` to
+    /// run `area` as passed. Returns this query's cache traffic, already
+    /// added to the session totals.
+    fn resolve<A: QueryArea + ?Sized>(
+        &mut self,
+        spec: &QuerySpec,
+        area: &A,
+    ) -> (Option<Arc<dyn QueryArea + Send + Sync>>, CacheCounters) {
+        let mut delta = CacheCounters::default();
+        let prepared = match spec.prepare {
+            PrepareMode::Raw => None,
+            PrepareMode::Cached if self.cache.capacity > 0 => match area.fingerprint() {
+                Some(fp) => self.cache.get_or_prepare(fp, || area.prepare(), &mut delta),
+                None => area.prepare().map(Arc::from),
+            },
+            PrepareMode::Cached | PrepareMode::PrepareOnce => area.prepare().map(Arc::from),
+        };
+        self.cache_totals.absorb(delta);
+        (prepared, delta)
+    }
+
+    /// The session funnel body: the planner for [`MethodChoice::Auto`],
+    /// otherwise the spec's output sink over [`SessionState::execute_sink`].
     pub(crate) fn execute<A: QueryArea + ?Sized>(
         &mut self,
         engine: &AreaQueryEngine,
@@ -602,41 +609,23 @@ impl SessionState {
         if spec.method.is_auto() {
             return self.execute_auto(engine, spec, area, PlannedPath::Plain);
         }
-        let mut delta = CacheCounters::default();
-        let cached: Option<Arc<dyn QueryArea + Send + Sync>> = match spec.prepare {
-            PrepareMode::Cached if self.cache.capacity > 0 => area
-                .fingerprint()
-                .and_then(|fp| self.cache.get_or_prepare(fp, || area.prepare(), &mut delta)),
-            _ => None,
-        };
-        let scratch = if spec.method == QueryMethod::Voronoi && spec.output != OutputMode::Classify
-        {
-            if self.scratch.is_none() {
-                self.scratch = Some(engine.new_scratch());
-            }
-            self.scratch.as_mut()
-        } else {
-            None
-        };
-        let mut out = match &cached {
-            Some(prepared) => {
-                // The cache already resolved preparation; run raw on the
-                // compiled form.
-                let raw_spec = spec.prepare(PrepareMode::Raw);
-                engine.run_spec(&raw_spec, prepared.as_ref(), scratch)
-            }
-            None => engine.run_spec(spec, area, scratch),
-        };
-        out.stats_mut().prepared_cache = delta;
-        self.cache_totals.absorb(delta);
-        out
+        dispatch_sink(
+            spec.output,
+            SessionRun {
+                state: self,
+                engine,
+                spec,
+                area,
+            },
+        )
     }
 
-    /// The session funnel body over the generic emission core: resolves
-    /// the prepared-area cache, lends the scratch, and runs
-    /// [`AreaQueryEngine::run_sink_spec`]. Used by the dynamic engines,
-    /// which emit external ids and filter tombstones through `map`.
-    /// Sets `stats.prepared_cache` to this query's cache traffic.
+    /// The session funnel over the generic emission core: resolves the
+    /// area's preparation (see [`SessionState::resolve`]), lends the
+    /// scratch, and runs [`AreaQueryEngine::run_sink`]. Every plain and
+    /// dynamic query goes through here; the dynamic engines emit
+    /// external ids and filter tombstones through `map`. Sets
+    /// `stats.prepared_cache` to this query's cache traffic.
     #[allow(clippy::too_many_arguments)] // the emission core's explicit inputs
     pub(crate) fn execute_sink<A, I, K, F>(
         &mut self,
@@ -653,40 +642,27 @@ impl SessionState {
         K: ResultSink<I>,
         F: Fn(u32) -> Option<I>,
     {
-        let mut delta = CacheCounters::default();
-        let cached: Option<Arc<dyn QueryArea + Send + Sync>> = match spec.prepare {
-            PrepareMode::Cached if self.cache.capacity > 0 => area
-                .fingerprint()
-                .and_then(|fp| self.cache.get_or_prepare(fp, || area.prepare(), &mut delta)),
-            _ => None,
-        };
+        let (prepared, delta) = self.resolve(spec, area);
         let scratch = if spec.method == QueryMethod::Voronoi {
-            if self.scratch.is_none() {
-                self.scratch = Some(engine.new_scratch());
-            }
-            self.scratch.as_mut()
+            Some(self.scratch.get_or_insert_with(|| engine.new_scratch()))
         } else {
             None
         };
-        match &cached {
-            Some(prepared) => {
-                // The cache already resolved preparation; run raw on the
-                // compiled form.
-                let raw_spec = spec.prepare(PrepareMode::Raw);
-                engine.run_sink(
-                    &raw_spec,
-                    prepared.as_ref(),
-                    scratch,
-                    kind,
-                    partial,
-                    map,
-                    stats,
-                );
-            }
-            None => engine.run_sink_spec(spec, area, scratch, kind, partial, map, stats),
+        // Preparation is resolved: run raw on the compiled form.
+        let raw_spec = spec.prepare(PrepareMode::Raw);
+        match &prepared {
+            Some(prepared) => engine.run_sink(
+                &raw_spec,
+                prepared.as_ref(),
+                scratch,
+                kind,
+                partial,
+                map,
+                stats,
+            ),
+            None => engine.run_sink(&raw_spec, area, scratch, kind, partial, map, stats),
         }
         stats.prepared_cache = delta;
-        self.cache_totals.absorb(delta);
     }
 }
 
@@ -734,11 +710,6 @@ impl<'e> QuerySession<'e> {
 
     /// Executes `spec` over `area` — the single funnel every query runs
     /// through.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spec requests an index the engine did not build
-    /// (see `EngineBuilder::with_kdtree` / `with_quadtree`).
     pub fn execute<A: QueryArea + ?Sized>(&mut self, spec: &QuerySpec, area: &A) -> QueryOutput {
         self.state.execute(self.engine, spec, area)
     }
@@ -758,45 +729,6 @@ impl AreaQueryEngine {
         self.session().execute(spec, area)
     }
 
-    /// The engine-level execution core shared by [`QuerySession::execute`]
-    /// and every legacy entrypoint. Handles `Raw`/`PrepareOnce`
-    /// (`Cached` without a session degrades to `PrepareOnce`); `scratch`
-    /// is used only by the Voronoi method and allocated fresh when absent.
-    pub(crate) fn run_spec<A: QueryArea + ?Sized>(
-        &self,
-        spec: &QuerySpec,
-        area: &A,
-        scratch: Option<&mut QueryScratch>,
-    ) -> QueryOutput {
-        if !matches!(spec.prepare, PrepareMode::Raw) {
-            if let Some(prepared) = area.prepare() {
-                let raw_spec = spec.prepare(PrepareMode::Raw);
-                return self.run_raw(&raw_spec, prepared.as_ref(), scratch);
-            }
-        }
-        self.run_raw(spec, area, scratch)
-    }
-
-    /// Runs the (already resolved) area through the sink dispatched from
-    /// `spec.output`: the `QueryOutput`-shaped entry over the generic
-    /// emission core ([`AreaQueryEngine::run_sink`]).
-    fn run_raw<A: QueryArea + ?Sized>(
-        &self,
-        spec: &QuerySpec,
-        area: &A,
-        scratch: Option<&mut QueryScratch>,
-    ) -> QueryOutput {
-        dispatch_sink(
-            spec.output,
-            EngineRun {
-                engine: self,
-                spec,
-                area,
-                scratch,
-            },
-        )
-    }
-
     /// Samples the thread's predicate totals around `body` and returns
     /// the filter/fallback delta it produced — the delta-scan
     /// counterpart of the sampling `run_sink` does for engine queries.
@@ -808,42 +740,6 @@ impl AreaQueryEngine {
             filter_fast_accepts: after.filter_fast_accepts - before.filter_fast_accepts,
             exact_fallbacks: after.exact_fallbacks - before.exact_fallbacks,
         }
-    }
-
-    /// As [`AreaQueryEngine::run_sink`], resolving `PrepareOnce`/`Cached`
-    /// preparation first (`Cached` without a session cache degrades to
-    /// `PrepareOnce`, exactly as [`AreaQueryEngine::run_spec`] does).
-    #[allow(clippy::too_many_arguments)] // the emission core's explicit inputs
-    pub(crate) fn run_sink_spec<A, I, K, F>(
-        &self,
-        spec: &QuerySpec,
-        area: &A,
-        scratch: Option<&mut QueryScratch>,
-        kind: &K,
-        partial: &mut K::Partial,
-        map: &F,
-        stats: &mut QueryStats,
-    ) where
-        A: QueryArea + ?Sized,
-        I: SinkId,
-        K: ResultSink<I>,
-        F: Fn(u32) -> Option<I>,
-    {
-        if !matches!(spec.prepare, PrepareMode::Raw) {
-            if let Some(prepared) = area.prepare() {
-                let raw_spec = spec.prepare(PrepareMode::Raw);
-                return self.run_sink(
-                    &raw_spec,
-                    prepared.as_ref(),
-                    scratch,
-                    kind,
-                    partial,
-                    map,
-                    stats,
-                );
-            }
-        }
-        self.run_sink(spec, area, scratch, kind, partial, map, stats)
     }
 
     /// The generic emission core behind **every** execution path (single
@@ -874,9 +770,7 @@ impl AreaQueryEngine {
     {
         let before = vaq_geom::predicate_totals();
         match spec.method.expect_fixed() {
-            QueryMethod::Traditional => {
-                self.sink_traditional(spec, area, kind, partial, map, stats)
-            }
+            QueryMethod::Traditional => self.sink_traditional(area, kind, partial, map, stats),
             QueryMethod::Voronoi => {
                 self.sink_voronoi(spec, area, scratch, kind, partial, map, stats);
             }
@@ -890,7 +784,6 @@ impl AreaQueryEngine {
 
     fn sink_traditional<A, I, K, F>(
         &self,
-        spec: &QuerySpec,
         area: &A,
         kind: &K,
         partial: &mut K::Partial,
@@ -902,20 +795,7 @@ impl AreaQueryEngine {
         K: ResultSink<I>,
         F: Fn(u32) -> Option<I>,
     {
-        let mbr = area.mbr();
-        let candidates = match spec.filter {
-            FilterIndex::RTree => self.rtree.window_with_stats(&mbr, &mut stats.index),
-            FilterIndex::KdTree => self
-                .kdtree
-                .as_ref()
-                .expect("kd-tree not built; use EngineBuilder::with_kdtree")
-                .window(&mbr),
-            FilterIndex::Quadtree => self
-                .quadtree
-                .as_ref()
-                .expect("quadtree not built; use EngineBuilder::with_quadtree")
-                .window(&mbr),
-        };
+        let candidates = self.rtree.window_with_stats(&area.mbr(), &mut stats.index);
         let records = self.records.as_ref();
         refine_each(
             candidates,
@@ -968,33 +848,18 @@ impl AreaQueryEngine {
             }
         };
         // Line 3–4 of Algorithm 1: seed with NN(P, pA) for an arbitrary
-        // position pA inside A.
+        // position pA inside A, answered by the R-tree as in the paper.
         let pa = arbitrary_position_in(area);
-        let seed = match spec.seed {
-            SeedIndex::RTree => {
-                let (id, _) = self
-                    .rtree
-                    .nearest_with_stats(pa, &mut stats.index)
-                    .expect("engine is non-empty");
-                tri.canonical(id as usize)
-            }
-            SeedIndex::KdTree => {
-                let (id, _) = self
-                    .kdtree
-                    .as_ref()
-                    .expect("kd-tree not built; use EngineBuilder::with_kdtree")
-                    .nearest(pa)
-                    .expect("engine is non-empty");
-                tri.canonical(id as usize)
-            }
-            SeedIndex::DelaunayWalk => tri.nearest_vertex(pa, None),
-        };
-        // On a power diagram the R-tree/kd-tree answer the *Euclidean* NN,
-        // which may be hidden or may not own the power cell holding `pa`;
-        // the BFS invariant (the seed's cell meets the area) needs the
-        // true power NN, so descend to it from the index's answer. The
-        // walk seed is already the power NN, and on Euclidean diagrams
-        // this branch never runs — the seed stays bit-identical.
+        let (id, _) = self
+            .rtree
+            .nearest_with_stats(pa, &mut stats.index)
+            .expect("engine is non-empty");
+        let seed = tri.canonical(id as usize);
+        // On a power diagram the R-tree answers the *Euclidean* NN, which
+        // may be hidden or may not own the power cell holding `pa`; the
+        // BFS invariant (the seed's cell meets the area) needs the true
+        // power NN, so descend to it from the R-tree's answer. On
+        // Euclidean diagrams this branch never runs.
         let seed = match tri.diagram_kind() {
             vaq_delaunay::DiagramKind::Euclidean => seed,
             vaq_delaunay::DiagramKind::Power => tri.nearest_vertex(pa, Some(seed)),
@@ -1122,25 +987,25 @@ impl AreaQueryEngine {
     }
 }
 
-/// The single-engine execution path as a sink visitor: one generic run
-/// over the emission core, plus the whole-diagram classify branch.
-struct EngineRun<'r, A: ?Sized> {
+/// The session execution path as a sink visitor: one generic run over
+/// [`SessionState::execute_sink`], plus the whole-diagram classify branch.
+struct SessionRun<'r, A: ?Sized> {
+    state: &'r mut SessionState,
     engine: &'r AreaQueryEngine,
     spec: &'r QuerySpec,
     area: &'r A,
-    scratch: Option<&'r mut QueryScratch>,
 }
 
-impl<A: QueryArea + ?Sized> SinkVisitor for EngineRun<'_, A> {
+impl<A: QueryArea + ?Sized> SinkVisitor for SessionRun<'_, A> {
     type Out = QueryOutput;
 
     fn visit<K: EngineSink + DynamicSink>(self, kind: K) -> QueryOutput {
         let mut stats = QueryStats::default();
         let mut partial = ResultSink::<u32>::start(&kind);
-        self.engine.run_sink(
+        self.state.execute_sink(
+            self.engine,
             self.spec,
             self.area,
-            self.scratch,
             &kind,
             &mut partial,
             &Some,
@@ -1151,20 +1016,31 @@ impl<A: QueryArea + ?Sized> SinkVisitor for EngineRun<'_, A> {
     }
 
     fn classify(self) -> QueryOutput {
-        let Some(tri) = self.engine.tri.as_ref() else {
-            return QueryOutput::Classified {
-                classes: Vec::new(),
-                stats: QueryStats::default(),
-            };
+        let (prepared, delta) = self.state.resolve(self.spec, self.area);
+        let (classes, mut stats) = match &prepared {
+            Some(prepared) => classify_area(self.engine, prepared.as_ref()),
+            None => classify_area(self.engine, self.area),
         };
-        let mut stats = QueryStats::default();
-        let mut classes = Vec::new();
-        stats.predicates = AreaQueryEngine::sample_predicates(|| {
-            let window = self.engine.cell_window(self.area);
-            classes = classify_points(tri, self.area, &window);
-        });
+        stats.prepared_cache = delta;
         QueryOutput::Classified { classes, stats }
     }
+}
+
+/// The paper's Section III classification of every canonical vertex
+/// against `area` (empty for an empty engine).
+fn classify_area<A: QueryArea + ?Sized>(
+    engine: &AreaQueryEngine,
+    area: &A,
+) -> (Vec<PointClass>, QueryStats) {
+    let mut stats = QueryStats::default();
+    let Some(tri) = engine.tri.as_ref() else {
+        return (Vec::new(), stats);
+    };
+    let mut classes = Vec::new();
+    stats.predicates = AreaQueryEngine::sample_predicates(|| {
+        classes = classify_points(tri, area, &engine.cell_window(area));
+    });
+    (classes, stats)
 }
 
 #[cfg(test)]
@@ -1207,16 +1083,15 @@ mod tests {
     fn spec_builder_defaults_match_the_paper() {
         let spec = QuerySpec::new();
         assert_eq!(spec.method, QueryMethod::Voronoi);
-        assert_eq!(spec.filter, FilterIndex::RTree);
-        assert_eq!(spec.seed, SeedIndex::RTree);
         assert_eq!(spec.policy, ExpansionPolicy::Segment);
         assert_eq!(spec.prepare, PrepareMode::Raw);
+        assert_eq!(spec.shard_pruning, ShardPruning::Mbr);
         assert_eq!(spec.output, OutputMode::Collect);
         let spec = QuerySpec::traditional()
-            .filter(FilterIndex::KdTree)
+            .prepare(PrepareMode::Cached)
             .output(OutputMode::Count);
         assert_eq!(spec.method, QueryMethod::Traditional);
-        assert_eq!(spec.filter, FilterIndex::KdTree);
+        assert_eq!(spec.prepare, PrepareMode::Cached);
         assert_eq!(spec.output, OutputMode::Count);
     }
 
@@ -1226,7 +1101,11 @@ mod tests {
         let engine = AreaQueryEngine::build(&pts);
         let mut session = engine.session();
         let area = star_polygon(p(0.5, 0.5), 0.25, 10, 12);
-        let want = engine.brute_force(&area);
+        let want = session
+            .execute(&QuerySpec::brute_force(), &area)
+            .into_result()
+            .unwrap()
+            .indices;
         let want_sorted = {
             let mut v = want.clone();
             v.sort_unstable();
@@ -1333,7 +1212,11 @@ mod tests {
         let engine = AreaQueryEngine::build(&pts);
         let mut session = engine.session();
         let window = Rect::new(p(0.2, 0.2), p(0.6, 0.7));
-        let want: Vec<u32> = engine.brute_force(&window);
+        let want = session
+            .execute(&QuerySpec::brute_force(), &window)
+            .into_result()
+            .unwrap()
+            .sorted_indices();
         for prepare in [
             PrepareMode::Raw,
             PrepareMode::PrepareOnce,

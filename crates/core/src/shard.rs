@@ -73,7 +73,7 @@ use crate::sink::{
     dispatch_sink, DynamicSink, Emit, EngineSink, Neighbor, ResultSink, SinkId, SinkVisitor,
 };
 use crate::stats::{CacheCounters, QueryStats};
-use crate::sync::{scope, ClaimCounter, Mutex};
+use crate::sync::{par_map, Mutex};
 use std::collections::HashSet;
 use vaq_delaunay::{weights_are_uniform, DiagramKind};
 use vaq_geom::{Point, Polygon, Rect};
@@ -384,45 +384,12 @@ impl ShardedAreaQueryEngine {
                 global: part.to_vec(),
             }
         };
-        let built: Vec<Shard> = if build_threads <= 1 || parts.len() <= 1 {
-            parts
-                .iter()
-                .enumerate()
-                .map(|(i, p)| build_one(i, p))
-                .collect()
-        } else {
-            let next = ClaimCounter::new();
-            let workers = build_threads.min(parts.len());
-            let mut slots: Vec<Option<Shard>> = Vec::new();
-            slots.resize_with(parts.len(), || None);
-            scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        let next = &next;
-                        let parts = &parts;
-                        let build_one = &build_one;
-                        scope.spawn(move || {
-                            let mut done = Vec::new();
-                            loop {
-                                let i = next.claim();
-                                let Some(part) = parts.get(i) else { break };
-                                done.push((i, build_one(i, part)));
-                            }
-                            done
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    for (i, shard) in h.join().expect("shard builder does not panic") {
-                        slots[i] = Some(shard);
-                    }
-                }
-            });
-            slots
-                .into_iter()
-                .map(|s| s.expect("every shard index is claimed exactly once"))
-                .collect()
-        };
+        let built: Vec<Shard> = par_map(
+            parts.len(),
+            build_threads,
+            || (),
+            |_, i| build_one(i, &parts[i]),
+        );
         let density =
             DensityMap::from_regions(built.iter().map(|s| (s.mbr, s.engine.len() as f64)));
         ShardedAreaQueryEngine {
@@ -646,9 +613,7 @@ impl ShardedAreaQueryEngine {
     ///
     /// Panics for `OutputMode::Classify`: classification is defined on
     /// one global Voronoi diagram, which the sharded engine does not
-    /// build. Also panics if the spec requests an index the shard
-    /// engines did not build (they are built with defaults: R-tree +
-    /// Delaunay, no kd-tree/quadtree).
+    /// build.
     pub fn execute<A: QueryArea + ?Sized>(&self, spec: &QuerySpec, area: &A) -> ShardedQueryOutput {
         if spec.method.is_auto() {
             let (resolved, plan, vertices) = self.resolve_auto(spec, area, 0);
@@ -803,49 +768,16 @@ impl ShardedAreaQueryEngine {
                 })
                 .collect()
         };
-        let run_one = |i: usize| -> ShardedQueryOutput {
-            let mut out = self.execute(&plans[i].0, &areas[i]);
-            out.stats.plan = Some(plans[i].1);
-            out
-        };
-        let mut slots: Vec<Option<ShardedQueryOutput>> = Vec::new();
-        slots.resize_with(areas.len(), || None);
-        if threads <= 1 || areas.len() <= 1 {
-            for (i, slot) in slots.iter_mut().enumerate() {
-                *slot = Some(run_one(i));
-            }
-        } else {
-            let next = ClaimCounter::new();
-            let workers = threads.min(areas.len());
-            scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        let next = &next;
-                        let run_one = &run_one;
-                        scope.spawn(move || {
-                            let mut done = Vec::new();
-                            loop {
-                                let i = next.claim();
-                                if i >= areas.len() {
-                                    break;
-                                }
-                                done.push((i, run_one(i)));
-                            }
-                            done
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    for (i, o) in h.join().expect("planned batch worker does not panic") {
-                        slots[i] = Some(o);
-                    }
-                }
-            });
-        }
-        let outs: Vec<ShardedQueryOutput> = slots
-            .into_iter()
-            .map(|s| s.expect("every area ran exactly once"))
-            .collect();
+        let outs = par_map(
+            areas.len(),
+            threads,
+            || (),
+            |_, i| {
+                let mut out = self.execute(&plans[i].0, &areas[i]);
+                out.stats.plan = Some(plans[i].1);
+                out
+            },
+        );
         for (out, (_, plan, vertices)) in outs.iter().zip(&plans) {
             self.observe_auto(plan, &out.stats, *vertices);
         }
@@ -971,43 +903,13 @@ impl<A: QueryArea + Sync> SinkVisitor for ShardBatchRun<'_, A> {
             (part, st)
         };
 
-        let mut slots: Vec<Option<(<K as ResultSink<u32>>::Partial, QueryStats)>> = Vec::new();
-        slots.resize_with(work.len(), || None);
-        if threads <= 1 || work.len() <= 1 {
-            let mut scratch: Vec<Option<QueryScratch>> =
-                (0..eng.shards.len()).map(|_| None).collect();
-            for (w, item) in work.iter().enumerate() {
-                slots[w] = Some(run_one(item, &mut scratch));
-            }
-        } else {
-            let next = ClaimCounter::new();
-            let workers = threads.min(work.len());
-            scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        let next = &next;
-                        let work = &work;
-                        let run_one = &run_one;
-                        scope.spawn(move || {
-                            let mut scratch: Vec<Option<QueryScratch>> =
-                                (0..eng.shards.len()).map(|_| None).collect();
-                            let mut done = Vec::new();
-                            loop {
-                                let w = next.claim();
-                                let Some(item) = work.get(w) else { break };
-                                done.push((w, run_one(item, &mut scratch)));
-                            }
-                            done
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    for (w, o) in h.join().expect("sharded batch worker does not panic") {
-                        slots[w] = Some(o);
-                    }
-                }
-            });
-        }
+        let mut results = par_map(
+            work.len(),
+            threads,
+            || -> Vec<Option<QueryScratch>> { (0..eng.shards.len()).map(|_| None).collect() },
+            |scratch, w| run_one(&work[w], scratch),
+        )
+        .into_iter();
 
         // Merge each area's shard partials back to one output, in
         // ascending shard order (the work list was built that way), so
@@ -1024,14 +926,13 @@ impl<A: QueryArea + Sync> SinkVisitor for ShardBatchRun<'_, A> {
                     ..ShardedQueryOutput::default()
                 };
                 let mut acc = ResultSink::<u32>::start(&kind);
-                for w in start..end {
-                    let si = work[w].1 as usize;
-                    let (part, st) = slots[w].take().expect("every work item ran exactly once");
+                let items = results.by_ref().take(end - start);
+                for (&(_, si), (part, st)) in work[start..end].iter().zip(items) {
                     out.stats.shards_visited += 1;
                     ResultSink::<u32>::merge(&kind, &mut acc, part);
                     out.stats.absorb_shard(&st);
                     out.breakdown.push(ShardBreakdown {
-                        shard: si,
+                        shard: si as usize,
                         stats: st,
                     });
                 }

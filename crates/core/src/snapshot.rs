@@ -8,9 +8,9 @@
 //! container file, so a serving process reaches its first answer by
 //! *reading* instead of *rebuilding*. Loads hand the flat arrays
 //! straight back to [`Triangulation::from_flat`] without per-element
-//! decoding; the cheap, deterministic secondary structures (R-tree,
-//! kd-tree, quadtree, hidden-site index) are rebuilt from the persisted
-//! [`IndexConfig`] so a loaded engine is **bit-identical** to a freshly
+//! decoding and restore the R-tree's node arena verbatim; the
+//! hidden-site index is rebuilt deterministically from the
+//! triangulation, so a loaded engine is **bit-identical** to a freshly
 //! built one — same indices, same [`QueryStats`](crate::QueryStats)
 //! work counters on every execution path.
 //!
@@ -44,8 +44,9 @@
 //!
 //! * **Plain** ([`AreaQueryEngine`]): points, the triangulation's flat
 //!   arrays ([`TriangulationFlat`]: mesh slots + free list, adjacency
-//!   CSR, hull, weights, hidden/anchor tables), payload record pages,
-//!   the planner's density map and the [`IndexConfig`].
+//!   CSR, hull, weights, hidden/anchor tables; the canonical site array
+//!   is derived from the points), payload record pages, the planner's
+//!   density map, shard-boundary flags and the R-tree arena.
 //! * **Sharded** ([`ShardedAreaQueryEngine`]): the kd-partition
 //!   metadata plus **one independently loadable section per shard**
 //!   (its global-id table and a nested engine blob), and the planner's
@@ -57,7 +58,7 @@
 //!   load, not re-executed as operations.
 
 use crate::dynamic::DynamicAreaQueryEngine;
-use crate::engine::{AreaQueryEngine, IndexConfig};
+use crate::engine::AreaQueryEngine;
 use crate::payload::RecordStore;
 use crate::plan::DensityMap;
 use crate::shard::ShardedAreaQueryEngine;
@@ -67,7 +68,7 @@ use std::path::Path;
 use vaq_delaunay::mesh::Tri;
 use vaq_delaunay::{DiagramKind, Triangulation, TriangulationFlat};
 use vaq_geom::{Point, Rect};
-use vaq_rtree::{RTree, RTreeRaw, SplitAlgorithm};
+use vaq_rtree::{RTree, RTreeRaw};
 
 /// The container magic: the bytes `VAQSNAP1` read as a little-endian
 /// `u64`. A byte-swapped magic identifies a container written on a
@@ -77,7 +78,7 @@ pub const SNAPSHOT_MAGIC: u64 = u64::from_le_bytes(*b"VAQSNAP1");
 /// Current container format version. Bump on **any** change to the
 /// header, section or flat-array layouts (the layout-fingerprint guard
 /// test enforces the coupling).
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Section payloads (and the first section) start on multiples of this.
 pub const SNAPSHOT_PAGE: usize = 4096;
@@ -110,7 +111,7 @@ const TAG_SHARD: u64 = 0x1000;
 /// misparsing it. The guard test in this module pins the fingerprint:
 /// editing this string (or the layouts it describes) without bumping
 /// [`SNAPSHOT_VERSION`] fails the build's test suite.
-const LAYOUT: &str = "vaq-snapshot layout v1:\
+const LAYOUT: &str = "vaq-snapshot layout v2:\
  header{magic:u64,version:u32,kind:u32,layout:u64,file_len:u64,sections:u64,\
 table_sum:u64,git_rev:[u8;24],params:[u8;56]}\
  table{tag:u64,offset:u64,len:u64,checksum:u64}*\
@@ -120,9 +121,8 @@ adj_off:[u32],adj:[u32],\
 hull:[u32],degenerate:u32,last_finite:u32,weights:[f64],hidden:[u32],\
 anchor:[u32]},records?{record_bytes:u64,data:[u8]},\
 density:[{min:f64x2,max:f64x2,count:f64}],\
-config{rtree_fanout:u64,incremental:u32,algorithm:u32,kdtree:u32,quadtree:u32},\
 straddlers?:[u8],rtree{levels:[u32],entry_offsets:[u32],entry_children:[u32],\
-inner_rects:[f64],free:[u32],root:u32,len:u64,max_entries:u32,algorithm:u32}}\
+inner_rects:[f64],root:u32,len:u64,max_entries:u32}}\
  dyn_overlay{base_ids:[u64],base_weights:[f64],delta:[{id:u64,x:f64,y:f64,\
 w:f64}],tombstones:[u64],next_id:u64}\
  sh_meta{len:u64,target_shards:u64,diagram:u32,calibration:[f64;3],\
@@ -863,12 +863,9 @@ fn encode_engine(engine: &AreaQueryEngine) -> Vec<u8> {
         Some(tri) => {
             w.u32(1);
             let flat = tri.to_flat();
-            // The triangulation's site array IS the engine's point array
-            // (same order, same bits); persisting it once is enough.
-            debug_assert!(
-                flat.pts == engine.points,
-                "triangulation sites diverged from the engine's points"
-            );
+            // The triangulation's site array is not stored: it holds the
+            // first occurrence of every distinct input point, in input
+            // order, which a load re-derives from the engine's points.
             // With no coincident input points the canonical map and the
             // members CSR are all identity permutations — the common
             // case. A flag replaces three `n`-length arrays, and a load
@@ -920,15 +917,6 @@ fn encode_engine(engine: &AreaQueryEngine) -> Vec<u8> {
         w.f64(r.max.y);
         w.f64(c);
     }
-    let cfg = engine.index_config();
-    w.u64(cfg.rtree_fanout as u64);
-    w.u32(cfg.incremental_rtree as u32);
-    w.u32(match cfg.rtree_algorithm {
-        SplitAlgorithm::Quadratic => 0,
-        SplitAlgorithm::RStar => 1,
-    });
-    w.u32(cfg.kdtree as u32);
-    w.u32(cfg.quadtree as u32);
     match engine.boundary_straddlers.as_ref() {
         Some(s) => {
             w.u32(1);
@@ -944,14 +932,9 @@ fn encode_engine(engine: &AreaQueryEngine) -> Vec<u8> {
     w.u32s(&raw.entry_offsets);
     w.u32s(&raw.entry_children);
     w.f64s(&raw.inner_rects);
-    w.u32s(&raw.free);
     w.u32(raw.root);
     w.u64(raw.len);
     w.u32(raw.max_entries);
-    w.u32(match raw.algorithm {
-        SplitAlgorithm::Quadratic => 0,
-        SplitAlgorithm::RStar => 1,
-    });
     w.buf
 }
 
@@ -962,11 +945,27 @@ fn decode_engine(payload: &[u8]) -> Result<AreaQueryEngine, SnapshotError> {
     let tri = match r.u32()? {
         0 => None,
         1 => {
-            let (canon, members_off, members) = match r.u32()? {
-                0 => (r.u32s()?, r.u32s()?, r.u32s()?),
+            let (pts, canon, members_off, members) = match r.u32()? {
+                0 => {
+                    let (canon, members_off, members) = (r.u32s()?, r.u32s()?, r.u32s()?);
+                    if canon.len() != n_points {
+                        return Err(SnapshotError::Inconsistent(format!(
+                            "canonical map covers {} inputs but the engine holds {n_points} points",
+                            canon.len()
+                        )));
+                    }
+                    let pts = canonical_sites(&points, &members_off, &members)?;
+                    (pts, canon, members_off, members)
+                }
                 1 => {
                     let n = points.len() as u32;
-                    ((0..n).collect(), (0..=n).collect(), (0..n).collect())
+                    let identity = (0..n).collect();
+                    (
+                        points.clone(),
+                        identity,
+                        (0..=n).collect(),
+                        (0..n).collect(),
+                    )
                 }
                 f => {
                     return Err(SnapshotError::Malformed(format!(
@@ -975,7 +974,7 @@ fn decode_engine(payload: &[u8]) -> Result<AreaQueryEngine, SnapshotError> {
                 }
             };
             let flat = TriangulationFlat {
-                pts: points.clone(),
+                pts,
                 canon,
                 members_off,
                 members,
@@ -1038,27 +1037,6 @@ fn decode_engine(payload: &[u8]) -> Result<AreaQueryEngine, SnapshotError> {
         regions.push((Rect::new(min, max), r.f64()?));
     }
     let density = DensityMap::from_regions(regions);
-    let rtree_fanout: usize = r
-        .u64()?
-        .try_into()
-        .map_err(|_| SnapshotError::Malformed("rtree fanout overflows usize".to_string()))?;
-    let incremental_rtree = r.u32()? != 0;
-    let rtree_algorithm = match r.u32()? {
-        0 => SplitAlgorithm::Quadratic,
-        1 => SplitAlgorithm::RStar,
-        a => {
-            return Err(SnapshotError::Malformed(format!(
-                "unknown rtree split algorithm code {a}"
-            )))
-        }
-    };
-    let config = IndexConfig {
-        rtree_fanout,
-        incremental_rtree,
-        rtree_algorithm,
-        kdtree: r.u32()? != 0,
-        quadtree: r.u32()? != 0,
-    };
     let boundary_straddlers = match r.u32()? {
         0 => None,
         1 => Some(r.bools()?),
@@ -1073,19 +1051,9 @@ fn decode_engine(payload: &[u8]) -> Result<AreaQueryEngine, SnapshotError> {
         entry_offsets: r.u32s()?,
         entry_children: r.u32s()?,
         inner_rects: r.f64s()?,
-        free: r.u32s()?,
         root: r.u32()?,
         len: r.u64()?,
         max_entries: r.u32()?,
-        algorithm: match r.u32()? {
-            0 => SplitAlgorithm::Quadratic,
-            1 => SplitAlgorithm::RStar,
-            a => {
-                return Err(SnapshotError::Malformed(format!(
-                    "unknown rtree split algorithm code {a}"
-                )))
-            }
-        },
     };
     r.finish()?;
     let rtree = RTree::from_raw(raw, &points).map_err(SnapshotError::Malformed)?;
@@ -1100,10 +1068,38 @@ fn decode_engine(payload: &[u8]) -> Result<AreaQueryEngine, SnapshotError> {
         tri,
         records,
         density,
-        config,
         boundary_straddlers,
         Some(rtree),
     ))
+}
+
+/// The canonical site array of a triangulation whose inputs coincide:
+/// vertex `v` sits at the coordinates of its first member input (the
+/// triangulation keeps the first occurrence of every distinct point, and
+/// each members-CSR row is ascending). Rows must be non-empty and in
+/// bounds; `Triangulation::from_flat` checks the CSR shape afterwards.
+fn canonical_sites(
+    points: &[Point],
+    members_off: &[u32],
+    members: &[u32],
+) -> Result<Vec<Point>, SnapshotError> {
+    members_off
+        .iter()
+        .zip(members_off.iter().skip(1))
+        .enumerate()
+        .map(|(v, (&lo, &hi))| {
+            (lo < hi)
+                .then(|| members.get(lo as usize))
+                .flatten()
+                .and_then(|&i| points.get(i as usize))
+                .copied()
+                .ok_or_else(|| {
+                    SnapshotError::Malformed(format!(
+                        "canonical vertex {v} has no member input in range"
+                    ))
+                })
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -1402,12 +1398,12 @@ mod tests {
     #[test]
     fn layout_fingerprint_is_pinned_to_the_version() {
         assert_eq!(
-            SNAPSHOT_VERSION, 1,
+            SNAPSHOT_VERSION, 2,
             "version changed: re-pin the fingerprint"
         );
         assert_eq!(
             layout_fingerprint(),
-            0x3795_7829_2fb4_7ca1,
+            0xc548_cac8_d7a9_e9f2,
             "flat layout changed: bump SNAPSHOT_VERSION and re-pin this fingerprint"
         );
     }
@@ -1422,9 +1418,18 @@ mod tests {
         let loaded = engine_from_bytes(&bytes).expect("round trip");
         assert_eq!(loaded.len(), engine.len());
         let area = Rect::new(Point::new(1.5, 0.5), Point::new(6.5, 9.0));
+        let spec = crate::QuerySpec::voronoi();
         assert_eq!(
-            loaded.voronoi(&area).sorted_indices(),
-            engine.voronoi(&area).sorted_indices()
+            loaded
+                .execute(&spec, &area)
+                .result()
+                .unwrap()
+                .sorted_indices(),
+            engine
+                .execute(&spec, &area)
+                .result()
+                .unwrap()
+                .sorted_indices()
         );
         let info = inspect_bytes(&bytes).expect("inspect");
         assert_eq!(info.kind, SnapshotKind::Plain);

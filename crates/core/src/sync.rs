@@ -23,8 +23,9 @@
 //! ## What is shared, and under which primitive
 //!
 //! * **Work distribution** — the batch executors (unsharded, sharded,
-//!   planned, and the parallel shard build) hand out work through a
-//!   [`ClaimCounter`]: one `fetch_add` per item, no other coordination.
+//!   planned, and the parallel shard build) all run on [`par_map`], which
+//!   hands out work through a [`ClaimCounter`]: one `fetch_add` per item,
+//!   no other coordination.
 //! * **Planner calibration** — [`ShardedAreaQueryEngine`] resolves and
 //!   observes `MethodChoice::Auto` queries through a [`Mutex`]`<Planner>`
 //!   (the engine executes through `&self`).
@@ -68,9 +69,8 @@ pub use model::{AtomicUsize, Mutex, MutexGuard};
 /// concurrency ingredient in one audited module.
 pub use std::thread::{scope, Scope};
 
-/// The work-stealing claim counter: the one concurrency idiom behind
-/// every parallel loop in the engine (batch execution, the sharded
-/// `(area, shard)` fan-out, and the parallel shard build).
+/// The work-stealing claim counter: the one claim primitive behind
+/// [`par_map`], and so behind every parallel loop in the engine.
 ///
 /// Workers repeatedly [`claim`](ClaimCounter::claim) the next work index
 /// until the returned index runs past the work list. Each index is
@@ -104,6 +104,60 @@ impl ClaimCounter {
         // uniqueness of the handed-out indices.
         self.next.fetch_add(1, Ordering::Relaxed)
     }
+}
+
+/// Maps `f` over `0..n` on up to `threads` scoped workers and returns the
+/// results **in index order** — the one work-stealing loop behind every
+/// parallel path in the engine (batch execution, the sharded `(area,
+/// shard)` fan-out, and the parallel shard build).
+///
+/// Workers claim indices from one shared [`ClaimCounter`], so a worker
+/// that finishes early keeps pulling work instead of idling behind a
+/// fixed chunk boundary. Each worker owns the state `init` creates for
+/// it (a query session, per-shard scratch) and lends it to every `f`
+/// call it makes. With `threads <= 1 || n <= 1` everything runs on the
+/// calling thread with a single state, in ascending index order.
+pub fn par_map<S, T, I, F>(n: usize, threads: usize, init: I, f: F) -> Vec<T>
+where
+    T: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize) -> T + Sync,
+{
+    if threads <= 1 || n <= 1 {
+        let mut state = init();
+        return (0..n).map(|i| f(&mut state, i)).collect();
+    }
+    let next = ClaimCounter::new();
+    let mut slots: Vec<Option<T>> = Vec::new();
+    slots.resize_with(n, || None);
+    scope(|scope| {
+        let handles: Vec<_> = (0..threads.min(n))
+            .map(|_| {
+                let (next, init, f) = (&next, &init, &f);
+                scope.spawn(move || {
+                    let mut state = init();
+                    let mut done = Vec::new();
+                    loop {
+                        let i = next.claim();
+                        if i >= n {
+                            break;
+                        }
+                        done.push((i, f(&mut state, i)));
+                    }
+                    done
+                })
+            })
+            .collect();
+        for h in handles {
+            for (i, out) in h.join().expect("work-stealing worker does not panic") {
+                slots[i] = Some(out);
+            }
+        }
+    });
+    slots
+        .into_iter()
+        .map(|s| s.expect("every index is claimed exactly once"))
+        .collect()
 }
 
 /// Resolves a requested worker-thread count: `0` auto-tunes to the
@@ -179,6 +233,36 @@ mod tests {
         });
         all.sort_unstable();
         assert_eq!(all, (0..64).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn par_map_returns_index_order_with_per_worker_state() {
+        for threads in [0, 1, 2, 4, 9] {
+            // Each worker's state counts the items it ran; results come
+            // back in index order whatever the interleaving.
+            let out = par_map(
+                32,
+                threads,
+                || 0usize,
+                |seen, i| {
+                    *seen += 1;
+                    (i * i, *seen)
+                },
+            );
+            assert_eq!(
+                out.iter().map(|&(sq, _)| sq).collect::<Vec<_>>(),
+                (0..32).map(|i| i * i).collect::<Vec<_>>(),
+                "threads={threads}"
+            );
+            if threads <= 1 {
+                // One state on the calling thread, ascending order.
+                assert_eq!(
+                    out.iter().map(|&(_, seen)| seen).collect::<Vec<_>>(),
+                    (1..=32).collect::<Vec<_>>()
+                );
+            }
+        }
+        assert!(par_map(0, 4, || (), |_, i| i).is_empty());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The traditional filter–refine area query the paper compares against.
 //!
-//! **Filter**: a window query on a spatial index with the MBR of the query
-//! area produces the candidate set — every point inside the MBR.
+//! **Filter**: a window query on the R-tree with the MBR of the query area
+//! produces the candidate set — every point inside the MBR.
 //! **Refine**: each candidate is validated with an exact point-in-polygon
 //! test. When the area is irregular (`area(A) ≪ area(MBR(A))`), most
 //! candidates fail validation; that waste is what the paper's method
@@ -11,24 +11,7 @@ use crate::area::QueryArea;
 use crate::payload::RecordStore;
 use crate::stats::QueryStats;
 use vaq_geom::Point;
-use vaq_kdtree::KdTree;
-use vaq_quadtree::Quadtree;
 use vaq_rtree::RTree;
-
-/// Which index serves the filter step's window query.
-///
-/// The paper uses the R-tree; kd-tree and PR-quadtree variants are
-/// ablations showing the comparison is index-agnostic.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum FilterIndex {
-    /// R-tree window query (the paper's baseline).
-    #[default]
-    RTree,
-    /// Balanced kd-tree window query.
-    KdTree,
-    /// PR-quadtree window query.
-    Quadtree,
-}
 
 /// Runs the traditional filter–refine query using the R-tree.
 ///
@@ -48,31 +31,7 @@ pub fn traditional_area_query<A: QueryArea + ?Sized>(
     refine(candidates, points, area, records, stats)
 }
 
-/// As [`traditional_area_query`] with the kd-tree filter.
-pub fn traditional_area_query_kdtree<A: QueryArea + ?Sized>(
-    kdtree: &KdTree,
-    points: &[Point],
-    area: &A,
-    records: Option<&RecordStore>,
-    stats: &mut QueryStats,
-) -> Vec<u32> {
-    let candidates = kdtree.window(&area.mbr());
-    refine(candidates, points, area, records, stats)
-}
-
-/// As [`traditional_area_query`] with the PR-quadtree filter.
-pub fn traditional_area_query_quadtree<A: QueryArea + ?Sized>(
-    quadtree: &Quadtree,
-    points: &[Point],
-    area: &A,
-    records: Option<&RecordStore>,
-    stats: &mut QueryStats,
-) -> Vec<u32> {
-    let candidates = quadtree.window(&area.mbr());
-    refine(candidates, points, area, records, stats)
-}
-
-/// The refine step shared by every filter index and result sink:
+/// The refine step shared by every result sink:
 /// materialise the candidate's record (when simulated), validate with the
 /// exact containment test, and hand accepted ids — plus the run's stats,
 /// for sinks that fold checksums — to `on_hit`. The caller sets
@@ -145,42 +104,27 @@ mod tests {
     }
 
     #[test]
-    fn all_three_filters_match_brute_force() {
+    fn rtree_filter_matches_brute_force() {
         let pts = uniform(500, 61);
         let area = triangle_area();
         let want = brute(&pts, &area);
 
         let rt = RTree::bulk_load(&pts);
-        let mut s1 = QueryStats::default();
-        let mut got = traditional_area_query(&rt, &pts, &area, None, &mut s1);
+        let mut s = QueryStats::default();
+        let mut got = traditional_area_query(&rt, &pts, &area, None, &mut s);
         got.sort_unstable();
         assert_eq!(got, want);
 
-        let kt = KdTree::build(&pts);
-        let mut s2 = QueryStats::default();
-        let mut got = traditional_area_query_kdtree(&kt, &pts, &area, None, &mut s2);
-        got.sort_unstable();
-        assert_eq!(got, want);
-
-        let qt = Quadtree::bulk_load(&pts);
-        let mut s3 = QueryStats::default();
-        let mut got = traditional_area_query_quadtree(&qt, &pts, &area, None, &mut s3);
-        got.sort_unstable();
-        assert_eq!(got, want);
-
-        // All filters produce the same candidate set: the points in the MBR.
+        // The candidate set is exactly the points in the MBR.
         let in_mbr = pts
             .iter()
             .filter(|q| area.mbr().contains_point(**q))
             .count();
-        for s in [&s1, &s2, &s3] {
-            assert_eq!(s.candidates, in_mbr);
-            assert_eq!(s.accepted, want.len());
-            assert_eq!(s.containment_tests, in_mbr as u64);
-            assert_eq!(s.redundant_validations(), in_mbr - want.len());
-        }
-        // Only the R-tree path reports index accesses.
-        assert!(s1.index.nodes() > 0);
+        assert_eq!(s.candidates, in_mbr);
+        assert_eq!(s.accepted, want.len());
+        assert_eq!(s.containment_tests, in_mbr as u64);
+        assert_eq!(s.redundant_validations(), in_mbr - want.len());
+        assert!(s.index.nodes() > 0);
     }
 
     #[test]

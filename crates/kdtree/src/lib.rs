@@ -1,12 +1,10 @@
 //! # vaq-kdtree — static bulk-built kd-tree
 //!
-//! A balanced 2-D kd-tree built once over a point set, used by the
-//! reproduction of *Area Queries Based on Voronoi Diagrams* (ICDE 2020) as
-//! an **ablation baseline**: the paper's related work names kd-trees among
-//! the classical spatial indexes, and the benchmark harness swaps this tree
-//! in for (a) the traditional method's window-query filter and (b) the
-//! Voronoi method's seed nearest-neighbour lookup, to show the paper's
-//! conclusions do not hinge on the R-tree specifically.
+//! A balanced 2-D kd-tree built once over a point set. The area-query
+//! engine keeps one over the **hidden** sites of a power diagram (sites
+//! that own no cell, so the Voronoi BFS never reaches them): a window
+//! query with the area's MBR finds the hidden sites the area may contain
+//! in `O(√hidden + hits)` instead of a linear scan.
 //!
 //! The tree is stored implicitly: a permutation of point indices arranged
 //! so that each subtree occupies a contiguous slice with its root at the
@@ -25,8 +23,6 @@
 //!     Point::new(0.5, 0.7),
 //! ];
 //! let tree = KdTree::build(&pts);
-//! let (nn, _d2) = tree.nearest(Point::new(0.8, 0.3)).unwrap();
-//! assert_eq!(nn, 1);
 //! let mut hits = tree.window(&Rect::new(Point::new(0.0, 0.0), Point::new(0.6, 1.0)));
 //! hits.sort_unstable();
 //! assert_eq!(hits, vec![0, 2]);
@@ -39,9 +35,8 @@ use vaq_geom::{Point, Rect};
 
 /// A static, balanced kd-tree over 2-D points.
 ///
-/// Build once with [`KdTree::build`]; supports window, nearest-neighbour
-/// and k-nearest-neighbour queries. Point ids are the indices into the
-/// build slice.
+/// Build once with [`KdTree::build`]; answers window queries. Point ids
+/// are the indices into the build slice.
 pub struct KdTree {
     pts: Vec<Point>,
     /// Permutation of `0..n`: each subtree is a contiguous slice with the
@@ -70,69 +65,14 @@ impl KdTree {
         }
     }
 
-    /// Number of indexed points.
-    pub fn len(&self) -> usize {
-        self.pts.len()
-    }
-
-    /// `true` when no points are indexed.
-    pub fn is_empty(&self) -> bool {
-        self.pts.is_empty()
-    }
-
     /// Ids of all points inside the closed rectangle `rect`.
     pub fn window(&self, rect: &Rect) -> Vec<u32> {
         let mut out = Vec::new();
-        self.window_for_each(rect, |id| out.push(id));
+        self.window_rec(0, self.order.len(), 0, rect, &mut out);
         out
     }
 
-    /// Number of points inside `rect` without materialising them.
-    pub fn window_count(&self, rect: &Rect) -> usize {
-        let mut n = 0usize;
-        self.window_for_each(rect, |_| n += 1);
-        n
-    }
-
-    /// Visits the id of every point inside `rect`.
-    pub fn window_for_each<F: FnMut(u32)>(&self, rect: &Rect, mut f: F) {
-        self.window_each_rec(0, self.order.len(), 0, rect, &mut f);
-    }
-
-    /// The nearest point to `q` as `(id, squared distance)`, or `None` for
-    /// an empty tree.
-    pub fn nearest(&self, q: Point) -> Option<(u32, f64)> {
-        if self.pts.is_empty() {
-            return None;
-        }
-        let mut best = (u32::MAX, f64::INFINITY);
-        self.nearest_rec(0, self.order.len(), 0, q, &mut best);
-        Some(best)
-    }
-
-    /// The `k` nearest points to `q`, closest first, as `(id, squared
-    /// distance)` pairs. Ties at the k-th distance are broken arbitrarily.
-    pub fn k_nearest(&self, q: Point, k: usize) -> Vec<(u32, f64)> {
-        if k == 0 || self.pts.is_empty() {
-            return Vec::new();
-        }
-        // `heap` holds the current k best in "worst first" order; k is
-        // small in all our workloads, so an insertion-sorted vector beats
-        // a real heap.
-        let mut heap: Vec<(f64, u32)> = Vec::with_capacity(k + 1);
-        self.knn_rec(0, self.order.len(), 0, q, k, &mut heap);
-        heap.sort_by(|a, b| a.0.total_cmp(&b.0));
-        heap.into_iter().map(|(d, i)| (i, d)).collect()
-    }
-
-    fn window_each_rec<F: FnMut(u32)>(
-        &self,
-        lo: usize,
-        hi: usize,
-        axis: usize,
-        rect: &Rect,
-        f: &mut F,
-    ) {
+    fn window_rec(&self, lo: usize, hi: usize, axis: usize, rect: &Rect, out: &mut Vec<u32>) {
         if lo >= hi {
             return;
         }
@@ -140,7 +80,7 @@ impl KdTree {
         let id = self.order[mid];
         let p = self.pts[id as usize];
         if rect.contains_point(p) {
-            f(id);
+            out.push(id);
         }
         let c = coord(p, axis);
         let (rect_lo, rect_hi) = if axis == 0 {
@@ -149,88 +89,10 @@ impl KdTree {
             (rect.min.y, rect.max.y)
         };
         if rect_lo <= c {
-            self.window_each_rec(lo, mid, 1 - axis, rect, f);
+            self.window_rec(lo, mid, 1 - axis, rect, out);
         }
         if rect_hi >= c {
-            self.window_each_rec(mid + 1, hi, 1 - axis, rect, f);
-        }
-    }
-
-    fn nearest_rec(&self, lo: usize, hi: usize, axis: usize, q: Point, best: &mut (u32, f64)) {
-        if lo >= hi {
-            return;
-        }
-        let mid = lo + (hi - lo) / 2;
-        let id = self.order[mid];
-        let p = self.pts[id as usize];
-        let d = p.dist_sq(q);
-        if d < best.1 {
-            *best = (id, d);
-        }
-        let diff = coord(q, axis) - coord(p, axis);
-        let (near_lo, near_hi, far_lo, far_hi) = if diff <= 0.0 {
-            (lo, mid, mid + 1, hi)
-        } else {
-            (mid + 1, hi, lo, mid)
-        };
-        self.nearest_rec(near_lo, near_hi, 1 - axis, q, best);
-        // Only cross the splitting line if the best ball straddles it.
-        if diff * diff < best.1 {
-            self.nearest_rec(far_lo, far_hi, 1 - axis, q, best);
-        }
-    }
-
-    fn knn_rec(
-        &self,
-        lo: usize,
-        hi: usize,
-        axis: usize,
-        q: Point,
-        k: usize,
-        heap: &mut Vec<(f64, u32)>,
-    ) {
-        if lo >= hi {
-            return;
-        }
-        let mid = lo + (hi - lo) / 2;
-        let id = self.order[mid];
-        let p = self.pts[id as usize];
-        let d = p.dist_sq(q);
-        if heap.len() < k {
-            // Keep "worst first" order by inserting at the right spot.
-            let pos = heap
-                .iter()
-                .position(|&(hd, _)| hd < d)
-                .unwrap_or(heap.len());
-            heap.insert(pos, (d, id));
-        // vaq-lint: allow(panic-hygiene) -- `k_nearest` returns early for
-        // k == 0, so when len >= k here the heap holds at least one entry.
-        } else if d < heap[0].0 {
-            // vaq-lint: allow(panic-hygiene) -- same k >= 1 invariant as
-            // the condition above.
-            heap[0] = (d, id);
-            let mut i = 0;
-            while i + 1 < heap.len() && heap[i].0 < heap[i + 1].0 {
-                heap.swap(i, i + 1);
-                i += 1;
-            }
-        }
-        let diff = coord(q, axis) - coord(p, axis);
-        let (near_lo, near_hi, far_lo, far_hi) = if diff <= 0.0 {
-            (lo, mid, mid + 1, hi)
-        } else {
-            (mid + 1, hi, lo, mid)
-        };
-        self.knn_rec(near_lo, near_hi, 1 - axis, q, k, heap);
-        let worst = if heap.len() < k {
-            f64::INFINITY
-        } else {
-            // vaq-lint: allow(panic-hygiene) -- len >= k and k >= 1
-            // (`k_nearest` returns early for k == 0).
-            heap[0].0
-        };
-        if diff * diff < worst {
-            self.knn_rec(far_lo, far_hi, 1 - axis, q, k, heap);
+            self.window_rec(mid + 1, hi, 1 - axis, rect, out);
         }
     }
 }
@@ -282,18 +144,20 @@ mod tests {
         v
     }
 
+    fn window(t: &KdTree, r: &Rect) -> Vec<u32> {
+        let mut got = t.window(r);
+        got.sort_unstable();
+        got
+    }
+
     #[test]
     fn empty_and_single() {
         let t = KdTree::build(&[]);
-        assert!(t.is_empty());
-        assert_eq!(t.nearest(p(0.0, 0.0)), None);
         assert!(t.window(&Rect::new(p(0.0, 0.0), p(1.0, 1.0))).is_empty());
 
         let t = KdTree::build(&[p(0.5, 0.5)]);
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.nearest(p(0.0, 0.0)), Some((0, 0.5)));
         assert_eq!(t.window(&Rect::new(p(0.0, 0.0), p(1.0, 1.0))), vec![0]);
-        assert_eq!(t.window_count(&Rect::new(p(0.6, 0.6), p(1.0, 1.0))), 0);
+        assert!(t.window(&Rect::new(p(0.6, 0.6), p(1.0, 1.0))).is_empty());
     }
 
     #[test]
@@ -304,79 +168,26 @@ mod tests {
         for _ in 0..100 {
             let c = p(rng.gen::<f64>(), rng.gen::<f64>());
             let r = Rect::from_center(c, rng.gen::<f64>() * 0.4, rng.gen::<f64>() * 0.4);
-            let mut got = t.window(&r);
-            got.sort_unstable();
-            assert_eq!(got, brute_window(&pts, &r));
-            assert_eq!(t.window_count(&r), got.len());
+            assert_eq!(window(&t, &r), brute_window(&pts, &r));
         }
-    }
-
-    #[test]
-    fn nearest_matches_brute_force() {
-        let pts = uniform(500, 43);
-        let t = KdTree::build(&pts);
-        let mut rng = StdRng::seed_from_u64(44);
-        for _ in 0..300 {
-            let q = p(rng.gen::<f64>() * 1.4 - 0.2, rng.gen::<f64>() * 1.4 - 0.2);
-            let (_, d) = t.nearest(q).unwrap();
-            let want = pts
-                .iter()
-                .map(|s| s.dist_sq(q))
-                .fold(f64::INFINITY, f64::min);
-            assert_eq!(d, want, "q = {q}");
-        }
-    }
-
-    #[test]
-    fn k_nearest_matches_brute_force() {
-        let pts = uniform(250, 45);
-        let t = KdTree::build(&pts);
-        let mut rng = StdRng::seed_from_u64(46);
-        for _ in 0..60 {
-            let q = p(rng.gen::<f64>(), rng.gen::<f64>());
-            let k = rng.gen_range(1..25usize);
-            let got: Vec<f64> = t.k_nearest(q, k).iter().map(|&(_, d)| d).collect();
-            let mut want: Vec<f64> = pts.iter().map(|s| s.dist_sq(q)).collect();
-            want.sort_by(f64::total_cmp);
-            want.truncate(k);
-            assert_eq!(got, want);
-        }
-    }
-
-    #[test]
-    fn k_nearest_with_k_exceeding_len() {
-        let pts = uniform(5, 47);
-        let t = KdTree::build(&pts);
-        assert_eq!(t.k_nearest(p(0.5, 0.5), 50).len(), 5);
-        assert!(t.k_nearest(p(0.5, 0.5), 0).is_empty());
     }
 
     #[test]
     fn duplicate_points_all_reported() {
         let pts = vec![p(0.5, 0.5), p(0.5, 0.5), p(0.5, 0.5), p(0.9, 0.9)];
         let t = KdTree::build(&pts);
-        let mut got = t.window(&Rect::from_center(p(0.5, 0.5), 0.1, 0.1));
-        got.sort_unstable();
-        assert_eq!(got, vec![0, 1, 2]);
-        let mut nn3: Vec<u32> = t
-            .k_nearest(p(0.5, 0.5), 3)
-            .iter()
-            .map(|&(i, _)| i)
-            .collect();
-        nn3.sort_unstable();
-        assert_eq!(nn3, vec![0, 1, 2]);
+        assert_eq!(
+            window(&t, &Rect::from_center(p(0.5, 0.5), 0.1, 0.1)),
+            vec![0, 1, 2]
+        );
     }
 
     #[test]
     fn collinear_points() {
         let pts: Vec<Point> = (0..20).map(|i| p(f64::from(i), 0.0)).collect();
         let t = KdTree::build(&pts);
-        let (id, _) = t.nearest(p(7.4, 3.0)).unwrap();
-        assert_eq!(id, 7);
         let r = Rect::new(p(3.0, -1.0), p(6.0, 1.0));
-        let mut got = t.window(&r);
-        got.sort_unstable();
-        assert_eq!(got, brute_window(&pts, &r));
+        assert_eq!(window(&t, &r), brute_window(&pts, &r));
     }
 
     proptest::proptest! {
@@ -390,19 +201,7 @@ mod tests {
             for _ in 0..6 {
                 let c = p(rng.gen::<f64>(), rng.gen::<f64>());
                 let r = Rect::from_center(c, rng.gen::<f64>() * 0.5, rng.gen::<f64>() * 0.5);
-                let mut got = t.window(&r);
-                got.sort_unstable();
-                proptest::prop_assert_eq!(got, brute_window(&pts, &r));
-                let q = p(rng.gen::<f64>(), rng.gen::<f64>());
-                let (_, d) = t.nearest(q).unwrap();
-                let want = pts.iter().map(|s| s.dist_sq(q)).fold(f64::INFINITY, f64::min);
-                proptest::prop_assert_eq!(d, want);
-                let k = 1 + (seed as usize % 7);
-                let got_k: Vec<f64> = t.k_nearest(q, k).iter().map(|&(_, d)| d).collect();
-                let mut want_k: Vec<f64> = pts.iter().map(|s| s.dist_sq(q)).collect();
-                want_k.sort_by(f64::total_cmp);
-                want_k.truncate(k);
-                proptest::prop_assert_eq!(got_k, want_k);
+                proptest::prop_assert_eq!(window(&t, &r), brute_window(&pts, &r));
             }
         }
     }

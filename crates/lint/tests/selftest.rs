@@ -9,8 +9,8 @@
 
 use vaq_lint::check_files;
 use vaq_lint::source::{
-    Finding, SourceFile, ALLOW_GRAMMAR, ATOMIC_ORDERING, BENCH_PROVENANCE, FLOAT_EXACTNESS,
-    LOCK_HYGIENE, PANIC_HYGIENE, SINK_DISPATCH, STATS_CONSERVATION, SYNC_FACADE,
+    AllowParse, Finding, SourceFile, ALLOW_GRAMMAR, ATOMIC_ORDERING, BENCH_PROVENANCE,
+    FLOAT_EXACTNESS, LOCK_HYGIENE, PANIC_HYGIENE, SINK_DISPATCH, STATS_CONSERVATION, SYNC_FACADE,
 };
 
 /// Parses `(rel-path, text)` pairs and runs the full rule engine.
@@ -344,4 +344,26 @@ fn real_tree_has_zero_findings() {
     let root = vaq_lint::find_root(manifest).expect("workspace root above crates/lint");
     let findings = vaq_lint::check_tree(&root).expect("tree should load");
     assert_clean(&findings);
+}
+
+/// The number of `panic-hygiene` allow annotations in the real tree. The
+/// count may only go down: lower this pin when a change removes some,
+/// and return an error instead of annotating a new panic.
+const PANIC_HYGIENE_ALLOWS: usize = 37;
+
+#[test]
+fn panic_hygiene_allows_only_go_down() {
+    let manifest = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let root = vaq_lint::find_root(manifest).expect("workspace root above crates/lint");
+    let files = vaq_lint::load_tree(&root).expect("tree should load");
+    let allows = files
+        .iter()
+        .flat_map(|f| &f.allows)
+        .filter(|a| matches!(a, Some(AllowParse::Ok(a)) if a.rule == PANIC_HYGIENE))
+        .count();
+    assert!(
+        allows <= PANIC_HYGIENE_ALLOWS,
+        "{allows} panic-hygiene allows, pinned at {PANIC_HYGIENE_ALLOWS}: \
+         return an error instead of annotating a new panic"
+    );
 }

@@ -4,13 +4,10 @@
 //! stores a vector of [`Entry`]s; in a **leaf** (level 0) an entry's `child`
 //! is the id of an indexed point and its rectangle is that point's
 //! degenerate MBR, while in an **internal node** `child` is another node id
-//! and the rectangle is that subtree's MBR. Using one entry type for both
-//! levels keeps the Guttman split code level-agnostic.
+//! and the rectangle is that subtree's MBR. One entry type serves both
+//! levels, so STR packing builds every level with the same code.
 
 use vaq_geom::{Point, Rect};
-
-/// Sentinel for "no node" (e.g. the parent of the root).
-pub const NO_NODE: u32 = u32::MAX;
 
 /// One slot of a node: a bounding rectangle plus either a point id (in
 /// leaves) or a child node id (in internal nodes).

@@ -1,5 +1,5 @@
-//! R-tree queries: window (range), nearest-neighbour and k-nearest-
-//! neighbour, each with an optional access-statistics sink.
+//! R-tree queries: window (range) and nearest-neighbour, each feeding an
+//! access-statistics sink.
 //!
 //! The statistics mirror what the reproduced paper measures: the filtering
 //! cost of the traditional area query is the number of index nodes touched
@@ -64,13 +64,7 @@ impl Ord for HeapItem {
 
 impl RTree {
     /// Returns the ids of all points inside `rect` (closed: boundary points
-    /// are reported).
-    pub fn window(&self, rect: &Rect) -> Vec<u32> {
-        let mut stats = AccessStats::default();
-        self.window_with_stats(rect, &mut stats)
-    }
-
-    /// [`RTree::window`] that also accumulates access statistics.
+    /// are reported), accumulating access statistics.
     pub fn window_with_stats(&self, rect: &Rect, stats: &mut AccessStats) -> Vec<u32> {
         let mut out = Vec::new();
         if self.is_empty() {
@@ -99,64 +93,12 @@ impl RTree {
         out
     }
 
-    /// Visits every point inside `rect`, streaming instead of collecting.
-    pub fn window_for_each<F: FnMut(u32, Point)>(&self, rect: &Rect, mut f: F) {
-        let mut stack = vec![self.root];
-        while let Some(n) = stack.pop() {
-            let node = self.node(n);
-            if node.is_leaf() {
-                for e in &node.entries {
-                    if rect.contains_point(e.rect.min) {
-                        f(e.child, e.rect.min);
-                    }
-                }
-            } else {
-                for e in &node.entries {
-                    if rect.intersects(&e.rect) {
-                        stack.push(e.child);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Number of points inside `rect` without materialising them.
-    pub fn window_count(&self, rect: &Rect) -> usize {
-        let mut n = 0;
-        self.window_for_each(rect, |_, _| n += 1);
-        n
-    }
-
     /// The nearest indexed point to `q` as `(id, squared distance)`, or
-    /// `None` for an empty tree. Best-first (branch-and-bound) search.
-    pub fn nearest(&self, q: Point) -> Option<(u32, f64)> {
-        let mut stats = AccessStats::default();
-        self.nearest_with_stats(q, &mut stats)
-    }
-
-    /// [`RTree::nearest`] that also accumulates access statistics.
+    /// `None` for an empty tree, accumulating access statistics.
+    /// Best-first (branch-and-bound) search.
     pub fn nearest_with_stats(&self, q: Point, stats: &mut AccessStats) -> Option<(u32, f64)> {
-        self.k_nearest_with_stats(q, 1, stats).into_iter().next()
-    }
-
-    /// The `k` nearest points to `q`, closest first, as `(id, squared
-    /// distance)` pairs. Returns fewer when the tree holds fewer points.
-    /// Ties at the k-th distance are broken arbitrarily.
-    pub fn k_nearest(&self, q: Point, k: usize) -> Vec<(u32, f64)> {
-        let mut stats = AccessStats::default();
-        self.k_nearest_with_stats(q, k, &mut stats)
-    }
-
-    /// [`RTree::k_nearest`] that also accumulates access statistics.
-    pub fn k_nearest_with_stats(
-        &self,
-        q: Point,
-        k: usize,
-        stats: &mut AccessStats,
-    ) -> Vec<(u32, f64)> {
-        let mut out = Vec::with_capacity(k.min(self.len()));
-        if self.is_empty() || k == 0 {
-            return out;
+        if self.is_empty() {
+            return None;
         }
         let mut heap = BinaryHeap::new();
         heap.push(HeapItem {
@@ -166,11 +108,7 @@ impl RTree {
         });
         while let Some(item) = heap.pop() {
             if item.is_point {
-                out.push((item.id, item.dist_sq));
-                if out.len() == k {
-                    break;
-                }
-                continue;
+                return Some((item.id, item.dist_sq));
             }
             let node = self.node(item.id);
             if node.is_leaf() {
@@ -194,7 +132,7 @@ impl RTree {
                 }
             }
         }
-        out
+        None
     }
 }
 
@@ -226,54 +164,50 @@ mod tests {
         v
     }
 
-    fn brute_knn(pts: &[Point], q: Point, k: usize) -> Vec<f64> {
-        let mut d: Vec<f64> = pts.iter().map(|s| s.dist_sq(q)).collect();
-        d.sort_by(f64::total_cmp);
-        d.truncate(k);
-        d
+    fn brute_nearest(pts: &[Point], q: Point) -> f64 {
+        pts.iter()
+            .map(|s| s.dist_sq(q))
+            .fold(f64::INFINITY, f64::min)
+    }
+
+    fn window(t: &RTree, r: &Rect) -> Vec<u32> {
+        let mut got = t.window_with_stats(r, &mut AccessStats::default());
+        got.sort_unstable();
+        got
+    }
+
+    fn nearest(t: &RTree, q: Point) -> Option<(u32, f64)> {
+        t.nearest_with_stats(q, &mut AccessStats::default())
     }
 
     #[test]
     fn window_on_empty_tree() {
-        let t = RTree::new();
-        assert!(t.window(&Rect::new(p(0.0, 0.0), p(1.0, 1.0))).is_empty());
-        assert_eq!(t.nearest(p(0.5, 0.5)), None);
-        assert!(t.k_nearest(p(0.5, 0.5), 3).is_empty());
+        let t = RTree::bulk_load(&[]);
+        assert!(window(&t, &Rect::new(p(0.0, 0.0), p(1.0, 1.0))).is_empty());
+        assert_eq!(nearest(&t, p(0.5, 0.5)), None);
     }
 
     #[test]
-    fn window_matches_brute_force_incremental_and_bulk() {
+    fn window_matches_brute_force() {
         let pts = uniform(800, 21);
-        let mut inc = RTree::new();
-        for (i, &q) in pts.iter().enumerate() {
-            inc.insert(i as u32, q);
-        }
         let bulk = RTree::bulk_load(&pts);
         let mut rng = StdRng::seed_from_u64(22);
         for _ in 0..100 {
             let c = p(rng.gen::<f64>(), rng.gen::<f64>());
             let r = Rect::from_center(c, rng.gen::<f64>() * 0.3, rng.gen::<f64>() * 0.3);
-            let want = brute_window(&pts, &r);
-            let mut got_inc = inc.window(&r);
-            got_inc.sort_unstable();
-            let mut got_bulk = bulk.window(&r);
-            got_bulk.sort_unstable();
-            assert_eq!(got_inc, want);
-            assert_eq!(got_bulk, want);
-            assert_eq!(bulk.window_count(&r), want.len());
+            assert_eq!(window(&bulk, &r), brute_window(&pts, &r));
         }
     }
 
     #[test]
     fn window_is_closed_on_boundary() {
-        let mut t = RTree::new();
-        t.insert(0, p(1.0, 1.0)); // corner
-        t.insert(1, p(0.5, 1.0)); // edge
-        t.insert(2, p(1.0 + 1e-12, 0.5)); // just outside
+        let t = RTree::bulk_load(&[
+            p(1.0, 1.0),         // corner
+            p(0.5, 1.0),         // edge
+            p(1.0 + 1e-12, 0.5), // just outside
+        ]);
         let r = Rect::new(p(0.0, 0.0), p(1.0, 1.0));
-        let mut got = t.window(&r);
-        got.sort_unstable();
-        assert_eq!(got, vec![0, 1]);
+        assert_eq!(window(&t, &r), vec![0, 1]);
     }
 
     #[test]
@@ -283,34 +217,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(24);
         for _ in 0..200 {
             let q = p(rng.gen::<f64>() * 1.5 - 0.25, rng.gen::<f64>() * 1.5 - 0.25);
-            let (_, d) = t.nearest(q).unwrap();
-            let want = brute_knn(&pts, q, 1)[0];
-            assert_eq!(d, want, "q = {q}");
+            let (_, d) = nearest(&t, q).unwrap();
+            assert_eq!(d, brute_nearest(&pts, q), "q = {q}");
         }
-    }
-
-    #[test]
-    fn k_nearest_matches_brute_force_distances() {
-        let pts = uniform(300, 25);
-        let t = RTree::bulk_load(&pts);
-        let mut rng = StdRng::seed_from_u64(26);
-        for _ in 0..50 {
-            let q = p(rng.gen::<f64>(), rng.gen::<f64>());
-            let k = rng.gen_range(1..20usize);
-            let got: Vec<f64> = t.k_nearest(q, k).iter().map(|&(_, d)| d).collect();
-            let want = brute_knn(&pts, q, k);
-            assert_eq!(got, want);
-            // Closest-first ordering.
-            assert!(got.windows(2).all(|w| w[0] <= w[1]));
-        }
-    }
-
-    #[test]
-    fn k_larger_than_len_returns_everything() {
-        let pts = uniform(7, 27);
-        let t = RTree::bulk_load(&pts);
-        let got = t.k_nearest(p(0.5, 0.5), 100);
-        assert_eq!(got.len(), 7);
     }
 
     #[test]
@@ -339,37 +248,6 @@ mod tests {
         assert_eq!(acc.leaf_entries, small.leaf_entries + full.leaf_entries);
     }
 
-    #[test]
-    fn queries_after_heavy_deletion() {
-        let pts = uniform(500, 31);
-        let mut t = RTree::with_params(8);
-        for (i, &q) in pts.iter().enumerate() {
-            t.insert(i as u32, q);
-        }
-        for (i, &q) in pts.iter().enumerate() {
-            if i % 3 != 0 {
-                assert!(t.remove(i as u32, q));
-            }
-        }
-        let alive: Vec<Point> = pts.iter().copied().step_by(3).collect();
-        let r = Rect::new(p(0.2, 0.2), p(0.8, 0.8));
-        let mut got = t.window(&r);
-        got.sort_unstable();
-        let want: Vec<u32> = pts
-            .iter()
-            .enumerate()
-            .filter(|(i, q)| i % 3 == 0 && r.contains_point(**q))
-            .map(|(i, _)| i as u32)
-            .collect();
-        assert_eq!(got, want);
-        let (_, d) = t.nearest(p(0.5, 0.5)).unwrap();
-        let want_d = alive
-            .iter()
-            .map(|s| s.dist_sq(p(0.5, 0.5)))
-            .fold(f64::INFINITY, f64::min);
-        assert_eq!(d, want_d);
-    }
-
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
 
@@ -381,12 +259,10 @@ mod tests {
             for _ in 0..8 {
                 let c = p(rng.gen::<f64>(), rng.gen::<f64>());
                 let r = Rect::from_center(c, rng.gen::<f64>() * 0.5, rng.gen::<f64>() * 0.5);
-                let mut got = t.window(&r);
-                got.sort_unstable();
-                proptest::prop_assert_eq!(got, brute_window(&pts, &r));
+                proptest::prop_assert_eq!(window(&t, &r), brute_window(&pts, &r));
                 let q = p(rng.gen::<f64>(), rng.gen::<f64>());
-                let (_, d) = t.nearest(q).unwrap();
-                proptest::prop_assert_eq!(d, brute_knn(&pts, q, 1)[0]);
+                let (_, d) = nearest(&t, q).unwrap();
+                proptest::prop_assert_eq!(d, brute_nearest(&pts, q));
             }
         }
     }

@@ -1,39 +1,21 @@
-//! The R-tree proper: Guttman insertion with quadratic split (or the R\*
-//! heuristics, see [`SplitAlgorithm`]), deletion with tree condensing, and
-//! STR (sort-tile-recursive) bulk loading.
+//! The R-tree proper: STR (sort-tile-recursive) bulk loading, and the
+//! flat-arena round trip engine snapshots use.
 
-use crate::node::{Entry, Node, NO_NODE};
-use crate::rstar;
+use crate::node::{Entry, Node};
 use vaq_geom::{Point, Rect};
 
-/// Which insertion/split heuristics a dynamically built tree uses.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SplitAlgorithm {
-    /// Guttman's original: least-enlargement descent, quadratic split.
-    #[default]
-    Quadratic,
-    /// Beckmann et al.'s R\*: overlap-minimising descent above the leaves,
-    /// forced reinsertion on first overflow per level, margin/overlap
-    /// driven split. Slower inserts, better-packed trees.
-    RStar,
-}
+/// Maximum entries per node. 16 keeps nodes around one cache line pair
+/// and matches common main-memory R-tree configurations.
+const MAX_ENTRIES: usize = 16;
 
-/// Default maximum entries per node. 16 keeps nodes around one cache line
-/// pair and matches common main-memory R-tree configurations.
-pub const DEFAULT_MAX_ENTRIES: usize = 16;
-
-/// A dynamic R-tree over 2-D points.
+/// A static R-tree over 2-D points, bulk loaded with **STR** packing (the
+/// standard bulk load used by PostGIS and libspatialindex), which
+/// produces a near-perfectly packed tree.
 ///
-/// Points are referenced by caller-supplied `u32` ids; the tree stores the
+/// Point ids are the indices into the build slice; the tree stores the
 /// coordinates itself (in leaf entry MBRs), so lookups never need an
-/// external point table. Supports:
-///
-/// * [`RTree::insert`] — Guttman insertion with **quadratic split**;
-/// * [`RTree::remove`] — deletion with tree condensing and re-insertion;
-/// * [`RTree::bulk_load`] — **STR** packing (the standard bulk load used by
-///   PostGIS and libspatialindex), producing a near-perfectly packed tree;
-/// * window, nearest-neighbour and k-nearest-neighbour queries (in
-///   [`crate::query`]), each with an optional node-access statistics sink.
+/// external point table. Window and nearest-neighbour queries (in
+/// [`crate::query`]) feed an access-statistics sink.
 ///
 /// The traditional area-query baseline of the reproduced paper performs a
 /// window query with the query area's MBR here; the paper's own method uses
@@ -41,67 +23,22 @@ pub const DEFAULT_MAX_ENTRIES: usize = 16;
 /// index used to provide the NN query in our method is also R-tree").
 pub struct RTree {
     pub(crate) nodes: Vec<Node>,
-    free: Vec<u32>,
     pub(crate) root: u32,
     len: usize,
     max_entries: usize,
-    min_entries: usize,
-    algorithm: SplitAlgorithm,
 }
 
 impl RTree {
-    /// Creates an empty tree with the default node capacity.
-    pub fn new() -> RTree {
-        RTree::with_params(DEFAULT_MAX_ENTRIES)
-    }
-
-    /// Creates an empty tree with the given maximum node fan-out
-    /// (minimum fill is 40 % of it, per Guttman's recommendation).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_entries < 4` (quadratic split needs room for two
-    /// seeds plus minimum fill on both sides).
-    pub fn with_params(max_entries: usize) -> RTree {
-        RTree::with_algorithm(max_entries, SplitAlgorithm::Quadratic)
-    }
-
-    /// Creates an empty tree with an explicit fan-out and insertion
-    /// algorithm.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_entries < 4`.
-    pub fn with_algorithm(max_entries: usize, algorithm: SplitAlgorithm) -> RTree {
-        assert!(max_entries >= 4, "max_entries must be at least 4");
+    /// Bulk loads `points` (ids `0..n`) with STR packing.
+    pub fn bulk_load(points: &[Point]) -> RTree {
         let mut tree = RTree {
             nodes: Vec::new(),
-            free: Vec::new(),
-            root: NO_NODE,
-            len: 0,
-            max_entries,
-            min_entries: (max_entries * 2).div_ceil(5).max(2),
-            algorithm,
+            root: 0,
+            len: points.len(),
+            max_entries: MAX_ENTRIES,
         };
-        tree.root = tree.alloc(Node::new(0));
-        tree
-    }
-
-    /// The insertion algorithm this tree was configured with.
-    pub fn algorithm(&self) -> SplitAlgorithm {
-        self.algorithm
-    }
-
-    /// Bulk loads `points` (ids `0..n`) with STR packing and the default
-    /// fan-out.
-    pub fn bulk_load(points: &[Point]) -> RTree {
-        RTree::bulk_load_with_params(points, DEFAULT_MAX_ENTRIES)
-    }
-
-    /// Bulk loads with an explicit fan-out.
-    pub fn bulk_load_with_params(points: &[Point], max_entries: usize) -> RTree {
-        let mut tree = RTree::with_params(max_entries);
         if points.is_empty() {
+            tree.root = tree.alloc(Node::new(0));
             return tree;
         }
         let mut entries: Vec<Entry> = points
@@ -109,16 +46,11 @@ impl RTree {
             .enumerate()
             .map(|(i, &p)| Entry::for_point(i as u32, p))
             .collect();
-        tree.len = entries.len();
-        // Release the empty leaf root created by with_params.
-        tree.release(tree.root);
         let mut level = 0u32;
         loop {
             entries = tree.str_pack(entries, level);
-            if entries.len() == 1 {
-                // vaq-lint: allow(panic-hygiene) -- guarded by the
-                // len == 1 check on the line above.
-                tree.root = entries[0].child;
+            if let &[root] = entries.as_slice() {
+                tree.root = root.child;
                 return tree;
             }
             level += 1;
@@ -137,285 +69,15 @@ impl RTree {
         self.len == 0
     }
 
-    /// Height of the tree: number of levels (a single leaf root = 1).
-    pub fn height(&self) -> usize {
-        self.nodes[self.root as usize].level as usize + 1
-    }
-
-    /// Maximum entries per node.
-    #[inline]
-    pub fn max_entries(&self) -> usize {
-        self.max_entries
-    }
-
-    /// Minimum fill per non-root node maintained by insert/delete.
-    #[inline]
-    pub fn min_entries(&self) -> usize {
-        self.min_entries
-    }
-
-    /// MBR of the whole tree ([`Rect::EMPTY`] when empty).
-    pub fn bbox(&self) -> Rect {
-        self.node(self.root).mbr()
-    }
-
-    /// Inserts point `p` with caller id `id`.
-    ///
-    /// Duplicate coordinates and duplicate ids are permitted (the tree is a
-    /// multiset); [`RTree::remove`] removes one matching entry.
-    pub fn insert(&mut self, id: u32, p: Point) {
-        // Forced-reinsertion bookkeeping: at most one reinsertion pass per
-        // level per top-level insertion (R* only). 64 levels is far beyond
-        // any reachable height.
-        let mut allow = [self.algorithm == SplitAlgorithm::RStar; 64];
-        self.insert_entry_with(Entry::for_point(id, p), 0, &mut allow);
-        self.len += 1;
-    }
-
-    /// Removes one entry with exactly this `id` and coordinates. Returns
-    /// `true` if an entry was found and removed.
-    pub fn remove(&mut self, id: u32, p: Point) -> bool {
-        let mut path = Vec::new();
-        if !self.find_leaf(self.root, id, p, &mut path) {
-            return false;
-        }
-        // `path` holds (node, entry index) pairs from root to the leaf; the
-        // final element's entry index is the point entry itself.
-        let (leaf, entry_idx) = *path.last().expect("found implies non-empty path");
-        self.node_mut(leaf).entries.swap_remove(entry_idx);
-        self.len -= 1;
-
-        // Condense: walk back up, dropping underflowing nodes and
-        // collecting their points for re-insertion.
-        let mut orphans: Vec<Entry> = Vec::new();
-        for k in (0..path.len() - 1).rev() {
-            let (parent, child_idx) = path[k];
-            let child = self.node(parent).entries[child_idx].child;
-            if self.node(child).entries.len() < self.min_entries {
-                self.node_mut(parent).entries.swap_remove(child_idx);
-                self.collect_points(child, &mut orphans);
-            } else {
-                self.node_mut(parent).entries[child_idx].rect = self.node(child).mbr();
-            }
-            // Note: swap_remove above invalidates sibling entry indices
-            // stored deeper in `path`, but those were already consumed —
-            // we iterate strictly bottom-up.
-        }
-        // Collapse a root chain: an internal root with one child hands the
-        // root role to that child.
-        while !self.node(self.root).is_leaf() && self.node(self.root).entries.len() == 1 {
-            let old = self.root;
-            // vaq-lint: allow(panic-hygiene) -- the loop condition just
-            // established exactly one entry.
-            self.root = self.node(old).entries[0].child;
-            self.release(old);
-        }
-        for e in orphans {
-            self.insert_entry(e, 0);
-        }
-        true
-    }
-
-    /// Iterates over all `(id, point)` pairs in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = (u32, Point)> + '_ {
-        let mut stack = vec![self.root];
-        std::iter::from_fn(move || loop {
-            let &top = stack.last()?;
-            let node = self.node(top);
-            stack.pop();
-            if node.is_leaf() {
-                // Yield all leaf entries by chaining through a buffer.
-                // Simpler: push onto a result small buffer — but from_fn is
-                // one-at-a-time; instead flatten below.
-                return Some(top);
-            }
-            for e in &node.entries {
-                stack.push(e.child);
-            }
-        })
-        .flat_map(move |leaf| {
-            self.node(leaf)
-                .entries
-                .iter()
-                .map(|e| (e.child, e.rect.min))
-        })
-    }
-
-    // ------------------------------------------------------------------
-    // Arena plumbing.
-    // ------------------------------------------------------------------
-
     #[inline]
     pub(crate) fn node(&self, id: u32) -> &Node {
         &self.nodes[id as usize]
     }
 
-    #[inline]
-    pub(crate) fn node_mut(&mut self, id: u32) -> &mut Node {
-        &mut self.nodes[id as usize]
-    }
-
     fn alloc(&mut self, node: Node) -> u32 {
-        if let Some(id) = self.free.pop() {
-            self.nodes[id as usize] = node;
-            id
-        } else {
-            self.nodes.push(node);
-            (self.nodes.len() - 1) as u32
-        }
+        self.nodes.push(node);
+        (self.nodes.len() - 1) as u32
     }
-
-    fn release(&mut self, id: u32) {
-        self.nodes[id as usize].entries = Vec::new();
-        self.free.push(id);
-    }
-
-    // ------------------------------------------------------------------
-    // Insertion.
-    // ------------------------------------------------------------------
-
-    /// Inserts `entry` into a node at `target_level`, splitting and
-    /// propagating upward as needed (no forced reinsertion — used by
-    /// deletion's orphan handling, where R* reinsertion would be wasted
-    /// work on entries that were just removed).
-    fn insert_entry(&mut self, entry: Entry, target_level: u32) {
-        let mut allow = [false; 64];
-        self.insert_entry_with(entry, target_level, &mut allow);
-    }
-
-    /// Insertion core. `allow[level]` grants one forced-reinsertion pass
-    /// at that level (R\* overflow treatment); a split is used otherwise.
-    fn insert_entry_with(&mut self, entry: Entry, target_level: u32, allow: &mut [bool; 64]) {
-        let mut path: Vec<(u32, usize)> = Vec::new();
-        let mut cur = self.root;
-        while self.node(cur).level > target_level {
-            let node = self.node(cur);
-            let idx = if self.algorithm == SplitAlgorithm::RStar && node.level == 1 {
-                rstar::choose_subtree_overlap(node, &entry.rect)
-            } else {
-                choose_subtree(node, &entry.rect)
-            };
-            path.push((cur, idx));
-            cur = self.node(cur).entries[idx].child;
-        }
-        self.node_mut(cur).entries.push(entry);
-
-        loop {
-            let level = self.node(cur).level as usize;
-            let overflow = self.node(cur).entries.len() > self.max_entries;
-            // R* overflow treatment: reinsert before splitting, once per
-            // level, never at the root.
-            if overflow && !path.is_empty() && allow[level] {
-                allow[level] = false;
-                let max_entries = self.max_entries;
-                let victims = rstar::reinsert_victims(self.node_mut(cur), max_entries);
-                // Tighten ancestor rectangles before re-descending.
-                let mut child = cur;
-                for &(parent, idx) in path.iter().rev() {
-                    self.node_mut(parent).entries[idx].rect = self.node(child).mbr();
-                    child = parent;
-                }
-                for v in victims {
-                    self.insert_entry_with(v, level as u32, allow);
-                }
-                return;
-            }
-            let new_sibling = if overflow {
-                Some(self.split_node(cur))
-            } else {
-                None
-            };
-            match path.pop() {
-                Some((parent, idx)) => {
-                    self.node_mut(parent).entries[idx].rect = self.node(cur).mbr();
-                    if let Some(sib) = new_sibling {
-                        let rect = self.node(sib).mbr();
-                        self.node_mut(parent)
-                            .entries
-                            .push(Entry { rect, child: sib });
-                    }
-                    cur = parent;
-                }
-                None => {
-                    if let Some(sib) = new_sibling {
-                        let mut root = Node::new(self.node(cur).level + 1);
-                        root.entries.push(Entry {
-                            rect: self.node(cur).mbr(),
-                            child: cur,
-                        });
-                        root.entries.push(Entry {
-                            rect: self.node(sib).mbr(),
-                            child: sib,
-                        });
-                        self.root = self.alloc(root);
-                    }
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Splits an overflowing node with the configured algorithm, returning
-    /// the id of the new sibling.
-    fn split_node(&mut self, n: u32) -> u32 {
-        let level = self.node(n).level;
-        let entries = std::mem::take(&mut self.node_mut(n).entries);
-        let (g1, g2) = match self.algorithm {
-            SplitAlgorithm::Quadratic => quadratic_split(entries, self.min_entries),
-            SplitAlgorithm::RStar => rstar::rstar_split(entries, self.min_entries),
-        };
-        self.node_mut(n).entries = g1;
-        self.alloc(Node { level, entries: g2 })
-    }
-
-    // ------------------------------------------------------------------
-    // Deletion helpers.
-    // ------------------------------------------------------------------
-
-    /// Depth-first search for the leaf entry `(id, p)`; fills `path` with
-    /// `(node, entry index)` pairs root→leaf on success.
-    fn find_leaf(&self, n: u32, id: u32, p: Point, path: &mut Vec<(u32, usize)>) -> bool {
-        let node = self.node(n);
-        if node.is_leaf() {
-            if let Some(i) = node
-                .entries
-                .iter()
-                .position(|e| e.child == id && e.rect.min == p)
-            {
-                path.push((n, i));
-                return true;
-            }
-            return false;
-        }
-        for (i, e) in node.entries.iter().enumerate() {
-            if e.rect.contains_point(p) {
-                path.push((n, i));
-                if self.find_leaf(e.child, id, p, path) {
-                    return true;
-                }
-                path.pop();
-            }
-        }
-        false
-    }
-
-    /// Collects every point entry in the subtree rooted at `n` and frees
-    /// all its nodes.
-    fn collect_points(&mut self, n: u32, out: &mut Vec<Entry>) {
-        let entries = std::mem::take(&mut self.node_mut(n).entries);
-        if self.node(n).is_leaf() {
-            out.extend(entries);
-        } else {
-            for e in entries {
-                self.collect_points(e.child, out);
-            }
-        }
-        self.release(n);
-    }
-
-    // ------------------------------------------------------------------
-    // STR bulk loading.
-    // ------------------------------------------------------------------
 
     /// Packs `items` into new nodes at `level` using sort-tile-recursive
     /// ordering; returns parent entries referencing the new nodes.
@@ -452,17 +114,12 @@ impl RTree {
         parents
     }
 
-    // ------------------------------------------------------------------
-    // Invariant checking (tests).
-    // ------------------------------------------------------------------
-
-    /// Verifies structural invariants. With `strict_min` set, also checks
-    /// the Guttman minimum fill on every non-root node (bulk-loaded trees
-    /// may have one under-filled tail node per level, so pass `false` for
-    /// them).
-    pub fn check_invariants(&self, strict_min: bool) -> Result<(), String> {
+    /// Verifies the structural invariants: no node overflows, every
+    /// parent rectangle equals its child's MBR, levels decrease by one
+    /// per edge, and the leaves hold exactly `len` entries.
+    fn check_invariants(&self) -> Result<(), String> {
         let mut count = 0usize;
-        self.check_node(self.root, None, true, strict_min, &mut count)?;
+        self.check_node(self.root, None, &mut count)?;
         if count != self.len {
             return Err(format!("len {} but {} leaf entries", self.len, count));
         }
@@ -473,16 +130,11 @@ impl RTree {
         &self,
         n: u32,
         expect_rect: Option<Rect>,
-        is_root: bool,
-        strict_min: bool,
         count: &mut usize,
     ) -> Result<(), String> {
         let node = self.node(n);
         if node.entries.len() > self.max_entries {
             return Err(format!("node {n} overflows: {}", node.entries.len()));
-        }
-        if !is_root && strict_min && node.entries.len() < self.min_entries {
-            return Err(format!("node {n} underflows: {}", node.entries.len()));
         }
         if let Some(r) = expect_rect {
             let mbr = node.mbr();
@@ -502,7 +154,7 @@ impl RTree {
                     node.level, child.level
                 ));
             }
-            self.check_node(e.child, Some(e.rect), false, strict_min, count)?;
+            self.check_node(e.child, Some(e.rect), count)?;
         }
         Ok(())
     }
@@ -522,11 +174,9 @@ impl RTree {
             entry_offsets: Vec::with_capacity(self.nodes.len() + 1),
             entry_children: Vec::new(),
             inner_rects: Vec::new(),
-            free: self.free.clone(),
             root: self.root,
             len: self.len as u64,
             max_entries: self.max_entries as u32,
-            algorithm: self.algorithm,
         };
         raw.entry_offsets.push(0);
         for node in &self.nodes {
@@ -630,21 +280,13 @@ impl RTree {
             }
             nodes.push(Node { level, entries });
         }
-        for &f in &raw.free {
-            if f as usize >= n_nodes {
-                return Err(format!("free list references node {f}"));
-            }
-        }
         let tree = RTree {
             nodes,
-            free: raw.free,
             root: raw.root,
             len: raw.len as usize,
             max_entries,
-            min_entries: (max_entries * 2).div_ceil(5).max(2),
-            algorithm: raw.algorithm,
         };
-        tree.check_invariants(false)?;
+        tree.check_invariants()?;
         Ok(tree)
     }
 }
@@ -666,130 +308,18 @@ pub struct RTreeRaw {
     pub entry_children: Vec<u32>,
     /// Rectangles of internal entries only, four coordinates each.
     pub inner_rects: Vec<f64>,
-    /// Arena free list (released node ids).
-    pub free: Vec<u32>,
     /// Root node id.
     pub root: u32,
     /// Indexed point count.
     pub len: u64,
     /// Maximum entries per node.
     pub max_entries: u32,
-    /// Insertion/split heuristics of the tree.
-    pub algorithm: SplitAlgorithm,
-}
-
-impl Default for RTree {
-    fn default() -> Self {
-        RTree::new()
-    }
-}
-
-/// Guttman `ChooseLeaf` heuristic: least enlargement, ties broken by
-/// smallest area, then by fewest entries.
-fn choose_subtree(node: &Node, r: &Rect) -> usize {
-    let mut best = 0;
-    let mut best_enlarge = f64::INFINITY;
-    let mut best_area = f64::INFINITY;
-    for (i, e) in node.entries.iter().enumerate() {
-        let enlarge = e.rect.enlargement(r);
-        let area = e.rect.area();
-        if enlarge < best_enlarge || (enlarge == best_enlarge && area < best_area) {
-            best = i;
-            best_enlarge = enlarge;
-            best_area = area;
-        }
-    }
-    best
-}
-
-/// Guttman quadratic split: seed with the pair wasting the most area, then
-/// repeatedly assign the entry with the strongest preference.
-fn quadratic_split(mut entries: Vec<Entry>, min_fill: usize) -> (Vec<Entry>, Vec<Entry>) {
-    debug_assert!(entries.len() >= 2);
-    // PickSeeds: maximize dead area of the pair's union.
-    let (mut s1, mut s2) = (0, 1);
-    let mut worst = f64::NEG_INFINITY;
-    for i in 0..entries.len() {
-        for j in (i + 1)..entries.len() {
-            let d = entries[i].rect.union(&entries[j].rect).area()
-                - entries[i].rect.area()
-                - entries[j].rect.area();
-            if d > worst {
-                worst = d;
-                s1 = i;
-                s2 = j;
-            }
-        }
-    }
-    // Remove the higher index first so the lower stays valid.
-    let e2 = entries.swap_remove(s2.max(s1));
-    let e1 = entries.swap_remove(s2.min(s1));
-    let mut g1 = vec![e1];
-    let mut g2 = vec![e2];
-    // vaq-lint: allow(panic-hygiene) -- g1/g2 were just built with one
-    // seed entry each.
-    let mut r1 = g1[0].rect;
-    // vaq-lint: allow(panic-hygiene) -- same single-seed invariant as
-    // the line above.
-    let mut r2 = g2[0].rect;
-
-    while !entries.is_empty() {
-        let remaining = entries.len();
-        // Force-assign when a group needs every remaining entry to reach
-        // minimum fill.
-        if g1.len() + remaining <= min_fill {
-            for e in entries.drain(..) {
-                r1 = r1.union(&e.rect);
-                g1.push(e);
-            }
-            break;
-        }
-        if g2.len() + remaining <= min_fill {
-            for e in entries.drain(..) {
-                r2 = r2.union(&e.rect);
-                g2.push(e);
-            }
-            break;
-        }
-        // PickNext: entry with the greatest difference of enlargements.
-        let mut pick = 0;
-        let mut pick_diff = f64::NEG_INFINITY;
-        for (i, e) in entries.iter().enumerate() {
-            let d1 = r1.enlargement(&e.rect);
-            let d2 = r2.enlargement(&e.rect);
-            let diff = (d1 - d2).abs();
-            if diff > pick_diff {
-                pick_diff = diff;
-                pick = i;
-            }
-        }
-        let e = entries.swap_remove(pick);
-        let d1 = r1.enlargement(&e.rect);
-        let d2 = r2.enlargement(&e.rect);
-        // Prefer smaller enlargement; ties → smaller area → fewer entries.
-        let to_first = match d1.total_cmp(&d2) {
-            std::cmp::Ordering::Less => true,
-            std::cmp::Ordering::Greater => false,
-            std::cmp::Ordering::Equal => match r1.area().total_cmp(&r2.area()) {
-                std::cmp::Ordering::Less => true,
-                std::cmp::Ordering::Greater => false,
-                std::cmp::Ordering::Equal => g1.len() <= g2.len(),
-            },
-        };
-        if to_first {
-            r1 = r1.union(&e.rect);
-            g1.push(e);
-        } else {
-            r2 = r2.union(&e.rect);
-            g2.push(e);
-        }
-    }
-    (g1, g2)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::query::AccessStats;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -797,14 +327,30 @@ mod tests {
         Point::new(x, y)
     }
 
+    fn uniform(n: usize, seed: u64) -> Vec<Point> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..n)
+            .map(|_| p(rng.gen::<f64>(), rng.gen::<f64>()))
+            .collect()
+    }
+
+    /// Every indexed id, ascending.
+    fn all_ids(t: &RTree) -> Vec<u32> {
+        let everything = Rect::new(p(f64::MIN, f64::MIN), p(f64::MAX, f64::MAX));
+        let mut ids = t.window_with_stats(&everything, &mut AccessStats::default());
+        ids.sort_unstable();
+        ids
+    }
+
+    fn height(t: &RTree) -> usize {
+        t.node(t.root).level as usize + 1
+    }
+
     fn assert_same_arena(a: &RTree, b: &RTree) {
         assert_eq!(a.nodes.len(), b.nodes.len());
         assert_eq!(a.root, b.root);
         assert_eq!(a.len, b.len);
-        assert_eq!(a.free, b.free);
         assert_eq!(a.max_entries, b.max_entries);
-        assert_eq!(a.min_entries, b.min_entries);
-        assert_eq!(a.algorithm, b.algorithm);
         for (na, nb) in a.nodes.iter().zip(&b.nodes) {
             assert_eq!(na.level, nb.level);
             assert_eq!(na.entries.len(), nb.entries.len());
@@ -818,18 +364,8 @@ mod tests {
 
     #[test]
     fn raw_roundtrip_restores_the_exact_arena() {
-        let pts = uniform(700, 0xF1A7);
-        for tree in [RTree::bulk_load(&pts), {
-            // A dynamically grown tree with a populated free list.
-            let mut t = RTree::with_params(8);
-            for (i, &q) in pts.iter().enumerate() {
-                t.insert(i as u32, q);
-            }
-            for (i, &q) in pts.iter().enumerate().take(300) {
-                assert!(t.remove(i as u32, q));
-            }
-            t
-        }] {
+        for pts in [uniform(700, 0xF1A7), Vec::new()] {
+            let tree = RTree::bulk_load(&pts);
             let back = RTree::from_raw(tree.raw_parts(), &pts).unwrap();
             assert_same_arena(&tree, &back);
         }
@@ -858,52 +394,14 @@ mod tests {
         assert!(RTree::from_raw(raw, &pts).is_err());
     }
 
-    fn uniform(n: usize, seed: u64) -> Vec<Point> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        (0..n)
-            .map(|_| p(rng.gen::<f64>(), rng.gen::<f64>()))
-            .collect()
-    }
-
     #[test]
     fn empty_tree() {
-        let t = RTree::new();
+        let t = RTree::bulk_load(&[]);
         assert_eq!(t.len(), 0);
         assert!(t.is_empty());
-        assert_eq!(t.height(), 1);
-        assert!(t.bbox().is_empty());
-        t.check_invariants(true).unwrap();
-    }
-
-    #[test]
-    fn insert_grows_and_splits() {
-        let mut t = RTree::with_params(4);
-        let pts = uniform(200, 1);
-        for (i, &q) in pts.iter().enumerate() {
-            t.insert(i as u32, q);
-            t.check_invariants(true).unwrap();
-        }
-        assert_eq!(t.len(), 200);
-        assert!(
-            t.height() >= 3,
-            "height {} too small for fanout 4",
-            t.height()
-        );
-        let mut ids: Vec<u32> = t.iter().map(|(id, _)| id).collect();
-        ids.sort_unstable();
-        assert_eq!(ids, (0..200).collect::<Vec<u32>>());
-    }
-
-    #[test]
-    fn iter_returns_exact_points() {
-        let mut t = RTree::new();
-        let pts = uniform(50, 2);
-        for (i, &q) in pts.iter().enumerate() {
-            t.insert(i as u32, q);
-        }
-        for (id, q) in t.iter() {
-            assert_eq!(q, pts[id as usize]);
-        }
+        assert_eq!(height(&t), 1);
+        assert!(t.node(t.root).mbr().is_empty());
+        t.check_invariants().unwrap();
     }
 
     #[test]
@@ -912,10 +410,8 @@ mod tests {
             let pts = uniform(n, n as u64);
             let t = RTree::bulk_load(&pts);
             assert_eq!(t.len(), n);
-            t.check_invariants(false).unwrap();
-            let mut ids: Vec<u32> = t.iter().map(|(id, _)| id).collect();
-            ids.sort_unstable();
-            assert_eq!(ids, (0..n as u32).collect::<Vec<u32>>());
+            t.check_invariants().unwrap();
+            assert_eq!(all_ids(&t), (0..n as u32).collect::<Vec<u32>>());
         }
     }
 
@@ -925,172 +421,16 @@ mod tests {
         let t = RTree::bulk_load(&pts);
         // Perfect packing would need ⌈10000/16⌉ = 625 leaves ⇒ height 4
         // (625 → 40 → 3 → 1); STR should hit exactly that.
-        assert_eq!(t.height(), 4, "STR tree unexpectedly tall");
-    }
-
-    #[test]
-    fn remove_returns_false_for_missing() {
-        let mut t = RTree::new();
-        t.insert(0, p(0.5, 0.5));
-        assert!(!t.remove(0, p(0.4, 0.5)), "wrong coordinates");
-        assert!(!t.remove(1, p(0.5, 0.5)), "wrong id");
-        assert!(t.remove(0, p(0.5, 0.5)));
-        assert!(!t.remove(0, p(0.5, 0.5)), "already removed");
-        assert!(t.is_empty());
-    }
-
-    #[test]
-    fn insert_then_remove_everything() {
-        let mut t = RTree::with_params(5);
-        let pts = uniform(300, 7);
-        for (i, &q) in pts.iter().enumerate() {
-            t.insert(i as u32, q);
-        }
-        // Remove in a scrambled order.
-        let mut order: Vec<usize> = (0..300).collect();
-        let mut rng = StdRng::seed_from_u64(8);
-        for i in (1..order.len()).rev() {
-            order.swap(i, rng.gen_range(0..=i));
-        }
-        for (k, &i) in order.iter().enumerate() {
-            assert!(t.remove(i as u32, pts[i]), "remove #{k} (id {i})");
-            t.check_invariants(true).unwrap();
-        }
-        assert!(t.is_empty());
-        assert_eq!(t.height(), 1);
+        assert_eq!(height(&t), 4, "STR tree unexpectedly tall");
     }
 
     #[test]
     fn duplicate_coordinates_are_a_multiset() {
-        let mut t = RTree::new();
         let q = p(0.3, 0.3);
-        t.insert(1, q);
-        t.insert(2, q);
-        t.insert(1, q); // duplicate id as well
-        assert_eq!(t.len(), 3);
-        assert!(t.remove(1, q));
-        assert_eq!(t.len(), 2);
-        assert!(t.remove(1, q));
-        assert!(!t.remove(1, q));
-        assert!(t.remove(2, q));
-        assert!(t.is_empty());
-    }
-
-    #[test]
-    fn mixed_insert_remove_interleaving() {
-        let mut t = RTree::with_params(6);
-        let pts = uniform(400, 11);
-        let mut alive: Vec<bool> = vec![false; 400];
-        let mut rng = StdRng::seed_from_u64(12);
-        let mut expected = 0usize;
-        for step in 0..2000 {
-            let i = rng.gen_range(0..400usize);
-            if alive[i] {
-                assert!(t.remove(i as u32, pts[i]), "step {step}");
-                alive[i] = false;
-                expected -= 1;
-            } else {
-                t.insert(i as u32, pts[i]);
-                alive[i] = true;
-                expected += 1;
-            }
-            if step % 100 == 0 {
-                t.check_invariants(true).unwrap();
-                assert_eq!(t.len(), expected);
-            }
-        }
-        t.check_invariants(true).unwrap();
-    }
-
-    #[test]
-    fn rstar_inserts_keep_invariants_and_answer_queries() {
-        let pts = uniform(600, 71);
-        let mut t = RTree::with_algorithm(8, SplitAlgorithm::RStar);
-        for (i, &q) in pts.iter().enumerate() {
-            t.insert(i as u32, q);
-        }
-        assert_eq!(t.len(), 600);
-        assert_eq!(t.algorithm(), SplitAlgorithm::RStar);
-        t.check_invariants(true).unwrap();
-        let mut rng = StdRng::seed_from_u64(72);
-        for _ in 0..50 {
-            let c = p(rng.gen::<f64>(), rng.gen::<f64>());
-            let r = Rect::from_center(c, rng.gen::<f64>() * 0.3, rng.gen::<f64>() * 0.3);
-            let mut got = t.window(&r);
-            got.sort_unstable();
-            let want: Vec<u32> = pts
-                .iter()
-                .enumerate()
-                .filter(|(_, q)| r.contains_point(**q))
-                .map(|(i, _)| i as u32)
-                .collect();
-            assert_eq!(got, want);
-        }
-        // Deletion still works on an R*-built tree.
-        for (i, &q) in pts.iter().enumerate().take(300) {
-            assert!(t.remove(i as u32, q));
-        }
-        t.check_invariants(true).unwrap();
-        assert_eq!(t.len(), 300);
-    }
-
-    #[test]
-    fn rstar_packs_no_worse_than_quadratic() {
-        // The point of R*: fewer node accesses per window query. Compare
-        // total nodes visited over a fixed query workload; allow slack so
-        // the assertion stays robust to heuristic noise.
-        let pts = uniform(4000, 73);
-        let mut quad = RTree::with_algorithm(8, SplitAlgorithm::Quadratic);
-        let mut star = RTree::with_algorithm(8, SplitAlgorithm::RStar);
-        for (i, &q) in pts.iter().enumerate() {
-            quad.insert(i as u32, q);
-            star.insert(i as u32, q);
-        }
-        let mut rng = StdRng::seed_from_u64(74);
-        let mut quad_stats = crate::query::AccessStats::default();
-        let mut star_stats = crate::query::AccessStats::default();
-        for _ in 0..200 {
-            let c = p(rng.gen::<f64>(), rng.gen::<f64>());
-            let r = Rect::from_center(c, 0.1, 0.1);
-            quad.window_with_stats(&r, &mut quad_stats);
-            star.window_with_stats(&r, &mut star_stats);
-        }
-        assert!(
-            star_stats.nodes() as f64 <= quad_stats.nodes() as f64 * 1.1,
-            "R* visited {} nodes vs quadratic {}",
-            star_stats.nodes(),
-            quad_stats.nodes()
-        );
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
-
-        #[test]
-        fn prop_rstar_invariants(seed in 0u64..3000, n in 1usize..120) {
-            let pts = uniform(n, seed);
-            let mut t = RTree::with_algorithm(4 + (seed % 9) as usize, SplitAlgorithm::RStar);
-            for (i, &q) in pts.iter().enumerate() {
-                t.insert(i as u32, q);
-            }
-            t.check_invariants(true).unwrap();
-            proptest::prop_assert_eq!(t.len(), n);
-        }
-
-        #[test]
-        fn prop_invariants_after_random_ops(seed in 0u64..3000, n in 1usize..150) {
-            let pts = uniform(n, seed);
-            let mut t = RTree::with_params(4 + (seed % 13) as usize);
-            for (i, &q) in pts.iter().enumerate() {
-                t.insert(i as u32, q);
-            }
-            t.check_invariants(true).unwrap();
-            // Remove a prefix.
-            for (i, &q) in pts.iter().enumerate().take(n / 2) {
-                proptest::prop_assert!(t.remove(i as u32, q));
-            }
-            t.check_invariants(true).unwrap();
-            proptest::prop_assert_eq!(t.len(), n - n / 2);
-        }
+        let t = RTree::bulk_load(&[q, p(0.9, 0.9), q, q]);
+        assert_eq!(t.len(), 4);
+        let mut got = t.window_with_stats(&Rect::from_point(q), &mut AccessStats::default());
+        got.sort_unstable();
+        assert_eq!(got, vec![0, 2, 3]);
     }
 }

@@ -372,11 +372,11 @@ mod tests {
             &PolygonSpec::with_query_size(0.03),
             7,
         );
-        let want = {
-            let mut v = single.brute_force(&area);
-            v.sort_unstable();
-            v
-        };
+        let want = single
+            .execute(&QuerySpec::brute_force(), &area)
+            .into_result()
+            .unwrap()
+            .sorted_indices();
         assert_eq!(sharded.execute(&QuerySpec::new(), &area).indices, want);
     }
 

@@ -333,13 +333,20 @@ mod tests {
 
     #[test]
     fn engine_runs_on_wkt_loaded_data() {
-        use vaq_core::AreaQueryEngine;
+        use vaq_core::{AreaQueryEngine, QuerySpec};
         let csv = "x,y\n0.1,0.1\n0.9,0.1\n0.5,0.9\n0.5,0.4\n";
         let pts = points_from_csv(csv).unwrap();
         let engine = AreaQueryEngine::build(&pts);
         let area = polygon_from_wkt("POLYGON ((0 0, 1 0, 0.5 0.7))").unwrap();
-        let got = engine.voronoi(&area).sorted_indices();
-        assert_eq!(got, engine.traditional(&area).sorted_indices());
+        let ids = |spec: QuerySpec| {
+            engine
+                .execute(&spec, &area)
+                .result()
+                .unwrap()
+                .sorted_indices()
+        };
+        let got = ids(QuerySpec::voronoi());
+        assert_eq!(got, ids(QuerySpec::traditional()));
         assert!(got.contains(&3), "the centre point is inside");
     }
 }

@@ -1,16 +1,14 @@
 //! Side-by-side comparison of every method configuration on one dataset:
-//! the full `QuerySpec` grid — expansion policies, filter indexes, seed
-//! indexes, prepare modes — and timing, over a sweep of query sizes. A
-//! miniature of the paper's evaluation you can run in seconds.
+//! the full `QuerySpec` grid — methods, expansion policies, prepare
+//! modes — and timing, over a sweep of query sizes. A miniature of the
+//! paper's evaluation you can run in seconds.
 //!
 //! ```text
 //! cargo run --release --example compare_methods
 //! ```
 
 use std::time::Instant;
-use voronoi_area_query::core::{
-    AreaQueryEngine, ExpansionPolicy, FilterIndex, PrepareMode, QuerySpec, SeedIndex,
-};
+use voronoi_area_query::core::{AreaQueryEngine, ExpansionPolicy, PrepareMode, QuerySpec};
 use voronoi_area_query::workload::{
     generate, random_query_polygon, unit_space, Distribution, PolygonSpec,
 };
@@ -20,10 +18,7 @@ fn main() {
     const REPS: u64 = 50;
 
     let points = generate(N, Distribution::Uniform, 99);
-    let engine = AreaQueryEngine::builder(&points)
-        .with_kdtree()
-        .with_quadtree()
-        .build();
+    let engine = AreaQueryEngine::build(&points);
     let mut session = engine.session();
     let space = unit_space();
 
@@ -83,36 +78,24 @@ fn main() {
         "\nagreement check on a 2% query ({} results):",
         reference.len()
     );
-    for (name, filter) in [
-        ("traditional/rtree", FilterIndex::RTree),
-        ("traditional/kdtree", FilterIndex::KdTree),
-        ("traditional/quadtree", FilterIndex::Quadtree),
-    ] {
-        let out = session.execute(&trad.filter(filter), &poly);
-        let r = out.result().expect("collect output");
-        assert_eq!(r.sorted_indices(), reference);
-        println!("  {name:24} ok ({} candidates)", r.stats.candidates);
-    }
+    let brute = session.execute(&QuerySpec::brute_force(), &poly);
+    let r = brute.result().expect("collect output");
+    assert_eq!(r.sorted_indices(), reference);
+    println!(
+        "  {:24} ok ({} candidates)",
+        "brute force", r.stats.candidates
+    );
     for (name, policy) in [
         ("voronoi/segment", ExpansionPolicy::Segment),
         ("voronoi/cell", ExpansionPolicy::Cell),
     ] {
-        for (seed_name, seed) in [
-            ("rtree", SeedIndex::RTree),
-            ("kdtree", SeedIndex::KdTree),
-            ("walk", SeedIndex::DelaunayWalk),
-        ] {
-            let out = session.execute(&voro.policy(policy).seed(seed), &poly);
-            let r = out.result().expect("collect output");
-            assert_eq!(r.sorted_indices(), reference);
-            println!(
-                "  {:24} ok ({} candidates, {} segment tests, {} cell tests)",
-                format!("{name}+{seed_name}"),
-                r.stats.candidates,
-                r.stats.segment_tests,
-                r.stats.cell_tests
-            );
-        }
+        let out = session.execute(&voro.policy(policy), &poly);
+        let r = out.result().expect("collect output");
+        assert_eq!(r.sorted_indices(), reference);
+        println!(
+            "  {name:24} ok ({} candidates, {} segment tests, {} cell tests)",
+            r.stats.candidates, r.stats.segment_tests, r.stats.cell_tests
+        );
     }
     // Prepared modes answer bit-identically; Cached amortises the
     // preparation across repeats (watch the hit counter).

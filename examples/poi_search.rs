@@ -13,7 +13,7 @@
 //! cargo run --release --example poi_search
 //! ```
 
-use voronoi_area_query::core::{AreaQueryEngine, PrepareMode, QuerySpec, SeedIndex};
+use voronoi_area_query::core::{AreaQueryEngine, PrepareMode, QuerySpec};
 use voronoi_area_query::geom::{Point, Polygon};
 use voronoi_area_query::workload::{generate, Distribution};
 
@@ -28,8 +28,7 @@ fn main() {
         2024,
     );
 
-    // The engine also builds a kd-tree so we can compare seed strategies.
-    let engine = AreaQueryEngine::builder(&pois).with_kdtree().build();
+    let engine = AreaQueryEngine::build(&pois);
     let mut session = engine.session();
 
     // A concave "district" traced along imaginary streets. Its MBR covers
@@ -66,21 +65,15 @@ fn main() {
         traditional.stats.redundant_validations()
     );
 
-    for (label, seed) in [
-        ("voronoi + R-tree seed", SeedIndex::RTree),
-        ("voronoi + kd-tree seed", SeedIndex::KdTree),
-        ("voronoi + graph-walk seed", SeedIndex::DelaunayWalk),
-    ] {
-        let out = session.execute(&QuerySpec::voronoi().seed(seed), &district);
-        let r = out.result().expect("collect output");
-        assert_eq!(r.sorted_indices(), traditional.sorted_indices());
-        println!(
-            "{label:26}: {} POIs found, {} candidates fetched, {} fetched in vain",
-            r.stats.result_size,
-            r.stats.candidates,
-            r.stats.redundant_validations()
-        );
-    }
+    let out = session.execute(&QuerySpec::voronoi(), &district);
+    let r = out.result().expect("collect output");
+    assert_eq!(r.sorted_indices(), traditional.sorted_indices());
+    println!(
+        "voronoi:      {} POIs found, {} candidates fetched, {} fetched in vain",
+        r.stats.result_size,
+        r.stats.candidates,
+        r.stats.redundant_validations()
+    );
 
     // The dashboard refreshes: the same district, served from the
     // prepared-area cache (hit on every repeat after the first).
@@ -112,8 +105,12 @@ fn main() {
         "\nedge district: {} POIs (candidates {})",
         r.stats.result_size, r.stats.candidates
     );
+    let traditional = session.execute(&QuerySpec::traditional(), &edge_district);
     assert_eq!(
         r.sorted_indices(),
-        engine.traditional(&edge_district).sorted_indices()
+        traditional
+            .result()
+            .expect("collect output")
+            .sorted_indices()
     );
 }

@@ -990,7 +990,8 @@ fn svg(points: &[Point], area: &CliArea, out: &str) -> Result<(), String> {
         .expect("collect-mode query");
     // Redundant candidates for the overlay: boundary-class points.
     let tri = engine.triangulation().expect("non-empty input");
-    let classes = engine.classify(query_area).expect("non-empty input");
+    let classified = engine.execute(&QuerySpec::new().output(OutputMode::Classify), query_area);
+    let classes = classified.classes().expect("classify-mode query");
     let mut candidates = r.indices.clone();
     for (v, class) in classes.iter().enumerate() {
         if *class == PointClass::Boundary {

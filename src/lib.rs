@@ -13,8 +13,6 @@
 pub use vaq_core as core;
 pub use vaq_delaunay as delaunay;
 pub use vaq_geom as geom;
-pub use vaq_kdtree as kdtree;
-pub use vaq_quadtree as quadtree;
 pub use vaq_rtree as rtree;
 pub use vaq_viz as viz;
 pub use vaq_workload as workload;

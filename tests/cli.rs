@@ -744,3 +744,35 @@ fn knn_and_payload_flags_fail_cleanly() {
     );
     expect_fail(&["--payload-bytes", "big"], "--payload-bytes");
 }
+
+/// A CSV with a repeated row saves a snapshot (plain and sharded) that
+/// loads back and answers exactly like a build from the CSV.
+#[test]
+fn snapshot_of_repeated_rows_round_trips() {
+    let dir = temp_dir("snapshot-repeat");
+    let pts = write_points(&dir);
+    let mut csv = std::fs::read_to_string(&pts).expect("read csv");
+    let last = csv.lines().last().expect("a data row").to_owned();
+    csv.push_str(&format!("{last}\n"));
+    std::fs::write(&pts, csv).expect("write csv");
+    let pts = pts.to_str().unwrap();
+    let area = "POLYGON ((0.5 0.5, 1 0.5, 1 1, 0.5 1))";
+    let run = |args: &[&str]| {
+        let out = vaq().args(args).output().expect("run vaq");
+        assert!(
+            out.status.success(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let want = run(&["query", "--points", pts, "--area", area]);
+    assert!(want.lines().any(|l| l.trim() == "100"), "the repeated row");
+    for (tag, shards) in [("plain", &[][..]), ("sharded", &["--shards", "3"][..])] {
+        let snap = dir.join(format!("repeat-{tag}.snap"));
+        let snap = snap.to_str().unwrap();
+        run(&[&["build", "--points", pts, "--save", snap][..], shards].concat());
+        let got = run(&["query", "--load", snap, "--area", area]);
+        assert_eq!(got, want, "{tag}");
+    }
+}

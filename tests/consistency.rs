@@ -2,51 +2,45 @@
 //! the set a brute-force scan returns, across distributions, polygon
 //! shapes and engine configurations.
 
-use voronoi_area_query::core::{AreaQueryEngine, ExpansionPolicy, FilterIndex, SeedIndex};
+use voronoi_area_query::core::{AreaQueryEngine, ExpansionPolicy, QueryResult, QuerySpec};
 use voronoi_area_query::geom::{Point, Polygon};
 use voronoi_area_query::workload::{
     generate, random_query_polygon, unit_space, Distribution, PolygonSpec,
 };
 
-fn full_engine(points: &[Point]) -> AreaQueryEngine {
-    AreaQueryEngine::builder(points)
-        .with_kdtree()
-        .with_quadtree()
-        .build()
+fn run(engine: &AreaQueryEngine, spec: &QuerySpec, area: &Polygon) -> QueryResult {
+    engine
+        .execute(spec, area)
+        .into_result()
+        .expect("collect output")
 }
 
 fn assert_all_configs_agree(engine: &AreaQueryEngine, area: &Polygon, context: &str) {
-    let mut want = engine.brute_force(area);
-    want.sort_unstable();
-    let mut scratch = engine.new_scratch();
-    for filter in [
-        FilterIndex::RTree,
-        FilterIndex::KdTree,
-        FilterIndex::Quadtree,
-    ] {
-        assert_eq!(
-            engine.traditional_with(area, filter).sorted_indices(),
-            want,
-            "{context}: traditional {filter:?}"
-        );
-    }
+    let want = run(engine, &QuerySpec::brute_force(), area).sorted_indices();
+    let mut session = engine.session();
+    let traditional = session.execute(&QuerySpec::traditional(), area);
+    assert_eq!(
+        traditional
+            .result()
+            .expect("collect output")
+            .sorted_indices(),
+        want,
+        "{context}: traditional"
+    );
     for policy in [ExpansionPolicy::Segment, ExpansionPolicy::Cell] {
-        for seed in [SeedIndex::RTree, SeedIndex::KdTree, SeedIndex::DelaunayWalk] {
-            assert_eq!(
-                engine
-                    .voronoi_with(area, policy, seed, &mut scratch)
-                    .sorted_indices(),
-                want,
-                "{context}: voronoi {policy:?} {seed:?}"
-            );
-        }
+        let voronoi = session.execute(&QuerySpec::voronoi().policy(policy), area);
+        assert_eq!(
+            voronoi.result().expect("collect output").sorted_indices(),
+            want,
+            "{context}: voronoi {policy:?}"
+        );
     }
 }
 
 #[test]
 fn all_configurations_agree_on_uniform_data() {
     let points = generate(5_000, Distribution::Uniform, 11);
-    let engine = full_engine(&points);
+    let engine = AreaQueryEngine::build(&points);
     let space = unit_space();
     for qs in [0.01, 0.05, 0.2] {
         for seed in 0..5u64 {
@@ -66,7 +60,7 @@ fn all_configurations_agree_on_clustered_data() {
         },
         12,
     );
-    let engine = full_engine(&points);
+    let engine = AreaQueryEngine::build(&points);
     let space = unit_space();
     for seed in 0..8u64 {
         let area = random_query_polygon(&space, &PolygonSpec::with_query_size(0.03), 200 + seed);
@@ -79,7 +73,7 @@ fn all_configurations_agree_on_degenerate_grid_data() {
     // Exact grid: maximal cocircularity in the triangulation, points
     // exactly on polygon edges are possible.
     let points = generate(2_500, Distribution::Grid { jitter: 0.0 }, 13);
-    let engine = full_engine(&points);
+    let engine = AreaQueryEngine::build(&points);
     let space = unit_space();
     for seed in 0..8u64 {
         let area = random_query_polygon(&space, &PolygonSpec::with_query_size(0.05), 300 + seed);
@@ -100,16 +94,19 @@ fn axis_aligned_rectangle_queries_have_zero_waste() {
         Point::new(0.3, 0.6),
     ])
     .unwrap();
-    let r = engine.traditional(&area);
+    let r = run(&engine, &QuerySpec::traditional(), &area);
     assert_eq!(r.stats.redundant_validations(), 0);
-    assert_eq!(r.sorted_indices(), engine.voronoi(&area).sorted_indices());
+    assert_eq!(
+        r.sorted_indices(),
+        run(&engine, &QuerySpec::voronoi(), &area).sorted_indices()
+    );
 }
 
 #[test]
 fn spiky_concave_polygons_agree() {
     // Very spiky stars (min radius 5% of max) maximise MBR waste.
     let points = generate(4_000, Distribution::Uniform, 15);
-    let engine = full_engine(&points);
+    let engine = AreaQueryEngine::build(&points);
     let space = unit_space();
     for seed in 0..6u64 {
         let spec = PolygonSpec {
@@ -126,7 +123,7 @@ fn spiky_concave_polygons_agree() {
 fn many_vertex_polygons_agree() {
     // 40-gon query areas (the paper fixes 10; the library must not).
     let points = generate(3_000, Distribution::Uniform, 16);
-    let engine = full_engine(&points);
+    let engine = AreaQueryEngine::build(&points);
     let space = unit_space();
     for seed in 0..4u64 {
         let spec = PolygonSpec {
@@ -147,13 +144,13 @@ fn payload_engine_returns_identical_results() {
     let space = unit_space();
     for seed in 0..4u64 {
         let area = random_query_polygon(&space, &PolygonSpec::with_query_size(0.04), 600 + seed);
-        let a = plain.voronoi(&area);
-        let b = heavy.voronoi(&area);
+        let a = run(&plain, &QuerySpec::voronoi(), &area);
+        let b = run(&heavy, &QuerySpec::voronoi(), &area);
         assert_eq!(a.sorted_indices(), b.sorted_indices());
         assert_eq!(a.stats.candidates, b.stats.candidates);
         assert_eq!(a.stats.payload_checksum, 0, "no records configured");
         assert_ne!(b.stats.payload_checksum, 0, "records were materialised");
-        let t = heavy.traditional(&area);
+        let t = run(&heavy, &QuerySpec::traditional(), &area);
         assert_ne!(t.stats.payload_checksum, 0);
     }
 }

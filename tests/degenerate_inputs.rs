@@ -2,7 +2,7 @@
 //! collinear sets, points exactly on area boundaries, areas outside the
 //! data extent, minimal datasets — all through the public umbrella API.
 
-use voronoi_area_query::core::{AreaQueryEngine, ExpansionPolicy, SeedIndex};
+use voronoi_area_query::core::{AreaQueryEngine, ExpansionPolicy, QueryResult, QuerySpec};
 use voronoi_area_query::delaunay::Triangulation;
 use voronoi_area_query::geom::{Point, Polygon};
 
@@ -20,20 +20,23 @@ fn square(cx: f64, cy: f64, half: f64) -> Polygon {
     .unwrap()
 }
 
+fn run(engine: &AreaQueryEngine, spec: QuerySpec, area: &Polygon) -> QueryResult {
+    engine
+        .execute(&spec, area)
+        .into_result()
+        .expect("collect output")
+}
+
 fn check_both(engine: &AreaQueryEngine, area: &Polygon, context: &str) {
-    let mut want = engine.brute_force(area);
-    want.sort_unstable();
+    let want = run(engine, QuerySpec::brute_force(), area).sorted_indices();
     assert_eq!(
-        engine.traditional(area).sorted_indices(),
+        run(engine, QuerySpec::traditional(), area).sorted_indices(),
         want,
         "{context} trad"
     );
-    let mut scratch = engine.new_scratch();
     for policy in [ExpansionPolicy::Segment, ExpansionPolicy::Cell] {
         assert_eq!(
-            engine
-                .voronoi_with(area, policy, SeedIndex::RTree, &mut scratch)
-                .sorted_indices(),
+            run(engine, QuerySpec::voronoi().policy(policy), area).sorted_indices(),
             want,
             "{context} voronoi {policy:?}"
         );
@@ -57,7 +60,7 @@ fn heavy_duplication() {
     let engine = AreaQueryEngine::build(&pts);
     check_both(&engine, &square(0.4, 0.3, 0.2), "duplicates");
     // All 70 copies of an in-area duplicate are reported.
-    let r = engine.voronoi(&square(0.35, 0.25, 0.01));
+    let r = run(&engine, QuerySpec::voronoi(), &square(0.35, 0.25, 0.01));
     assert_eq!(r.stats.result_size, 70);
 }
 
@@ -87,8 +90,14 @@ fn points_exactly_on_area_vertices_and_edges() {
     let engine = AreaQueryEngine::build(&pts);
     let mut want: Vec<u32> = (0..7).collect();
     want.sort_unstable();
-    assert_eq!(engine.traditional(&area).sorted_indices(), want);
-    assert_eq!(engine.voronoi(&area).sorted_indices(), want);
+    assert_eq!(
+        run(&engine, QuerySpec::traditional(), &area).sorted_indices(),
+        want
+    );
+    assert_eq!(
+        run(&engine, QuerySpec::voronoi(), &area).sorted_indices(),
+        want
+    );
 }
 
 #[test]
@@ -98,8 +107,10 @@ fn area_far_outside_the_data() {
         .collect();
     let engine = AreaQueryEngine::build(&pts);
     let far = square(50.0, 50.0, 1.0);
-    assert!(engine.traditional(&far).indices.is_empty());
-    assert!(engine.voronoi(&far).indices.is_empty());
+    assert!(run(&engine, QuerySpec::traditional(), &far)
+        .indices
+        .is_empty());
+    assert!(run(&engine, QuerySpec::voronoi(), &far).indices.is_empty());
 }
 
 #[test]
@@ -109,9 +120,14 @@ fn area_engulfing_all_data() {
         .collect();
     let engine = AreaQueryEngine::build(&pts);
     let all = square(0.5, 0.5, 10.0);
-    assert_eq!(engine.voronoi(&all).stats.result_size, 200);
     assert_eq!(
-        engine.voronoi(&all).stats.redundant_validations(),
+        run(&engine, QuerySpec::voronoi(), &all).stats.result_size,
+        200
+    );
+    assert_eq!(
+        run(&engine, QuerySpec::voronoi(), &all)
+            .stats
+            .redundant_validations(),
         0,
         "every candidate is internal when the area covers everything"
     );

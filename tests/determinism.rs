@@ -2,7 +2,7 @@
 //! engines, query results and statistics — the property the experiment
 //! harness' repeatability rests on.
 
-use voronoi_area_query::core::{AreaQueryEngine, ExpansionPolicy, SeedIndex};
+use voronoi_area_query::core::{AreaQueryEngine, ExpansionPolicy, QuerySpec};
 use voronoi_area_query::workload::{
     build_engine, generate, random_query_polygon, run_config, unit_space, Distribution,
     PolygonSpec, SweepConfig,
@@ -36,19 +36,23 @@ fn rebuilt_engines_answer_identically() {
     let e1 = AreaQueryEngine::build(&points);
     let e2 = AreaQueryEngine::build(&points);
     let space = unit_space();
-    let mut s1 = e1.new_scratch();
-    let mut s2 = e2.new_scratch();
+    let (mut s1, mut s2) = (e1.session(), e2.session());
+    let voronoi = QuerySpec::voronoi().policy(ExpansionPolicy::Segment);
     for seed in 0..6u64 {
         let area = random_query_polygon(&space, &PolygonSpec::with_query_size(0.03), seed);
-        let t1 = e1.traditional(&area);
-        let t2 = e2.traditional(&area);
+        let t1 = s1.execute(&QuerySpec::traditional(), &area);
+        let t2 = s2.execute(&QuerySpec::traditional(), &area);
         // Not just the same set: the same traversal order and stats.
-        assert_eq!(t1.indices, t2.indices);
-        assert_eq!(t1.stats, t2.stats);
-        let v1 = e1.voronoi_with(&area, ExpansionPolicy::Segment, SeedIndex::RTree, &mut s1);
-        let v2 = e2.voronoi_with(&area, ExpansionPolicy::Segment, SeedIndex::RTree, &mut s2);
-        assert_eq!(v1.indices, v2.indices, "BFS discovery order is stable");
-        assert_eq!(v1.stats, v2.stats);
+        assert_eq!(t1.result().unwrap().indices, t2.result().unwrap().indices);
+        assert_eq!(t1.stats(), t2.stats());
+        let v1 = s1.execute(&voronoi, &area);
+        let v2 = s2.execute(&voronoi, &area);
+        assert_eq!(
+            v1.result().unwrap().indices,
+            v2.result().unwrap().indices,
+            "BFS discovery order is stable"
+        );
+        assert_eq!(v1.stats(), v2.stats());
     }
 }
 
@@ -57,30 +61,17 @@ fn repeated_queries_on_one_engine_are_stable() {
     // Scratch reuse must not leak state between queries.
     let points = generate(3_000, Distribution::Uniform, 22);
     let engine = AreaQueryEngine::build(&points);
-    let mut scratch = engine.new_scratch();
+    let mut session = engine.session();
+    let spec = QuerySpec::voronoi().policy(ExpansionPolicy::Segment);
     let space = unit_space();
     let areas: Vec<_> = (0..5u64)
         .map(|s| random_query_polygon(&space, &PolygonSpec::with_query_size(0.05), s))
         .collect();
-    let first: Vec<_> = areas
-        .iter()
-        .map(|a| {
-            engine
-                .voronoi_with(a, ExpansionPolicy::Segment, SeedIndex::RTree, &mut scratch)
-                .indices
-        })
-        .collect();
+    let mut run = |area| session.execute(&spec, area).into_result().unwrap().indices;
+    let first: Vec<_> = areas.iter().map(&mut run).collect();
     // Run the same queries again, interleaved in reverse order.
     for (area, want) in areas.iter().zip(&first).rev() {
-        let got = engine
-            .voronoi_with(
-                area,
-                ExpansionPolicy::Segment,
-                SeedIndex::RTree,
-                &mut scratch,
-            )
-            .indices;
-        assert_eq!(&got, want);
+        assert_eq!(&run(area), want);
     }
 }
 

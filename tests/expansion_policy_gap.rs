@@ -18,11 +18,18 @@
 //! workload the two policies agree everywhere (see
 //! `tests/consistency.rs`).
 
-use voronoi_area_query::core::{AreaQueryEngine, ExpansionPolicy, SeedIndex};
+use voronoi_area_query::core::{AreaQueryEngine, ExpansionPolicy, QueryResult, QuerySpec};
 use voronoi_area_query::geom::{Point, Polygon};
 
 fn p(x: f64, y: f64) -> Point {
     Point::new(x, y)
+}
+
+fn run(engine: &AreaQueryEngine, spec: QuerySpec, area: &Polygon) -> QueryResult {
+    engine
+        .execute(&spec, area)
+        .into_result()
+        .expect("collect output")
 }
 
 /// 5×5 grid over the unit square.
@@ -62,18 +69,12 @@ fn segment_policy_misses_a_pocket_cell_policy_does_not() {
     let engine = AreaQueryEngine::build(&pts);
 
     // Ground truth: exactly the two top corners lie in the staple.
-    let mut want = engine.brute_force(&area);
-    want.sort_unstable();
+    let want = run(&engine, QuerySpec::brute_force(), &area).sorted_indices();
     assert_eq!(want, vec![20, 24], "the two top corners");
 
-    let mut scratch = engine.new_scratch();
-    let segment = engine.voronoi_with(
-        &area,
-        ExpansionPolicy::Segment,
-        SeedIndex::RTree,
-        &mut scratch,
-    );
-    let cell = engine.voronoi_with(&area, ExpansionPolicy::Cell, SeedIndex::RTree, &mut scratch);
+    let voronoi = |policy| run(&engine, QuerySpec::voronoi().policy(policy), &area);
+    let segment = voronoi(ExpansionPolicy::Segment);
+    let cell = voronoi(ExpansionPolicy::Cell);
 
     // The provably complete policy gets both corners.
     assert_eq!(cell.sorted_indices(), want, "cell policy must be exact");
@@ -88,7 +89,10 @@ fn segment_policy_misses_a_pocket_cell_policy_does_not() {
     );
 
     // The traditional method is unaffected (the MBR covers everything).
-    assert_eq!(engine.traditional(&area).sorted_indices(), want);
+    assert_eq!(
+        run(&engine, QuerySpec::traditional(), &area).sorted_indices(),
+        want
+    );
 }
 
 #[test]
@@ -112,12 +116,10 @@ fn the_gap_needs_the_outside_corridor() {
     ])
     .expect("simple polygon");
     let engine = AreaQueryEngine::build(&pts);
-    let mut want = engine.brute_force(&area);
-    want.sort_unstable();
+    let want = run(&engine, QuerySpec::brute_force(), &area).sorted_indices();
     assert_eq!(want, vec![20, 24], "still exactly the two top corners");
-    let mut scratch = engine.new_scratch();
     for policy in [ExpansionPolicy::Segment, ExpansionPolicy::Cell] {
-        let r = engine.voronoi_with(&area, policy, SeedIndex::RTree, &mut scratch);
+        let r = run(&engine, QuerySpec::voronoi().policy(policy), &area);
         assert_eq!(r.sorted_indices(), want, "{policy:?} on the in-hull bridge");
     }
 }

@@ -101,14 +101,15 @@ fn candidates_scale_linearly_with_data_size() {
 /// that union.
 #[test]
 fn voronoi_candidates_are_internal_plus_boundary() {
-    use voronoi_area_query::core::{AreaQueryEngine, ExpansionPolicy, SeedIndex};
+    use voronoi_area_query::core::{AreaQueryEngine, ExpansionPolicy, OutputMode, QuerySpec};
     use voronoi_area_query::workload::{
         generate, random_query_polygon, unit_space, Distribution, PolygonSpec,
     };
     let points = generate(3_000, Distribution::Uniform, 33);
     let engine = AreaQueryEngine::build(&points);
     let area = random_query_polygon(&unit_space(), &PolygonSpec::with_query_size(0.05), 34);
-    let classes = engine.classify(&area).unwrap();
+    let classified = engine.execute(&QuerySpec::new().output(OutputMode::Classify), &area);
+    let classes = classified.classes().unwrap();
     let internal = classes
         .iter()
         .filter(|&&c| c == PointClass::Internal)
@@ -118,31 +119,31 @@ fn voronoi_candidates_are_internal_plus_boundary() {
         .filter(|&&c| c == PointClass::Boundary)
         .count();
 
-    let mut scratch = engine.new_scratch();
-    let cell = engine.voronoi_with(&area, ExpansionPolicy::Cell, SeedIndex::RTree, &mut scratch);
+    let mut session = engine.session();
+    let mut voronoi = |policy| {
+        *session
+            .execute(&QuerySpec::voronoi().policy(policy), &area)
+            .stats()
+    };
+    let cell = voronoi(ExpansionPolicy::Cell);
     // Cell-policy candidates = internal ∪ boundary ∪ (first ring of
     // neighbours of internal points that are external) — the BFS always
     // validates the direct neighbours of internal points. So the count is
     // bounded below by internal and above by internal + boundary + ring.
-    assert!(cell.stats.candidates >= internal);
-    assert_eq!(cell.stats.accepted, internal);
+    assert!(cell.candidates >= internal);
+    assert_eq!(cell.accepted, internal);
 
-    let seg = engine.voronoi_with(
-        &area,
-        ExpansionPolicy::Segment,
-        SeedIndex::RTree,
-        &mut scratch,
-    );
-    assert_eq!(seg.stats.accepted, internal);
+    let seg = voronoi(ExpansionPolicy::Segment);
+    assert_eq!(seg.accepted, internal);
     // Both candidate sets stay within the internal + boundary + one-ring
     // envelope: far smaller than the MBR population on irregular areas.
     let in_mbr = points
         .iter()
         .filter(|p| area.mbr().contains_point(**p))
         .count();
-    assert!(seg.stats.candidates <= internal + boundary + in_mbr / 2);
+    assert!(seg.candidates <= internal + boundary + in_mbr / 2);
     assert!(
-        seg.stats.candidates < in_mbr,
+        seg.candidates < in_mbr,
         "the paper's headline at small scale"
     );
 }

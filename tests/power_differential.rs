@@ -20,8 +20,8 @@
 //!    exercised on benign (small-weight) inputs.
 
 use voronoi_area_query::core::{
-    AreaQueryEngine, DynamicAreaQueryEngine, ExpansionPolicy, FilterIndex, OutputMode, PrepareMode,
-    QueryArea, QueryMethod, QuerySpec, SeedIndex, ShardedAreaQueryEngine,
+    AreaQueryEngine, DynamicAreaQueryEngine, ExpansionPolicy, OutputMode, PrepareMode, QueryArea,
+    QueryMethod, QuerySpec, ShardedAreaQueryEngine,
 };
 use voronoi_area_query::delaunay::DiagramKind;
 use voronoi_area_query::geom::{Point, Polygon, Rect};
@@ -54,8 +54,8 @@ fn areas_for(seed: u64) -> Vec<Polygon> {
     ]
 }
 
-/// The spec grid both halves sweep: methods × seeds × prepare modes,
-/// with the (exact-on-any-diagram) cell expansion policy.
+/// The spec grid both halves sweep: methods × prepare modes, with the
+/// (exact-on-any-diagram) cell expansion policy.
 fn cell_grid() -> Vec<QuerySpec> {
     let mut specs = Vec::new();
     for method in [
@@ -63,17 +63,13 @@ fn cell_grid() -> Vec<QuerySpec> {
         QueryMethod::Traditional,
         QueryMethod::BruteForce,
     ] {
-        for seed in [SeedIndex::RTree, SeedIndex::DelaunayWalk] {
-            for prepare in [PrepareMode::Raw, PrepareMode::Cached] {
-                specs.push(
-                    QuerySpec::new()
-                        .method(method)
-                        .filter(FilterIndex::RTree)
-                        .seed(seed)
-                        .policy(ExpansionPolicy::Cell)
-                        .prepare(prepare),
-                );
-            }
+        for prepare in [PrepareMode::Raw, PrepareMode::Cached] {
+            specs.push(
+                QuerySpec::new()
+                    .method(method)
+                    .policy(ExpansionPolicy::Cell)
+                    .prepare(prepare),
+            );
         }
     }
     specs

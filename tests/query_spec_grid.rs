@@ -1,12 +1,12 @@
-//! Differential sweep of the full `QuerySpec` grid — method × filter ×
-//! seed × policy × prepare × output — against the brute-force oracle, over
+//! Differential sweep of the full `QuerySpec` grid — method × policy ×
+//! prepare × output — against the brute-force oracle, over
 //! polygon, region-with-hole and rectangle (window) areas. Plus the
 //! prepared-area cache contract (`Cached` ≡ `Raw`, bit for bit, with hit
 //! counters) and the work-stealing batch ordering guarantee.
 
 use voronoi_area_query::core::{
-    AreaQueryEngine, CacheCounters, ExpansionPolicy, FilterIndex, OutputMode, PrepareMode,
-    QueryArea, QueryMethod, QuerySpec, SeedIndex,
+    AreaQueryEngine, CacheCounters, ExpansionPolicy, OutputMode, PrepareMode, QueryArea,
+    QueryMethod, QuerySpec,
 };
 use voronoi_area_query::geom::{Point, Polygon, Rect, Region};
 use voronoi_area_query::workload::{
@@ -17,75 +17,60 @@ fn p(x: f64, y: f64) -> Point {
     Point::new(x, y)
 }
 
-fn full_engine(n: usize, seed: u64) -> AreaQueryEngine {
-    let pts = generate(n, Distribution::Uniform, seed);
-    AreaQueryEngine::builder(&pts)
-        .with_kdtree()
-        .with_quadtree()
-        .build()
+fn uniform_engine(n: usize, seed: u64) -> AreaQueryEngine {
+    AreaQueryEngine::build(&generate(n, Distribution::Uniform, seed))
 }
 
 /// Every cell of the spec grid must agree with the brute-force oracle.
 fn assert_grid_agrees(engine: &AreaQueryEngine, area: &dyn QueryArea, context: &str) {
     let mut session = engine.session();
-    let want = engine.brute_force(area);
-    let want_sorted = {
-        let mut v = want.clone();
-        v.sort_unstable();
-        v
-    };
+    let want_sorted = engine
+        .execute(&QuerySpec::brute_force(), area)
+        .into_result()
+        .expect("collect output")
+        .sorted_indices();
     for method in [
         QueryMethod::Traditional,
         QueryMethod::Voronoi,
         QueryMethod::BruteForce,
     ] {
-        for filter in [
-            FilterIndex::RTree,
-            FilterIndex::KdTree,
-            FilterIndex::Quadtree,
-        ] {
-            for seed in [SeedIndex::RTree, SeedIndex::KdTree, SeedIndex::DelaunayWalk] {
-                for policy in [ExpansionPolicy::Segment, ExpansionPolicy::Cell] {
-                    for prepare in [
-                        PrepareMode::Raw,
-                        PrepareMode::PrepareOnce,
-                        PrepareMode::Cached,
-                    ] {
-                        let spec = QuerySpec::new()
-                            .method(method)
-                            .filter(filter)
-                            .seed(seed)
-                            .policy(policy)
-                            .prepare(prepare)
-                            .output(OutputMode::Collect);
-                        let ctx = format!("{context}: {spec:?}");
-                        let collected = session.execute(&spec, area);
-                        assert_eq!(
-                            collected.result().expect("collect output").sorted_indices(),
-                            want_sorted,
-                            "{ctx}"
-                        );
-                        let counted = session.execute(&spec.output(OutputMode::Count), area);
-                        assert_eq!(counted.count(), want.len(), "{ctx} (count)");
-                        // Counting is the same seeded, stats-tracked path:
-                        // every counter matches the collecting run. The
-                        // two how-was-it-computed fields may differ under
-                        // `Cached`: the second lookup hits, and the hit
-                        // reuses the prepared area's lazily-cached
-                        // interior point (fewer predicate evaluations).
-                        let mut a = *counted.stats();
-                        let mut b = *collected.stats();
-                        a.prepared_cache = CacheCounters::default();
-                        b.prepared_cache = CacheCounters::default();
-                        a.predicates = b.predicates;
-                        assert_eq!(a, b, "{ctx} (count stats)");
-                    }
-                }
+        for policy in [ExpansionPolicy::Segment, ExpansionPolicy::Cell] {
+            for prepare in [
+                PrepareMode::Raw,
+                PrepareMode::PrepareOnce,
+                PrepareMode::Cached,
+            ] {
+                let spec = QuerySpec::new()
+                    .method(method)
+                    .policy(policy)
+                    .prepare(prepare)
+                    .output(OutputMode::Collect);
+                let ctx = format!("{context}: {spec:?}");
+                let collected = session.execute(&spec, area);
+                assert_eq!(
+                    collected.result().expect("collect output").sorted_indices(),
+                    want_sorted,
+                    "{ctx}"
+                );
+                let counted = session.execute(&spec.output(OutputMode::Count), area);
+                assert_eq!(counted.count(), want_sorted.len(), "{ctx} (count)");
+                // Counting is the same seeded, stats-tracked path: every
+                // counter matches the collecting run. The two
+                // how-was-it-computed fields may differ under `Cached`:
+                // the second lookup hits, and the hit reuses the prepared
+                // area's lazily-cached interior point (fewer predicate
+                // evaluations).
+                let mut a = *counted.stats();
+                let mut b = *collected.stats();
+                a.prepared_cache = CacheCounters::default();
+                b.prepared_cache = CacheCounters::default();
+                a.predicates = b.predicates;
+                assert_eq!(a, b, "{ctx} (count stats)");
             }
         }
     }
-    // Classification ignores method/filter/seed/policy; sweep only the
-    // prepare axis.
+    // Classification ignores method and policy; sweep only the prepare
+    // axis.
     for prepare in [
         PrepareMode::Raw,
         PrepareMode::PrepareOnce,
@@ -97,7 +82,7 @@ fn assert_grid_agrees(engine: &AreaQueryEngine, area: &dyn QueryArea, context: &
         let classified = session.execute(&spec, area);
         assert_eq!(
             classified.count(),
-            want.len(),
+            want_sorted.len(),
             "{context} classify {prepare:?}"
         );
     }
@@ -105,7 +90,7 @@ fn assert_grid_agrees(engine: &AreaQueryEngine, area: &dyn QueryArea, context: &
 
 #[test]
 fn grid_agrees_on_star_polygons() {
-    let engine = full_engine(600, 0xA11CE);
+    let engine = uniform_engine(600, 0xA11CE);
     let space = unit_space();
     for seed in 0..3u64 {
         let area = random_query_polygon(&space, &PolygonSpec::with_query_size(0.05), 40 + seed);
@@ -115,7 +100,7 @@ fn grid_agrees_on_star_polygons() {
 
 #[test]
 fn grid_agrees_on_rect_windows() {
-    let engine = full_engine(500, 0xB0B);
+    let engine = uniform_engine(500, 0xB0B);
     for (i, rect) in [
         Rect::new(p(0.2, 0.2), p(0.6, 0.7)),
         Rect::new(p(0.0, 0.0), p(1.0, 1.0)),
@@ -130,7 +115,7 @@ fn grid_agrees_on_rect_windows() {
 
 #[test]
 fn grid_agrees_on_region_with_hole() {
-    let engine = full_engine(500, 0xCAFE);
+    let engine = uniform_engine(500, 0xCAFE);
     let outer = Polygon::new(vec![p(0.1, 0.1), p(0.9, 0.15), p(0.85, 0.9), p(0.12, 0.8)]).unwrap();
     let hole = Polygon::new(vec![p(0.4, 0.4), p(0.6, 0.42), p(0.58, 0.6), p(0.42, 0.58)]).unwrap();
     let region = Region::new(outer, vec![hole]);
@@ -143,7 +128,7 @@ fn grid_agrees_on_region_with_hole() {
 /// repeated areas.
 #[test]
 fn cached_is_bit_identical_to_raw_and_hits_on_repeats() {
-    let engine = full_engine(2000, 0xD1CE);
+    let engine = uniform_engine(2000, 0xD1CE);
     let mut session = engine.session();
     let space = unit_space();
     let areas: Vec<Polygon> = (0..4)
@@ -213,7 +198,7 @@ fn cached_is_bit_identical_to_raw_and_hits_on_repeats() {
 /// sequential batch query-for-query (indices *and* stats).
 #[test]
 fn work_stealing_batch_matches_sequential_order() {
-    let engine = full_engine(3000, 0xFEED);
+    let engine = uniform_engine(3000, 0xFEED);
     let space = unit_space();
     // Heavily skewed batch: tiny and huge queries interleaved, the case
     // fixed contiguous chunks handled badly.
@@ -248,30 +233,6 @@ fn work_stealing_batch_matches_sequential_order() {
                     assert_eq!(ra.indices, rb.indices, "query {i}, threads={threads}");
                 }
             }
-        }
-    }
-}
-
-/// Legacy batch wrappers and the new funnel agree query-for-query.
-#[test]
-fn legacy_batches_match_execute_batch() {
-    let engine = full_engine(2000, 0xBEAD);
-    let space = unit_space();
-    let areas: Vec<Polygon> = (0..10)
-        .map(|i| random_query_polygon(&space, &PolygonSpec::with_query_size(0.02), 300 + i))
-        .collect();
-    let new = engine.execute_batch(&QuerySpec::voronoi(), &areas, 4);
-    for (legacy, threads) in [
-        (engine.voronoi_batch(&areas), 1usize),
-        (engine.voronoi_batch_parallel(&areas, 4), 4),
-    ] {
-        for (i, (l, n)) in legacy.iter().zip(&new).enumerate() {
-            assert_eq!(
-                l.indices,
-                n.result().unwrap().indices,
-                "query {i}, threads={threads}"
-            );
-            assert_eq!(l.stats, *n.stats(), "query {i}, threads={threads}");
         }
     }
 }

@@ -2,7 +2,9 @@
 //! the paper's simple polygons. Both methods must agree with brute force
 //! for donuts, multi-hole regions and hole-heavy edge cases.
 
-use voronoi_area_query::core::{AreaQueryEngine, ExpansionPolicy, SeedIndex};
+use voronoi_area_query::core::{
+    AreaQueryEngine, ExpansionPolicy, QueryArea, QueryResult, QuerySpec,
+};
 use voronoi_area_query::geom::{Point, Polygon, Region};
 use voronoi_area_query::workload::{generate, Distribution};
 
@@ -20,23 +22,26 @@ fn square(cx: f64, cy: f64, half: f64) -> Polygon {
     .unwrap()
 }
 
+fn run(engine: &AreaQueryEngine, spec: QuerySpec, area: &dyn QueryArea) -> QueryResult {
+    engine
+        .execute(&spec, area)
+        .into_result()
+        .expect("collect output")
+}
+
 fn check(engine: &AreaQueryEngine, region: &Region, context: &str) {
     region
         .validate_nesting()
         .expect("test regions are well-nested");
-    let mut want = engine.brute_force(region);
-    want.sort_unstable();
+    let want = run(engine, QuerySpec::brute_force(), region).sorted_indices();
     assert_eq!(
-        engine.traditional(region).sorted_indices(),
+        run(engine, QuerySpec::traditional(), region).sorted_indices(),
         want,
         "{context}: traditional"
     );
-    let mut scratch = engine.new_scratch();
     for policy in [ExpansionPolicy::Segment, ExpansionPolicy::Cell] {
         assert_eq!(
-            engine
-                .voronoi_with(region, policy, SeedIndex::RTree, &mut scratch)
-                .sorted_indices(),
+            run(engine, QuerySpec::voronoi().policy(policy), region).sorted_indices(),
             want,
             "{context}: voronoi {policy:?}"
         );
@@ -50,9 +55,9 @@ fn donut_region() {
     let region = Region::new(square(0.5, 0.5, 0.35), vec![square(0.5, 0.5, 0.15)]);
     check(&engine, &region, "donut");
     // The hole actually excludes points: the full square finds more.
-    let full = engine.brute_force(&square(0.5, 0.5, 0.35));
-    let donut = engine.brute_force(&region);
-    assert!(donut.len() < full.len());
+    let full = run(&engine, QuerySpec::brute_force(), &square(0.5, 0.5, 0.35));
+    let donut = run(&engine, QuerySpec::brute_force(), &region);
+    assert!(donut.indices.len() < full.indices.len());
 }
 
 #[test]
@@ -121,8 +126,8 @@ fn region_candidates_still_undercut_mbr() {
     let points = generate(20_000, Distribution::Uniform, 96);
     let engine = AreaQueryEngine::build(&points);
     let region = Region::new(square(0.5, 0.5, 0.4), vec![square(0.5, 0.5, 0.25)]);
-    let trad = engine.traditional(&region);
-    let voro = engine.voronoi(&region);
+    let trad = run(&engine, QuerySpec::traditional(), &region);
+    let voro = run(&engine, QuerySpec::voronoi(), &region);
     assert_eq!(trad.sorted_indices(), voro.sorted_indices());
     assert!(
         voro.stats.candidates < trad.stats.candidates * 7 / 10,

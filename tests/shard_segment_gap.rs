@@ -27,6 +27,15 @@ use voronoi_area_query::workload::{
     generate, random_query_polygon, unit_space, Distribution, PolygonSpec,
 };
 
+/// The brute-force oracle's matching indices, ascending.
+fn brute_sorted(engine: &AreaQueryEngine, area: &Polygon) -> Vec<u32> {
+    engine
+        .execute(&QuerySpec::brute_force(), area)
+        .into_result()
+        .expect("collect output")
+        .sorted_indices()
+}
+
 fn p(x: f64, y: f64) -> Point {
     Point::new(x, y)
 }
@@ -100,11 +109,7 @@ fn frontier_fallback_recovers_the_dropped_pocket() {
     let spec = QuerySpec::voronoi().policy(ExpansionPolicy::Segment);
 
     let full = AreaQueryEngine::build(&points);
-    let want = {
-        let mut v = full.brute_force(&area);
-        v.sort_unstable();
-        v
-    };
+    let want = brute_sorted(&full, &area);
     // Both prongs hold a full grid row of the right cluster.
     assert_eq!(want.len(), 10, "the C-shape covers two 5-point rows");
 
@@ -185,8 +190,7 @@ fn sharded_segment_matches_brute_on_random_sweep() {
             _ => 0.15,
         };
         let area = random_query_polygon(&space, &PolygonSpec::with_query_size(size), 5000 + i);
-        let mut want = full.brute_force(&area);
-        want.sort_unstable();
+        let want = brute_sorted(&full, &area);
         let got = sharded.execute(&spec, &area);
         assert_eq!(got.indices, want, "area {i} (query size {size})");
         total += want.len();

@@ -10,9 +10,8 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use voronoi_area_query::core::{
-    AreaQueryEngine, DynamicAreaQueryEngine, ExpansionPolicy, FilterIndex, OutputMode, PrepareMode,
-    QueryArea, QueryMethod, QuerySpec, SeedIndex, ShardedAreaQueryEngine,
-    ShardedDynamicAreaQueryEngine,
+    AreaQueryEngine, DynamicAreaQueryEngine, ExpansionPolicy, OutputMode, PrepareMode, QueryArea,
+    QueryMethod, QuerySpec, ShardedAreaQueryEngine, ShardedDynamicAreaQueryEngine,
 };
 use voronoi_area_query::geom::{Point, Polygon, Rect, Region};
 use voronoi_area_query::workload::{
@@ -24,15 +23,16 @@ fn p(x: f64, y: f64) -> Point {
 }
 
 fn oracle_sorted(single: &AreaQueryEngine, area: &dyn QueryArea) -> Vec<u32> {
-    let mut v = single.brute_force(area);
-    v.sort_unstable();
-    v
+    single
+        .execute(&QuerySpec::brute_force(), area)
+        .into_result()
+        .expect("collect output")
+        .sorted_indices()
 }
 
 /// Sweeps the sharded engine through the `QuerySpec` grid (methods ×
-/// seeds × policies × prepare modes × collect/count) against the
-/// unsharded brute-force oracle. Filter stays `RTree` and the kd-tree
-/// seed is skipped: shard engines are built with default indexes.
+/// policies × prepare modes × collect/count) against the unsharded
+/// brute-force oracle.
 fn assert_sharded_grid_agrees(
     single: &AreaQueryEngine,
     sharded: &ShardedAreaQueryEngine,
@@ -45,34 +45,30 @@ fn assert_sharded_grid_agrees(
         QueryMethod::Traditional,
         QueryMethod::BruteForce,
     ] {
-        for seed in [SeedIndex::RTree, SeedIndex::DelaunayWalk] {
-            for policy in [ExpansionPolicy::Segment, ExpansionPolicy::Cell] {
-                for prepare in [
-                    PrepareMode::Raw,
-                    PrepareMode::PrepareOnce,
-                    PrepareMode::Cached,
-                ] {
-                    let spec = QuerySpec::new()
-                        .method(method)
-                        .filter(FilterIndex::RTree)
-                        .seed(seed)
-                        .policy(policy)
-                        .prepare(prepare)
-                        .output(OutputMode::Collect);
-                    let ctx = format!("{context}: {spec:?}");
-                    let got = sharded.execute(&spec, area);
-                    assert_eq!(got.indices, want, "{ctx}");
-                    assert_eq!(got.count, want.len(), "{ctx} (count field)");
-                    assert_eq!(got.stats.result_size, want.len(), "{ctx} (result_size)");
-                    assert_eq!(
-                        got.stats.shards_visited + got.stats.shards_pruned,
-                        sharded.shard_count(),
-                        "{ctx} (shard accounting)"
-                    );
-                    let counted = sharded.execute(&spec.output(OutputMode::Count), area);
-                    assert_eq!(counted.count, want.len(), "{ctx} (count mode)");
-                    assert!(counted.indices.is_empty(), "{ctx} (count materialises)");
-                }
+        for policy in [ExpansionPolicy::Segment, ExpansionPolicy::Cell] {
+            for prepare in [
+                PrepareMode::Raw,
+                PrepareMode::PrepareOnce,
+                PrepareMode::Cached,
+            ] {
+                let spec = QuerySpec::new()
+                    .method(method)
+                    .policy(policy)
+                    .prepare(prepare)
+                    .output(OutputMode::Collect);
+                let ctx = format!("{context}: {spec:?}");
+                let got = sharded.execute(&spec, area);
+                assert_eq!(got.indices, want, "{ctx}");
+                assert_eq!(got.count, want.len(), "{ctx} (count field)");
+                assert_eq!(got.stats.result_size, want.len(), "{ctx} (result_size)");
+                assert_eq!(
+                    got.stats.shards_visited + got.stats.shards_pruned,
+                    sharded.shard_count(),
+                    "{ctx} (shard accounting)"
+                );
+                let counted = sharded.execute(&spec.output(OutputMode::Count), area);
+                assert_eq!(counted.count, want.len(), "{ctx} (count mode)");
+                assert!(counted.indices.is_empty(), "{ctx} (count materialises)");
             }
         }
     }

@@ -12,8 +12,8 @@ use voronoi_area_query::core::snapshot::{
     self, checksum64, SnapshotError, SnapshotKind, SNAPSHOT_PAGE, SNAPSHOT_VERSION,
 };
 use voronoi_area_query::core::{
-    AreaQueryEngine, DynamicAreaQueryEngine, ExpansionPolicy, FilterIndex, OutputMode, PrepareMode,
-    QueryArea, QueryMethod, QuerySpec, SeedIndex, ShardedAreaQueryEngine,
+    AreaQueryEngine, DynamicAreaQueryEngine, ExpansionPolicy, OutputMode, PrepareMode, QueryArea,
+    QueryMethod, QuerySpec, ShardedAreaQueryEngine,
 };
 use voronoi_area_query::delaunay::DiagramKind;
 use voronoi_area_query::geom::{Point, Polygon, Rect, Region};
@@ -26,9 +26,11 @@ fn p(x: f64, y: f64) -> Point {
 }
 
 fn oracle_sorted(single: &AreaQueryEngine, area: &dyn QueryArea) -> Vec<u32> {
-    let mut v = single.brute_force(area);
-    v.sort_unstable();
-    v
+    single
+        .execute(&QuerySpec::brute_force(), area)
+        .into_result()
+        .expect("collect output")
+        .sorted_indices()
 }
 
 /// Weights that force a genuine power diagram: mostly mild variation,
@@ -46,9 +48,7 @@ fn power_weights(n: usize) -> Vec<f64> {
         .collect()
 }
 
-/// The full `QuerySpec` grid the engines must agree on. Filter stays
-/// `RTree` and the kd-tree seed is skipped: snapshots restore the
-/// default index configuration.
+/// The full `QuerySpec` grid the engines must agree on.
 fn spec_grid() -> Vec<QuerySpec> {
     let mut specs = Vec::new();
     for method in [
@@ -56,23 +56,19 @@ fn spec_grid() -> Vec<QuerySpec> {
         QueryMethod::Traditional,
         QueryMethod::BruteForce,
     ] {
-        for seed in [SeedIndex::RTree, SeedIndex::DelaunayWalk] {
-            for policy in [ExpansionPolicy::Segment, ExpansionPolicy::Cell] {
-                for prepare in [
-                    PrepareMode::Raw,
-                    PrepareMode::PrepareOnce,
-                    PrepareMode::Cached,
-                ] {
-                    specs.push(
-                        QuerySpec::new()
-                            .method(method)
-                            .filter(FilterIndex::RTree)
-                            .seed(seed)
-                            .policy(policy)
-                            .prepare(prepare)
-                            .output(OutputMode::Collect),
-                    );
-                }
+        for policy in [ExpansionPolicy::Segment, ExpansionPolicy::Cell] {
+            for prepare in [
+                PrepareMode::Raw,
+                PrepareMode::PrepareOnce,
+                PrepareMode::Cached,
+            ] {
+                specs.push(
+                    QuerySpec::new()
+                        .method(method)
+                        .policy(policy)
+                        .prepare(prepare)
+                        .output(OutputMode::Collect),
+                );
             }
         }
     }
@@ -355,6 +351,81 @@ fn sharded_weighted_payload_roundtrip_is_bit_identical() {
         let area = star(*seed, 0.1);
         assert_sharded_identical(&fresh, &loaded, &area, &format!("sharded power {i}"));
     }
+}
+
+// ---------------------------------------------------------------------
+// Bit-identity: coincident input points on every engine kind. The
+// triangulation merges coincident inputs, so its site array is shorter
+// than the engine's point array and the snapshot must not assume they
+// are the same array.
+// ---------------------------------------------------------------------
+
+/// `n` uniform points followed by a copy of every 40th one and a third
+/// copy of point 0.
+fn with_repeats(n: usize, seed: u64) -> Vec<Point> {
+    let mut pts = generate(n, Distribution::Uniform, seed);
+    let copies: Vec<Point> = pts.iter().step_by(40).copied().collect();
+    pts.extend(copies);
+    pts.push(pts[0]);
+    pts
+}
+
+#[test]
+fn coincident_points_plain_roundtrip_is_bit_identical() {
+    let pts = with_repeats(400, 0xD0B1);
+    let weights = power_weights(pts.len());
+    for fresh in [
+        AreaQueryEngine::build(&pts),
+        AreaQueryEngine::build_weighted(&pts, &weights),
+    ] {
+        let kind = fresh.diagram_kind();
+        let bytes = snapshot::engine_to_bytes(&fresh);
+        let loaded = snapshot::engine_from_bytes(&bytes).expect("round trip");
+        for (i, seed) in [0x81u64, 0x82].iter().enumerate() {
+            let area = star(*seed, 0.1);
+            assert_plain_identical(&fresh, &loaded, &area, &format!("{kind:?} star {i}"));
+        }
+        let all = Rect::new(p(0.0, 0.0), p(1.0, 1.0));
+        assert_plain_identical(&fresh, &loaded, &all, &format!("{kind:?} everything"));
+    }
+}
+
+#[test]
+fn coincident_points_dynamic_roundtrip_is_bit_identical() {
+    let pts = with_repeats(300, 0xD0B2);
+    let mut fresh = DynamicAreaQueryEngine::new(&pts);
+    fresh.insert(pts[5]); // a delta point coincident with a base point
+    assert!(fresh.remove(3));
+    let bytes = snapshot::dynamic_to_bytes(&fresh);
+    let mut loaded = snapshot::dynamic_from_bytes(&bytes).expect("round trip");
+    for (i, seed) in [0x91u64, 0x92].iter().enumerate() {
+        let area = star(*seed, 0.1);
+        for method in [
+            QueryMethod::Voronoi,
+            QueryMethod::Traditional,
+            QueryMethod::BruteForce,
+        ] {
+            let spec = QuerySpec::new().method(method);
+            let ra = fresh.execute(&spec, &area);
+            let rb = loaded.execute(&spec, &area);
+            assert_eq!(ra.ids, rb.ids, "dynamic {method:?} ids, area {i}");
+            assert_eq!(ra.stats, rb.stats, "dynamic {method:?} stats, area {i}");
+        }
+    }
+}
+
+#[test]
+fn coincident_points_sharded_roundtrip_is_bit_identical() {
+    let pts = with_repeats(400, 0xD0B3);
+    let fresh = ShardedAreaQueryEngine::build(&pts, 4);
+    let loaded =
+        snapshot::sharded_from_bytes(&snapshot::sharded_to_bytes(&fresh)).expect("round trip");
+    for (i, seed) in [0xA1u64, 0xA2].iter().enumerate() {
+        let area = star(*seed, 0.1);
+        assert_sharded_identical(&fresh, &loaded, &area, &format!("coincident star {i}"));
+    }
+    let all = Rect::new(p(0.0, 0.0), p(1.0, 1.0));
+    assert_sharded_identical(&fresh, &loaded, &all, "coincident everything");
 }
 
 // ---------------------------------------------------------------------
