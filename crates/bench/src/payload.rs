@@ -26,7 +26,7 @@
 use crate::provenance::Provenance;
 use crate::{polygon_batch_with, time_qps, HARNESS_SEED};
 use std::fmt::Write as _;
-use vaq_core::{AreaQueryEngine, ExpansionPolicy, OutputMode, QuerySpec, ShardedAreaQueryEngine};
+use vaq_core::{AreaQueryEngine, ExpansionPolicy, OutputMode, QuerySpec};
 use vaq_workload::{generate, Distribution};
 
 /// Workload shape of one payload-materialisation measurement.
@@ -115,7 +115,9 @@ pub fn measure_payload(cfg: &PayloadBenchConfig) -> Vec<PayloadBenchRow> {
     let mut rows = Vec::with_capacity(cfg.payload_bytes.len());
     for &bytes in &cfg.payload_bytes {
         let engine = AreaQueryEngine::builder(&pts).payload_bytes(bytes).build();
-        let sharded = ShardedAreaQueryEngine::build_with_payload(&pts, cfg.shards, bytes);
+        let sharded = AreaQueryEngine::builder(&pts)
+            .payload_bytes(bytes)
+            .build_sharded(cfg.shards);
 
         // Cross-check (outside the timed region).
         let mut results = 0usize;

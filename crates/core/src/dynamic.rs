@@ -16,17 +16,10 @@
 //! Query results use stable external ids handed out at insertion, so ids
 //! survive compaction.
 //!
-//! **Weighted sites** ride the same overlay: build with
-//! [`DynamicAreaQueryEngine::with_weights`] and insert with
-//! [`DynamicAreaQueryEngine::insert_weighted`], and compaction folds the
-//! weights into the rebuilt base's power diagram. A delta point's weight
-//! has no effect *before* compaction — the delta scan is an exact
-//! point-in-area test, and a site's weight shifts its cell, never its
-//! membership in the area — so answers are exact at every moment and the
-//! weight takes structural (performance-shaping) effect at the next
-//! rebuild. Unweighted inserts carry weight `0.0`; an engine holding only
-//! uniform weights compacts back to the plain Euclidean diagram,
-//! bit-identically.
+//! The overlay is Euclidean: compaction rebuilds the base as the
+//! Delaunay triangulation of the surviving points. (A site's weight
+//! shifts its cell, never its membership in an area, so weights could
+//! change the overlay's performance but not its answers.)
 //!
 //! Queries run through the same [`QuerySpec`] funnel as the static
 //! engine ([`DynamicAreaQueryEngine::execute`]): the base pass honours
@@ -34,11 +27,9 @@
 //! cache amortising repeated areas), and the delta scan's cost is
 //! surfaced in the returned stats ([`QueryStats::delta_scanned`]).
 //! [`DynamicAreaQueryEngine::query`] is the paper-default convenience.
-//! For the partitioned variant see
-//! [`ShardedDynamicAreaQueryEngine`](crate::shard::ShardedDynamicAreaQueryEngine).
 
 use crate::area::QueryArea;
-use crate::engine::{AreaQueryEngine, EngineBuilder};
+use crate::engine::AreaQueryEngine;
 use crate::plan::{PlannedPath, Planner};
 use crate::query::{QuerySpec, SessionState, DEFAULT_CACHE_CAPACITY};
 use crate::sink::{
@@ -54,12 +45,12 @@ pub const DEFAULT_COMPACT_RATIO: f64 = 0.25;
 
 /// Minimum delta-buffer size before a tombstone purge is considered
 /// (tiny buffers are cheaper to scan than to rewrite).
-pub(crate) const DELTA_PURGE_MIN: usize = 16;
+const DELTA_PURGE_MIN: usize = 16;
 
 /// `true` when a delta buffer of `len` points, `dead` of them
 /// tombstoned, should be physically purged: at least half dead and big
-/// enough to matter. Shared by the plain and sharded dynamic engines.
-pub(crate) fn should_purge_delta(len: usize, dead: usize) -> bool {
+/// enough to matter.
+fn should_purge_delta(len: usize, dead: usize) -> bool {
     len >= DELTA_PURGE_MIN && dead * 2 >= len
 }
 
@@ -87,12 +78,8 @@ pub struct DynamicAreaQueryEngine {
     base: AreaQueryEngine,
     /// Stable external id of each base point (parallel to base points).
     base_ids: Vec<u64>,
-    /// Site weight of each base point (parallel to base points; all
-    /// `0.0` on a plain Euclidean engine).
-    base_weights: Vec<f64>,
-    /// Points inserted since the last compaction, with their ids and
-    /// site weights (`0.0` for plain inserts).
-    delta: Vec<(u64, Point, f64)>,
+    /// Points inserted since the last compaction, with their ids.
+    delta: Vec<(u64, Point)>,
     /// How many `delta` entries are tombstoned (dead but not yet
     /// physically removed). Drives the purge heuristic.
     dead_delta: usize,
@@ -112,38 +99,8 @@ impl DynamicAreaQueryEngine {
     pub fn new(points: &[Point]) -> DynamicAreaQueryEngine {
         DynamicAreaQueryEngine {
             base_ids: (0..points.len() as u64).collect(),
-            base_weights: vec![0.0; points.len()],
             next_id: points.len() as u64,
             base: AreaQueryEngine::build(points),
-            delta: Vec::new(),
-            dead_delta: 0,
-            tombstones: HashSet::new(),
-            state: SessionState::new(DEFAULT_CACHE_CAPACITY),
-        }
-    }
-
-    /// Builds over an initial **weighted** point set (power diagram
-    /// semantics — see the [module docs](self)); ids `0..n as u64` are
-    /// assigned in input order. Uniform weights normalise to the plain
-    /// Euclidean engine, bit-identically.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `weights.len() != points.len()` or any weight is
-    /// non-finite (validate user input first; the CLI does).
-    pub fn with_weights(points: &[Point], weights: &[f64]) -> DynamicAreaQueryEngine {
-        assert_eq!(
-            weights.len(),
-            points.len(),
-            "one weight per point: {} weights for {} points",
-            weights.len(),
-            points.len()
-        );
-        DynamicAreaQueryEngine {
-            base_ids: (0..points.len() as u64).collect(),
-            base_weights: weights.to_vec(),
-            next_id: points.len() as u64,
-            base: AreaQueryEngine::build_weighted(points, weights),
             delta: Vec::new(),
             dead_delta: 0,
             tombstones: HashSet::new(),
@@ -168,16 +125,9 @@ impl DynamicAreaQueryEngine {
 
     /// Inserts a point, returning its stable id.
     pub fn insert(&mut self, p: Point) -> u64 {
-        self.insert_weighted(p, 0.0)
-    }
-
-    /// Inserts a point with a site weight, returning its stable id. The
-    /// weight has no effect until the next compaction folds it into the
-    /// rebuilt base's power diagram (see the [module docs](self)).
-    pub fn insert_weighted(&mut self, p: Point, weight: f64) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
-        self.delta.push((id, p, weight));
+        self.delta.push((id, p));
         id
     }
 
@@ -193,7 +143,7 @@ impl DynamicAreaQueryEngine {
             return false;
         }
         let in_base = self.base_ids.binary_search(&id).is_ok();
-        let in_delta = !in_base && self.delta.iter().any(|&(d, _, _)| d == id);
+        let in_delta = !in_base && self.delta.iter().any(|&(d, _)| d == id);
         if !in_base && !in_delta {
             return false;
         }
@@ -213,7 +163,7 @@ impl DynamicAreaQueryEngine {
     /// exactly the same live set before and after.
     fn purge_delta(&mut self) {
         let tombstones = &mut self.tombstones;
-        self.delta.retain(|(id, _, _)| !tombstones.remove(id));
+        self.delta.retain(|(id, _)| !tombstones.remove(id));
         self.dead_delta = 0;
     }
 
@@ -290,7 +240,7 @@ impl DynamicAreaQueryEngine {
             self.dead_delta,
             self.delta
                 .iter()
-                .filter(|(id, _, _)| self.tombstones.contains(id))
+                .filter(|(id, _)| self.tombstones.contains(id))
                 .count(),
             "dead-delta counter tracks the tombstoned delta entries"
         );
@@ -311,24 +261,22 @@ impl DynamicAreaQueryEngine {
     }
 
     /// Borrows everything a snapshot writer needs: the base engine, the
-    /// id/weight tables, the delta buffer, the tombstone set and the
-    /// next id. The session state (scratch + cache) is deliberately
-    /// excluded — it is an amortisation, not part of the answer.
+    /// id table, the delta buffer, the tombstone set and the next id. The
+    /// session state (scratch + cache) is deliberately excluded — it is
+    /// an amortisation, not part of the answer.
     #[allow(clippy::type_complexity)] // one borrow per persisted field
     pub(crate) fn snapshot_parts(
         &self,
     ) -> (
         &AreaQueryEngine,
         &[u64],
-        &[f64],
-        &[(u64, Point, f64)],
+        &[(u64, Point)],
         &HashSet<u64>,
         u64,
     ) {
         (
             &self.base,
             &self.base_ids,
-            &self.base_weights,
             &self.delta,
             &self.tombstones,
             self.next_id,
@@ -343,19 +291,17 @@ impl DynamicAreaQueryEngine {
     pub(crate) fn from_snapshot_parts(
         base: AreaQueryEngine,
         base_ids: Vec<u64>,
-        base_weights: Vec<f64>,
-        delta: Vec<(u64, Point, f64)>,
+        delta: Vec<(u64, Point)>,
         tombstones: HashSet<u64>,
         next_id: u64,
     ) -> DynamicAreaQueryEngine {
         let dead_delta = delta
             .iter()
-            .filter(|(id, _, _)| tombstones.contains(id))
+            .filter(|(id, _)| tombstones.contains(id))
             .count();
         DynamicAreaQueryEngine {
             base,
             base_ids,
-            base_weights,
             delta,
             dead_delta,
             tombstones,
@@ -364,26 +310,20 @@ impl DynamicAreaQueryEngine {
         }
     }
 
-    /// Folds delta and tombstones into a fresh base engine, carrying
-    /// every surviving site's weight into the rebuilt diagram (uniform
-    /// weights — the all-plain-inserts case — normalise back to the
-    /// Euclidean build, bit-identically).
+    /// Folds delta and tombstones into a fresh base engine.
     pub fn compact(&mut self) {
         let mut ids = Vec::with_capacity(self.len());
         let mut pts = Vec::with_capacity(self.len());
-        let mut ws = Vec::with_capacity(self.len());
         for (idx, &id) in self.base_ids.iter().enumerate() {
             if !self.tombstones.contains(&id) {
                 ids.push(id);
                 pts.push(self.base.points()[idx]);
-                ws.push(self.base_weights[idx]);
             }
         }
-        for &(id, p, w) in &self.delta {
+        for &(id, p) in &self.delta {
             if !self.tombstones.contains(&id) {
                 ids.push(id);
                 pts.push(p);
-                ws.push(w);
             }
         }
         // Keep base_ids sorted so `remove` can binary-search them.
@@ -391,8 +331,7 @@ impl DynamicAreaQueryEngine {
         order.sort_unstable_by_key(|&i| ids[i]);
         self.base_ids = order.iter().map(|&i| ids[i]).collect();
         let pts: Vec<Point> = order.iter().map(|&i| pts[i]).collect();
-        self.base_weights = order.iter().map(|&i| ws[i]).collect();
-        self.base = EngineBuilder::new(&pts).weights(&self.base_weights).build();
+        self.base = AreaQueryEngine::build(&pts);
         // The scratch was sized for the old base; the prepared-area cache
         // is content-keyed and survives the rebuild untouched.
         self.state.reset_scratch();
@@ -435,7 +374,7 @@ impl<A: QueryArea + ?Sized> SinkVisitor for DynamicRun<'_, A> {
             state.execute_sink(base, self.spec, area, &kind, &mut partial, &map, &mut stats);
         }
         let delta_predicates = AreaQueryEngine::sample_predicates(|| {
-            for &(id, p, _) in delta.iter() {
+            for &(id, p) in delta.iter() {
                 if tombstones.contains(&id) {
                     continue;
                 }

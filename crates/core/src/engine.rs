@@ -41,6 +41,7 @@ use crate::area::QueryArea;
 use crate::payload::RecordStore;
 use crate::plan::DensityMap;
 use crate::scratch::QueryScratch;
+use crate::shard::ShardedAreaQueryEngine;
 use crate::stats::QueryStats;
 use vaq_delaunay::{DiagramKind, SiteMetric, Triangulation};
 use vaq_geom::{Point, Rect};
@@ -66,7 +67,9 @@ impl QueryResult {
     }
 }
 
-/// Builder for [`AreaQueryEngine`] with payload records or site weights.
+/// Builder for [`AreaQueryEngine`] (and, through
+/// [`EngineBuilder::build_sharded`], [`ShardedAreaQueryEngine`]) with
+/// payload records or site weights.
 pub struct EngineBuilder {
     points: Vec<Point>,
     payload_bytes: usize,
@@ -96,8 +99,8 @@ impl EngineBuilder {
     }
 
     /// Attaches a pre-built record store instead of generating one
-    /// (overrides [`EngineBuilder::payload_bytes`]). The sharded engines
-    /// use this to hand each shard its slice of one logical store
+    /// (overrides [`EngineBuilder::payload_bytes`]). The sharded build
+    /// uses this to hand each shard its slice of one logical store
     /// ([`RecordStore::split`]) — shard-local ids, record contents copied
     /// exactly once, checksums bit-identical to the unsharded store's.
     ///
@@ -125,9 +128,24 @@ impl EngineBuilder {
         self
     }
 
+    /// The record store the build attaches: the one handed to
+    /// [`EngineBuilder::record_store`], else one generated for
+    /// [`EngineBuilder::payload_bytes`], else none.
+    fn take_records(&mut self) -> Option<RecordStore> {
+        self.records.take().or_else(|| {
+            (self.payload_bytes > 0).then(|| {
+                RecordStore::generate(
+                    self.points.len(),
+                    self.payload_bytes,
+                    crate::payload::PAYLOAD_SEED,
+                )
+            })
+        })
+    }
+
     /// Builds the engine: STR-bulk-loaded R-tree and Delaunay (or
     /// regular) triangulation.
-    pub fn build(self) -> AreaQueryEngine {
+    pub fn build(mut self) -> AreaQueryEngine {
         let tri = if self.points.is_empty() {
             None
         } else {
@@ -136,17 +154,36 @@ impl EngineBuilder {
                     .expect("finite, non-empty input with one finite weight per point"),
             )
         };
-        let records = self.records.or_else(|| {
-            (self.payload_bytes > 0).then(|| {
-                RecordStore::generate(
-                    self.points.len(),
-                    self.payload_bytes,
-                    crate::payload::PAYLOAD_SEED,
-                )
-            })
-        });
+        let records = self.take_records();
         let density = DensityMap::from_points(&self.points);
         AreaQueryEngine::assemble(self.points, tri, records, density, None, None)
+    }
+
+    /// Builds a [`ShardedAreaQueryEngine`] over the same options: the
+    /// points are kd-partitioned into at most `shards` shards (`0`
+    /// auto-tunes to the machine's available parallelism), each shard
+    /// builds the power diagram of its own slice of the weights, and one
+    /// logical record store — generated exactly as [`EngineBuilder::build`]
+    /// would, or the one passed to [`EngineBuilder::record_store`] — is
+    /// [split](RecordStore::split) into per-shard stores, so payload
+    /// checksums stay bit-identical to the unsharded engine's. Shard
+    /// engines build in parallel on up to `shards` worker threads.
+    ///
+    /// # Panics
+    ///
+    /// As [`EngineBuilder::build`]: on a weight count that differs from
+    /// the point count, a non-finite weight, or a record store that does
+    /// not hold one record per point.
+    pub fn build_sharded(mut self, shards: usize) -> ShardedAreaQueryEngine {
+        let records = self.take_records();
+        let shards = crate::sync::resolve_threads(shards);
+        ShardedAreaQueryEngine::build_inner(
+            &self.points,
+            shards,
+            shards,
+            self.weights.as_deref(),
+            records.as_ref(),
+        )
     }
 }
 
@@ -330,7 +367,7 @@ impl AreaQueryEngine {
     /// expansion policy consults these flags to fall back to the complete
     /// cell test on boundary-straddling frontiers — closing the
     /// completeness gap of shard-local segment expansion. Called once per
-    /// shard at build time by the sharded engines.
+    /// shard at build time by the sharded build.
     pub(crate) fn mark_shard_boundary(&mut self, mbr: &Rect) {
         let Some(tri) = self.tri.as_ref() else {
             self.boundary_straddlers = None;

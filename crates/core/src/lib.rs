@@ -30,6 +30,13 @@
 //! policy, prepare mode and shard pruning per query and records its
 //! decision as an [`ExecutionPlan`] in the stats.
 //!
+//! Three engines share that surface: [`AreaQueryEngine`] over one
+//! diagram (Euclidean, or a power diagram of weighted sites);
+//! [`ShardedAreaQueryEngine`], a kd partition of plain engines built by
+//! [`EngineBuilder::build_sharded`] with the same weight and payload
+//! options; and [`DynamicAreaQueryEngine`], a Euclidean base with an
+//! insert/delete overlay. Module [`snapshot`] saves and loads all three.
+//!
 //! ## Quick start
 //!
 //! ```
@@ -113,9 +120,7 @@ pub use query::{
     ShardPruning, DEFAULT_CACHE_CAPACITY,
 };
 pub use scratch::QueryScratch;
-pub use shard::{
-    ShardBreakdown, ShardedAreaQueryEngine, ShardedDynamicAreaQueryEngine, ShardedQueryOutput,
-};
+pub use shard::{ShardBreakdown, ShardedAreaQueryEngine, ShardedQueryOutput};
 pub use sink::{
     CollectSink, CountSink, Emit, MaterializeSink, Neighbor, ResultSink, SinkId, TopKNearestSink,
     TopKPartial,

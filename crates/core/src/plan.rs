@@ -22,8 +22,8 @@
 //!   [`AreaFingerprint`](crate::AreaFingerprint) is already resident in
 //!   the session's prepared-area LRU, and whether the area has a prepared
 //!   form at all;
-//! * `delta_len`, `shards` — overlay depth on dynamic engines and shard
-//!   count on sharded ones;
+//! * `delta_len`, `shards` — overlay depth on the dynamic engine and
+//!   shard count on the sharded one;
 //! * `in_hull` — whether the area's MBR stays inside the data bounding
 //!   box (outside it, segment expansion loses its completeness argument,
 //!   so the planner hedges to cell expansion).
@@ -78,9 +78,9 @@ pub enum PlannedPath {
     /// A query on [`DynamicAreaQueryEngine`](crate::DynamicAreaQueryEngine)
     /// (base pass + delta scan).
     Dynamic,
-    /// A query on a sharded engine
-    /// ([`ShardedAreaQueryEngine`](crate::ShardedAreaQueryEngine) or its
-    /// dynamic variant), fanned out over the kd partition.
+    /// A query on
+    /// [`ShardedAreaQueryEngine`](crate::ShardedAreaQueryEngine), fanned
+    /// out over the kd partition.
     Sharded,
 }
 
@@ -130,7 +130,9 @@ impl ExecutionPlan {
 /// query).
 #[derive(Clone, Copy, Debug)]
 pub struct PlanFeatures {
-    /// Points indexed by the engine (live points on dynamic engines).
+    /// Points indexed by the engine. On the dynamic engine this is the
+    /// base's point count, tombstoned points included; the delta buffer
+    /// is counted in `delta_len`.
     pub len: usize,
     /// Expected number of points under the area's MBR, from the engine's
     /// [`DensityMap`]. This is exactly the traditional method's expected
@@ -145,9 +147,9 @@ pub struct PlanFeatures {
     /// `true` when the area has a prepared form at all (plain rectangles
     /// do not; preparation can only be planned when this holds).
     pub cacheable: bool,
-    /// Delta-buffer depth on dynamic engines (0 elsewhere). The linear
-    /// delta scan is method-independent, so this raises every predicted
-    /// cost equally — it is recorded for auditability.
+    /// Live delta-buffer depth on the dynamic engine (0 elsewhere). The
+    /// linear delta scan is method-independent, so this raises every
+    /// predicted cost equally — it is recorded for auditability.
     pub delta_len: usize,
     /// Shard count on sharded engines (0 elsewhere).
     pub shards: usize,
@@ -281,17 +283,6 @@ impl DensityMap {
             }
         }
         sum
-    }
-
-    /// Expected point density (points per unit area) inside `rect`;
-    /// `0.0` for a degenerate rectangle.
-    pub fn density_in(&self, rect: &Rect) -> f64 {
-        let a = rect.area();
-        if a > 0.0 {
-            self.estimate_count(rect) / a
-        } else {
-            0.0
-        }
     }
 }
 

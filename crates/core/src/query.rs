@@ -623,8 +623,8 @@ impl SessionState {
     /// The session funnel over the generic emission core: resolves the
     /// area's preparation (see [`SessionState::resolve`]), lends the
     /// scratch, and runs [`AreaQueryEngine::run_sink`]. Every plain and
-    /// dynamic query goes through here; the dynamic engines emit
-    /// external ids and filter tombstones through `map`. Sets
+    /// dynamic query goes through here; the dynamic engine emits
+    /// external ids and filters tombstones through `map`. Sets
     /// `stats.prepared_cache` to this query's cache traffic.
     #[allow(clippy::too_many_arguments)] // the emission core's explicit inputs
     pub(crate) fn execute_sink<A, I, K, F>(
@@ -747,7 +747,7 @@ impl AreaQueryEngine {
     /// `spec.method` over the area and emits each accepted candidate into
     /// `kind`'s `partial`, with its engine-local index translated through
     /// `map` into the caller's id space (`None` drops the candidate — the
-    /// dynamic engines' tombstone filter, applied *before* the sink so a
+    /// dynamic engine's tombstone filter, applied *before* the sink so a
     /// bounded sink never wastes a slot on a dead point). The thread's
     /// exact-predicate totals are sampled around the run, so
     /// `stats.predicates` reports this query's filter/fallback split (a

@@ -23,8 +23,8 @@
 //!   index (for record reads), its coordinates and the engine's
 //!   [`RecordStore`].
 //!
-//! The id space is generic ([`SinkId`]): static and sharded engines emit
-//! `u32` **global input indices**, the dynamic engines emit `u64`
+//! The id space is generic ([`SinkId`]): the plain and sharded engines
+//! emit `u32` **global input indices**, the dynamic engine emits `u64`
 //! **stable external ids**. Merging is deterministic: a partial's content
 //! after any interleaving of emits and merges depends only on the emitted
 //! multiset (the k-nearest sink breaks distance ties by id).
@@ -54,8 +54,8 @@ use std::collections::BinaryHeap;
 use vaq_geom::Point;
 
 /// An id space results are emitted in: `u32` global input indices for the
-/// static and sharded engines, `u64` stable external ids for the dynamic
-/// engines.
+/// plain and sharded engines, `u64` stable external ids for the dynamic
+/// engine.
 pub trait SinkId: Copy + Ord + Send + Sync + std::fmt::Debug + 'static {}
 
 impl SinkId for u32 {}

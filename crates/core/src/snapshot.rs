@@ -48,14 +48,18 @@
 //!   is derived from the points), payload record pages, the planner's
 //!   density map, shard-boundary flags and the R-tree arena.
 //! * **Sharded** ([`ShardedAreaQueryEngine`]): the kd-partition
-//!   metadata plus **one independently loadable section per shard**
-//!   (its global-id table and a nested engine blob), and the planner's
-//!   calibration ratios, so a loaded engine resumes with the
-//!   calibration it had learned.
+//!   metadata (point count, diagram family, shard count) plus **one
+//!   independently loadable section per shard** (its global-id table and
+//!   a nested engine blob), and the planner's calibration ratios, so a
+//!   loaded engine resumes with the calibration it had learned.
 //! * **Dynamic** ([`DynamicAreaQueryEngine`]): the base engine blob
-//!   plus the overlay **as data** — id/weight tables, the delta
-//!   buffer, tombstones and the id counter are stored and replayed on
-//!   load, not re-executed as operations.
+//!   plus the overlay **as data** — the base id table, the delta buffer
+//!   of `(id, point)` entries, tombstones and the id counter are stored
+//!   and replayed on load, not re-executed as operations. The loader
+//!   checks the overlay's id invariants: base ids strictly ascending,
+//!   delta ids distinct from each other and from every base id, every
+//!   tombstone naming a base or delta id, and the id counter above every
+//!   assigned id.
 
 use crate::dynamic::DynamicAreaQueryEngine;
 use crate::engine::AreaQueryEngine;
@@ -78,7 +82,7 @@ pub const SNAPSHOT_MAGIC: u64 = u64::from_le_bytes(*b"VAQSNAP1");
 /// Current container format version. Bump on **any** change to the
 /// header, section or flat-array layouts (the layout-fingerprint guard
 /// test enforces the coupling).
-pub const SNAPSHOT_VERSION: u32 = 2;
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// Section payloads (and the first section) start on multiples of this.
 pub const SNAPSHOT_PAGE: usize = 4096;
@@ -96,8 +100,8 @@ const PARAMS_BYTES: usize = 56;
 const TAG_ENGINE: u64 = 0x01;
 /// Section tag: the dynamic engine's base blob.
 const TAG_DYN_BASE: u64 = 0x10;
-/// Section tag: the dynamic engine's overlay (ids, weights, delta,
-/// tombstones, next id).
+/// Section tag: the dynamic engine's overlay (ids, delta, tombstones,
+/// next id).
 const TAG_DYN_OVERLAY: u64 = 0x11;
 /// Section tag: the sharded engine's partition metadata.
 const TAG_SH_META: u64 = 0x20;
@@ -111,7 +115,7 @@ const TAG_SHARD: u64 = 0x1000;
 /// misparsing it. The guard test in this module pins the fingerprint:
 /// editing this string (or the layouts it describes) without bumping
 /// [`SNAPSHOT_VERSION`] fails the build's test suite.
-const LAYOUT: &str = "vaq-snapshot layout v2:\
+const LAYOUT: &str = "vaq-snapshot layout v3:\
  header{magic:u64,version:u32,kind:u32,layout:u64,file_len:u64,sections:u64,\
 table_sum:u64,git_rev:[u8;24],params:[u8;56]}\
  table{tag:u64,offset:u64,len:u64,checksum:u64}*\
@@ -123,10 +127,9 @@ anchor:[u32]},records?{record_bytes:u64,data:[u8]},\
 density:[{min:f64x2,max:f64x2,count:f64}],\
 straddlers?:[u8],rtree{levels:[u32],entry_offsets:[u32],entry_children:[u32],\
 inner_rects:[f64],root:u32,len:u64,max_entries:u32}}\
- dyn_overlay{base_ids:[u64],base_weights:[f64],delta:[{id:u64,x:f64,y:f64,\
-w:f64}],tombstones:[u64],next_id:u64}\
- sh_meta{len:u64,target_shards:u64,diagram:u32,calibration:[f64;3],\
-shard_count:u64}\
+ dyn_overlay{base_ids:[u64],delta:[{id:u64,x:f64,y:f64}],tombstones:[u64],\
+next_id:u64}\
+ sh_meta{len:u64,diagram:u32,calibration:[f64;3],shard_count:u64}\
  shard{global:[u32],engine:[u8]}";
 
 /// The layout fingerprint of this build: [`checksum64`] over the
@@ -1116,18 +1119,16 @@ pub fn engine_to_bytes(engine: &AreaQueryEngine) -> Vec<u8> {
 /// Serializes a dynamic engine (base + overlay) into an in-memory
 /// container.
 pub fn dynamic_to_bytes(engine: &DynamicAreaQueryEngine) -> Vec<u8> {
-    let (base, base_ids, base_weights, delta, tombstones, next_id) = engine.snapshot_parts();
+    let (base, base_ids, delta, tombstones, next_id) = engine.snapshot_parts();
     let mut c = ContainerWriter::new(SnapshotKind::Dynamic);
     c.section(TAG_DYN_BASE, encode_engine(base));
     let mut w = SecWriter::default();
     w.u64s(base_ids);
-    w.f64s(base_weights);
     w.u64(delta.len() as u64);
-    for &(id, p, weight) in delta {
+    for &(id, p) in delta {
         w.u64(id);
         w.f64(p.x);
         w.f64(p.y);
-        w.f64(weight);
     }
     let mut tombs: Vec<u64> = tombstones.iter().copied().collect();
     tombs.sort_unstable();
@@ -1140,11 +1141,10 @@ pub fn dynamic_to_bytes(engine: &DynamicAreaQueryEngine) -> Vec<u8> {
 /// Serializes a sharded engine into an in-memory container: partition
 /// metadata plus one independently checksummed section per shard.
 pub fn sharded_to_bytes(engine: &ShardedAreaQueryEngine) -> Vec<u8> {
-    let (shards, len, target_shards, diagram, calibration) = engine.snapshot_parts();
+    let (shards, len, diagram, calibration) = engine.snapshot_parts();
     let mut c = ContainerWriter::new(SnapshotKind::Sharded);
     let mut m = SecWriter::default();
     m.u64(len as u64);
-    m.u64(target_shards as u64);
     m.u32(match diagram {
         DiagramKind::Euclidean => 0,
         DiagramKind::Power => 1,
@@ -1179,15 +1179,13 @@ pub fn dynamic_from_bytes(bytes: &[u8]) -> Result<DynamicAreaQueryEngine, Snapsh
     let base = decode_engine(c.section(TAG_DYN_BASE)?)?;
     let mut r = SecReader::new(c.section(TAG_DYN_OVERLAY)?);
     let base_ids = r.u64s()?;
-    let base_weights = r.f64s()?;
-    let n_delta = r.len(32)?;
+    let n_delta = r.len(24)?;
     let mut delta = Vec::with_capacity(n_delta);
     for _ in 0..n_delta {
         let id = r.u64()?;
         let x = r.f64()?;
         let y = r.f64()?;
-        let weight = r.f64()?;
-        delta.push((id, Point::new(x, y), weight));
+        delta.push((id, Point::new(x, y)));
     }
     let tombs = r.u64s()?;
     let next_id = r.u64()?;
@@ -1199,23 +1197,35 @@ pub fn dynamic_from_bytes(bytes: &[u8]) -> Result<DynamicAreaQueryEngine, Snapsh
             base.len()
         )));
     }
-    if base_weights.len() != base_ids.len() {
-        return Err(SnapshotError::Inconsistent(format!(
-            "{} base weights for {} base ids",
-            base_weights.len(),
-            base_ids.len()
-        )));
-    }
     // vaq-lint: allow(panic-hygiene) -- windows(2) yields exactly two elements
     if !base_ids.windows(2).all(|w| w[0] < w[1]) {
         return Err(SnapshotError::Malformed(
             "base ids are not strictly ascending".to_string(),
         ));
     }
+    // Every id names one point: delta ids are distinct from each other
+    // and from every base id (sorted, so a binary search each), and
+    // every tombstone masks a base or delta id. Without these checks a
+    // query reports an id twice, and the live count underflows.
+    let mut delta_ids: HashSet<u64> = HashSet::with_capacity(delta.len());
+    for &(id, _) in &delta {
+        if base_ids.binary_search(&id).is_ok() || !delta_ids.insert(id) {
+            return Err(SnapshotError::Inconsistent(format!(
+                "id {id} is assigned to more than one point"
+            )));
+        }
+    }
+    if let Some(&id) = tombs
+        .iter()
+        .find(|&&id| base_ids.binary_search(&id).is_err() && !delta_ids.contains(&id))
+    {
+        return Err(SnapshotError::Inconsistent(format!(
+            "tombstone {id} names no base or delta point"
+        )));
+    }
     let ceiling = base_ids
         .iter()
-        .chain(delta.iter().map(|(id, _, _)| id))
-        .chain(tombs.iter())
+        .chain(delta.iter().map(|(id, _)| id))
         .max()
         .copied();
     if let Some(max_id) = ceiling {
@@ -1227,12 +1237,7 @@ pub fn dynamic_from_bytes(bytes: &[u8]) -> Result<DynamicAreaQueryEngine, Snapsh
     }
     let tombstones: HashSet<u64> = tombs.into_iter().collect();
     Ok(DynamicAreaQueryEngine::from_snapshot_parts(
-        base,
-        base_ids,
-        base_weights,
-        delta,
-        tombstones,
-        next_id,
+        base, base_ids, delta, tombstones, next_id,
     ))
 }
 
@@ -1248,10 +1253,6 @@ pub fn sharded_from_bytes(bytes: &[u8]) -> Result<ShardedAreaQueryEngine, Snapsh
         .u64()?
         .try_into()
         .map_err(|_| SnapshotError::Malformed("point count overflows usize".to_string()))?;
-    let target_shards: usize = m
-        .u64()?
-        .try_into()
-        .map_err(|_| SnapshotError::Malformed("shard target overflows usize".to_string()))?;
     let diagram = match m.u32()? {
         0 => DiagramKind::Euclidean,
         1 => DiagramKind::Power,
@@ -1304,7 +1305,6 @@ pub fn sharded_from_bytes(bytes: &[u8]) -> Result<ShardedAreaQueryEngine, Snapsh
     Ok(ShardedAreaQueryEngine::from_snapshot_parts(
         shards,
         len,
-        target_shards,
         diagram,
         calibration,
     ))
@@ -1398,14 +1398,92 @@ mod tests {
     #[test]
     fn layout_fingerprint_is_pinned_to_the_version() {
         assert_eq!(
-            SNAPSHOT_VERSION, 2,
+            SNAPSHOT_VERSION, 3,
             "version changed: re-pin the fingerprint"
         );
         assert_eq!(
             layout_fingerprint(),
-            0xc548_cac8_d7a9_e9f2,
+            0xf2ab_9fa7_f731_be77,
             "flat layout changed: bump SNAPSHOT_VERSION and re-pin this fingerprint"
         );
+    }
+
+    /// Hand-builds a dynamic container over a base of `base` points (ids
+    /// `0..base.len()`), with the given delta entries, tombstones and
+    /// next id — no engine operation could produce an inconsistent one.
+    fn crafted_overlay(
+        base: &[Point],
+        delta: &[(u64, Point)],
+        tombs: &[u64],
+        next_id: u64,
+    ) -> Vec<u8> {
+        let mut c = ContainerWriter::new(SnapshotKind::Dynamic);
+        c.section(TAG_DYN_BASE, encode_engine(&AreaQueryEngine::build(base)));
+        let mut w = SecWriter::default();
+        w.u64s(&(0..base.len() as u64).collect::<Vec<u64>>());
+        w.u64(delta.len() as u64);
+        for &(id, p) in delta {
+            w.u64(id);
+            w.f64(p.x);
+            w.f64(p.y);
+        }
+        w.u64s(tombs);
+        w.u64(next_id);
+        c.section(TAG_DYN_OVERLAY, w.buf);
+        c.finish()
+    }
+
+    fn assert_inconsistent(bytes: &[u8], what: &str) {
+        match dynamic_from_bytes(bytes) {
+            Err(SnapshotError::Inconsistent(msg)) => assert!(msg.contains(what), "{msg}"),
+            Err(e) => panic!("expected an inconsistent-overlay error, got {e}"),
+            Ok(_) => panic!("an overlay with a colliding or dangling id ({what}) loaded"),
+        }
+    }
+
+    fn three_points() -> [Point; 3] {
+        [
+            Point::new(0.1, 0.1),
+            Point::new(0.5, 0.5),
+            Point::new(0.9, 0.8),
+        ]
+    }
+
+    /// A tombstone must mask a base or delta point; an empty base with
+    /// tombstone 5 would report a live count of `0 − 1`.
+    #[test]
+    fn tombstone_naming_no_point_is_rejected() {
+        assert_inconsistent(&crafted_overlay(&[], &[], &[5], 6), "tombstone 5");
+        // Tombstones over a base id and a delta id are fine.
+        let delta = [(3, Point::new(0.3, 0.3))];
+        let ok = dynamic_from_bytes(&crafted_overlay(&three_points(), &delta, &[1, 3], 4))
+            .expect("tombstones naming live ids load");
+        assert_eq!(ok.len(), 2);
+    }
+
+    /// A delta id must not reuse a base id; a whole-area query would
+    /// report id 1 twice.
+    #[test]
+    fn delta_id_reusing_a_base_id_is_rejected() {
+        let base = three_points();
+        let reused = [(1, Point::new(0.3, 0.3))];
+        assert_inconsistent(&crafted_overlay(&base, &reused, &[], 3), "id 1");
+        let fresh = [(3, Point::new(0.3, 0.3))];
+        let ok = dynamic_from_bytes(&crafted_overlay(&base, &fresh, &[], 4))
+            .expect("a fresh delta id loads");
+        assert_eq!(ok.len(), 4);
+    }
+
+    /// Delta ids must be distinct; both entries with id 7 would answer,
+    /// and removing id 7 would leave `len() == 1` with nothing live.
+    #[test]
+    fn duplicate_delta_ids_are_rejected() {
+        let twice = [(7, Point::new(0.2, 0.2)), (7, Point::new(0.4, 0.4))];
+        assert_inconsistent(&crafted_overlay(&[], &twice, &[], 8), "id 7");
+        let distinct = [(7, Point::new(0.2, 0.2)), (8, Point::new(0.4, 0.4))];
+        let ok = dynamic_from_bytes(&crafted_overlay(&[], &distinct, &[], 9))
+            .expect("distinct delta ids load");
+        assert_eq!(ok.len(), 2);
     }
 
     #[test]
@@ -1473,12 +1551,15 @@ mod tests {
             Err(SnapshotError::WrongEndian)
         ));
 
-        let mut newer = bytes.clone();
-        newer[8..12].copy_from_slice(&(SNAPSHOT_VERSION + 1).to_le_bytes());
-        assert!(matches!(
-            engine_from_bytes(&newer),
-            Err(SnapshotError::UnsupportedVersion { .. })
-        ));
+        // The previous format version and a future one are both refused.
+        for version in [SNAPSHOT_VERSION - 1, SNAPSHOT_VERSION + 1] {
+            let mut other = bytes.clone();
+            other[8..12].copy_from_slice(&version.to_le_bytes());
+            assert!(matches!(
+                engine_from_bytes(&other),
+                Err(SnapshotError::UnsupportedVersion { found, .. }) if found == version
+            ));
+        }
 
         let mut other_layout = bytes.clone();
         other_layout[16] ^= 0x01;

@@ -36,9 +36,9 @@
 //! * **Pipeline handoff** — `vaq-workload`'s build pipeline moves
 //!   engines between threads through [`channel::bounded`].
 //!
-//! The dynamic engines (`DynamicAreaQueryEngine` and the sharded
-//! overlay) mutate delta/tombstone/compaction state through `&mut self`
-//! and are externally synchronised; `vaq-race` model-checks them behind
+//! The dynamic engine (`DynamicAreaQueryEngine`) mutates
+//! delta/tombstone/compaction state through `&mut self` and is
+//! externally synchronised; `vaq-race` model-checks them behind
 //! a model [`Mutex`](model::Mutex) to prove that a plain exclusive lock
 //! is a sufficient sharing contract for that state.
 //!

@@ -185,13 +185,6 @@ impl Rect {
         dx * dx + dy * dy
     }
 
-    /// The increase in area needed for this rectangle to cover `other`.
-    /// Guttman's `ChooseLeaf` criterion.
-    #[inline]
-    pub fn enlargement(&self, other: &Rect) -> f64 {
-        self.union(other).area() - self.area()
-    }
-
     /// The four corners in counter-clockwise order starting at `min`.
     #[inline]
     pub fn corners(&self) -> [Point; 4] {
@@ -302,13 +295,6 @@ mod tests {
         assert_eq!(a.min_dist_sq(Point::new(3.0, 1.0)), 1.0); // right
         assert_eq!(a.min_dist_sq(Point::new(1.0, -2.0)), 4.0); // below
         assert_eq!(a.min_dist_sq(Point::new(5.0, 6.0)), 9.0 + 16.0); // corner
-    }
-
-    #[test]
-    fn enlargement_measures_growth() {
-        let a = r(0.0, 0.0, 2.0, 2.0);
-        assert_eq!(a.enlargement(&r(0.5, 0.5, 1.0, 1.0)), 0.0);
-        assert_eq!(a.enlargement(&r(0.0, 0.0, 4.0, 2.0)), 4.0);
     }
 
     #[test]

@@ -196,7 +196,9 @@ pub fn build_sharded_engine(
         cfg.distribution,
         cfg.base_seed ^ data_size as u64,
     );
-    ShardedAreaQueryEngine::build_with_payload(&pts, shards, cfg.payload_bytes)
+    AreaQueryEngine::builder(&pts)
+        .payload_bytes(cfg.payload_bytes)
+        .build_sharded(shards)
 }
 
 /// Table I / Figs 4–5: sweep over data sizes at a fixed query size.

@@ -54,7 +54,7 @@ use std::fs;
 use std::path::Path;
 use std::process::ExitCode;
 use voronoi_area_query::core::snapshot;
-use voronoi_area_query::core::AreaQueryEngine;
+use voronoi_area_query::core::{AreaQueryEngine, EngineBuilder};
 use voronoi_area_query::core::{
     ExecutionPlan, ExpansionPolicy, LoadedEngine, MethodChoice, OutputMode, PointClass,
     PrepareMode, QueryArea, QueryMethod, QuerySpec, ShardedAreaQueryEngine,
@@ -539,20 +539,21 @@ fn resolve_cli_threads(threads: usize) -> usize {
     workers
 }
 
-/// Builds the unsharded engine from the CLI's build-time flags
-/// (payload, weights); shared by `query` and `vaq build --save`.
+/// The engine builder for the CLI's build-time flags (payload,
+/// weights); the plain and the sharded build both start from it.
+fn cli_builder(points: &[Point], o: &Options) -> Result<EngineBuilder, String> {
+    let builder = AreaQueryEngine::builder(points).payload_bytes(o.payload_bytes);
+    Ok(match o.weights.as_deref() {
+        Some(spec) => builder.weights(&parse_weights(spec, points.len())?),
+        None => builder,
+    })
+}
+
+/// Builds the unsharded engine from the CLI's build-time flags; shared
+/// by `query` and `vaq build --save`.
 fn build_plain_engine(points: &[Point], o: &Options) -> Result<AreaQueryEngine, String> {
-    let mut builder = AreaQueryEngine::builder(points).payload_bytes(o.payload_bytes);
-    let weights = o
-        .weights
-        .as_deref()
-        .map(|spec| parse_weights(spec, points.len()))
-        .transpose()?;
-    if let Some(w) = &weights {
-        builder = builder.weights(w);
-    }
-    let engine = builder.build();
-    if weights.is_some() {
+    let engine = cli_builder(points, o)?.build();
+    if o.weights.is_some() {
         let hidden = engine
             .triangulation()
             .map_or(0, |tri| tri.hidden_vertices().len());
@@ -664,14 +665,7 @@ fn query_sharded(points: &[Point], area: &CliArea, o: &Options) -> Result<(), St
 /// Builds the sharded engine from the CLI's build-time flags; shared by
 /// `query --shards` and `vaq build --shards --save`.
 fn build_sharded_engine(points: &[Point], o: &Options) -> Result<ShardedAreaQueryEngine, String> {
-    let shards = o.shards.unwrap_or(1);
-    Ok(match o.weights.as_deref() {
-        Some(spec) => {
-            let w = parse_weights(spec, points.len())?;
-            ShardedAreaQueryEngine::build_weighted_with_payload(points, &w, shards, o.payload_bytes)
-        }
-        None => ShardedAreaQueryEngine::build_with_payload(points, shards, o.payload_bytes),
-    })
+    Ok(cli_builder(points, o)?.build_sharded(o.shards.unwrap_or(1)))
 }
 
 /// The execution half of the sharded path, over a built or
@@ -691,48 +685,29 @@ fn run_sharded_specs(
         engine.shard_sizes(),
         engine.diagram_kind(),
     );
-    let workers = o.threads.map(resolve_cli_threads);
-    // The sharded engine has no cross-query cache, so `--prepared`
-    // compiles the area once *here* and every method (and every shard)
-    // runs on the same compiled form — the single-engine path gets the
-    // same effect from its session cache.
-    let prepared_area = if o.prepared {
-        area.as_query_area().prepare()
-    } else {
-        None
-    };
-    let run_area: &dyn QueryArea = match &prepared_area {
-        Some(prep) => prep.as_ref(),
-        None => area.as_query_area(),
-    };
-    let mut base = QuerySpec::new().output(output);
+    // One route: the area runs as a one-area batch on the `--threads`
+    // workers (the calling thread without the flag). `--prepared`
+    // compiles the area once inside the batch and every shard runs on
+    // the compiled form.
+    let workers = o.threads.map_or(1, resolve_cli_threads);
+    let mut base = QuerySpec::new()
+        .prepare(if o.prepared {
+            PrepareMode::Cached
+        } else {
+            PrepareMode::Raw
+        })
+        .output(output);
     if let Some(policy) = o.policy.as_deref() {
         base = base.policy(parse_policy(policy)?);
     }
     let mut printed = false;
     for &(name, m) in methods {
-        let out = match workers {
-            // Batch-executor route: preparation is handled by the batch
-            // itself (PrepareMode::Cached compiles each distinct area
-            // once per batch), so the raw concrete area goes in.
-            Some(workers) => {
-                let spec = base.method(m).prepare(if o.prepared {
-                    PrepareMode::Cached
-                } else {
-                    PrepareMode::Raw
-                });
-                let mut outs = match area {
-                    CliArea::Region(r) => {
-                        engine.execute_batch(&spec, std::slice::from_ref(r), workers)
-                    }
-                    CliArea::Window(w) => {
-                        engine.execute_batch(&spec, std::slice::from_ref(w), workers)
-                    }
-                };
-                outs.pop().ok_or("batch executor returned no output")?
-            }
-            None => engine.execute(&base.method(m), run_area),
+        let spec = base.method(m);
+        let mut outs = match area {
+            CliArea::Region(r) => engine.execute_batch(&spec, std::slice::from_ref(r), workers),
+            CliArea::Window(w) => engine.execute_batch(&spec, std::slice::from_ref(w), workers),
         };
+        let out = outs.pop().ok_or("batch executor returned no output")?;
         if o.verbose {
             print_plan(name, out.stats.plan.as_ref());
         }

@@ -281,6 +281,51 @@ fn sharded_query_matches_unsharded() {
     }
 }
 
+/// `--shards 3 --prepared`, with and without `--threads 2`, runs the one
+/// sharded route (a one-area batch that compiles the area once for every
+/// shard): the same stdout and the same per-method stats lines as the
+/// raw `--shards 3` query.
+#[test]
+fn sharded_prepared_query_matches_raw_sharded_query() {
+    let dir = temp_dir("sharded-prepared");
+    let pts = write_points(&dir);
+    let run = |extra: &[&str]| {
+        let mut args = vec![
+            "query",
+            "--points",
+            pts.to_str().unwrap(),
+            "--area",
+            "POLYGON ((0.0 0.0, 1.0 0.0, 1.0 1.0, 0.0 1.0), \
+             (0.2 0.2, 0.8 0.2, 0.8 0.8, 0.2 0.8))",
+            "--method",
+            "both",
+            "--shards",
+            "3",
+        ];
+        args.extend_from_slice(extra);
+        let out = vaq().args(&args).output().expect("run vaq");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let stats: Vec<String> = String::from_utf8_lossy(&out.stderr)
+            .lines()
+            .filter(|l| l.starts_with("voronoi:") || l.starts_with("traditional:"))
+            .map(String::from)
+            .collect();
+        (String::from_utf8_lossy(&out.stdout).into_owned(), stats)
+    };
+    let (raw_out, raw_stats) = run(&[]);
+    assert!(!raw_out.is_empty());
+    assert_eq!(raw_stats.len(), 2, "{raw_stats:?}");
+    for extra in [&["--prepared"][..], &["--prepared", "--threads", "2"]] {
+        let (out, stats) = run(extra);
+        assert_eq!(out, raw_out, "{extra:?}: indices");
+        assert_eq!(stats, raw_stats, "{extra:?}: per-method stats lines");
+    }
+}
+
 /// `--threads N|auto` routes the query through the batch executor's
 /// worker pool: bit-identical stdout to the in-line path (plain and
 /// sharded, auto and pinned methods), a worker-count line on stderr,

@@ -4,10 +4,11 @@
 //! 1. **Uniform weights are free**: an engine built with any uniform
 //!    weight vector (including all-zero) must be **bit-identical** to
 //!    the unweighted Euclidean engine — same sorted indices *and* the
-//!    same full [`QueryStats`] — on the plain, batch, dynamic and
-//!    sharded paths. A uniform weight shifts every power distance by
-//!    one constant, so the diagram it induces *is* the Euclidean one;
-//!    the builders normalise it away and this suite pins that.
+//!    same full [`QueryStats`] — on the plain, batch and sharded paths
+//!    (the dynamic engine is Euclidean only). A uniform weight shifts
+//!    every power distance by one constant, so the diagram it induces
+//!    *is* the Euclidean one; the builders normalise it away and this
+//!    suite pins that.
 //!
 //! 2. **Weighted answers are exact**: with genuinely distinct weights
 //!    the result of an area query is still "every point inside the
@@ -20,8 +21,8 @@
 //!    exercised on benign (small-weight) inputs.
 
 use voronoi_area_query::core::{
-    AreaQueryEngine, DynamicAreaQueryEngine, ExpansionPolicy, OutputMode, PrepareMode, QueryArea,
-    QueryMethod, QuerySpec, ShardedAreaQueryEngine,
+    AreaQueryEngine, ExpansionPolicy, OutputMode, PrepareMode, QueryArea, QueryMethod, QuerySpec,
+    ShardedAreaQueryEngine,
 };
 use voronoi_area_query::delaunay::DiagramKind;
 use voronoi_area_query::geom::{Point, Polygon, Rect};
@@ -137,45 +138,13 @@ fn uniform_weights_are_bit_identical_on_the_batch_path() {
 }
 
 #[test]
-fn uniform_weights_are_bit_identical_on_the_dynamic_path() {
-    let pts = generate(300, Distribution::Uniform, 0x11E3);
-    let mut plain = DynamicAreaQueryEngine::new(&pts);
-    let mut weighted = DynamicAreaQueryEngine::with_weights(&pts, &vec![0.75; pts.len()]);
-    let extra = generate(80, Distribution::Uniform, 0x11E4);
-    for &q in &extra {
-        assert_eq!(plain.insert(q), weighted.insert_weighted(q, 0.75));
-    }
-    for id in [3u64, 77, 310, 355] {
-        assert!(plain.remove(id));
-        assert!(weighted.remove(id));
-    }
-    let areas = areas_for(0xE2);
-    for area in &areas {
-        for spec in [QuerySpec::new(), QuerySpec::voronoi()] {
-            let a = plain.execute(&spec, area);
-            let b = weighted.execute(&spec, area);
-            assert_eq!(a.ids, b.ids);
-            assert_eq!(a.stats, b.stats);
-        }
-    }
-    // Compaction folds the (still uniform) weights back into a
-    // Euclidean rebuild, bit-identically.
-    plain.compact();
-    weighted.compact();
-    for area in &areas {
-        let a = plain.execute(&QuerySpec::new(), area);
-        let b = weighted.execute(&QuerySpec::new(), area);
-        assert_eq!(a.ids, b.ids);
-        assert_eq!(a.stats, b.stats);
-    }
-}
-
-#[test]
 fn uniform_weights_are_bit_identical_on_the_sharded_path() {
     let pts = generate(600, Distribution::Uniform, 0x11E5);
     for shards in [1usize, 4, 7] {
         let plain = ShardedAreaQueryEngine::build(&pts, shards);
-        let weighted = ShardedAreaQueryEngine::build_weighted(&pts, &vec![3.5; pts.len()], shards);
+        let weighted = AreaQueryEngine::builder(&pts)
+            .weights(&vec![3.5; pts.len()])
+            .build_sharded(shards);
         assert_eq!(weighted.diagram_kind(), DiagramKind::Euclidean);
         for area in areas_for(0xE3) {
             for (si, spec) in cell_grid().iter().enumerate() {
@@ -367,60 +336,13 @@ fn weighted_batch_path_matches_the_oracle() {
 }
 
 #[test]
-fn weighted_dynamic_path_matches_the_oracle_through_compaction() {
-    let pts = generate(250, Distribution::Uniform, 0x90EC);
-    let ws = clustered_weights(pts.len(), 0x90ED);
-    let mut eng = DynamicAreaQueryEngine::with_weights(&pts, &ws);
-    let mut live: Vec<(u64, Point)> = pts
-        .iter()
-        .enumerate()
-        .map(|(i, &q)| (i as u64, q))
-        .collect();
-    let extra = generate(70, Distribution::Uniform, 0x90EE);
-    let extra_w = clustered_weights(extra.len(), 0x90EF);
-    for (&q, &w) in extra.iter().zip(&extra_w) {
-        let id = eng.insert_weighted(q, w);
-        live.push((id, q));
-    }
-    for id in [2u64, 111, 249, 260, 301] {
-        assert!(eng.remove(id));
-        live.retain(|&(i, _)| i != id);
-    }
-    let oracle = |area: &Polygon, live: &[(u64, Point)]| -> Vec<u64> {
-        let mut v: Vec<u64> = live
-            .iter()
-            .filter(|&&(_, q)| QueryArea::contains(area, q))
-            .map(|&(id, _)| id)
-            .collect();
-        v.sort_unstable();
-        v
-    };
-    let areas = areas_for(0xF4);
-    for area in &areas {
-        assert_eq!(
-            eng.execute(&QuerySpec::new().policy(ExpansionPolicy::Cell), area)
-                .ids,
-            oracle(area, &live)
-        );
-    }
-    // Compaction folds the weighted deltas into the power base.
-    eng.compact();
-    assert_eq!(eng.delta_len(), 0);
-    for area in &areas {
-        assert_eq!(
-            eng.execute(&QuerySpec::new().policy(ExpansionPolicy::Cell), area)
-                .ids,
-            oracle(area, &live)
-        );
-    }
-}
-
-#[test]
 fn weighted_sharded_path_matches_the_oracle_across_shard_counts() {
     let pts = generate(550, Distribution::Uniform, 0x90F0);
     let ws = clustered_weights(pts.len(), 0x90F1);
     for shards in [1usize, 3, 8] {
-        let sharded = ShardedAreaQueryEngine::build_weighted(&pts, &ws, shards);
+        let sharded = AreaQueryEngine::builder(&pts)
+            .weights(&ws)
+            .build_sharded(shards);
         assert_eq!(sharded.diagram_kind(), DiagramKind::Power);
         for (ai, area) in areas_for(0xF5).iter().enumerate() {
             let want = membership_oracle(&pts, area);

@@ -3,15 +3,12 @@
 //! unsharded engine for every `QuerySpec`, every area shape (star
 //! polygons, regions with holes, rectangle windows, areas straddling
 //! shard boundaries) and every shard count — including the `S = 1` and
-//! `S > point count` edges. Plus the dynamic-overlay oracle under
-//! interleaved insert / remove / compact on the sharded path.
+//! `S > point count` edges.
 
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use voronoi_area_query::core::{
-    AreaQueryEngine, DynamicAreaQueryEngine, ExpansionPolicy, OutputMode, PrepareMode, QueryArea,
-    QueryMethod, QuerySpec, ShardedAreaQueryEngine, ShardedDynamicAreaQueryEngine,
+    AreaQueryEngine, ExpansionPolicy, OutputMode, PrepareMode, QueryArea, QueryMethod, QuerySpec,
+    ShardedAreaQueryEngine,
 };
 use voronoi_area_query::geom::{Point, Polygon, Rect, Region};
 use voronoi_area_query::workload::{
@@ -33,10 +30,10 @@ fn oracle_sorted(single: &AreaQueryEngine, area: &dyn QueryArea) -> Vec<u32> {
 /// Sweeps the sharded engine through the `QuerySpec` grid (methods ×
 /// policies × prepare modes × collect/count) against the unsharded
 /// brute-force oracle.
-fn assert_sharded_grid_agrees(
+fn assert_sharded_grid_agrees<A: QueryArea + Sync>(
     single: &AreaQueryEngine,
     sharded: &ShardedAreaQueryEngine,
-    area: &dyn QueryArea,
+    area: &A,
     context: &str,
 ) {
     let want = oracle_sorted(single, area);
@@ -237,79 +234,5 @@ proptest! {
             .policy(ExpansionPolicy::Cell)
             .prepare(PrepareMode::Cached);
         prop_assert_eq!(&sharded.execute(&alt, &area).indices, &want);
-    }
-
-    /// The dynamic sharded overlay equals a by-hand oracle under random
-    /// interleavings of insert / remove / query / compaction.
-    #[test]
-    fn dynamic_sharded_matches_oracle_under_interleaving(
-        seed in 0u64..100_000,
-        n in 0usize..160,
-        shards in 1usize..7,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let initial = generate(n, Distribution::Uniform, seed ^ 0xD15C);
-        let mut eng = ShardedDynamicAreaQueryEngine::new(&initial, shards);
-        let mut flat = DynamicAreaQueryEngine::new(&initial);
-        let mut live: Vec<(u64, Point)> = initial
-            .iter()
-            .enumerate()
-            .map(|(i, &q)| (i as u64, q))
-            .collect();
-        for step in 0..60 {
-            match rng.gen_range(0..10) {
-                0..=3 => {
-                    // Inserts may fall outside the unit square (and thus
-                    // outside every shard MBR).
-                    let q = p(rng.gen::<f64>() * 1.3 - 0.15, rng.gen::<f64>() * 1.3 - 0.15);
-                    let id = eng.insert(q);
-                    let flat_id = flat.insert(q);
-                    prop_assert_eq!(id, flat_id, "id allocation stays in lockstep");
-                    live.push((id, q));
-                }
-                4..=6 => {
-                    if !live.is_empty() {
-                        let (id, _) = live[rng.gen_range(0..live.len())];
-                        prop_assert!(eng.remove(id), "live id removes");
-                        prop_assert!(flat.remove(id));
-                        live.retain(|&(i, _)| i != id);
-                        prop_assert!(!eng.remove(id), "double remove refused");
-                    }
-                }
-                7 => {
-                    eng.maybe_compact();
-                }
-                _ => {
-                    let half = 0.05 + rng.gen::<f64>() * 0.3;
-                    let c = p(rng.gen(), rng.gen());
-                    let area = Polygon::new(vec![
-                        p(c.x - half, c.y - half),
-                        p(c.x + half, c.y - half),
-                        p(c.x + half, c.y + half),
-                        p(c.x - half, c.y + half),
-                    ])
-                    .unwrap();
-                    let mut want: Vec<u64> = live
-                        .iter()
-                        .filter(|(_, q)| QueryArea::contains(&area, *q))
-                        .map(|&(id, _)| id)
-                        .collect();
-                    want.sort_unstable();
-                    prop_assert_eq!(eng.query(&area), want.clone(), "step {}", step);
-                    prop_assert_eq!(flat.query(&area), want, "flat step {}", step);
-                }
-            }
-        }
-        eng.compact();
-        let area = Polygon::new(vec![p(0.1, 0.1), p(0.9, 0.1), p(0.9, 0.9), p(0.1, 0.9)]).unwrap();
-        let mut want: Vec<u64> = live
-            .iter()
-            .filter(|(_, q)| QueryArea::contains(&area, *q))
-            .map(|&(id, _)| id)
-            .collect();
-        want.sort_unstable();
-        prop_assert_eq!(eng.query(&area), want);
-        prop_assert_eq!(eng.delta_len(), 0);
-        prop_assert_eq!(eng.len(), live.len());
     }
 }

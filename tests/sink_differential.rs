@@ -2,8 +2,8 @@
 //! execution path** against a brute-force oracle.
 //!
 //! Paths: plain session, work-stealing batch, dynamic (under interleaved
-//! insert / remove / compact), sharded `S ∈ {1, 3, 8}` (single and batch),
-//! and sharded dynamic. Sinks: collect, count, kNN-within-area (including
+//! insert / remove / compact) and sharded `S ∈ {1, 3, 8}` (single and
+//! batch). Sinks: collect, count, kNN-within-area (including
 //! `k = 0`, `k ≥ matches`, and exact tie-distance cases) and payload
 //! materialisation (per-shard record stores split from one logical store,
 //! checksums bit-identical to the unsharded engine). Plus the
@@ -15,7 +15,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use voronoi_area_query::core::{
     AreaQueryEngine, DynamicAreaQueryEngine, OutputMode, PrepareMode, QueryArea, QueryMethod,
-    QuerySpec, ShardedAreaQueryEngine, ShardedDynamicAreaQueryEngine,
+    QuerySpec, ShardedAreaQueryEngine,
 };
 use voronoi_area_query::geom::{Point, Polygon, Rect};
 use voronoi_area_query::workload::{
@@ -212,7 +212,9 @@ fn sharded_sinks_match_unsharded_across_shard_counts() {
         .map(|i| random_query_polygon(&space, &PolygonSpec::with_query_size(0.05), 880 + i))
         .collect();
     for shards in [1usize, 3, 8] {
-        let sharded = ShardedAreaQueryEngine::build_with_payload(&pts, shards, PAYLOAD);
+        let sharded = AreaQueryEngine::builder(&pts)
+            .payload_bytes(PAYLOAD)
+            .build_sharded(shards);
         assert_eq!(sharded.shard_count(), shards);
         for (ai, area) in areas.iter().enumerate() {
             let want = sorted_matches(&live, area);
@@ -358,16 +360,15 @@ fn knn_tie_distances_break_by_id_on_every_path() {
     }
 }
 
-/// Every sink on both dynamic engines agrees with a live-set oracle
-/// under interleaved insert / remove / compact, for S ∈ {1, 3, 8} on
-/// the sharded variant. Tombstoned points must never occupy kNN slots.
+/// Every sink on the dynamic engine agrees with a live-set oracle under
+/// interleaved insert / remove / compact, over three seeded runs.
+/// Tombstoned points must never occupy kNN slots.
 #[test]
 fn dynamic_sinks_agree_under_interleaved_updates() {
-    for shards in [1usize, 3, 8] {
-        let mut rng = StdRng::seed_from_u64(0xD15C ^ shards as u64);
-        let initial = generate(220, Distribution::Uniform, 0xF00 + shards as u64);
+    for run in [1u64, 3, 8] {
+        let mut rng = StdRng::seed_from_u64(0xD15C ^ run);
+        let initial = generate(220, Distribution::Uniform, 0xF00 + run);
         let mut flat = DynamicAreaQueryEngine::new(&initial);
-        let mut sharded = ShardedDynamicAreaQueryEngine::new(&initial, shards);
         let mut live: Vec<(u64, Point)> = initial
             .iter()
             .enumerate()
@@ -378,22 +379,17 @@ fn dynamic_sinks_agree_under_interleaved_updates() {
             match rng.gen_range(0..10) {
                 0..=3 => {
                     let q = p(rng.gen::<f64>() * 1.2 - 0.1, rng.gen::<f64>() * 1.2 - 0.1);
-                    let a = flat.insert(q);
-                    let b = sharded.insert(q);
-                    assert_eq!(a, b, "lockstep ids");
-                    live.push((a, q));
+                    live.push((flat.insert(q), q));
                 }
                 4..=5 => {
                     if !live.is_empty() {
                         let (id, _) = live[rng.gen_range(0..live.len())];
                         assert!(flat.remove(id));
-                        assert!(sharded.remove(id));
                         live.retain(|&(i, _)| i != id);
                     }
                 }
                 6 => {
                     flat.maybe_compact();
-                    sharded.maybe_compact();
                 }
                 _ => {
                     let half = 0.08 + rng.gen::<f64>() * 0.3;
@@ -408,37 +404,26 @@ fn dynamic_sinks_agree_under_interleaved_updates() {
                         v.sort_unstable();
                         v
                     };
-                    let ctx = format!("S={shards} step {step}");
+                    let ctx = format!("run {run} step {step}");
                     // Collect.
                     let flat_out = flat.execute(&QuerySpec::new(), &area);
-                    let shard_out = sharded.execute(&QuerySpec::new(), &area);
                     assert_eq!(flat_out.ids, want_ids, "{ctx} flat collect");
-                    assert_eq!(shard_out.ids, want_ids, "{ctx} sharded collect");
                     // Count: no ids materialised, count in result_size.
                     let count_spec = QuerySpec::new().output(OutputMode::Count);
                     let flat_count = flat.execute(&count_spec, &area);
                     assert!(flat_count.ids.is_empty(), "{ctx}");
                     assert_eq!(flat_count.stats.result_size, want_ids.len(), "{ctx}");
-                    assert_eq!(
-                        sharded.execute(&count_spec, &area).stats.result_size,
-                        want_ids.len(),
-                        "{ctx}"
-                    );
                     // kNN, including k = 0 and k >= matches.
                     for k in [0usize, 2, want_ids.len() + 3] {
                         let spec = QuerySpec::new().output(OutputMode::TopKNearest { k, origin });
                         let want = knn_oracle(&live, &area, origin, k);
-                        for (name, out) in [
-                            ("flat", flat.execute(&spec, &area)),
-                            ("sharded", sharded.execute(&spec, &area)),
-                        ] {
-                            let got: Vec<(u64, f64)> =
-                                out.neighbors.iter().map(|n| (n.id, n.dist_sq)).collect();
-                            assert_eq!(got, want, "{ctx} {name} knn k={k}");
-                            let mut ids: Vec<u64> = want.iter().map(|&(id, _)| id).collect();
-                            ids.sort_unstable();
-                            assert_eq!(out.ids, ids, "{ctx} {name} knn ids k={k}");
-                        }
+                        let out = flat.execute(&spec, &area);
+                        let got: Vec<(u64, f64)> =
+                            out.neighbors.iter().map(|n| (n.id, n.dist_sq)).collect();
+                        assert_eq!(got, want, "{ctx} flat knn k={k}");
+                        let mut ids: Vec<u64> = want.iter().map(|&(id, _)| id).collect();
+                        ids.sort_unstable();
+                        assert_eq!(out.ids, ids, "{ctx} flat knn ids k={k}");
                     }
                     // Materialise: dynamic bases carry no record store, so
                     // it degrades to collection with a zero checksum.
@@ -459,7 +444,9 @@ fn dynamic_sinks_agree_under_interleaved_updates() {
 #[test]
 fn sharded_stats_conserve_for_new_sinks() {
     let pts = generate(600, Distribution::Uniform, 0xC0157);
-    let sharded = ShardedAreaQueryEngine::build_with_payload(&pts, 5, PAYLOAD);
+    let sharded = AreaQueryEngine::builder(&pts)
+        .payload_bytes(PAYLOAD)
+        .build_sharded(5);
     let area = random_query_polygon(&unit_space(), &PolygonSpec::with_query_size(0.2), 4242);
     let origin = p(0.5, 0.5);
     for (name, output) in [
@@ -524,9 +511,9 @@ fn zero_shards_auto_tunes_to_available_parallelism() {
         auto.execute(&QuerySpec::new(), &area).indices,
         explicit.execute(&QuerySpec::new(), &area).indices
     );
-    // The payload constructor and the dynamic engine accept it too.
-    let auto_payload = ShardedAreaQueryEngine::build_with_payload(&pts, 0, 64);
+    // The builder's sharded build accepts it too.
+    let auto_payload = AreaQueryEngine::builder(&pts)
+        .payload_bytes(64)
+        .build_sharded(0);
     assert_eq!(auto_payload.shard_count(), hw.min(pts.len()));
-    let dynamic = ShardedDynamicAreaQueryEngine::new(&pts, 0);
-    assert_eq!(dynamic.base().shard_count(), hw.min(pts.len()));
 }

@@ -114,10 +114,10 @@ fn assert_plain_identical(
 /// Same contract for the sharded engine: indices, count, the aggregate
 /// stats and the per-shard breakdown all identical between a freshly
 /// built engine and its snapshot round trip.
-fn assert_sharded_identical(
+fn assert_sharded_identical<A: QueryArea + Sync>(
     fresh: &ShardedAreaQueryEngine,
     loaded: &ShardedAreaQueryEngine,
-    area: &dyn QueryArea,
+    area: &A,
     context: &str,
 ) {
     assert_eq!(fresh.len(), loaded.len(), "{context}: point count");
@@ -264,17 +264,16 @@ fn batch_execution_is_bit_identical_after_load() {
 #[test]
 fn dynamic_overlay_roundtrip_is_bit_identical() {
     let pts = generate(300, Distribution::Uniform, 0xD1A);
-    let weights = power_weights(pts.len());
-    let mut fresh = DynamicAreaQueryEngine::with_weights(&pts, &weights);
-    // Mutate: inserts (plain and weighted), removes of base and delta
-    // ids, so the saved overlay carries every kind of entry.
+    let mut fresh = DynamicAreaQueryEngine::new(&pts);
+    // Mutate: inserts, removes of base and delta ids, so the saved
+    // overlay carries every kind of entry (live and tombstoned delta
+    // points, base tombstones).
     let a = fresh.insert(p(0.101, 0.202));
-    let _b = fresh.insert_weighted(p(0.303, 0.404), 0.015);
-    let c = fresh.insert(p(0.505, 0.606));
+    fresh.insert(p(0.303, 0.404));
+    fresh.insert(p(0.505, 0.606));
     assert!(fresh.remove(a));
     assert!(fresh.remove(7)); // a base id
     assert!(fresh.remove(11)); // another base id
-    let _ = c;
 
     let bytes = snapshot::dynamic_to_bytes(&fresh);
     let mut loaded = snapshot::dynamic_from_bytes(&bytes).expect("round trip");
@@ -340,7 +339,10 @@ fn sharded_weighted_payload_roundtrip_is_bit_identical() {
         0xC0C0A,
     );
     let weights = power_weights(pts.len());
-    let fresh = ShardedAreaQueryEngine::build_weighted_with_payload(&pts, &weights, 4, 32);
+    let fresh = AreaQueryEngine::builder(&pts)
+        .weights(&weights)
+        .payload_bytes(32)
+        .build_sharded(4);
     assert_eq!(fresh.diagram_kind(), DiagramKind::Power);
     assert_eq!(fresh.payload_record_bytes(), Some(32));
     let loaded =
@@ -489,9 +491,12 @@ fn section_table(bytes: &[u8]) -> Vec<(u64, usize, usize)> {
 fn sample_container() -> Vec<u8> {
     let pts = generate(260, Distribution::Uniform, 0xC0FFEE);
     let weights = power_weights(pts.len());
-    snapshot::sharded_to_bytes(&ShardedAreaQueryEngine::build_weighted_with_payload(
-        &pts, &weights, 3, 16,
-    ))
+    snapshot::sharded_to_bytes(
+        &AreaQueryEngine::builder(&pts)
+            .weights(&weights)
+            .payload_bytes(16)
+            .build_sharded(3),
+    )
 }
 
 #[test]
