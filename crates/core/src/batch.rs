@@ -15,8 +15,8 @@
 //! paper's latency-oriented single-query evaluation.
 //!
 //! The batch path never inspects the spec's output mode: each worker's
-//! session emits into the spec's [`ResultSink`](crate::ResultSink) and
-//! returns the finished per-query [`QueryOutput`], so every sink —
+//! session emits into the spec's sink (see [`crate::sink`]) and returns
+//! the finished per-query [`QueryOutput`], so every output shape —
 //! including kNN-within-area and payload materialisation — batches with
 //! zero extra dispatch here.
 

@@ -32,9 +32,7 @@ use crate::area::QueryArea;
 use crate::engine::AreaQueryEngine;
 use crate::plan::{PlannedPath, Planner};
 use crate::query::{QuerySpec, SessionState, DEFAULT_CACHE_CAPACITY};
-use crate::sink::{
-    dispatch_sink, DynamicSink, Emit, EngineSink, Neighbor, ResultSink, SinkVisitor,
-};
+use crate::sink::{Neighbor, Partial, Sink};
 use crate::stats::{CacheCounters, QueryStats};
 use std::collections::HashSet;
 use vaq_geom::Point;
@@ -213,14 +211,49 @@ impl DynamicAreaQueryEngine {
                 .observe(&plan, Planner::observed_cost(&out.stats, features.vertices));
             return out;
         }
-        dispatch_sink(
-            spec.output,
-            DynamicRun {
-                eng: self,
-                spec,
-                area,
-            },
-        )
+        let Some(sink) = Sink::of(spec.output) else {
+            // vaq-lint: allow(panic-hygiene) -- documented unsupported-mode
+            // contract: classification is whole-diagram by definition, and the
+            // message tells the caller exactly which engine to use instead.
+            panic!(
+                "point classification is whole-diagram and is not supported on the dynamic engine"
+            );
+        };
+        // Base pass through the session funnel, tombstones filtered and
+        // base indices translated to external ids *before* the sink; then
+        // the live delta scanned into the same partial; then one finish.
+        let mut stats = QueryStats::default();
+        let mut partial = Partial::default();
+        if !self.base.is_empty() {
+            let map = |i: u32| {
+                let id = self.base_ids[i as usize];
+                (!self.tombstones.contains(&id)).then_some(id)
+            };
+            self.state
+                .execute_sink(&self.base, spec, area, sink, &mut partial, &map, &mut stats);
+        }
+        let delta_predicates = AreaQueryEngine::sample_predicates(|| {
+            for &(id, p) in &self.delta {
+                if self.tombstones.contains(&id) {
+                    continue;
+                }
+                stats.delta_scanned += 1;
+                stats.candidates += 1;
+                stats.containment_tests += 1;
+                if area.contains(p) {
+                    stats.accepted += 1;
+                    sink.emit(&mut partial, id, p, 0, None, &mut stats);
+                }
+            }
+        });
+        stats.predicates.absorb(delta_predicates);
+        let (ids, neighbors, result_size) = partial.into_sorted();
+        stats.result_size = result_size;
+        DynamicQueryResult {
+            ids,
+            neighbors,
+            stats,
+        }
     }
 
     /// Lifetime hit/miss totals of the owned prepared-area cache (see
@@ -338,80 +371,6 @@ impl DynamicAreaQueryEngine {
         self.delta.clear();
         self.dead_delta = 0;
         self.tombstones.clear();
-    }
-}
-
-/// The dynamic execution path as a sink visitor: base pass through the
-/// session funnel (tombstones filtered, base indices translated to
-/// external ids *before* the sink), then the live delta scanned into the
-/// same partial, then one finish.
-struct DynamicRun<'r, A: ?Sized> {
-    eng: &'r mut DynamicAreaQueryEngine,
-    spec: &'r QuerySpec,
-    area: &'r A,
-}
-
-impl<A: QueryArea + ?Sized> SinkVisitor for DynamicRun<'_, A> {
-    type Out = DynamicQueryResult;
-
-    fn visit<K: EngineSink + DynamicSink>(self, kind: K) -> DynamicQueryResult {
-        let DynamicAreaQueryEngine {
-            base,
-            base_ids,
-            delta,
-            tombstones,
-            state,
-            ..
-        } = self.eng;
-        let area = self.area;
-        let mut stats = QueryStats::default();
-        let mut partial = ResultSink::<u64>::start(&kind);
-        if !base.is_empty() {
-            let map = |i: u32| {
-                let id = base_ids[i as usize];
-                (!tombstones.contains(&id)).then_some(id)
-            };
-            state.execute_sink(base, self.spec, area, &kind, &mut partial, &map, &mut stats);
-        }
-        let delta_predicates = AreaQueryEngine::sample_predicates(|| {
-            for &(id, p) in delta.iter() {
-                if tombstones.contains(&id) {
-                    continue;
-                }
-                stats.delta_scanned += 1;
-                stats.candidates += 1;
-                stats.containment_tests += 1;
-                if area.contains(p) {
-                    stats.accepted += 1;
-                    kind.emit(
-                        &mut partial,
-                        &Emit {
-                            id,
-                            local: 0,
-                            point: p,
-                            records: None,
-                        },
-                        &mut stats,
-                    );
-                }
-            }
-        });
-        stats.predicates.absorb(delta_predicates);
-        stats.result_size = ResultSink::<u64>::result_len(&kind, &partial);
-        let mut out = DynamicQueryResult {
-            ids: Vec::new(),
-            neighbors: Vec::new(),
-            stats,
-        };
-        kind.finish_dynamic(partial, &mut out);
-        out
-    }
-
-    fn classify(self) -> DynamicQueryResult {
-        // vaq-lint: allow(panic-hygiene) -- documented unsupported-mode
-        // contract: classification is whole-diagram by definition, and the
-        // message tells the caller exactly which engine to use instead.
-        panic!("point classification is whole-diagram and is not supported on the dynamic engine");
     }
 }
 
@@ -664,6 +623,18 @@ mod tests {
             CacheCounters { hits: 1, misses: 0 }
         );
         assert_eq!(eng.cache_counters(), CacheCounters { hits: 1, misses: 1 });
+    }
+
+    #[test]
+    #[should_panic(expected = "not supported on the dynamic engine")]
+    fn classify_is_rejected() {
+        use crate::query::OutputMode;
+        let mut eng = DynamicAreaQueryEngine::new(&uniform(50, 51));
+        eng.insert(p(0.5, 0.5));
+        eng.execute(
+            &QuerySpec::new().output(OutputMode::Classify),
+            &square(0.5, 0.5, 0.2),
+        );
     }
 
     #[test]

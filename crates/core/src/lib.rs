@@ -20,15 +20,17 @@
 //!
 //! [`AreaQueryEngine`] packages both behind **one query surface**: a
 //! [`QuerySpec`] names a point in the evaluation grid (method × expansion
-//! policy × prepare mode × shard pruning × output shape) and a
-//! [`QuerySession`] executes it, owning the reusable scratch and a
-//! bounded LRU **prepared-area cache** for dashboard-style repeated
-//! queries. A brute-force oracle and the paper's Section III point
+//! policy × prepare mode × output shape) and a [`QuerySession`] executes
+//! it, owning the reusable scratch and a bounded LRU **prepared-area
+//! cache** for dashboard-style repeated queries. A brute-force oracle and the paper's Section III point
 //! classification ([`classify`]) run through the same funnel. Callers
 //! who'd rather not pick a strategy ask for [`QuerySpec::auto()`]: the
 //! cost-model planner (module [`plan`]) resolves method, expansion
-//! policy, prepare mode and shard pruning per query and records its
-//! decision as an [`ExecutionPlan`] in the stats.
+//! policy and prepare mode per query and records its decision as an
+//! [`ExecutionPlan`] in the stats. What happens to each accepted
+//! candidate — collect, count, keep the k nearest, materialise its
+//! record — is the spec's output shape, a plain value every execution
+//! path emits into (module [`sink`]).
 //!
 //! Three engines share that surface: [`AreaQueryEngine`] over one
 //! diagram (Euclidean, or a power diagram of weighted sites);
@@ -117,14 +119,11 @@ pub use payload::{RecordStore, RecordStoreError};
 pub use plan::{DensityMap, ExecutionPlan, PlanFeatures, PlannedPath, Planner};
 pub use query::{
     MethodChoice, OutputMode, PrepareMode, QueryMethod, QueryOutput, QuerySession, QuerySpec,
-    ShardPruning, DEFAULT_CACHE_CAPACITY,
+    DEFAULT_CACHE_CAPACITY,
 };
 pub use scratch::QueryScratch;
 pub use shard::{ShardBreakdown, ShardedAreaQueryEngine, ShardedQueryOutput};
-pub use sink::{
-    CollectSink, CountSink, Emit, MaterializeSink, Neighbor, ResultSink, SinkId, TopKNearestSink,
-    TopKPartial,
-};
+pub use sink::{Neighbor, SinkId};
 pub use snapshot::{LoadedEngine, SnapshotError, SnapshotInfo, SnapshotKind, SNAPSHOT_VERSION};
 pub use stats::{CacheCounters, PredicateCounters, QueryStats};
 pub use traditional::traditional_area_query;

@@ -34,9 +34,9 @@
 //! the fact — and picks the argmin. Preparation is planned separately:
 //! a cache hit is (nearly) free, otherwise preparing pays only when the
 //! predicted number of `O(k)` primitive calls is large enough that the
-//! `O(k log k)` compilation amortises. On sharded engines the planner
-//! additionally decides between rectangle-only and exact-geometry shard
-//! pruning ([`ShardPruning`]).
+//! `O(k log k)` compilation amortises. Shard pruning is not a decision:
+//! the sharded engine always skips the shards whose MBR misses the
+//! area's.
 //!
 //! ## Auditability and feedback
 //!
@@ -56,7 +56,7 @@
 //!
 //! [`QuerySpec::auto()`]: crate::QuerySpec::auto
 
-use crate::query::{PrepareMode, QueryMethod, QuerySpec, ShardPruning};
+use crate::query::{PrepareMode, QueryMethod, QuerySpec};
 use crate::stats::QueryStats;
 use crate::voronoi_query::ExpansionPolicy;
 use vaq_delaunay::DiagramKind;
@@ -88,7 +88,7 @@ pub enum PlannedPath {
 /// [`QueryStats::plan`](crate::QueryStats) whenever a query entered as
 /// [`MethodChoice::Auto`](crate::MethodChoice).
 ///
-/// The four strategy fields name the concrete [`QuerySpec`] knobs the
+/// The three strategy fields name the concrete [`QuerySpec`] knobs the
 /// planner chose; re-issuing that explicit spec reproduces the planned
 /// query bit-for-bit. The two `predicted_*` fields are the model's
 /// forecast in work units, for auditing against
@@ -101,8 +101,6 @@ pub struct ExecutionPlan {
     pub policy: ExpansionPolicy,
     /// The preparation mode chosen.
     pub prepare: PrepareMode,
-    /// The shard-pruning rule chosen (meaningful on sharded engines).
-    pub shard_pruning: ShardPruning,
     /// The execution path this plan was made for (and ran on).
     pub path: PlannedPath,
     /// Predicted total work in work units (see [`Planner::observed_cost`]).
@@ -113,14 +111,13 @@ pub struct ExecutionPlan {
 
 impl ExecutionPlan {
     /// Rewrites `spec` into the explicit spec this plan names: same
-    /// filter / seed / output, with method, policy, prepare mode and
-    /// shard pruning pinned to the planned choice. Running the returned
-    /// spec reproduces the planned query bit-for-bit.
+    /// filter / seed / output, with method, policy and prepare mode
+    /// pinned to the planned choice. Running the returned spec
+    /// reproduces the planned query bit-for-bit.
     pub fn apply_to(&self, spec: &QuerySpec) -> QuerySpec {
         spec.method(self.method)
             .policy(self.policy)
             .prepare(self.prepare)
-            .shard_pruning(self.shard_pruning)
     }
 }
 
@@ -440,11 +437,10 @@ impl Planner {
 
     /// Resolves an automatic spec into `(explicit spec, plan)` for the
     /// query described by `features`. The returned spec preserves
-    /// `spec`'s output mode and pins method, expansion policy, prepare
-    /// mode and shard pruning; the plan
-    /// records the choice and its predicted cost. Resolution is pure:
-    /// it neither executes anything nor mutates the planner
-    /// (calibration moves only through [`Planner::observe`]).
+    /// `spec`'s output mode and pins method, expansion policy and prepare
+    /// mode; the plan records the choice and its predicted cost.
+    /// Resolution is pure: it neither executes anything nor mutates the
+    /// planner (calibration moves only through [`Planner::observe`]).
     pub fn resolve(&self, spec: &QuerySpec, features: &PlanFeatures) -> (QuerySpec, ExecutionPlan) {
         // Segment expansion is the paper's fastest policy; hedge to the
         // provably complete cell policy when the area leaves the data
@@ -472,16 +468,10 @@ impl Planner {
         let (method, predicted_cost, predicted_candidates) =
             best.expect("three methods were scored");
         let prepare = self.plan_prepare(method, predicted_cost, features);
-        let shard_pruning = if features.shards >= 4 && features.vertices >= 6 {
-            ShardPruning::Exact
-        } else {
-            ShardPruning::Mbr
-        };
         let plan = ExecutionPlan {
             method,
             policy,
             prepare,
-            shard_pruning,
             path: features.path,
             predicted_cost,
             predicted_candidates,
@@ -634,7 +624,6 @@ mod tests {
         assert_eq!(spec.method, plan.method);
         assert_eq!(spec.policy, plan.policy);
         assert_eq!(spec.prepare, plan.prepare);
-        assert_eq!(spec.shard_pruning, plan.shard_pruning);
         assert!(!spec.method.is_auto());
         assert!(plan.predicted_cost > 0.0);
     }

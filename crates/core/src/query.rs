@@ -2,12 +2,12 @@
 //! [`QuerySession`] owns the per-caller state needed to run it.
 //!
 //! The paper's evaluation is a grid over independent axes — query method,
-//! expansion policy, prepared-or-raw area, and output shape (plus shard
-//! pruning on sharded engines). Both methods run on one STR-bulk-loaded
-//! R-tree, as in the paper: its window query is the traditional filter and
-//! its nearest-neighbour query the Voronoi seed. Instead of one entrypoint
-//! per grid cell, [`QuerySpec`] is a plain-data point in that grid and
-//! every query funnels through [`QuerySession::execute`]:
+//! expansion policy, prepared-or-raw area, and output shape. Both methods
+//! run on one STR-bulk-loaded R-tree, as in the paper: its window query is
+//! the traditional filter and its nearest-neighbour query the Voronoi
+//! seed. Instead of one entrypoint per grid cell, [`QuerySpec`] is a
+//! plain-data point in that grid and every query funnels through
+//! [`QuerySession::execute`]:
 //!
 //! ```
 //! use vaq_core::{ExpansionPolicy, OutputMode, QuerySpec};
@@ -57,9 +57,7 @@ use crate::classify::classify_points;
 use crate::engine::{AreaQueryEngine, QueryResult};
 use crate::plan::{PlanFeatures, PlannedPath, Planner};
 use crate::scratch::QueryScratch;
-use crate::sink::{
-    dispatch_sink, DynamicSink, Emit, EngineSink, Neighbor, ResultSink, SinkId, SinkVisitor,
-};
+use crate::sink::{Neighbor, Partial, Sink, SinkId};
 use crate::stats::{CacheCounters, QueryStats};
 use crate::traditional::refine_each;
 use crate::voronoi_query::{
@@ -88,9 +86,8 @@ pub enum QueryMethod {
 
 /// The method axis of a [`QuerySpec`]: either a fixed [`QueryMethod`],
 /// or [`MethodChoice::Auto`] — let the engine's cost-model planner
-/// ([`Planner`]) pick the method, expansion policy,
-/// prepare mode and shard pruning per query. The chosen strategy is
-/// recorded in [`QueryStats::plan`].
+/// ([`Planner`]) pick the method, expansion policy and prepare mode per
+/// query. The chosen strategy is recorded in [`QueryStats::plan`].
 ///
 /// `MethodChoice` compares equal to a bare [`QueryMethod`]
 /// (`spec.method == QueryMethod::Voronoi`), and
@@ -148,25 +145,6 @@ impl MethodChoice {
     }
 }
 
-/// How a sharded engine decides which shards to visit (beyond the
-/// always-on rule that a shard whose MBR misses the area's MBR is
-/// skipped). Pruning never changes results — a pruned shard contributes
-/// nothing by construction — it only trades a per-shard geometry test
-/// against whole per-shard queries.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ShardPruning {
-    /// Rectangle-only: visit every shard whose MBR intersects the area's
-    /// MBR (the default, and the only test cheap enough for trivial
-    /// areas).
-    #[default]
-    Mbr,
-    /// Exact-geometry: after the MBR test, additionally test the area's
-    /// exact boundary against the shard's MBR rectangle and skip shards
-    /// the area misses. Pays off for thin or diagonal areas whose MBR
-    /// sweeps over shards the polygon itself never touches.
-    Exact,
-}
-
 /// Whether (and how) the query area is query-compiled before execution.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum PrepareMode {
@@ -183,9 +161,9 @@ pub enum PrepareMode {
     Cached,
 }
 
-/// The shape of the answer — which [`ResultSink`] accepted candidates
-/// are emitted into (except [`OutputMode::Classify`], which is
-/// whole-diagram, not per-candidate).
+/// The shape of the answer — what every execution path does with each
+/// accepted candidate (see [`crate::sink`]), except for
+/// [`OutputMode::Classify`], which is whole-diagram, not per-candidate.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub enum OutputMode {
     /// Materialise the matching point indices (the default).
@@ -202,8 +180,8 @@ pub enum OutputMode {
     Classify,
     /// kNN-within-area: of the points inside the area, the `k` nearest to
     /// `origin` by exact squared Euclidean distance, ties broken by
-    /// ascending index ([`TopKNearestSink`](crate::TopKNearestSink) — a
-    /// bounded max-heap merged across shards and delta buffers).
+    /// ascending index (a bounded max-heap, merged across shards and
+    /// delta buffers).
     TopKNearest {
         /// How many nearest matches to keep (`0` keeps nothing).
         k: usize,
@@ -214,14 +192,13 @@ pub enum OutputMode {
     /// Collect the matching indices *and* materialise each accepted
     /// candidate's payload record through the engine's
     /// [`RecordStore`](crate::RecordStore), folding record checksums into
-    /// [`QueryStats::payload_checksum`]
-    /// ([`MaterializeSink`](crate::MaterializeSink)). Engines without a
-    /// record store degrade to collection.
+    /// [`QueryStats::payload_checksum`]. Engines without a record store
+    /// degrade to collection.
     Materialize,
 }
 
 /// A plain-data description of one area query: a point in the evaluation
-/// grid `method × policy × prepare × shard_pruning × output`.
+/// grid `method × policy × prepare × output`.
 ///
 /// The default (`QuerySpec::new()`) is the paper's setup: Voronoi method,
 /// segment expansion, raw area, collected output.
@@ -236,8 +213,6 @@ pub struct QuerySpec {
     pub policy: ExpansionPolicy,
     /// Whether the area is query-compiled first.
     pub prepare: PrepareMode,
-    /// How sharded engines prune shards (ignored by unsharded engines).
-    pub shard_pruning: ShardPruning,
     /// The shape of the answer.
     pub output: OutputMode,
 }
@@ -269,10 +244,10 @@ impl QuerySpec {
         }
     }
 
-    /// A spec that defers method, expansion policy, prepare mode and
-    /// shard pruning to the engine's cost-model planner
-    /// ([`Planner`]); the chosen strategy is recorded in
-    /// [`QueryStats::plan`]. The output is taken from the spec as usual.
+    /// A spec that defers method, expansion policy and prepare mode to
+    /// the engine's cost-model planner ([`Planner`]); the chosen strategy
+    /// is recorded in [`QueryStats::plan`]. The output is taken from the
+    /// spec as usual.
     pub fn auto() -> QuerySpec {
         QuerySpec {
             method: MethodChoice::Auto,
@@ -296,12 +271,6 @@ impl QuerySpec {
     /// Sets the prepare mode.
     pub fn prepare(mut self, prepare: PrepareMode) -> QuerySpec {
         self.prepare = prepare;
-        self
-    }
-
-    /// Sets the shard-pruning rule (meaningful on sharded engines).
-    pub fn shard_pruning(mut self, shard_pruning: ShardPruning) -> QuerySpec {
-        self.shard_pruning = shard_pruning;
         self
     }
 
@@ -599,7 +568,8 @@ impl SessionState {
     }
 
     /// The session funnel body: the planner for [`MethodChoice::Auto`],
-    /// otherwise the spec's output sink over [`SessionState::execute_sink`].
+    /// the whole-diagram classification for [`OutputMode::Classify`], and
+    /// otherwise the spec's sink over [`SessionState::execute_sink`].
     pub(crate) fn execute<A: QueryArea + ?Sized>(
         &mut self,
         engine: &AreaQueryEngine,
@@ -609,15 +579,19 @@ impl SessionState {
         if spec.method.is_auto() {
             return self.execute_auto(engine, spec, area, PlannedPath::Plain);
         }
-        dispatch_sink(
-            spec.output,
-            SessionRun {
-                state: self,
-                engine,
-                spec,
-                area,
-            },
-        )
+        let Some(sink) = Sink::of(spec.output) else {
+            let (prepared, delta) = self.resolve(spec, area);
+            let (classes, mut stats) = match &prepared {
+                Some(prepared) => classify_area(engine, prepared.as_ref()),
+                None => classify_area(engine, area),
+            };
+            stats.prepared_cache = delta;
+            return QueryOutput::Classified { classes, stats };
+        };
+        let mut stats = QueryStats::default();
+        let mut partial = Partial::default();
+        self.execute_sink(engine, spec, area, sink, &mut partial, &Some, &mut stats);
+        sink.output(partial, stats)
     }
 
     /// The session funnel over the generic emission core: resolves the
@@ -627,19 +601,18 @@ impl SessionState {
     /// external ids and filters tombstones through `map`. Sets
     /// `stats.prepared_cache` to this query's cache traffic.
     #[allow(clippy::too_many_arguments)] // the emission core's explicit inputs
-    pub(crate) fn execute_sink<A, I, K, F>(
+    pub(crate) fn execute_sink<A, I, F>(
         &mut self,
         engine: &AreaQueryEngine,
         spec: &QuerySpec,
         area: &A,
-        kind: &K,
-        partial: &mut K::Partial,
+        sink: Sink,
+        partial: &mut Partial<I>,
         map: &F,
         stats: &mut QueryStats,
     ) where
         A: QueryArea + ?Sized,
         I: SinkId,
-        K: ResultSink<I>,
         F: Fn(u32) -> Option<I>,
     {
         let (prepared, delta) = self.resolve(spec, area);
@@ -655,12 +628,12 @@ impl SessionState {
                 &raw_spec,
                 prepared.as_ref(),
                 scratch,
-                kind,
+                sink,
                 partial,
                 map,
                 stats,
             ),
-            None => engine.run_sink(&raw_spec, area, scratch, kind, partial, map, stats),
+            None => engine.run_sink(&raw_spec, area, scratch, sink, partial, map, stats),
         }
         stats.prepared_cache = delta;
     }
@@ -745,7 +718,7 @@ impl AreaQueryEngine {
     /// The generic emission core behind **every** execution path (single
     /// query, batch worker, shard visit, dynamic base pass): runs
     /// `spec.method` over the area and emits each accepted candidate into
-    /// `kind`'s `partial`, with its engine-local index translated through
+    /// `sink`'s `partial`, with its engine-local index translated through
     /// `map` into the caller's id space (`None` drops the candidate — the
     /// dynamic engine's tombstone filter, applied *before* the sink so a
     /// bounded sink never wastes a slot on a dead point). The thread's
@@ -753,28 +726,27 @@ impl AreaQueryEngine {
     /// `stats.predicates` reports this query's filter/fallback split (a
     /// query executes on one thread, so the window is exact).
     #[allow(clippy::too_many_arguments)] // the emission core's explicit inputs
-    pub(crate) fn run_sink<A, I, K, F>(
+    pub(crate) fn run_sink<A, I, F>(
         &self,
         spec: &QuerySpec,
         area: &A,
         scratch: Option<&mut QueryScratch>,
-        kind: &K,
-        partial: &mut K::Partial,
+        sink: Sink,
+        partial: &mut Partial<I>,
         map: &F,
         stats: &mut QueryStats,
     ) where
         A: QueryArea + ?Sized,
         I: SinkId,
-        K: ResultSink<I>,
         F: Fn(u32) -> Option<I>,
     {
         let before = vaq_geom::predicate_totals();
         match spec.method.expect_fixed() {
-            QueryMethod::Traditional => self.sink_traditional(area, kind, partial, map, stats),
+            QueryMethod::Traditional => self.sink_traditional(area, sink, partial, map, stats),
             QueryMethod::Voronoi => {
-                self.sink_voronoi(spec, area, scratch, kind, partial, map, stats);
+                self.sink_voronoi(spec, area, scratch, sink, partial, map, stats);
             }
-            QueryMethod::BruteForce => self.sink_brute_force(area, kind, partial, map, stats),
+            QueryMethod::BruteForce => self.sink_brute_force(area, sink, partial, map, stats),
         }
         let after = vaq_geom::predicate_totals();
         stats.predicates.filter_fast_accepts +=
@@ -782,17 +754,16 @@ impl AreaQueryEngine {
         stats.predicates.exact_fallbacks += after.exact_fallbacks - before.exact_fallbacks;
     }
 
-    fn sink_traditional<A, I, K, F>(
+    fn sink_traditional<A, I, F>(
         &self,
         area: &A,
-        kind: &K,
-        partial: &mut K::Partial,
+        sink: Sink,
+        partial: &mut Partial<I>,
         map: &F,
         stats: &mut QueryStats,
     ) where
         A: QueryArea + ?Sized,
         I: SinkId,
-        K: ResultSink<I>,
         F: Fn(u32) -> Option<I>,
     {
         let candidates = self.rtree.window_with_stats(&area.mbr(), &mut stats.index);
@@ -805,35 +776,25 @@ impl AreaQueryEngine {
             stats,
             |id, stats| {
                 if let Some(out) = map(id) {
-                    kind.emit(
-                        partial,
-                        &Emit {
-                            id: out,
-                            local: id,
-                            point: self.points[id as usize],
-                            records,
-                        },
-                        stats,
-                    );
+                    sink.emit(partial, out, self.points[id as usize], id, records, stats);
                 }
             },
         );
     }
 
     #[allow(clippy::too_many_arguments)] // mirrors Algorithm 1's explicit inputs
-    fn sink_voronoi<A, I, K, F>(
+    fn sink_voronoi<A, I, F>(
         &self,
         spec: &QuerySpec,
         area: &A,
         scratch: Option<&mut QueryScratch>,
-        kind: &K,
-        partial: &mut K::Partial,
+        sink: Sink,
+        partial: &mut Partial<I>,
         map: &F,
         stats: &mut QueryStats,
     ) where
         A: QueryArea + ?Sized,
         I: SinkId,
-        K: ResultSink<I>,
         F: Fn(u32) -> Option<I>,
     {
         let Some(tri) = self.tri.as_ref() else {
@@ -884,16 +845,7 @@ impl AreaQueryEngine {
             let pv = tri.point(v);
             for &i in tri.inputs_of(v) {
                 if let Some(out) = map(i) {
-                    kind.emit(
-                        partial,
-                        &Emit {
-                            id: out,
-                            local: i,
-                            point: pv,
-                            records,
-                        },
-                        stats,
-                    );
+                    sink.emit(partial, out, pv, i, records, stats);
                 }
             }
         }
@@ -932,33 +884,23 @@ impl AreaQueryEngine {
                 stats.accepted += 1;
                 for &i in tri.inputs_of(h) {
                     if let Some(out) = map(i) {
-                        kind.emit(
-                            partial,
-                            &Emit {
-                                id: out,
-                                local: i,
-                                point: ph,
-                                records,
-                            },
-                            stats,
-                        );
+                        sink.emit(partial, out, ph, i, records, stats);
                     }
                 }
             }
         }
     }
 
-    fn sink_brute_force<A, I, K, F>(
+    fn sink_brute_force<A, I, F>(
         &self,
         area: &A,
-        kind: &K,
-        partial: &mut K::Partial,
+        sink: Sink,
+        partial: &mut Partial<I>,
         map: &F,
         stats: &mut QueryStats,
     ) where
         A: QueryArea + ?Sized,
         I: SinkId,
-        K: ResultSink<I>,
         F: Fn(u32) -> Option<I>,
     {
         stats.candidates += self.points.len();
@@ -971,58 +913,10 @@ impl AreaQueryEngine {
             if area.contains(p) {
                 stats.accepted += 1;
                 if let Some(out) = map(i as u32) {
-                    kind.emit(
-                        partial,
-                        &Emit {
-                            id: out,
-                            local: i as u32,
-                            point: p,
-                            records,
-                        },
-                        stats,
-                    );
+                    sink.emit(partial, out, p, i as u32, records, stats);
                 }
             }
         }
-    }
-}
-
-/// The session execution path as a sink visitor: one generic run over
-/// [`SessionState::execute_sink`], plus the whole-diagram classify branch.
-struct SessionRun<'r, A: ?Sized> {
-    state: &'r mut SessionState,
-    engine: &'r AreaQueryEngine,
-    spec: &'r QuerySpec,
-    area: &'r A,
-}
-
-impl<A: QueryArea + ?Sized> SinkVisitor for SessionRun<'_, A> {
-    type Out = QueryOutput;
-
-    fn visit<K: EngineSink + DynamicSink>(self, kind: K) -> QueryOutput {
-        let mut stats = QueryStats::default();
-        let mut partial = ResultSink::<u32>::start(&kind);
-        self.state.execute_sink(
-            self.engine,
-            self.spec,
-            self.area,
-            &kind,
-            &mut partial,
-            &Some,
-            &mut stats,
-        );
-        stats.result_size = ResultSink::<u32>::result_len(&kind, &partial);
-        kind.finish_output(partial, stats)
-    }
-
-    fn classify(self) -> QueryOutput {
-        let (prepared, delta) = self.state.resolve(self.spec, self.area);
-        let (classes, mut stats) = match &prepared {
-            Some(prepared) => classify_area(self.engine, prepared.as_ref()),
-            None => classify_area(self.engine, self.area),
-        };
-        stats.prepared_cache = delta;
-        QueryOutput::Classified { classes, stats }
     }
 }
 
@@ -1085,7 +979,6 @@ mod tests {
         assert_eq!(spec.method, QueryMethod::Voronoi);
         assert_eq!(spec.policy, ExpansionPolicy::Segment);
         assert_eq!(spec.prepare, PrepareMode::Raw);
-        assert_eq!(spec.shard_pruning, ShardPruning::Mbr);
         assert_eq!(spec.output, OutputMode::Collect);
         let spec = QuerySpec::traditional()
             .prepare(PrepareMode::Cached)

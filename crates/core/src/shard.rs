@@ -61,13 +61,13 @@ use crate::batch::prepare_batch_shared;
 use crate::engine::{AreaQueryEngine, EngineBuilder};
 use crate::payload::RecordStore;
 use crate::plan::{DensityMap, ExecutionPlan, PlanFeatures, PlannedPath, Planner};
-use crate::query::{PrepareMode, QueryMethod, QuerySpec, ShardPruning};
+use crate::query::{PrepareMode, QueryMethod, QuerySpec};
 use crate::scratch::QueryScratch;
-use crate::sink::{dispatch_sink, DynamicSink, EngineSink, Neighbor, ResultSink, SinkVisitor};
+use crate::sink::{Neighbor, Partial, Sink};
 use crate::stats::{CacheCounters, QueryStats};
 use crate::sync::{par_map, Mutex};
 use vaq_delaunay::{weights_are_uniform, DiagramKind};
-use vaq_geom::{Point, Polygon, Rect};
+use vaq_geom::{Point, Rect};
 
 /// One spatial partition: its own engine, its points' global input
 /// indices, and its MBR (the pruning key).
@@ -78,26 +78,6 @@ pub(crate) struct Shard {
     pub(crate) global: Vec<u32>,
     /// Tight bounding box of the shard's points.
     pub(crate) mbr: Rect,
-}
-
-/// `true` when `spec`'s pruning rule rejects `shard` for `area`: the
-/// shard's MBR misses the area's MBR, or — under
-/// [`ShardPruning::Exact`] — the area's exact geometry misses the
-/// shard's (non-degenerate) MBR rectangle. Pruning never changes
-/// results: a pruned shard provably holds no matching point.
-fn prune_shard<A: QueryArea + ?Sized>(
-    spec: &QuerySpec,
-    shard: &Shard,
-    area_mbr: &Rect,
-    area: &A,
-) -> bool {
-    if !shard.mbr.intersects(area_mbr) {
-        return true;
-    }
-    spec.shard_pruning == ShardPruning::Exact
-        && shard.mbr.width() > 0.0
-        && shard.mbr.height() > 0.0
-        && !area.intersects_polygon(&Polygon::new_unchecked(shard.mbr.corners().to_vec()))
 }
 
 /// Per-visited-shard counters of one sharded query.
@@ -450,8 +430,8 @@ impl ShardedAreaQueryEngine {
     /// [`ShardedAreaQueryEngine::execute_batch`] on the calling thread.
     /// Shards whose MBR misses the area's MBR are pruned outright, the
     /// survivors run through the generic emission path, and the
-    /// shard-local sink partials are **merged** ([`ResultSink::merge`])
-    /// into one answer mapped to ascending global input indices.
+    /// shard-local sink partials are **merged** into one answer mapped to
+    /// ascending global input indices.
     /// Preparation (for [`PrepareMode::PrepareOnce`] / `Cached`) happens
     /// **once** and the compiled area is shared by every shard.
     ///
@@ -481,8 +461,8 @@ impl ShardedAreaQueryEngine {
     /// stealing), so a worker never idles behind one heavy area *or* one
     /// heavy shard. Workers keep per-shard scratch across the batch, and
     /// each work item fills its own sink partial — the merge step folds
-    /// partials in ascending shard order ([`ResultSink::merge`]), never
-    /// re-dispatching on the output mode. Under [`PrepareMode::Cached`],
+    /// partials in ascending shard order, never re-dispatching on the
+    /// output mode. Under [`PrepareMode::Cached`],
     /// each **distinct** area fingerprint is compiled once per batch and
     /// the compiled form is shared across workers *and* shards; the
     /// batch-wide hit/miss counters land in the per-area stats exactly
@@ -500,15 +480,116 @@ impl ShardedAreaQueryEngine {
         if spec.method.is_auto() {
             return self.execute_batch_auto(spec, areas, threads);
         }
-        dispatch_sink(
-            spec.output,
-            ShardBatchRun {
-                eng: self,
-                spec,
-                areas,
-                threads,
-            },
+        let Some(sink) = Sink::of(spec.output) else {
+            // vaq-lint: allow(panic-hygiene) -- documented unsupported-mode
+            // contract: classification is per-diagram, and the message points
+            // the caller at the right engine.
+            panic!(
+                "point classification is per-diagram and is not supported on the sharded engine"
+            );
+        };
+        let shared = prepare_batch_shared(spec, areas);
+        let raw_spec = spec.prepare(PrepareMode::Raw);
+
+        // Prune: the work list holds only the (area, shard) pairs whose
+        // MBRs intersect (a pruned shard provably holds no matching
+        // point), area-major so each area's items form one contiguous
+        // range.
+        let mut work: Vec<(u32, u32)> = Vec::new();
+        let mut ranges: Vec<(usize, usize)> = Vec::with_capacity(areas.len());
+        let mut pruned: Vec<usize> = Vec::with_capacity(areas.len());
+        for area in areas {
+            let mbr = area.mbr();
+            let start = work.len();
+            for (si, shard) in self.shards.iter().enumerate() {
+                if shard.mbr.intersects(&mbr) {
+                    work.push((ranges.len() as u32, si as u32));
+                }
+            }
+            ranges.push((start, work.len()));
+            pruned.push(self.shards.len() - (work.len() - start));
+        }
+
+        // One (area, shard) work item producing its own sink partial and
+        // per-shard stats; `scratch` is the worker's per-shard scratch,
+        // created on first use and only for the Voronoi method (the
+        // other methods never touch it).
+        let run_one = |&(ai, si): &(u32, u32), scratch: &mut Vec<Option<QueryScratch>>| {
+            let shard = &self.shards[si as usize];
+            let s = if spec.method == QueryMethod::Voronoi {
+                Some(scratch[si as usize].get_or_insert_with(|| shard.engine.new_scratch()))
+            } else {
+                None
+            };
+            let mut st = QueryStats::default();
+            let mut part = Partial::default();
+            let shard_map = |local: u32| Some(shard.global[local as usize]);
+            match shared
+                .as_ref()
+                .and_then(|sh| sh.resolved[ai as usize].as_deref())
+            {
+                Some(prep) => shard
+                    .engine
+                    .run_sink(&raw_spec, prep, s, sink, &mut part, &shard_map, &mut st),
+                None => shard.engine.run_sink(
+                    &raw_spec,
+                    &areas[ai as usize],
+                    s,
+                    sink,
+                    &mut part,
+                    &shard_map,
+                    &mut st,
+                ),
+            }
+            st.result_size = part.len();
+            (part, st)
+        };
+
+        let mut results = par_map(
+            work.len(),
+            threads,
+            || -> Vec<Option<QueryScratch>> { (0..self.shards.len()).map(|_| None).collect() },
+            |scratch, w| run_one(&work[w], scratch),
         )
+        .into_iter();
+
+        // Merge each area's shard partials back to one output, in
+        // ascending shard order (the work list was built that way), so
+        // the aggregate is deterministic whatever the worker interleave.
+        ranges
+            .iter()
+            .enumerate()
+            .map(|(ai, &(start, end))| {
+                let mut stats = QueryStats {
+                    shards_pruned: pruned[ai],
+                    ..QueryStats::default()
+                };
+                let mut breakdown = Vec::with_capacity(end - start);
+                let mut acc = Partial::default();
+                let items = results.by_ref().take(end - start);
+                for (&(_, si), (part, st)) in work[start..end].iter().zip(items) {
+                    stats.shards_visited += 1;
+                    sink.merge(&mut acc, part);
+                    stats.absorb_shard(&st);
+                    breakdown.push(ShardBreakdown {
+                        shard: si as usize,
+                        stats: st,
+                    });
+                }
+                let (indices, neighbors, count) = acc.into_sorted();
+                stats.result_size = count;
+                stats.prepared_cache = shared
+                    .as_ref()
+                    .map_or(CacheCounters::default(), |sh| sh.counters[ai]);
+                ShardedQueryOutput {
+                    indices,
+                    count,
+                    neighbors,
+                    stats,
+                    breakdown,
+                }
+            })
+            .collect()
     }
 
     /// The batched planned path: every area's plan is resolved **up
@@ -550,137 +631,6 @@ impl ShardedAreaQueryEngine {
             planner.observe(plan, Planner::observed_cost(&out.stats, *vertices));
         }
         outs
-    }
-}
-
-/// The sharded execution path as a sink visitor: `(area, shard)` work
-/// items on a shared work-stealing index, one sink partial per item,
-/// merged per area in ascending shard order.
-struct ShardBatchRun<'r, A> {
-    eng: &'r ShardedAreaQueryEngine,
-    spec: &'r QuerySpec,
-    areas: &'r [A],
-    threads: usize,
-}
-
-impl<A: QueryArea + Sync> SinkVisitor for ShardBatchRun<'_, A> {
-    type Out = Vec<ShardedQueryOutput>;
-
-    fn visit<K: EngineSink + DynamicSink>(self, kind: K) -> Vec<ShardedQueryOutput> {
-        let ShardBatchRun {
-            eng,
-            spec,
-            areas,
-            threads,
-        } = self;
-        let shared = prepare_batch_shared(spec, areas);
-        let raw_spec = spec.prepare(PrepareMode::Raw);
-
-        // Prune: the work list holds only surviving (area, shard) pairs,
-        // area-major so each area's items form one contiguous range.
-        let mut work: Vec<(u32, u32)> = Vec::new();
-        let mut ranges: Vec<(usize, usize)> = Vec::with_capacity(areas.len());
-        let mut pruned: Vec<usize> = Vec::with_capacity(areas.len());
-        for area in areas {
-            let mbr = area.mbr();
-            let start = work.len();
-            let mut misses = 0usize;
-            for (si, shard) in eng.shards.iter().enumerate() {
-                if prune_shard(spec, shard, &mbr, area) {
-                    misses += 1;
-                } else {
-                    work.push((ranges.len() as u32, si as u32));
-                }
-            }
-            ranges.push((start, work.len()));
-            pruned.push(misses);
-        }
-
-        // One (area, shard) work item producing its own sink partial and
-        // per-shard stats; `scratch` is the worker's per-shard scratch,
-        // created on first use and only for the Voronoi method (the
-        // other methods never touch it).
-        let run_one = |&(ai, si): &(u32, u32),
-                       scratch: &mut Vec<Option<QueryScratch>>|
-         -> (<K as ResultSink<u32>>::Partial, QueryStats) {
-            let shard = &eng.shards[si as usize];
-            let s = if spec.method == QueryMethod::Voronoi {
-                Some(scratch[si as usize].get_or_insert_with(|| shard.engine.new_scratch()))
-            } else {
-                None
-            };
-            let mut st = QueryStats::default();
-            let mut part = ResultSink::<u32>::start(&kind);
-            let shard_map = |local: u32| Some(shard.global[local as usize]);
-            match shared
-                .as_ref()
-                .and_then(|sh| sh.resolved[ai as usize].as_deref())
-            {
-                Some(prep) => shard
-                    .engine
-                    .run_sink(&raw_spec, prep, s, &kind, &mut part, &shard_map, &mut st),
-                None => shard.engine.run_sink(
-                    &raw_spec,
-                    &areas[ai as usize],
-                    s,
-                    &kind,
-                    &mut part,
-                    &shard_map,
-                    &mut st,
-                ),
-            }
-            st.result_size = ResultSink::<u32>::result_len(&kind, &part);
-            (part, st)
-        };
-
-        let mut results = par_map(
-            work.len(),
-            threads,
-            || -> Vec<Option<QueryScratch>> { (0..eng.shards.len()).map(|_| None).collect() },
-            |scratch, w| run_one(&work[w], scratch),
-        )
-        .into_iter();
-
-        // Merge each area's shard partials back to one output, in
-        // ascending shard order (the work list was built that way), so
-        // the aggregate is deterministic whatever the worker interleave.
-        ranges
-            .iter()
-            .enumerate()
-            .map(|(ai, &(start, end))| {
-                let mut out = ShardedQueryOutput {
-                    stats: QueryStats {
-                        shards_pruned: pruned[ai],
-                        ..QueryStats::default()
-                    },
-                    ..ShardedQueryOutput::default()
-                };
-                let mut acc = ResultSink::<u32>::start(&kind);
-                let items = results.by_ref().take(end - start);
-                for (&(_, si), (part, st)) in work[start..end].iter().zip(items) {
-                    out.stats.shards_visited += 1;
-                    ResultSink::<u32>::merge(&kind, &mut acc, part);
-                    out.stats.absorb_shard(&st);
-                    out.breakdown.push(ShardBreakdown {
-                        shard: si as usize,
-                        stats: st,
-                    });
-                }
-                kind.fold_sharded(acc, &mut out);
-                out.stats.result_size = out.count;
-                out.stats.prepared_cache = shared
-                    .as_ref()
-                    .map_or(CacheCounters::default(), |sh| sh.counters[ai]);
-                out
-            })
-            .collect()
-    }
-
-    fn classify(self) -> Vec<ShardedQueryOutput> {
-        // vaq-lint: allow(panic-hygiene) -- documented unsupported-mode
-        // contract: classification is per-diagram, and the message points
-        // the caller at the right engine.
-        panic!("point classification is per-diagram and is not supported on the sharded engine");
     }
 }
 
@@ -873,5 +823,28 @@ mod tests {
             &QuerySpec::new().output(OutputMode::Classify),
             &square(0.5, 0.5, 0.2),
         );
+    }
+
+    /// Regression: a planned classify batch panics on a worker thread;
+    /// the documented message must survive the join.
+    #[test]
+    #[should_panic(expected = "not supported on the sharded engine")]
+    fn classify_is_rejected_from_worker_threads() {
+        let engine = ShardedAreaQueryEngine::build(&uniform(200, 72), 4);
+        let areas = [square(0.3, 0.3, 0.2), square(0.7, 0.7, 0.2)];
+        engine.execute_batch(&QuerySpec::auto().output(OutputMode::Classify), &areas, 2);
+    }
+
+    /// Regression: a shard built on a worker thread panics on a NaN
+    /// weight; the builder's documented message must survive the join.
+    #[test]
+    #[should_panic(expected = "finite, non-empty input with one finite weight per point")]
+    fn non_finite_weight_is_rejected_from_worker_threads() {
+        let pts = uniform(100, 73);
+        let mut weights = vec![0.01; pts.len()];
+        weights[17] = f64::NAN;
+        AreaQueryEngine::builder(&pts)
+            .weights(&weights)
+            .build_sharded(2);
     }
 }

@@ -133,18 +133,16 @@ pub struct QueryStats {
     /// Shards whose MBR intersected the area's MBR and were therefore
     /// queried (sharded engine only; zero otherwise).
     pub shards_visited: usize,
-    /// Shards skipped outright because their MBR misses the area's MBR —
-    /// or, under [`ShardPruning::Exact`](crate::ShardPruning), because
-    /// the area's exact geometry misses the shard's MBR (sharded engine
-    /// only).
+    /// Shards skipped outright because their MBR misses the area's MBR
+    /// (sharded engine only).
     pub shards_pruned: usize,
     /// The planner's decision record, set only when the query entered as
     /// [`MethodChoice::Auto`](crate::MethodChoice) — which concrete
-    /// method / policy / prepare mode / shard pruning ran, on which
-    /// path, at what predicted cost. Like `prepared_cache` and
-    /// `predicates`, this describes *how* the answer was computed: an
-    /// explicit spec re-running the planned strategy reproduces every
-    /// other field bit-for-bit with `plan == None`.
+    /// method / policy / prepare mode ran, on which path, at what
+    /// predicted cost. Like `prepared_cache` and `predicates`, this
+    /// describes *how* the answer was computed: an explicit spec
+    /// re-running the planned strategy reproduces every other field
+    /// bit-for-bit with `plan == None`.
     pub plan: Option<crate::plan::ExecutionPlan>,
 }
 

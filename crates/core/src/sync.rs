@@ -149,7 +149,12 @@ where
             })
             .collect();
         for h in handles {
-            for (i, out) in h.join().expect("work-stealing worker does not panic") {
+            // A worker's panic re-raises here with its own payload, so a
+            // documented panic message reads the same on any thread count.
+            let done = h
+                .join()
+                .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+            for (i, out) in done {
                 slots[i] = Some(out);
             }
         }

@@ -336,7 +336,7 @@ fn starts_with_comparison(s: &str) -> bool {
 // ---------------------------------------------------------------------------
 
 /// **sink-dispatch** — the single `match` over `OutputMode` lives in
-/// `crates/core/src/sink.rs` (`dispatch_sink`); everywhere else, flags:
+/// `crates/core/src/sink.rs` (`Sink::of`); everywhere else, flags:
 ///
 /// * `match` and `OutputMode` on the same line (matching the scrutinee),
 /// * an `OutputMode::…  =>` match arm — with `OutputMode::` in *pattern*
@@ -344,8 +344,9 @@ fn starts_with_comparison(s: &str) -> bool {
 ///   constructs a mode in an arm body and is fine,
 /// * `matches!(…OutputMode…)` / `if let OutputMode::…`.
 ///
-/// This codifies the PR-5 invariant that execution paths stay generic
-/// over `ResultSink` instead of re-growing per-mode branches.
+/// This codifies the invariant that execution paths emit into the
+/// `Sink` value `Sink::of` builds instead of re-growing per-mode
+/// branches.
 pub fn sink_dispatch(file: &SourceFile, out: &mut Vec<Finding>) {
     if file.rel == "crates/core/src/sink.rs" {
         return;
@@ -370,8 +371,8 @@ pub fn sink_dispatch(file: &SourceFile, out: &mut Vec<Finding>) {
                 file: file.rel.clone(),
                 line: idx + 1,
                 rule: SINK_DISPATCH,
-                message: "OutputMode dispatch outside crates/core/src/sink.rs — route \
-                          through sink::dispatch_sink / a ResultSink instead"
+                message: "OutputMode dispatch outside crates/core/src/sink.rs — build \
+                          the sink with sink::Sink::of and emit into it instead"
                     .to_owned(),
             });
         }
@@ -843,7 +844,7 @@ const GUARD_CROSSING: [&str; 6] = [
     ".emit(",
     ".merge(",
     ".run_sink(",
-    "dispatch_sink(",
+    ".execute_sink(",
     ".execute(",
     ".execute_batch(",
 ];
@@ -855,7 +856,7 @@ const GUARD_CROSSING: [&str; 6] = [
 /// not:
 ///
 /// * call into an emit/merge/execute path (`.emit(` / `.merge(` /
-///   `.run_sink(` / `dispatch_sink(` / `.execute(` / `.execute_batch(`)
+///   `.run_sink(` / `.execute_sink(` / `.execute(` / `.execute_batch(`)
 ///   — compute under the lock, release, then emit;
 /// * acquire another lock (`.lock(`) without a `// lock-order:` comment
 ///   on the line or directly above declaring the global acquisition

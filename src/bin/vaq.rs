@@ -474,12 +474,11 @@ fn print_plan(name: &str, plan: Option<&ExecutionPlan>) {
         return;
     };
     eprintln!(
-        "{name}:{pad} plan {:?} / {:?} / {:?} / {:?} \
+        "{name}:{pad} plan {:?} / {:?} / {:?} \
 (predicted {:.0} work units, {:.0} candidates)",
         plan.method,
         plan.policy,
         plan.prepare,
-        plan.shard_pruning,
         plan.predicted_cost,
         plan.predicted_candidates,
         pad = " ".repeat(11usize.saturating_sub(name.len())),
