@@ -1,22 +1,26 @@
 //! Reproduction driver: regenerates every table and figure of the paper.
 //!
 //! ```text
-//! reproduce [all|table1|table2|fig4|fig5|fig6|fig7] [--reps N] [--quick] [--out DIR]
+//! reproduce [all|table1|table2|fig4|fig5|fig6|fig7|ablation|prepared|predicates
+//!            |knn|payload|planner|power] [--reps N] [--quick] [--payload BYTES] [--out DIR]
 //! ```
 //!
 //! * **table1** (also fig4/fig5): data-size sweep 1E5…1E6 at query size 1 %.
 //! * **table2** (also fig6/fig7): query-size sweep 1 %…32 % at 1E5 points.
 //! * **ablation**: candidate-level design ablations (expansion policy,
 //!   point distribution, query-polygon vertex count) → `ablation_*.csv`.
-//! * **sharded**: sharded vs single-engine build time, batch query
-//!   throughput and MBR shard pruning at 10⁶ points →
-//!   `BENCH_sharded.json` (not part of `all`; run explicitly).
+//! * **prepared**, **predicates**: raw vs prepared query-area primitives
+//!   and the exact-predicate pipeline → `BENCH_prepared.json`,
+//!   `BENCH_predicates.json`.
+//! * **knn**, **payload**: the kNN-within-area and payload-materialising
+//!   sinks against collecting → `BENCH_knn.json`, `BENCH_payload.json`.
+//! * **planner**: the cost-model planner against every fixed strategy
+//!   and the per-query oracle → `BENCH_planner.json`.
 //! * **power**: weighted (power-diagram) vs Euclidean build time, batch
-//!   query throughput and hidden-site count at 10⁶ points →
-//!   `BENCH_power.json` (not part of `all`; run explicitly).
-//! * **snapshot**: cold-start load vs fresh rebuild for plain, weighted
-//!   and sharded engines at 10⁵ and 10⁶ points →
-//!   `BENCH_snapshot.json` (not part of `all`; run explicitly).
+//!   query throughput (on every available core) and hidden-site count at
+//!   10⁶ points → `BENCH_power.json`.
+//! * `all` runs the tables, figures, ablations, `prepared` and
+//!   `predicates`; the other targets run only when named.
 //! * `--reps N` — repetitions per configuration (default 200; the paper
 //!   uses 1000 — pass `--reps 1000` for the exact protocol).
 //! * `--quick` — divide data sizes by 10 and reps by 4 (smoke run).
@@ -59,8 +63,7 @@ fn parse_args() -> Result<Args, String> {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "all" | "table1" | "table2" | "fig4" | "fig5" | "fig6" | "fig7" | "ablation"
-            | "prepared" | "query-cache" | "sharded" | "predicates" | "knn" | "payload"
-            | "planner" | "power" | "snapshot" => {
+            | "prepared" | "predicates" | "knn" | "payload" | "planner" | "power" => {
                 what = arg;
             }
             "--reps" => {
@@ -78,7 +81,7 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 return Err(String::from(
                     "usage: reproduce \
-[all|table1|table2|fig4|fig5|fig6|fig7|ablation|prepared|query-cache|sharded|predicates|knn|payload|planner|power|snapshot] \
+[all|table1|table2|fig4|fig5|fig6|fig7|ablation|prepared|predicates|knn|payload|planner|power] \
 [--reps N] [--quick] [--payload BYTES] [--out DIR]",
                 ));
             }
@@ -216,41 +219,23 @@ fn main() -> ExitCode {
         run_prepared_baseline(&args);
     }
 
-    if matches!(args.what.as_str(), "all" | "query-cache") {
-        run_query_cache_baseline(&args);
-    }
-
     if matches!(args.what.as_str(), "all" | "predicates") {
         run_predicates_baseline(&args);
     }
 
-    // The sharded baseline builds a 10⁶-point engine twice; it runs only
-    // when asked for (`reproduce sharded`), not under `all`.
-    if args.what == "sharded" {
-        run_sharded_baseline(&args);
-    }
-
-    // Sink-layer baselines (kNN-within-area, payload materialisation) —
-    // explicit targets, like `sharded`, to keep `all` at its cost.
+    // Explicit targets only, to keep `all` at its cost (`power` alone
+    // builds two 10⁶-point engines).
     if args.what == "knn" {
         run_knn_baseline(&args);
     }
     if args.what == "payload" {
         run_payload_baseline(&args);
     }
-    // Planner-vs-oracle sweep — explicit target, like `sharded`.
     if args.what == "planner" {
         run_planner_baseline(&args);
     }
-    // Weighted-vs-Euclidean diagram baseline — explicit target, like
-    // `sharded` (it builds two 10⁶-point engines).
     if args.what == "power" {
         run_power_baseline(&args);
-    }
-    // Snapshot cold-start baseline — explicit target; the full run
-    // builds three 10⁶-point engines.
-    if args.what == "snapshot" {
-        run_snapshot_baseline(&args);
     }
 
     eprintln!("done; outputs in {}", args.out.display());
@@ -384,46 +369,6 @@ fn run_payload_baseline(args: &Args) {
     eprintln!("wrote {}", path.display());
 }
 
-/// Measures snapshot cold-start (load from container) against a fresh
-/// rebuild for plain, weighted and sharded engines, and records the
-/// `BENCH_snapshot.json` baseline.
-fn run_snapshot_baseline(args: &Args) {
-    use vaq_bench::provenance::Provenance;
-    use vaq_bench::snapshot::{measure_snapshots, snapshot_report_json, SnapshotBenchConfig};
-
-    let cfg = if args.quick {
-        SnapshotBenchConfig::quick()
-    } else {
-        SnapshotBenchConfig::standard()
-    };
-    eprintln!(
-        "== Snapshot cold start: plain/weighted/sharded at {:?} points, best of {} loads ==",
-        cfg.data_sizes, cfg.reps
-    );
-    let rows = measure_snapshots(&cfg);
-    for r in &rows {
-        eprintln!(
-            "  {:>8} n={:>8}  build {:8.3} s  save {:7.3} s  {:>11} B  load {:7.4} s  ({:6.1}x)",
-            r.variant,
-            r.data_size,
-            r.build_s,
-            r.save_s,
-            r.file_bytes,
-            r.load_s,
-            r.load_speedup()
-        );
-    }
-    let prov = Provenance::capture(
-        *cfg.data_sizes.iter().max().expect("sizes") as u64,
-        cfg.check_areas as u64,
-        1,
-    );
-    let json = snapshot_report_json(&cfg, &rows, &prov);
-    let path = args.out.join("BENCH_snapshot.json");
-    fs::write(&path, json).expect("write BENCH_snapshot.json");
-    eprintln!("wrote {}", path.display());
-}
-
 /// Measures the weighted (power-diagram) engine against the Euclidean
 /// engine over the same points — build time, batch query throughput and
 /// hidden-site count — and records the `BENCH_power.json` baseline.
@@ -437,8 +382,8 @@ fn run_power_baseline(args: &Args) {
         PowerBenchConfig::standard()
     };
     eprintln!(
-        "== Power diagram: {} points, max radius {}, {} areas (query size {}), {} threads ==",
-        cfg.data_size, cfg.max_radius, cfg.distinct_areas, cfg.query_size, cfg.threads
+        "== Power diagram: {} points, max radius {}, {} areas (query size {}) ==",
+        cfg.data_size, cfg.max_radius, cfg.distinct_areas, cfg.query_size
     );
     let row = measure_power(&cfg);
     eprintln!(
@@ -449,15 +394,16 @@ fn run_power_baseline(args: &Args) {
         row.hidden_sites,
     );
     eprintln!(
-        "  query: euclidean {:9.1} q/s -> weighted {:9.1} q/s ({:.2}x cost)",
+        "  query: euclidean {:9.1} q/s -> weighted {:9.1} q/s ({:.2}x cost), {} threads",
         row.euclidean_qps,
         row.power_qps,
         row.query_overhead(),
+        row.threads,
     );
     let prov = Provenance::capture(
         cfg.data_size as u64,
         (cfg.distinct_areas * cfg.rounds) as u64,
-        cfg.threads,
+        row.threads,
     );
     let json = power_report_json(&row, &prov);
     let path = args.out.join("BENCH_power.json");
@@ -524,50 +470,6 @@ fn run_planner_baseline(args: &Args) {
     eprintln!("wrote {}", path.display());
 }
 
-/// Measures sharded vs single-engine build time, batch query throughput
-/// and MBR shard pruning, and records the `BENCH_sharded.json` baseline.
-fn run_sharded_baseline(args: &Args) {
-    use vaq_bench::sharded::{measure_sharded, sharded_report_json, ShardedBenchConfig};
-
-    let cfg = if args.quick {
-        ShardedBenchConfig::quick()
-    } else {
-        ShardedBenchConfig::standard()
-    };
-    eprintln!(
-        "== Sharded serving: {} points x {} shards, {} small areas (query size {}) x {} rounds, {} threads ==",
-        cfg.data_size, cfg.shards, cfg.distinct_areas, cfg.query_size, cfg.rounds, cfg.threads
-    );
-    let row = measure_sharded(&cfg);
-    eprintln!(
-        "  build: single {:8.3} s   sharded {:8.3} s ({:.2}x)",
-        row.single_build_s,
-        row.sharded_build_s,
-        row.build_speedup()
-    );
-    eprintln!(
-        "  batch: single {:8.1} q/s  sharded {:8.1} q/s ({:.2}x)",
-        row.single_qps,
-        row.sharded_qps,
-        row.throughput_ratio()
-    );
-    eprintln!(
-        "  pruning: {:.2} of {} shards visited per query ({:.1}% pruned)",
-        row.mean_shards_visited,
-        cfg.shards,
-        100.0 * row.prune_fraction()
-    );
-    let prov = vaq_bench::provenance::Provenance::capture(
-        cfg.data_size as u64,
-        (cfg.distinct_areas * cfg.rounds) as u64,
-        cfg.threads,
-    );
-    let json = sharded_report_json(&row, &prov);
-    let path = args.out.join("BENCH_sharded.json");
-    fs::write(&path, json).expect("write BENCH_sharded.json");
-    eprintln!("wrote {}", path.display());
-}
-
 /// Measures raw vs prepared query-area primitives across vertex counts
 /// and records the `BENCH_prepared.json` baseline.
 fn run_prepared_baseline(args: &Args) {
@@ -598,46 +500,6 @@ fn run_prepared_baseline(args: &Args) {
     let json = prepared_report_json(&rows, &prov);
     let path = args.out.join("BENCH_prepared.json");
     fs::write(&path, json).expect("write BENCH_prepared.json");
-    eprintln!("wrote {}", path.display());
-}
-
-/// Measures the repeated-areas (dashboard) workload under the three
-/// prepare modes and records the `BENCH_query_cache.json` baseline.
-fn run_query_cache_baseline(args: &Args) {
-    use vaq_bench::query_cache::{
-        measure_repeated_areas, query_cache_report_json, RepeatedAreasConfig,
-    };
-
-    let cfg = if args.quick {
-        RepeatedAreasConfig::quick()
-    } else {
-        RepeatedAreasConfig::standard()
-    };
-    eprintln!(
-        "== Prepared-area cache: {} areas (k={}) x {} rounds over {} points ==",
-        cfg.distinct_areas, cfg.vertices, cfg.rounds, cfg.data_size
-    );
-    let row = measure_repeated_areas(&cfg);
-    eprintln!(
-        "  raw {:9.1} us/query   prepare-once {:9.1} us/query   cached {:9.1} us/query",
-        row.raw_us, row.prepare_once_us, row.cached_us
-    );
-    eprintln!(
-        "  cached speedup: {:.2}x vs raw, {:.2}x vs prepare-once ({} hits / {} misses, {:.1}% hit rate)",
-        row.speedup_vs_raw(),
-        row.speedup_vs_prepare_once(),
-        row.cache.hits,
-        row.cache.misses,
-        100.0 * row.cache.hit_rate(),
-    );
-    let prov = vaq_bench::provenance::Provenance::capture(
-        cfg.data_size as u64,
-        (cfg.distinct_areas * cfg.rounds * 3) as u64,
-        1,
-    );
-    let json = query_cache_report_json(&row, &prov);
-    let path = args.out.join("BENCH_query_cache.json");
-    fs::write(&path, json).expect("write BENCH_query_cache.json");
     eprintln!("wrote {}", path.display());
 }
 

@@ -2,17 +2,18 @@
 //!
 //! Regenerates every table and figure of the evaluation section of *Area
 //! Queries Based on Voronoi Diagrams* (ICDE 2020), plus the ablation
-//! studies called out in DESIGN.md.
+//! studies listed in the README's "Reproducing the paper" section.
 //!
 //! `cargo run --release -p vaq-bench --bin reproduce` runs the paper's
 //! two sweeps, prints Table I / Table II in the paper's layout, and
 //! writes `results/table1.csv`, `results/table2.csv` and
 //! `results/fig{4,5,6,7}.csv` (each figure is a column pair of the
 //! corresponding table, exactly as in the paper). Its other targets
-//! record the `results/BENCH_*.json` baselines with provenance.
+//! record the `results/BENCH_*.json` baselines with provenance: the
+//! costs the end-to-end benchmark (`perfbench/`) cannot isolate.
 //!
 //! This library crate holds what those targets share: pre-generated
-//! polygon batches, engine construction, and one module per baseline.
+//! polygon batches, a throughput timer, and one module per baseline.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -24,13 +25,9 @@ pub mod power;
 pub mod predicates;
 pub mod prepared;
 pub mod provenance;
-pub mod query_cache;
-pub mod sharded;
-pub mod snapshot;
 
-use vaq_core::AreaQueryEngine;
 use vaq_geom::Polygon;
-use vaq_workload::{generate, random_query_polygon, unit_space, Distribution, PolygonSpec};
+use vaq_workload::{random_query_polygon, unit_space, PolygonSpec};
 
 /// Deterministic base seed shared by the whole harness.
 pub const HARNESS_SEED: u64 = 0x1CDE_2020;
@@ -49,13 +46,6 @@ pub fn time_qps(queries: usize, reps: usize, run: &mut dyn FnMut() -> usize) -> 
         best = best.max(qps);
     }
     best
-}
-
-/// Builds the standard engine (uniform points, STR R-tree + Delaunay) for
-/// a benchmark dataset of `n` points.
-pub fn standard_engine(n: usize) -> AreaQueryEngine {
-    let pts = generate(n, Distribution::Uniform, HARNESS_SEED ^ n as u64);
-    AreaQueryEngine::build(&pts)
 }
 
 /// Pre-generates `count` random 10-gon query polygons of the given query
@@ -96,7 +86,5 @@ mod tests {
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.vertices(), y.vertices());
         }
-        let e = standard_engine(500);
-        assert_eq!(e.len(), 500);
     }
 }

@@ -9,8 +9,8 @@
 //!   regular triangulation runs `power_incircle` instead of `incircle`
 //!   and must detect hidden sites);
 //! * **batch query throughput** — the Voronoi-method batch on each
-//!   engine (power cells change the seed walks and BFS frontiers, never
-//!   the answers);
+//!   engine, on one worker per available core (power cells change the
+//!   seed walks and BFS frontiers, never the answers);
 //! * **hidden sites** — how many sites the weight distribution swallows
 //!   (the structural difference the weighted build pays for).
 //!
@@ -25,6 +25,7 @@ use crate::provenance::Provenance;
 use crate::{polygon_batch_with, time_qps, HARNESS_SEED};
 use std::fmt::Write as _;
 use std::time::Instant;
+use vaq_core::sync::resolve_threads;
 use vaq_core::{AreaQueryEngine, QuerySpec};
 use vaq_delaunay::DiagramKind;
 use vaq_workload::{generate, generate_weights, Distribution, WeightDistribution};
@@ -44,8 +45,6 @@ pub struct PowerBenchConfig {
     pub query_size: f64,
     /// How many times the area set is swept per timed batch.
     pub rounds: usize,
-    /// Worker threads for both engines' batch paths.
-    pub threads: usize,
     /// Timing batches (best-of, rejects scheduler noise).
     pub reps: usize,
 }
@@ -60,7 +59,6 @@ impl PowerBenchConfig {
             distinct_areas: 64,
             query_size: 0.001,
             rounds: 4,
-            threads: 8,
             reps: 2,
         }
     }
@@ -73,7 +71,6 @@ impl PowerBenchConfig {
             distinct_areas: 8,
             query_size: 0.01,
             rounds: 2,
-            threads: 2,
             reps: 1,
         }
     }
@@ -84,6 +81,9 @@ impl PowerBenchConfig {
 pub struct PowerBenchRow {
     /// The measured workload.
     pub config: PowerBenchConfig,
+    /// Worker threads both engines' batches ran on: the machine's
+    /// available parallelism.
+    pub threads: usize,
     /// Euclidean engine build, seconds.
     pub euclidean_build_s: f64,
     /// Weighted (power-diagram) engine build, seconds.
@@ -112,8 +112,9 @@ impl PowerBenchRow {
 /// Runs the weighted-vs-Euclidean workload: builds both engines over
 /// the same points (timed), cross-checks the uniform-normalisation and
 /// answer-identity invariants, then times each engine's batch
-/// throughput.
+/// throughput on [`resolve_threads(0)`](resolve_threads) workers.
 pub fn measure_power(cfg: &PowerBenchConfig) -> PowerBenchRow {
+    let threads = resolve_threads(0);
     let pts = generate(
         cfg.data_size,
         Distribution::Uniform,
@@ -149,8 +150,8 @@ pub fn measure_power(cfg: &PowerBenchConfig) -> PowerBenchRow {
     let m = cfg.data_size.min(4096);
     let uniform = AreaQueryEngine::build_weighted(&pts[..m], &vec![0.25; m]);
     assert_eq!(uniform.diagram_kind(), DiagramKind::Euclidean);
-    let euclid_outs = euclid.execute_batch(&spec, &areas, cfg.threads);
-    let power_outs = power.execute_batch(&spec, &areas, cfg.threads);
+    let euclid_outs = euclid.execute_batch(&spec, &areas, threads);
+    let power_outs = power.execute_batch(&spec, &areas, threads);
     for (i, (a, b)) in euclid_outs.iter().zip(&power_outs).enumerate() {
         assert_eq!(
             a.result().expect("collect-mode batch").sorted_indices(),
@@ -165,7 +166,7 @@ pub fn measure_power(cfg: &PowerBenchConfig) -> PowerBenchRow {
             (0..cfg.rounds)
                 .map(|_| {
                     engine
-                        .execute_batch(&spec, &areas, cfg.threads)
+                        .execute_batch(&spec, &areas, threads)
                         .iter()
                         .map(|o| o.count())
                         .sum::<usize>()
@@ -178,6 +179,7 @@ pub fn measure_power(cfg: &PowerBenchConfig) -> PowerBenchRow {
 
     PowerBenchRow {
         config: *cfg,
+        threads,
         euclidean_build_s,
         power_build_s,
         euclidean_qps,
@@ -197,7 +199,7 @@ pub fn power_report_json(row: &PowerBenchRow, prov: &Provenance) -> String {
         s,
         "  \"workload\": {{\"data_size\": {}, \"max_radius\": {}, \"distinct_areas\": {}, \
 \"query_size\": {}, \"rounds\": {}, \"threads\": {}}},",
-        c.data_size, c.max_radius, c.distinct_areas, c.query_size, c.rounds, c.threads
+        c.data_size, c.max_radius, c.distinct_areas, c.query_size, c.rounds, row.threads
     );
     let _ = writeln!(s, "  \"euclidean_build_s\": {:.3},", row.euclidean_build_s);
     let _ = writeln!(s, "  \"power_build_s\": {:.3},", row.power_build_s);
@@ -217,6 +219,11 @@ mod tests {
     #[test]
     fn measurement_is_sane_and_hides_sites() {
         let row = measure_power(&PowerBenchConfig::quick());
+        assert_eq!(
+            row.threads,
+            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+            "the batches run on every available core"
+        );
         assert!(row.euclidean_build_s > 0.0);
         assert!(row.power_build_s > 0.0);
         assert!(row.euclidean_qps > 0.0);
@@ -237,18 +244,20 @@ mod tests {
     fn json_report_shape() {
         let row = PowerBenchRow {
             config: PowerBenchConfig::quick(),
+            threads: 2,
             euclidean_build_s: 1.0,
             power_build_s: 1.5,
             euclidean_qps: 200.0,
             power_qps: 160.0,
             hidden_sites: 42,
         };
-        let prov = Provenance::capture(row.config.data_size as u64, 16, row.config.threads);
+        let prov = Provenance::capture(row.config.data_size as u64, 16, row.threads);
         let json = power_report_json(&row, &prov);
         assert!(json.contains("\"provenance\""));
         assert!(json.contains("\"build_overhead\": 1.50"));
         assert!(json.contains("\"query_overhead\": 1.25"));
         assert!(json.contains("\"hidden_sites\": 42"));
+        assert!(json.contains("\"threads\": 2}"));
         assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
     }
 }

@@ -14,8 +14,8 @@
 //! candidate's record in full — a real, checksummed memory traversal whose
 //! random-access pattern mirrors fetching rows by id. Payload size 0
 //! disables the simulation (pure CPU regime); sizes of a few hundred bytes
-//! to a few KiB correspond to realistic feature rows. EXPERIMENTS.md
-//! reports both regimes.
+//! to a few KiB correspond to realistic feature rows. The README's
+//! "Reproducing the paper" section reports both regimes.
 //!
 //! Two access regimes exist on top of the store:
 //!

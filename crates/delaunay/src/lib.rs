@@ -54,9 +54,7 @@
 #![warn(missing_docs)]
 
 pub mod flat;
-pub mod graphs;
 pub mod hilbert;
-pub mod knn;
 pub mod mesh;
 pub mod metric;
 pub mod triangulation;

@@ -16,7 +16,7 @@ use crate::datagen::{generate, unit_space, Distribution};
 use crate::polygen::{random_query_polygon, PolygonSpec};
 use std::time::Instant;
 use vaq_core::sync;
-use vaq_core::{AreaQueryEngine, ExpansionPolicy, QuerySession, QuerySpec, ShardedAreaQueryEngine};
+use vaq_core::{AreaQueryEngine, ExpansionPolicy, QuerySession, QuerySpec};
 
 /// Mean per-query measurements for one method.
 #[derive(Clone, Copy, Debug, Default)]
@@ -179,28 +179,6 @@ pub fn build_engine(data_size: usize, cfg: &SweepConfig) -> AreaQueryEngine {
         .build()
 }
 
-/// Builds the **sharded** engine over exactly the same dataset
-/// [`build_engine`] would index (same seed derivation), partitioned into
-/// `shards` shards (`0` auto-tunes to the hardware) — the serving-scale
-/// counterpart for differential and throughput sweeps.
-/// [`SweepConfig::payload_bytes`] attaches per-shard slices of the same
-/// logical record store [`build_engine`] generates, so payload checksums
-/// are bit-identical across the sharded and unsharded engines.
-pub fn build_sharded_engine(
-    data_size: usize,
-    shards: usize,
-    cfg: &SweepConfig,
-) -> ShardedAreaQueryEngine {
-    let pts = generate(
-        data_size,
-        cfg.distribution,
-        cfg.base_seed ^ data_size as u64,
-    );
-    AreaQueryEngine::builder(&pts)
-        .payload_bytes(cfg.payload_bytes)
-        .build_sharded(shards)
-}
-
 /// Table I / Figs 4–5: sweep over data sizes at a fixed query size.
 ///
 /// With [`SweepConfig::pipeline_builds`], engines for successive sizes are
@@ -359,27 +337,6 @@ mod tests {
             ratio > 2.0 && ratio < 8.0,
             "candidate ratio {ratio} not ≈ 4"
         );
-    }
-
-    #[test]
-    fn sharded_engine_indexes_the_same_dataset() {
-        use crate::polygen::{random_query_polygon, PolygonSpec};
-        let cfg = small_cfg();
-        let single = build_engine(3000, &cfg);
-        let sharded = build_sharded_engine(3000, 4, &cfg);
-        assert_eq!(sharded.len(), single.len());
-        assert_eq!(sharded.shard_count(), 4);
-        let area = random_query_polygon(
-            &crate::datagen::unit_space(),
-            &PolygonSpec::with_query_size(0.03),
-            7,
-        );
-        let want = single
-            .execute(&QuerySpec::brute_force(), &area)
-            .into_result()
-            .unwrap()
-            .sorted_indices();
-        assert_eq!(sharded.execute(&QuerySpec::new(), &area).indices, want);
     }
 
     #[test]

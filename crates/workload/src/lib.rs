@@ -35,7 +35,7 @@ pub mod report;
 
 pub use datagen::{generate, generate_weights, unit_space, Distribution, WeightDistribution};
 pub use experiment::{
-    build_engine, build_sharded_engine, data_size_sweep, paper_data_sizes, paper_query_sizes,
-    query_size_sweep, run_config, ConfigResult, MethodMeasurement, SweepConfig,
+    build_engine, data_size_sweep, paper_data_sizes, paper_query_sizes, query_size_sweep,
+    run_config, ConfigResult, MethodMeasurement, SweepConfig,
 };
 pub use polygen::{mixed_query_polygons, random_query_polygon, PolygonSpec};

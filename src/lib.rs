@@ -5,8 +5,8 @@
 //! integration tests can `use voronoi_area_query::...` without naming the
 //! individual workspace crates.
 //!
-//! See the repository README for the architecture overview, DESIGN.md for
-//! the system inventory, and EXPERIMENTS.md for paper-vs-measured results.
+//! See the repository README: its crate map for the architecture overview,
+//! and its "Reproducing the paper" section for paper-vs-measured results.
 
 #![forbid(unsafe_code)]
 

@@ -1,11 +1,12 @@
 //! A pinned counterexample to the completeness of the paper's Algorithm 1.
 //!
-//! DESIGN.md argues that the segment-based expansion rule
-//! (`Intersects(line(p, pn), A)`) is a heuristic: a connected area can
-//! reach around the *outside* of the point set's convex hull, where there
-//! are no Delaunay edges to cross, so the BFS can die before reaching a
-//! second pocket of internal points. This test constructs exactly that
-//! configuration and shows
+//! The segment-based expansion rule (`Intersects(line(p, pn), A)`) is a
+//! heuristic, which is why the planner (README, "Query planner" section)
+//! picks it only where the area's MBR lies inside the data hull: a
+//! connected area can reach around the *outside* of the point set's
+//! convex hull, where there are no Delaunay edges to cross, so the BFS
+//! can die before reaching a second pocket of internal points. This test
+//! constructs exactly that configuration and shows
 //!
 //! * the segment policy (the paper's algorithm, verbatim) returns an
 //!   incomplete result, while

@@ -1,6 +1,6 @@
 //! End-to-end verification of the paper's quantitative claims at reduced
 //! scale (the full-scale numbers are regenerated by the `reproduce`
-//! binary; EXPERIMENTS.md records them).
+//! binary; the README's "Reproducing the paper" section records them).
 
 use voronoi_area_query::core::PointClass;
 use voronoi_area_query::workload::{build_engine, query_size_sweep, run_config, SweepConfig};

@@ -1,8 +1,8 @@
 //! Differential sweep of the full `QuerySpec` grid — method × policy ×
 //! prepare × output — against the brute-force oracle, over
 //! polygon, region-with-hole and rectangle (window) areas. Plus the
-//! prepared-area cache contract (`Cached` ≡ `Raw`, bit for bit, with hit
-//! counters) and the work-stealing batch ordering guarantee.
+//! prepared-area contract (`PrepareOnce` ≡ `Cached` ≡ `Raw`, bit for bit,
+//! with hit counters) and the work-stealing batch ordering guarantee.
 
 use voronoi_area_query::core::{
     AreaQueryEngine, CacheCounters, ExpansionPolicy, OutputMode, PrepareMode, QueryArea,
@@ -123,21 +123,24 @@ fn grid_agrees_on_region_with_hole() {
     assert_grid_agrees(&engine, &region, "region with hole");
 }
 
-/// `PrepareMode::Cached` returns bit-identical results and stats to `Raw`
-/// (only the cache counters differ), and the cache reports hits on
-/// repeated areas.
+/// `PrepareMode::PrepareOnce` and `PrepareMode::Cached` return
+/// bit-identical results (the same indices in the same order) and stats
+/// to `Raw` (only the cache counters differ), on 48- and 256-vertex
+/// areas, and the cache reports hits on repeated areas.
 #[test]
 fn cached_is_bit_identical_to_raw_and_hits_on_repeats() {
     let engine = uniform_engine(2000, 0xD1CE);
     let mut session = engine.session();
     let space = unit_space();
-    let areas: Vec<Polygon> = (0..4)
-        .map(|i| {
+    let areas: Vec<Polygon> = [48, 48, 48, 48, 256]
+        .into_iter()
+        .zip(900..)
+        .map(|(vertices, seed)| {
             let spec = PolygonSpec {
-                vertices: 48,
+                vertices,
                 ..PolygonSpec::with_query_size(0.03)
             };
-            random_query_polygon(&space, &spec, 900 + i)
+            random_query_polygon(&space, &spec, seed)
         })
         .collect();
     for method in [QueryMethod::Traditional, QueryMethod::Voronoi] {
@@ -145,31 +148,28 @@ fn cached_is_bit_identical_to_raw_and_hits_on_repeats() {
         let cached_spec = raw_spec.prepare(PrepareMode::Cached);
         for (i, area) in areas.iter().enumerate() {
             let raw = session.execute(&raw_spec, area);
+            let once = session.execute(&raw_spec.prepare(PrepareMode::PrepareOnce), area);
             let first = session.execute(&cached_spec, area);
             let again = session.execute(&cached_spec, area);
             let ctx = format!("{method:?} area {i}");
-            assert_eq!(
-                raw.result().unwrap().indices,
-                first.result().unwrap().indices,
-                "{ctx}"
-            );
-            assert_eq!(
-                raw.result().unwrap().indices,
-                again.result().unwrap().indices,
-                "{ctx}"
-            );
             // Stats: identical except the cache counters. The cache is
             // keyed by area content (method-agnostic), so only the first
-            // method's pass misses.
+            // method's pass misses; `PrepareOnce` never touches it.
             let first_expected = if method == QueryMethod::Traditional {
                 CacheCounters { hits: 0, misses: 1 }
             } else {
                 CacheCounters { hits: 1, misses: 0 }
             };
             for (label, out, cache) in [
+                ("once", &once, CacheCounters::default()),
                 ("first", &first, first_expected),
                 ("again", &again, CacheCounters { hits: 1, misses: 0 }),
             ] {
+                assert_eq!(
+                    out.result().unwrap().indices,
+                    raw.result().unwrap().indices,
+                    "{ctx} {label}"
+                );
                 assert_eq!(out.stats().prepared_cache, cache, "{ctx} {label}");
                 // Identical except the two how-was-it-computed fields:
                 // cache traffic and the predicate-pipeline split (the
@@ -185,13 +185,13 @@ fn cached_is_bit_identical_to_raw_and_hits_on_repeats() {
             }
         }
     }
-    // 4 areas × 2 methods: every (method-agnostic) prepared area is built
+    // 5 areas × 2 methods: every (method-agnostic) prepared area is built
     // once per first sight and hit thereafter.
     let totals = session.cache_counters();
-    assert_eq!(totals.misses, 4, "one miss per distinct area");
-    assert_eq!(totals.hits, 12, "every repeat is a hit");
+    assert_eq!(totals.misses, 5, "one miss per distinct area");
+    assert_eq!(totals.hits, 15, "every repeat is a hit");
     assert!(totals.hit_rate() > 0.7);
-    assert_eq!(session.cache_len(), 4);
+    assert_eq!(session.cache_len(), 5);
 }
 
 /// The work-stealing batch returns outputs in input order, matching the
