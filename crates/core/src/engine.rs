@@ -45,7 +45,6 @@ use crate::shard::ShardedAreaQueryEngine;
 use crate::stats::QueryStats;
 use vaq_delaunay::{DiagramKind, SiteMetric, Triangulation};
 use vaq_geom::{Point, Rect};
-use vaq_kdtree::KdTree;
 use vaq_rtree::RTree;
 
 /// The outcome of one area query: matching point ids plus statistics.
@@ -155,8 +154,7 @@ impl EngineBuilder {
             )
         };
         let records = self.take_records();
-        let density = DensityMap::from_points(&self.points);
-        AreaQueryEngine::assemble(self.points, tri, records, density, None, None)
+        AreaQueryEngine::assemble(self.points, tri, records, None, None)
     }
 
     /// Builds a [`ShardedAreaQueryEngine`] over the same options: the
@@ -214,24 +212,24 @@ pub struct AreaQueryEngine {
     /// shard-local engines so the segment policy can fall back to the
     /// complete cell test exactly on boundary-straddling frontiers.
     pub(crate) boundary_straddlers: Option<Vec<bool>>,
-    /// kd-tree over the **hidden** canonical vertices' coordinates (id =
+    /// R-tree over the **hidden** canonical vertices' coordinates (id =
     /// position in the sorted hidden list), so the post-BFS hidden-site
     /// sweep is a window lookup instead of an `O(hidden)` rect scan.
     /// `None` when nothing is hidden (every Euclidean engine).
-    pub(crate) hidden_index: Option<KdTree>,
+    pub(crate) hidden_index: Option<RTree>,
 }
 
 impl AreaQueryEngine {
     /// Assembles an engine from a built (or loaded) triangulation — the
     /// shared tail of [`EngineBuilder::build`] and the snapshot loader.
-    /// The hidden-site index is a deterministic function of the
-    /// triangulation, so rebuilding it here keeps a loaded engine
-    /// bit-identical to a freshly built one.
+    /// The planner's density map is a deterministic function of the
+    /// points and the hidden-site index one of the triangulation, so
+    /// rebuilding both here keeps a loaded engine bit-identical to a
+    /// freshly built one.
     pub(crate) fn assemble(
         points: Vec<Point>,
         tri: Option<Triangulation<SiteMetric>>,
         records: Option<RecordStore>,
-        density: DensityMap,
         boundary_straddlers: Option<Vec<bool>>,
         prebuilt_rtree: Option<RTree>,
     ) -> AreaQueryEngine {
@@ -260,9 +258,10 @@ impl AreaQueryEngine {
             let hidden = t.hidden_vertices();
             (!hidden.is_empty()).then(|| {
                 let coords: Vec<Point> = hidden.iter().map(|&h| t.point(h)).collect();
-                KdTree::build(&coords)
+                RTree::bulk_load(&coords)
             })
         });
+        let density = DensityMap::from_points(&points);
         let data_bbox = Rect::from_points(points.iter().copied());
         AreaQueryEngine {
             points,

@@ -249,15 +249,6 @@ impl DensityMap {
         DensityMap { regions, total }
     }
 
-    /// The weighted `(region, count)` pairs backing the map, in
-    /// insertion order. [`DensityMap::from_regions`] over these pairs
-    /// reconstructs the map exactly (both construction paths already
-    /// satisfy its non-empty/positive filter), which is how snapshots
-    /// persist it.
-    pub fn regions(&self) -> &[(Rect, f64)] {
-        &self.regions
-    }
-
     /// Total number of points the map covers.
     pub fn total(&self) -> f64 {
         self.total

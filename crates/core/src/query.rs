@@ -66,6 +66,7 @@ use crate::voronoi_query::{
 use crate::PointClass;
 use std::sync::Arc;
 use vaq_geom::Point;
+use vaq_rtree::AccessStats;
 
 /// Which algorithm answers the query.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -852,12 +853,13 @@ impl AreaQueryEngine {
         // Hidden sites (power diagrams only) own no cell and no edges, so
         // the BFS can never reach them — but they are real points of the
         // dataset and must be reported when the area contains them. The
-        // engine's hidden-site kd-tree answers the area-MBR window in
-        // O(√hidden + hits) instead of rect-scanning every hidden site;
-        // the window's closed-rectangle semantics equal the old scan's
-        // MBR precheck, and the hits are sorted back into ascending
-        // hidden order, so the surviving sites, their emission order and
-        // every pre-existing counter are bit-identical to the scan.
+        // engine's hidden-site R-tree answers the area-MBR window instead
+        // of rect-scanning every hidden site; the window's
+        // closed-rectangle semantics equal the old scan's MBR precheck,
+        // and the hits are sorted back into ascending hidden order, so the
+        // surviving sites, their emission order and every pre-existing
+        // counter are bit-identical to the scan. Its node accesses go to a
+        // throwaway counter: `stats.index` counts the main R-tree only.
         // Survivors go through the same candidate accounting as a BFS
         // visit. `None` on Euclidean diagrams: zero cost there.
         let Some(hidden_index) = self.hidden_index.as_ref() else {
@@ -865,7 +867,7 @@ impl AreaQueryEngine {
             return;
         };
         let hidden = tri.hidden_vertices();
-        let mut hits = hidden_index.window(&area.mbr());
+        let mut hits = hidden_index.window_with_stats(&area.mbr(), &mut AccessStats::default());
         hits.sort_unstable();
         stats.hidden_examined += hits.len();
         stats.hidden_pruned += hidden.len() - hits.len();

@@ -2,17 +2,19 @@
 //!
 //! Building the Voronoi substrate dominates cold-start time — the
 //! Delaunay/regular triangulation is orders of magnitude more expensive
-//! than any secondary index. A **snapshot** persists the built
-//! triangulation (and everything else the answer depends on) as flat
-//! little-endian POD arrays in a versioned, checksummed, page-aligned
-//! container file, so a serving process reaches its first answer by
-//! *reading* instead of *rebuilding*. Loads hand the flat arrays
-//! straight back to [`Triangulation::from_flat`] without per-element
-//! decoding and restore the R-tree's node arena verbatim; the
-//! hidden-site index is rebuilt deterministically from the
-//! triangulation, so a loaded engine is **bit-identical** to a freshly
-//! built one — same indices, same [`QueryStats`](crate::QueryStats)
-//! work counters on every execution path.
+//! than any secondary index. A **snapshot** persists what a query reads
+//! and a load cannot cheaply rebuild — the Voronoi graph, not the
+//! triangle mesh it was built on — as flat little-endian POD arrays in a
+//! versioned, checksummed, page-aligned container file, so a serving
+//! process reaches its first answer by *reading* instead of
+//! *rebuilding*. Loads hand the flat arrays straight back to
+//! [`Triangulation::from_flat`] without per-element decoding and restore
+//! the R-tree's node arena verbatim; the planner's density map and the
+//! hidden-site index are rebuilt deterministically from the points and
+//! the triangulation, so a loaded engine is **bit-identical** to a
+//! freshly built one — same indices, same
+//! [`QueryStats`](crate::QueryStats) work counters on every execution
+//! path.
 //!
 //! # Container layout
 //!
@@ -43,10 +45,13 @@
 //! # What is persisted per kind
 //!
 //! * **Plain** ([`AreaQueryEngine`]): points, the triangulation's flat
-//!   arrays ([`TriangulationFlat`]: mesh slots + free list, adjacency
-//!   CSR, hull, weights, hidden/anchor tables; the canonical site array
-//!   is derived from the points), payload record pages, the planner's
-//!   density map, shard-boundary flags and the R-tree arena.
+//!   arrays ([`TriangulationFlat`]: the adjacency CSR, hull, weights and
+//!   hidden/anchor tables, plus the duplicate maps when inputs
+//!   coincide), payload record pages, shard-boundary flags and the
+//!   R-tree arena. A load rebuilds the rest: the canonical site array
+//!   (from the points), the planner's density map (from the points) and
+//!   the hidden-site R-tree (from the hidden sites). Format v4 stores no
+//!   triangle mesh: no query reads one.
 //! * **Sharded** ([`ShardedAreaQueryEngine`]): the kd-partition
 //!   metadata (point count, diagram family, shard count) plus **one
 //!   independently loadable section per shard** (its global-id table and
@@ -64,14 +69,12 @@
 use crate::dynamic::DynamicAreaQueryEngine;
 use crate::engine::AreaQueryEngine;
 use crate::payload::RecordStore;
-use crate::plan::DensityMap;
 use crate::shard::ShardedAreaQueryEngine;
 use std::collections::HashSet;
 use std::fmt;
 use std::path::Path;
-use vaq_delaunay::mesh::Tri;
 use vaq_delaunay::{DiagramKind, Triangulation, TriangulationFlat};
-use vaq_geom::{Point, Rect};
+use vaq_geom::Point;
 use vaq_rtree::{RTree, RTreeRaw};
 
 /// The container magic: the bytes `VAQSNAP1` read as a little-endian
@@ -82,7 +85,7 @@ pub const SNAPSHOT_MAGIC: u64 = u64::from_le_bytes(*b"VAQSNAP1");
 /// Current container format version. Bump on **any** change to the
 /// header, section or flat-array layouts (the layout-fingerprint guard
 /// test enforces the coupling).
-pub const SNAPSHOT_VERSION: u32 = 3;
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// Section payloads (and the first section) start on multiples of this.
 pub const SNAPSHOT_PAGE: usize = 4096;
@@ -115,16 +118,14 @@ const TAG_SHARD: u64 = 0x1000;
 /// misparsing it. The guard test in this module pins the fingerprint:
 /// editing this string (or the layouts it describes) without bumping
 /// [`SNAPSHOT_VERSION`] fails the build's test suite.
-const LAYOUT: &str = "vaq-snapshot layout v3:\
+const LAYOUT: &str = "vaq-snapshot layout v4:\
  header{magic:u64,version:u32,kind:u32,layout:u64,file_len:u64,sections:u64,\
 table_sum:u64,git_rev:[u8;24],params:[u8;56]}\
  table{tag:u64,offset:u64,len:u64,checksum:u64}*\
  engine{points:[f64x2],tri?{canon_identity:u32,canon?:[u32],\
-members_off?:[u32],members?:[u32],mesh_tris:[u32x6],mesh_free:[u32],\
-adj_off:[u32],adj:[u32],\
-hull:[u32],degenerate:u32,last_finite:u32,weights:[f64],hidden:[u32],\
+members_off?:[u32],members?:[u32],adj_off:[u32],adj:[u32],\
+hull:[u32],degenerate:u32,weights:[f64],hidden:[u32],\
 anchor:[u32]},records?{record_bytes:u64,data:[u8]},\
-density:[{min:f64x2,max:f64x2,count:f64}],\
 straddlers?:[u8],rtree{levels:[u32],entry_offsets:[u32],entry_children:[u32],\
 inner_rects:[f64],root:u32,len:u64,max_entries:u32}}\
  dyn_overlay{base_ids:[u64],delta:[{id:u64,x:f64,y:f64}],tombstones:[u64],\
@@ -461,16 +462,6 @@ impl SecWriter {
         }
     }
 
-    fn tris(&mut self, v: &[Tri]) {
-        self.u64(v.len() as u64);
-        self.buf.reserve(v.len() * 24);
-        for t in v {
-            for w in t.v.iter().chain(t.n.iter()) {
-                self.buf.extend_from_slice(&w.to_le_bytes());
-            }
-        }
-    }
-
     fn u64s(&mut self, v: &[u64]) {
         self.u64(v.len() as u64);
         for &x in v {
@@ -573,26 +564,6 @@ impl<'a> SecReader<'a> {
                     f64::from_le_bytes(x.try_into().expect("split_at(8) of a 16-byte chunk")),
                     f64::from_le_bytes(y.try_into().expect("split_at(8) of a 16-byte chunk")),
                 )
-            })
-            .collect())
-    }
-
-    /// Bulk-decodes mesh arena slots (`v0 v1 v2 n0 n1 n2` per slot)
-    /// straight into [`Tri`]s — the arena is the largest array in an
-    /// engine blob, and decoding it once (instead of via an intermediate
-    /// word vector) saves a full pass over it.
-    fn tris(&mut self) -> Result<Vec<Tri>, SnapshotError> {
-        let n = self.len(24)?;
-        let raw = self.take(n * 24)?;
-        let word = |c: &[u8], i: usize| {
-            // vaq-lint: allow(panic-hygiene) -- i ranges over 0..6 within a 24-byte chunk
-            u32::from_le_bytes(c[4 * i..4 * i + 4].try_into().expect("chunks_exact(24)"))
-        };
-        Ok(raw
-            .chunks_exact(24)
-            .map(|c| Tri {
-                v: [word(c, 0), word(c, 1), word(c, 2)],
-                n: [word(c, 3), word(c, 4), word(c, 5)],
             })
             .collect())
     }
@@ -890,13 +861,10 @@ fn encode_engine(engine: &AreaQueryEngine) -> Vec<u8> {
                 w.u32s(&flat.members_off);
                 w.u32s(&flat.members);
             }
-            w.tris(&flat.mesh_tris);
-            w.u32s(&flat.mesh_free);
             w.u32s(&flat.adj_off);
             w.u32s(&flat.adj);
             w.u32s(&flat.hull);
             w.u32(flat.degenerate as u32);
-            w.u32(flat.last_finite);
             w.f64s(&flat.weights);
             w.u32s(&flat.hidden);
             w.u32s(&flat.anchor);
@@ -910,15 +878,6 @@ fn encode_engine(engine: &AreaQueryEngine) -> Vec<u8> {
             w.bytes(rs.raw_bytes());
         }
         None => w.u32(0),
-    }
-    let regions = engine.density_map().regions();
-    w.u64(regions.len() as u64);
-    for &(r, c) in regions {
-        w.f64(r.min.x);
-        w.f64(r.min.y);
-        w.f64(r.max.x);
-        w.f64(r.max.y);
-        w.f64(c);
     }
     match engine.boundary_straddlers.as_ref() {
         Some(s) => {
@@ -981,8 +940,6 @@ fn decode_engine(payload: &[u8]) -> Result<AreaQueryEngine, SnapshotError> {
                 canon,
                 members_off,
                 members,
-                mesh_tris: r.tris()?,
-                mesh_free: r.u32s()?,
                 adj_off: r.u32s()?,
                 adj: r.u32s()?,
                 hull: r.u32s()?,
@@ -995,7 +952,6 @@ fn decode_engine(payload: &[u8]) -> Result<AreaQueryEngine, SnapshotError> {
                         )))
                     }
                 },
-                last_finite: r.u32()?,
                 weights: r.f64s()?,
                 hidden: r.u32s()?,
                 anchor: r.u32s()?,
@@ -1032,14 +988,6 @@ fn decode_engine(payload: &[u8]) -> Result<AreaQueryEngine, SnapshotError> {
             )))
         }
     };
-    let n_regions = r.len(40)?;
-    let mut regions = Vec::with_capacity(n_regions);
-    for _ in 0..n_regions {
-        let min = Point::new(r.f64()?, r.f64()?);
-        let max = Point::new(r.f64()?, r.f64()?);
-        regions.push((Rect::new(min, max), r.f64()?));
-    }
-    let density = DensityMap::from_regions(regions);
     let boundary_straddlers = match r.u32()? {
         0 => None,
         1 => Some(r.bools()?),
@@ -1070,7 +1018,6 @@ fn decode_engine(payload: &[u8]) -> Result<AreaQueryEngine, SnapshotError> {
         points,
         tri,
         records,
-        density,
         boundary_straddlers,
         Some(rtree),
     ))
@@ -1376,6 +1323,9 @@ pub fn inspect(path: &Path) -> Result<SnapshotInfo, SnapshotError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use vaq_geom::Rect;
 
     #[test]
     fn checksum_distinguishes_length_and_content() {
@@ -1398,12 +1348,12 @@ mod tests {
     #[test]
     fn layout_fingerprint_is_pinned_to_the_version() {
         assert_eq!(
-            SNAPSHOT_VERSION, 3,
+            SNAPSHOT_VERSION, 4,
             "version changed: re-pin the fingerprint"
         );
         assert_eq!(
             layout_fingerprint(),
-            0xf2ab_9fa7_f731_be77,
+            0xc22b_e30d_973b_33a2,
             "flat layout changed: bump SNAPSHOT_VERSION and re-pin this fingerprint"
         );
     }
@@ -1514,6 +1464,25 @@ mod tests {
         assert_eq!(info.version, SNAPSHOT_VERSION);
         assert_eq!(info.file_len as usize, bytes.len());
         assert!(info.build_params.contains("pkg="));
+    }
+
+    /// The file keeps only what a query reads and a load cannot cheaply
+    /// rebuild. A plain engine over uniform points stores 16 B of
+    /// coordinates, about 28 B of adjacency CSR and about 7 B of R-tree
+    /// arena per point; a triangle mesh (48 B per point) or any other
+    /// derivable array would break the bound.
+    #[test]
+    fn plain_snapshot_stores_no_derivable_arrays() {
+        let mut rng = StdRng::seed_from_u64(20_000);
+        let pts: Vec<Point> = (0..20_000)
+            .map(|_| Point::new(rng.gen::<f64>(), rng.gen::<f64>()))
+            .collect();
+        let bytes = encode_engine(&AreaQueryEngine::build(&pts)).len();
+        let per_point = bytes as f64 / pts.len() as f64;
+        assert!(
+            per_point <= 56.0,
+            "{per_point:.2} bytes per point in the engine blob"
+        );
     }
 
     #[test]

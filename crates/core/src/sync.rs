@@ -33,8 +33,6 @@
 //!   shard's split [`RecordStore`](crate::RecordStore) in a
 //!   [`Mutex`]`<Option<RecordStore>>` so the owning worker can *take* it
 //!   instead of cloning record contents.
-//! * **Pipeline handoff** — `vaq-workload`'s build pipeline moves
-//!   engines between threads through [`channel::bounded`].
 //!
 //! The dynamic engine (`DynamicAreaQueryEngine`) mutates
 //! delta/tombstone/compaction state through `&mut self` and is
@@ -179,24 +177,6 @@ pub fn resolve_threads(requested: usize) -> usize {
     }
 }
 
-/// Bounded channels for pipeline handoff (the depth-1 build pipeline in
-/// `vaq-workload::experiment`).
-///
-/// Both facade implementations pass through to
-/// [`std::sync::mpsc::sync_channel`]: a bounded channel is a blocking
-/// rendezvous, not a lock-free hot path, so the model checker covers
-/// the *protocols built on top of it* (via [`model::Mutex`] models)
-/// rather than the channel internals themselves.
-pub mod channel {
-    pub use std::sync::mpsc::{Receiver, RecvError, SendError, SyncSender};
-
-    /// A bounded channel with capacity `cap`: `send` blocks while the
-    /// buffer is full (capacity 0 is a rendezvous channel).
-    pub fn bounded<T>(cap: usize) -> (SyncSender<T>, Receiver<T>) {
-        std::sync::mpsc::sync_channel(cap)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -279,19 +259,5 @@ mod tests {
         );
         assert_eq!(resolve_threads(1), 1);
         assert_eq!(resolve_threads(7), 7);
-    }
-
-    #[test]
-    fn bounded_channel_hands_off_in_order() {
-        let (tx, rx) = channel::bounded::<usize>(1);
-        let got: Vec<usize> = scope(|s| {
-            s.spawn(move || {
-                for i in 0..8 {
-                    tx.send(i).expect("receiver lives");
-                }
-            });
-            (0..8).map(|_| rx.recv().expect("sender lives")).collect()
-        });
-        assert_eq!(got, (0..8).collect::<Vec<_>>());
     }
 }

@@ -5,10 +5,11 @@
 //! a snapshot file stores verbatim, and the layout
 //! [`Triangulation::from_flat`] can hand straight back to the engine
 //! without per-element decoding. Every field mirrors one internal array
-//! of [`Triangulation`]; the round trip
+//! of [`Triangulation`], which keeps the Voronoi graph only: there is no
+//! triangle arena and no free list to store. The round trip
 //! `Triangulation::from_flat(tri.to_flat())` reconstructs a structure
-//! that is bit-identical to the original (same ids, same slot order,
-//! same free-list recycling order).
+//! that is bit-identical to the original (same ids, same adjacency rows,
+//! same hull, hidden sites and anchors).
 //!
 //! The flat layout is **versioned by shape**: any change to the set,
 //! order or meaning of these fields must bump the snapshot container
@@ -23,8 +24,8 @@
 ///
 /// Produced by [`to_flat`](crate::Triangulation::to_flat); consumed by
 /// [`from_flat`](crate::Triangulation::from_flat), which validates the
-/// cross-array invariants (bounds, CSR monotonicity, free-list/DEAD
-/// agreement) before rebuilding.
+/// cross-array invariants (bounds, CSR monotonicity, hidden and anchor
+/// tables) before rebuilding.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct TriangulationFlat {
     /// Canonical vertex coordinates (a [`Point`](vaq_geom::Point) is two
@@ -37,12 +38,6 @@ pub struct TriangulationFlat {
     /// CSR payload: the input indices that collapsed onto each canonical
     /// vertex, ascending per row.
     pub members: Vec<u32>,
-    /// Triangle arena in slot order (each [`Tri`](crate::mesh::Tri)
-    /// serializes as `v0 v1 v2 n0 n1 n2`), dead slots in place — see
-    /// [`Mesh::raw_tris`](crate::mesh::Mesh::raw_tris).
-    pub mesh_tris: Vec<crate::mesh::Tri>,
-    /// Arena free list in stack order.
-    pub mesh_free: Vec<u32>,
     /// CSR offsets of the Voronoi-neighbour adjacency.
     pub adj_off: Vec<u32>,
     /// CSR payload of the adjacency, ascending per row.
@@ -51,9 +46,6 @@ pub struct TriangulationFlat {
     pub hull: Vec<u32>,
     /// `true` when the structure is in degenerate (collinear) path mode.
     pub degenerate: bool,
-    /// Walk start hint (a live finite triangle; `u32::MAX` in degenerate
-    /// mode).
-    pub last_finite: u32,
     /// Canonical site weights; **empty means Euclidean** (a weighted
     /// build always has one weight per canonical vertex).
     pub weights: Vec<f64>,

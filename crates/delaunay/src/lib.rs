@@ -8,11 +8,13 @@
 //!
 //! * [`Triangulation`] — an incremental Bowyer–Watson Delaunay
 //!   triangulation with ghost triangles, Hilbert-ordered insertion and
-//!   adaptive exact predicates. Exposes the CSR neighbour oracle
-//!   ([`Triangulation::neighbors`]), point location
-//!   ([`Triangulation::locate`]), the convex hull and a greedy
-//!   nearest-vertex walk ([`Triangulation::nearest_vertex`], the
-//!   Voronoi-walk ablation of the paper's R-tree seed query).
+//!   adaptive exact predicates. The build drops its triangle mesh once it
+//!   has derived the graph from it, so a built triangulation is the
+//!   Voronoi graph alone: the CSR neighbour oracle
+//!   ([`Triangulation::neighbors`]), the convex hull and a greedy
+//!   nearest-vertex walk ([`Triangulation::nearest_vertex`], which
+//!   refines the R-tree seed on power diagrams). It offers no point
+//!   location.
 //! * [`VoronoiDiagram`] / [`cell_polygon`] — explicit Voronoi cells,
 //!   clipped to a window, computed by half-plane clipping. The area-query
 //!   engine's *cell expansion policy* uses [`cell_polygon`] on demand.
@@ -55,7 +57,7 @@
 
 pub mod flat;
 pub mod hilbert;
-pub mod mesh;
+mod mesh;
 pub mod metric;
 pub mod triangulation;
 pub mod voronoi;
@@ -64,5 +66,5 @@ pub use flat::TriangulationFlat;
 pub use metric::{
     weights_are_uniform, DiagramKind, DiagramMetric, Euclidean, PowerWeights, SiteMetric,
 };
-pub use triangulation::{DelaunayError, InsertionOrder, Locate, Triangulation};
+pub use triangulation::{DelaunayError, Triangulation};
 pub use voronoi::{cell_polygon, VoronoiCell, VoronoiDiagram};

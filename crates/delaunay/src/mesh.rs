@@ -1,13 +1,14 @@
-//! Triangle-based mesh storage for the Delaunay triangulation.
+//! Triangle-based mesh storage for the Delaunay build.
 //!
-//! The triangulation is stored as a flat arena of triangles, each holding
-//! three vertex ids and three neighbour ids. The arena includes **ghost
-//! triangles**: for every hull edge `a→b` (directed counter-clockwise, so
-//! the triangulated region lies on its left) there is a ghost triangle
-//! containing the reversed edge `b→a` and the symbolic vertex [`GHOST`].
-//! Ghosts make the mesh closed — every directed edge has exactly one
-//! triangle on its left — which removes all boundary special-casing from
-//! point location and cavity carving.
+//! The incremental build works on a flat arena of triangles, each holding
+//! three vertex ids and three neighbour ids; it derives the adjacency and
+//! hull from the finished arena and then drops it. The arena includes
+//! **ghost triangles**: for every hull edge `a→b` (directed
+//! counter-clockwise, so the triangulated region lies on its left) there
+//! is a ghost triangle containing the reversed edge `b→a` and the symbolic
+//! vertex [`GHOST`]. Ghosts make the mesh closed — every directed edge has
+//! exactly one triangle on its left — which removes all boundary
+//! special-casing from point location and cavity carving.
 
 /// Symbolic "vertex at infinity" used by ghost triangles.
 pub const GHOST: u32 = u32::MAX;
@@ -77,7 +78,6 @@ impl Tri {
 pub struct Mesh {
     tris: Vec<Tri>,
     free: Vec<u32>,
-    live: usize,
 }
 
 impl Mesh {
@@ -91,14 +91,7 @@ impl Mesh {
         Mesh {
             tris: Vec::with_capacity(n),
             free: Vec::new(),
-            live: 0,
         }
-    }
-
-    /// Number of live (allocated, not freed) triangles, ghosts included.
-    #[inline]
-    pub fn live_count(&self) -> usize {
-        self.live
     }
 
     /// Total number of arena slots (live + dead). Slot ids are `< slots()`.
@@ -110,7 +103,6 @@ impl Mesh {
     /// Allocates a triangle with the given vertices and no neighbours.
     pub fn alloc(&mut self, v: [u32; 3]) -> u32 {
         debug_assert!(v.iter().all(|&x| x != DEAD));
-        self.live += 1;
         let t = Tri {
             v,
             n: [NONE, NONE, NONE],
@@ -129,7 +121,6 @@ impl Mesh {
         debug_assert!(!self.is_dead(t), "double free of triangle {t}");
         self.tris[t as usize].v = [DEAD, DEAD, DEAD];
         self.free.push(t);
-        self.live -= 1;
     }
 
     /// `true` when slot `t` has been freed.
@@ -168,56 +159,6 @@ impl Mesh {
     /// Iterates over the ids of all live triangles (ghosts included).
     pub fn live_ids(&self) -> impl Iterator<Item = u32> + '_ {
         (0..self.tris.len() as u32).filter(move |&t| !self.is_dead(t))
-    }
-
-    /// Flat export of the arena for snapshot encoding: every slot in
-    /// arena order, dead slots included **in place** with their `DEAD`
-    /// vertex markers and whatever stale neighbour ids they held when
-    /// freed (deterministic, so round-trips are exact).
-    pub fn raw_tris(&self) -> Vec<Tri> {
-        self.tris.clone()
-    }
-
-    /// The free-list slot ids in stack order (preserved across a
-    /// round-trip so a rebuilt mesh recycles slots identically).
-    pub fn free_slots(&self) -> &[u32] {
-        &self.free
-    }
-
-    /// Rebuilds an arena from [`Mesh::raw_tris`] + [`Mesh::free_slots`]
-    /// output, validating that the free list and the `DEAD`-marked slots
-    /// agree exactly. Takes the slot array by value — a snapshot load
-    /// hands over the decoded arena without another copy.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable message when a free id is out of bounds or
-    /// duplicated, or the free set does not match the set of dead slots.
-    pub fn from_tris(tris: Vec<Tri>, free: Vec<u32>) -> Result<Mesh, String> {
-        let slots = tris.len();
-        let mut in_free = vec![false; slots];
-        for &f in &free {
-            let Some(flag) = in_free.get_mut(f as usize) else {
-                return Err(format!("free-list id {f} out of bounds ({slots} slots)"));
-            };
-            if *flag {
-                return Err(format!("free-list id {f} listed twice"));
-            }
-            *flag = true;
-        }
-        for (t, tri) in tris.iter().enumerate() {
-            let dead = matches!(tri.v, [DEAD, ..]);
-            if dead != in_free[t] {
-                return Err(format!(
-                    "slot {t}: free list and DEAD marker disagree (dead={dead})"
-                ));
-            }
-        }
-        Ok(Mesh {
-            live: slots - free.len(),
-            tris,
-            free,
-        })
     }
 
     /// Checks the structural invariant that every neighbour link is
@@ -296,14 +237,13 @@ mod tests {
         let mut m = Mesh::new();
         let a = m.alloc([0, 1, 2]);
         let b = m.alloc([1, 2, 3]);
-        assert_eq!(m.live_count(), 2);
+        assert_eq!(m.live_ids().count(), 2);
         m.release(a);
-        assert_eq!(m.live_count(), 1);
+        assert_eq!(m.live_ids().count(), 1);
         assert!(m.is_dead(a));
         let c = m.alloc([4, 5, 6]);
         assert_eq!(c, a, "freed slot must be recycled");
         assert!(!m.is_dead(c));
-        assert_eq!(m.live_count(), 2);
         assert_eq!(m.live_ids().count(), 2);
         let _ = b;
     }

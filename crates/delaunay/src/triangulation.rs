@@ -1,18 +1,23 @@
 //! Incremental Delaunay triangulation: Bowyer–Watson insertion with ghost
 //! triangles, Hilbert-ordered insertion, and a stochastic remembering walk
-//! for point location.
+//! that locates each new point.
 //!
 //! # Algorithm
 //!
-//! * **Ghost triangles** close the mesh: every hull edge `a→b` (CCW, region
-//!   on its left) has a ghost triangle on the reversed edge `b→a` whose
-//!   third vertex is the symbolic [`GHOST`]. Point location and cavity
-//!   carving then need no boundary cases; inserting outside the hull is the
-//!   same code path as inserting inside.
+//! * **Ghost triangles** close the build mesh: every hull edge `a→b` (CCW,
+//!   region on its left) has a ghost triangle on the reversed edge `b→a`
+//!   whose third vertex is a symbolic vertex at infinity. Point location
+//!   and cavity carving then need no boundary cases; inserting outside the
+//!   hull is the same code path as inserting inside.
 //! * **Bowyer–Watson**: each insertion locates the triangle whose (possibly
 //!   ghost) circumdisk contains the new point, grows the *cavity* of all
 //!   such triangles by breadth-first search, deletes it, and re-triangulates
 //!   by fanning the new vertex to the cavity boundary.
+//! * **The graph, not the mesh**: once every point is inserted, the build
+//!   derives the Voronoi-neighbour adjacency (CSR), the hull, the hidden
+//!   sites and their anchors from the mesh, and drops the mesh. A built
+//!   [`Triangulation`] is the Voronoi graph alone — the one oracle the
+//!   paper's Algorithm 1 reads.
 //! * **Robustness**: all orientation and in-circle decisions go through the
 //!   adaptive exact predicates in [`vaq_geom::predicates`], so the structure
 //!   is correct even for the cocircular / collinear degeneracies that grid
@@ -30,9 +35,9 @@
 //!   [`Triangulation::with_site_metric`] produces the **regular
 //!   triangulation** (dual of the power diagram) instead, using the exact
 //!   [`power_incircle`] conflict predicate. Weighted sites may be *hidden*
-//!   — dominated everywhere, owning no cell and no mesh vertex; they are
-//!   reported by [`Triangulation::hidden_vertices`] and every hidden site
-//!   carries a live *anchor* so graph walks never stall on it.
+//!   — dominated everywhere, owning no cell and no Delaunay vertex; they
+//!   are reported by [`Triangulation::hidden_vertices`] and every hidden
+//!   site carries a live *anchor* so graph walks never stall on it.
 
 use crate::hilbert::hilbert_sort;
 use crate::mesh::{Mesh, GHOST, NONE};
@@ -40,16 +45,6 @@ use crate::metric::{
     weights_are_uniform, DiagramKind, DiagramMetric, Euclidean, PowerWeights, SiteMetric,
 };
 use vaq_geom::{incircle, orient2d, power_incircle, Point};
-
-/// Order in which points are fed to the incremental algorithm.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum InsertionOrder {
-    /// Sort along a Hilbert curve first (fast: walks are `O(1)` expected).
-    #[default]
-    Hilbert,
-    /// Insert in input order (ablation baseline; walks can be `O(√n)`).
-    Input,
-}
 
 /// Errors from [`Triangulation::new`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -88,19 +83,16 @@ impl std::fmt::Display for DelaunayError {
 
 impl std::error::Error for DelaunayError {}
 
-/// Result of locating a point in the triangulation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Locate {
-    /// The point coincides exactly with this vertex.
-    Vertex(u32),
+/// Where the build-time walk found a new point.
+#[derive(Clone, Copy)]
+enum Locate {
+    /// The point coincides exactly with an inserted vertex.
+    Vertex,
     /// The point lies inside (or on the boundary of) this finite triangle.
     Face(u32),
     /// The point lies strictly outside the convex hull; payload is a ghost
     /// triangle whose hull edge faces the point.
     Outside(u32),
-    /// The triangulation is in degenerate (collinear) mode and has no
-    /// triangles to locate in.
-    Degenerate,
 }
 
 /// A cavity-boundary edge recorded during Bowyer–Watson carving.
@@ -218,7 +210,7 @@ impl Core {
                 for k in 1..3 {
                     let w = tri.v[(g + k) % 3];
                     if self.pts[w as usize] == p {
-                        return Locate::Vertex(w);
+                        return Locate::Vertex;
                     }
                 }
                 return Locate::Outside(t);
@@ -237,10 +229,8 @@ impl Core {
                 }
             }
             if next == NONE {
-                for i in 0..3 {
-                    if self.pts[tri.v[i] as usize] == p {
-                        return Locate::Vertex(tri.v[i]);
-                    }
+                if tri.v.iter().any(|&v| self.pts[v as usize] == p) {
+                    return Locate::Vertex;
                 }
                 return Locate::Face(t);
             }
@@ -267,16 +257,12 @@ impl Core {
             self.w[vid as usize]
         };
         let seed = match self.walk(p, self.last_finite) {
-            Locate::Vertex(_) => {
+            Locate::Vertex => {
                 // Duplicates are merged before insertion; tolerate anyway.
                 debug_assert!(false, "duplicate point reached insertion");
                 return;
             }
             Locate::Face(t) | Locate::Outside(t) => t,
-            // vaq-lint: allow(panic-hygiene) -- `walk` constructs every
-            // other Locate variant itself; Degenerate only flows out of
-            // the pre-walk guards, which insert_in_cavity never takes.
-            Locate::Degenerate => unreachable!("walk never returns Degenerate"),
         };
 
         // Hidden-at-insert check (weighted only: an unweighted located
@@ -367,12 +353,14 @@ impl Core {
     }
 }
 
-/// An immutable Delaunay (or regular) triangulation with precomputed
+/// An immutable Delaunay (or regular) triangulation, kept as its
 /// Voronoi-neighbour adjacency (the paper's `VN(P, p)` oracle).
 ///
 /// Build once with [`Triangulation::new`] (Euclidean) or
 /// [`Triangulation::with_site_metric`] (runtime-selected, possibly
-/// weighted); query adjacency, location and nearest vertices afterwards.
+/// weighted); query adjacency, the hull and nearest vertices afterwards.
+/// The triangle mesh the build works on is dropped once the adjacency is
+/// derived from it.
 /// Input points may contain exact duplicates — they are merged into
 /// canonical vertices, with both directions of the mapping exposed.
 ///
@@ -387,7 +375,6 @@ pub struct Triangulation<M: DiagramMetric = Euclidean> {
     /// CSR: canonical vertex → the input indices that collapsed onto it.
     members_off: Vec<u32>,
     members: Vec<u32>,
-    mesh: Mesh,
     /// CSR adjacency over canonical vertices (each row sorted ascending).
     adj_off: Vec<u32>,
     adj: Vec<u32>,
@@ -395,7 +382,6 @@ pub struct Triangulation<M: DiagramMetric = Euclidean> {
     /// (weighted degenerate mode: the *live* path order).
     hull: Vec<u32>,
     degenerate: bool,
-    last_finite: u32,
     /// The metric the structure was built under.
     metric: M,
     /// Hidden canonical vertices, sorted ascending (weighted builds only;
@@ -414,12 +400,10 @@ struct Parts {
     canon: Vec<u32>,
     members_off: Vec<u32>,
     members: Vec<u32>,
-    mesh: Mesh,
     adj_off: Vec<u32>,
     adj: Vec<u32>,
     hull: Vec<u32>,
     degenerate: bool,
-    last_finite: u32,
     hidden: Vec<u32>,
     anchor: Vec<u32>,
     /// Canonical weights (empty for Euclidean builds).
@@ -449,17 +433,9 @@ impl Triangulation<Euclidean> {
     /// error; it produces a triangulation in degenerate path mode (see
     /// [`Triangulation::is_degenerate`]).
     pub fn new(points: &[Point]) -> Result<Triangulation, DelaunayError> {
-        Triangulation::with_order(points, InsertionOrder::Hilbert)
-    }
-
-    /// As [`Triangulation::new`] with an explicit insertion order.
-    pub fn with_order(
-        points: &[Point],
-        order: InsertionOrder,
-    ) -> Result<Triangulation, DelaunayError> {
         validate_points(points)?;
         Ok(Triangulation::from_parts(
-            build_parts(points, order, None),
+            build_parts(points, None),
             Euclidean,
         ))
     }
@@ -490,16 +466,6 @@ impl Triangulation<SiteMetric> {
         points: &[Point],
         weights: Option<&[f64]>,
     ) -> Result<Triangulation<SiteMetric>, DelaunayError> {
-        Triangulation::with_site_metric_order(points, weights, InsertionOrder::Hilbert)
-    }
-
-    /// As [`Triangulation::with_site_metric`] with an explicit insertion
-    /// order.
-    pub fn with_site_metric_order(
-        points: &[Point],
-        weights: Option<&[f64]>,
-        order: InsertionOrder,
-    ) -> Result<Triangulation<SiteMetric>, DelaunayError> {
         validate_points(points)?;
         let effective = match weights {
             None => None,
@@ -522,11 +488,11 @@ impl Triangulation<SiteMetric> {
         };
         match effective {
             None => Ok(Triangulation::from_parts(
-                build_parts(points, order, None),
+                build_parts(points, None),
                 SiteMetric::Euclidean,
             )),
             Some(w) => {
-                let mut parts = build_parts(points, order, Some(w));
+                let mut parts = build_parts(points, Some(w));
                 let metric = SiteMetric::Power(PowerWeights::new(std::mem::take(&mut parts.cw)));
                 Ok(Triangulation::from_parts(parts, metric))
             }
@@ -538,7 +504,7 @@ impl Triangulation<SiteMetric> {
     /// Explodes the built structure into flat POD arrays for snapshot
     /// storage. The inverse of [`Triangulation::from_flat`]: the round
     /// trip reconstructs a bit-identical structure (same canonical ids,
-    /// same arena slot order, same free-list recycling order).
+    /// same adjacency rows, hull, hidden sites and anchors).
     pub fn to_flat(&self) -> crate::flat::TriangulationFlat {
         let weights = match &self.metric {
             SiteMetric::Euclidean => Vec::new(),
@@ -549,13 +515,10 @@ impl Triangulation<SiteMetric> {
             canon: self.canon.clone(),
             members_off: self.members_off.clone(),
             members: self.members.clone(),
-            mesh_tris: self.mesh.raw_tris(),
-            mesh_free: self.mesh.free_slots().to_vec(),
             adj_off: self.adj_off.clone(),
             adj: self.adj.clone(),
             hull: self.hull.clone(),
             degenerate: self.degenerate,
-            last_finite: self.last_finite,
             weights,
             hidden: self.hidden.clone(),
             anchor: self.anchor.clone(),
@@ -563,8 +526,8 @@ impl Triangulation<SiteMetric> {
     }
 
     /// Rebuilds a triangulation from its flat representation, validating
-    /// the cross-array invariants (bounds, CSR monotonicity, arena
-    /// free-list agreement) without re-running any geometry.
+    /// the cross-array invariants (bounds, CSR monotonicity, hidden and
+    /// anchor tables) without re-running any geometry.
     ///
     /// Empty `weights` reconstructs the [`SiteMetric::Euclidean`]
     /// structure; otherwise one weight per canonical vertex rebuilds the
@@ -630,17 +593,6 @@ impl Triangulation<SiteMetric> {
         if flat.hidden.is_empty() != flat.anchor.is_empty() {
             return Err("hidden list and anchor table must be empty together".into());
         }
-        let mesh = Mesh::from_tris(flat.mesh_tris, flat.mesh_free)?;
-        if flat.degenerate {
-            if mesh.slots() != 0 || flat.last_finite != NONE {
-                return Err("degenerate structure carries a mesh".into());
-            }
-        } else if flat.last_finite as usize >= mesh.slots()
-            || mesh.is_dead(flat.last_finite)
-            || mesh.tri(flat.last_finite).is_ghost()
-        {
-            return Err("walk hint is not a live finite triangle".into());
-        }
         let metric = if flat.weights.is_empty() {
             SiteMetric::Euclidean
         } else {
@@ -652,12 +604,10 @@ impl Triangulation<SiteMetric> {
                 canon: flat.canon,
                 members_off: flat.members_off,
                 members: flat.members,
-                mesh,
                 adj_off: flat.adj_off,
                 adj: flat.adj,
                 hull: flat.hull,
                 degenerate: flat.degenerate,
-                last_finite: flat.last_finite,
                 hidden: flat.hidden,
                 anchor: flat.anchor,
                 cw: Vec::new(),
@@ -690,11 +640,19 @@ fn check_csr(what: &str, off: &[u32], payload: &[u32], rows: usize) -> Result<()
     Ok(())
 }
 
-/// Runs the incremental build and assembles all metric-independent state.
+/// Runs the incremental build and assembles all metric-independent state;
+/// the build mesh is dropped here.
 ///
 /// `weights` is `None` for Euclidean builds and `Some` only for genuinely
 /// non-uniform weights (the constructors normalize uniform inputs away).
-fn build_parts(points: &[Point], order: InsertionOrder, weights: Option<&[f64]>) -> Parts {
+fn build_parts(points: &[Point], weights: Option<&[f64]>) -> Parts {
+    build_with_mesh(points, weights).0
+}
+
+/// [`build_parts`] plus the closed triangle mesh the parts were derived
+/// from (empty in degenerate path mode). Only the structural tests keep
+/// the mesh.
+fn build_with_mesh(points: &[Point], weights: Option<&[f64]>) -> (Parts, Mesh) {
     let (pts, canon, members_off, members) = dedup(points);
 
     // Canonical weights: coincident inputs collapse to the max weight of
@@ -714,13 +672,10 @@ fn build_parts(points: &[Point], order: InsertionOrder, weights: Option<&[f64]>)
         }
     };
 
-    // Choose the first triangle: the first two points of the insertion
+    // Choose the first triangle: the first two points of the Hilbert
     // order plus the first point not collinear with them. If none
     // exists the whole input is collinear → degenerate path mode.
-    let ins_order: Vec<u32> = match order {
-        InsertionOrder::Hilbert => hilbert_sort(&pts),
-        InsertionOrder::Input => (0..pts.len() as u32).collect(),
-    };
+    let ins_order = hilbert_sort(&pts);
     let tri0 = match ins_order.as_slice() {
         // `ins_order` is a permutation of the canonical vertices, so
         // a non-empty `rest` is exactly the pts.len() >= 3 case.
@@ -735,11 +690,12 @@ fn build_parts(points: &[Point], order: InsertionOrder, weights: Option<&[f64]>)
     };
 
     let Some((i0, i1, i2)) = tri0 else {
-        return if cw.is_empty() {
+        let parts = if cw.is_empty() {
             degenerate_path_parts(pts, canon, members_off, members)
         } else {
             weighted_collinear_parts(pts, canon, members_off, members, cw)
         };
+        return (parts, Mesh::new());
     };
 
     // Orient the seed triangle CCW.
@@ -827,21 +783,20 @@ fn build_parts(points: &[Point], order: InsertionOrder, weights: Option<&[f64]>)
         anchor
     };
 
-    Parts {
+    let parts = Parts {
         pts: core.pts,
         canon,
         members_off,
         members,
-        mesh: core.mesh,
         adj_off,
         adj,
         hull,
         degenerate: false,
-        last_finite: core.last_finite,
         hidden,
         anchor,
         cw: core.w,
-    }
+    };
+    (parts, core.mesh)
 }
 
 /// Greedy power-distance descent over the CSR adjacency from a **live**
@@ -922,12 +877,10 @@ fn degenerate_path_parts(
         canon,
         members_off,
         members,
-        mesh: Mesh::new(),
         adj_off,
         adj,
         hull: order,
         degenerate: true,
-        last_finite: NONE,
         hidden: Vec::new(),
         anchor: Vec::new(),
         cw: Vec::new(),
@@ -1069,12 +1022,10 @@ fn weighted_collinear_parts(
         canon,
         members_off,
         members,
-        mesh: Mesh::new(),
         adj_off,
         adj,
         hull: live,
         degenerate: true,
-        last_finite: NONE,
         hidden,
         anchor,
         cw,
@@ -1089,12 +1040,10 @@ impl<M: DiagramMetric> Triangulation<M> {
             canon: parts.canon,
             members_off: parts.members_off,
             members: parts.members,
-            mesh: parts.mesh,
             adj_off: parts.adj_off,
             adj: parts.adj,
             hull: parts.hull,
             degenerate: parts.degenerate,
-            last_finite: parts.last_finite,
             metric,
             hidden: parts.hidden,
             anchor: parts.anchor,
@@ -1121,7 +1070,7 @@ impl<M: DiagramMetric> Triangulation<M> {
     }
 
     /// The hidden canonical vertices (sorted ascending): weighted sites
-    /// dominated everywhere, owning no cell, no mesh vertex and no
+    /// dominated everywhere, owning no cell, no Delaunay vertex and no
     /// neighbours. Always empty for Euclidean builds.
     #[inline]
     pub fn hidden_vertices(&self) -> &[u32] {
@@ -1225,74 +1174,15 @@ impl<M: DiagramMetric> Triangulation<M> {
         &self.hull
     }
 
-    /// Iterates over the finite triangles as CCW vertex triples.
-    pub fn triangles(&self) -> impl Iterator<Item = [u32; 3]> + '_ {
-        self.mesh
-            .live_ids()
-            .filter(move |&t| !self.mesh.tri(t).is_ghost())
-            .map(move |t| self.mesh.tri(t).v)
-    }
-
-    /// Number of finite triangles.
+    /// Number of finite triangles, by Euler's formula for a triangulated
+    /// point set: edges + 1 − live vertices (`0` in degenerate path mode).
     pub fn triangle_count(&self) -> usize {
-        self.triangles().count()
-    }
-
-    /// Locates `p` in the triangulation. Returns [`Locate::Degenerate`] in
-    /// degenerate path mode.
-    pub fn locate(&self, p: Point) -> Locate {
         if self.degenerate {
-            // The path has no faces; report coincident vertices at least.
-            if let Some(v) = (0..self.pts.len() as u32).find(|&v| self.pts[v as usize] == p) {
-                return Locate::Vertex(v);
-            }
-            return Locate::Degenerate;
+            return 0;
         }
-        // The walk needs mutable scratch (its RNG); clone a tiny shim.
-        let mut rng = p.x.to_bits() ^ p.y.to_bits().rotate_left(32) | 1;
-        let mut t = self.last_finite;
-        let mut prev = NONE;
-        let max_steps = 4 * self.mesh.slots() + 64;
-        for _ in 0..max_steps {
-            let tri = *self.mesh.tri(t);
-            if tri.is_ghost() {
-                let g = tri.ghost_slot().expect("is_ghost");
-                for k in 1..3 {
-                    let w = tri.v[(g + k) % 3];
-                    if self.pts[w as usize] == p {
-                        return Locate::Vertex(w);
-                    }
-                }
-                return Locate::Outside(t);
-            }
-            let r = (next_rand(&mut rng) % 3) as usize;
-            let mut next = NONE;
-            for k in 0..3 {
-                let i = (r + k) % 3;
-                if tri.n[i] == prev {
-                    continue;
-                }
-                let (a, b) = tri.edge(i);
-                if orient2d(self.pts[a as usize], self.pts[b as usize], p) < 0.0 {
-                    next = tri.n[i];
-                    break;
-                }
-            }
-            if next == NONE {
-                for i in 0..3 {
-                    if self.pts[tri.v[i] as usize] == p {
-                        return Locate::Vertex(tri.v[i]);
-                    }
-                }
-                return Locate::Face(t);
-            }
-            prev = t;
-            t = next;
-        }
-        // vaq-lint: allow(panic-hygiene) -- same strictly-decreasing
-        // walk argument as `Core::walk`: failure to terminate means a
-        // corrupt mesh, not a caller error.
-        unreachable!("point-location walk failed to terminate");
+        // Saturating: a structure loaded from a crafted file may carry
+        // fewer edges than vertices, and must not panic here.
+        (self.edge_count() + 1).saturating_sub(self.pts.len() - self.hidden.len())
     }
 
     /// The canonical vertex nearest to `q` under the build metric —
@@ -1336,64 +1226,6 @@ impl<M: DiagramMetric> Triangulation<M> {
             v = best;
             dv = bd;
         }
-    }
-
-    /// Verifies the local optimality property on every internal edge:
-    /// empty circumcircle (Delaunay) for Euclidean builds, no power
-    /// conflict (local regularity) for weighted ones. `O(triangles)`;
-    /// intended for tests.
-    pub fn is_delaunay(&self) -> bool {
-        let weighted = self.metric.kind() == DiagramKind::Power;
-        for t in self.mesh.live_ids() {
-            let tri = self.mesh.tri(t);
-            if tri.is_ghost() {
-                continue;
-            }
-            let [a, b, c] = tri.v;
-            let (pa, pb, pc) = (
-                self.pts[a as usize],
-                self.pts[b as usize],
-                self.pts[c as usize],
-            );
-            for i in 0..3 {
-                let nb = tri.n[i];
-                let ntri = self.mesh.tri(nb);
-                if ntri.is_ghost() {
-                    continue;
-                }
-                let (ea, eb) = tri.edge(i);
-                let j = ntri
-                    .slot_of_edge(eb, ea)
-                    .expect("neighbour shares reversed edge");
-                let apex = ntri.v[j];
-                let bad = if weighted {
-                    power_incircle(
-                        pa,
-                        pb,
-                        pc,
-                        self.pts[apex as usize],
-                        self.metric.weight(a),
-                        self.metric.weight(b),
-                        self.metric.weight(c),
-                        self.metric.weight(apex),
-                    ) > 0.0
-                } else {
-                    incircle(pa, pb, pc, self.pts[apex as usize]) > 0.0
-                };
-                if bad {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
-    /// Structural self-check (mutual neighbour links). Test helper.
-    pub fn check_structure(&self) -> Result<(), String> {
-        if self.degenerate {
-            return Ok(());
-        }
-        self.mesh.check_links()
     }
 }
 
@@ -1541,6 +1373,96 @@ mod tests {
     use rand::{Rng, SeedableRng};
     use vaq_geom::convex_hull_indices;
 
+    /// The reference checks. They inspect the mesh the build derived the
+    /// triangulation from: re-running the build over the triangulation's
+    /// own canonical sites (and weights) reproduces it exactly, and
+    /// `build_mesh` asserts that before handing the mesh out.
+    impl<M: DiagramMetric> Triangulation<M> {
+        /// The build mesh, after asserting that it has exactly this
+        /// triangulation's adjacency and hull (and is empty in degenerate
+        /// path mode).
+        fn build_mesh(&self) -> Mesh {
+            let weights: Option<Vec<f64>> = (self.metric.kind() == DiagramKind::Power)
+                .then(|| (0..self.pts.len() as u32).map(|v| self.weight(v)).collect());
+            let (_, mesh) = build_with_mesh(&self.pts, weights.as_deref());
+            if self.degenerate {
+                assert_eq!(mesh.slots(), 0, "degenerate build keeps a mesh");
+            } else {
+                let (adj_off, adj) = build_adjacency(&mesh, self.pts.len());
+                assert!(
+                    adj_off == self.adj_off && adj == self.adj,
+                    "mesh adjacency differs from the triangulation's"
+                );
+                assert_eq!(extract_hull(&mesh), self.hull, "mesh hull differs");
+            }
+            mesh
+        }
+
+        /// Verifies the local optimality property on every internal edge
+        /// of the build mesh: empty circumcircle (Delaunay) for Euclidean
+        /// builds, no power conflict (local regularity) for weighted ones.
+        fn is_delaunay(&self) -> bool {
+            let mesh = self.build_mesh();
+            let weighted = self.metric.kind() == DiagramKind::Power;
+            for t in mesh.live_ids() {
+                let tri = mesh.tri(t);
+                if tri.is_ghost() {
+                    continue;
+                }
+                let [a, b, c] = tri.v;
+                let (pa, pb, pc) = (
+                    self.pts[a as usize],
+                    self.pts[b as usize],
+                    self.pts[c as usize],
+                );
+                for i in 0..3 {
+                    let ntri = mesh.tri(tri.n[i]);
+                    if ntri.is_ghost() {
+                        continue;
+                    }
+                    let (ea, eb) = tri.edge(i);
+                    let j = ntri
+                        .slot_of_edge(eb, ea)
+                        .expect("neighbour shares reversed edge");
+                    let apex = ntri.v[j];
+                    let bad = if weighted {
+                        power_incircle(
+                            pa,
+                            pb,
+                            pc,
+                            self.pts[apex as usize],
+                            self.weight(a),
+                            self.weight(b),
+                            self.weight(c),
+                            self.weight(apex),
+                        ) > 0.0
+                    } else {
+                        incircle(pa, pb, pc, self.pts[apex as usize]) > 0.0
+                    };
+                    if bad {
+                        return false;
+                    }
+                }
+            }
+            true
+        }
+
+        /// Structural self-check of the build mesh: mutual neighbour
+        /// links, and as many finite triangles as
+        /// [`Triangulation::triangle_count`] reports.
+        fn check_structure(&self) -> Result<(), String> {
+            let mesh = self.build_mesh();
+            let finite = mesh.live_ids().filter(|&t| !mesh.tri(t).is_ghost()).count();
+            if finite != self.triangle_count() {
+                return Err(format!(
+                    "mesh has {finite} finite triangles, triangle_count() reports {}",
+                    self.triangle_count()
+                ));
+            }
+            mesh.check_links()
+        }
+    }
+
     fn p(x: f64, y: f64) -> Point {
         Point::new(x, y)
     }
@@ -1600,8 +1522,6 @@ mod tests {
         assert_eq!(t.neighbors(2), &[0, 3]);
         assert_eq!(t.neighbors(0), &[2]);
         assert_eq!(t.edge_count(), 3);
-        assert_eq!(t.locate(p(0.5, 0.5)), Locate::Degenerate);
-        assert_eq!(t.locate(p(1.0, 1.0)), Locate::Vertex(3));
     }
 
     #[test]
@@ -1722,34 +1642,6 @@ mod tests {
         expect_sorted.sort_unstable();
         hull.sort_unstable();
         assert_eq!(hull, expect_sorted);
-    }
-
-    #[test]
-    fn insertion_orders_agree() {
-        let pts = uniform(250, 99);
-        let a = Triangulation::with_order(&pts, InsertionOrder::Hilbert).unwrap();
-        let b = Triangulation::with_order(&pts, InsertionOrder::Input).unwrap();
-        assert!(a.is_delaunay() && b.is_delaunay());
-        // The Delaunay triangulation is unique for points in general
-        // position, so the adjacency structures must be identical.
-        for v in 0..pts.len() as u32 {
-            assert_eq!(a.neighbors(v), b.neighbors(v), "vertex {v}");
-        }
-    }
-
-    #[test]
-    fn locate_classifies_inside_outside_vertex() {
-        let pts = vec![p(0.0, 0.0), p(4.0, 0.0), p(0.0, 4.0), p(4.0, 4.0)];
-        let t = Triangulation::new(&pts).unwrap();
-        match t.locate(p(1.0, 1.0)) {
-            Locate::Face(f) => {
-                let tri = t.mesh.tri(f);
-                assert!(!tri.is_ghost());
-            }
-            other => panic!("expected Face, got {other:?}"),
-        }
-        assert!(matches!(t.locate(p(10.0, 10.0)), Locate::Outside(_)));
-        assert_eq!(t.locate(p(4.0, 0.0)), Locate::Vertex(1));
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Integration tests for the Delaunay/Voronoi duality (Property 4 of the
-//! reproduced paper) and point location.
+//! reproduced paper).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use vaq_delaunay::{cell_polygon, Locate, Triangulation, VoronoiDiagram};
+use vaq_delaunay::{cell_polygon, Triangulation, VoronoiDiagram};
 use vaq_geom::{orient2d, Point, Polygon, Rect};
 
 fn p(x: f64, y: f64) -> Point {
@@ -105,38 +105,6 @@ fn cell_polygon_matches_diagram() {
     for v in 0..tri.vertex_count() as u32 {
         let on_demand = cell_polygon(&tri, v, &window());
         assert_eq!(on_demand, vd.cell(v).polygon, "vertex {v}");
-    }
-}
-
-/// `locate` classifications are geometrically correct: `Face` means the
-/// point is inside (or on) that triangle; `Outside` means outside the
-/// hull; `Vertex` means exact coordinate match.
-#[test]
-fn locate_agrees_with_geometry() {
-    let pts = uniform(200, 47);
-    let tri = Triangulation::new(&pts).unwrap();
-    let hull_poly =
-        Polygon::new_unchecked(tri.hull().iter().map(|&h| tri.point(h)).collect::<Vec<_>>());
-    let mut rng = StdRng::seed_from_u64(48);
-    for _ in 0..400 {
-        let q = p(rng.gen::<f64>() * 1.4 - 0.2, rng.gen::<f64>() * 1.4 - 0.2);
-        match tri.locate(q) {
-            Locate::Face(_) => {
-                assert!(hull_poly.contains(q), "Face result for {q} outside hull");
-            }
-            Locate::Outside(_) => {
-                assert!(
-                    !hull_poly.contains_strict(q),
-                    "Outside result for {q} strictly inside hull"
-                );
-            }
-            Locate::Vertex(v) => assert_eq!(tri.point(v), q),
-            Locate::Degenerate => unreachable!("non-degenerate input"),
-        }
-    }
-    // Exact vertices are recognised.
-    for v in (0..tri.vertex_count() as u32).step_by(17) {
-        assert_eq!(tri.locate(tri.point(v)), Locate::Vertex(v));
     }
 }
 

@@ -982,8 +982,7 @@ fn strip_trailing_simple_call<'a>(expr: &'a str, opener: &str) -> Option<&'a str
 /// * `std::sync::Mutex` / `RwLock` / `Condvar` / `Barrier` / `mpsc`,
 ///   whether path-qualified, in a `use std::sync::{…}` group, or via a
 ///   glob import,
-/// * `crossbeam` (scoped threads and channels route through
-///   `vaq_core::sync::{scope, channel}`).
+/// * `crossbeam` (scoped threads route through `vaq_core::sync::scope`).
 ///
 /// `Arc`, `Weak`, `Once*` and `LazyLock` are plain sharing/init tools
 /// with no scheduling behaviour to model and stay allowed. The point of
@@ -1016,8 +1015,8 @@ pub fn sync_facade(file: &SourceFile, out: &mut Vec<Finding>) {
                 file: file.rel.clone(),
                 line: idx + 1,
                 rule: SYNC_FACADE,
-                message: "crossbeam use outside the sync facade — route scoped threads and \
-                          channels through vaq_core::sync::{scope, channel} instead"
+                message: "crossbeam use outside the sync facade — route scoped threads \
+                          through vaq_core::sync::scope instead"
                     .to_owned(),
             });
         }

@@ -197,6 +197,13 @@ mod tests {
             let r = Rect::from_center(c, rng.gen::<f64>() * 0.3, rng.gen::<f64>() * 0.3);
             assert_eq!(window(&bulk, &r), brute_window(&pts, &r));
         }
+        // Collinear points: every node rectangle is flat.
+        let line: Vec<Point> = (0..20).map(|i| p(f64::from(i), 0.0)).collect();
+        let r = Rect::new(p(3.0, -1.0), p(6.0, 1.0));
+        assert_eq!(
+            window(&RTree::bulk_load(&line), &r),
+            brute_window(&line, &r)
+        );
     }
 
     #[test]

@@ -6,16 +6,13 @@
 //!   query size 1 %…32 %.
 //!
 //! Each configuration is repeated with fresh random query polygons and the
-//! mean is reported, mirroring the paper's repetition protocol. Timing is
-//! strictly sequential (one query at a time on one thread); the only
-//! parallelism is a build pipeline that constructs the *next* data size's
-//! engine on a worker thread while the current one is being measured —
-//! construction never overlaps measurement of the same engine.
+//! mean is reported, mirroring the paper's repetition protocol. Everything
+//! is strictly sequential: one engine build, then one query at a time on
+//! one thread, so construction never overlaps measurement.
 
 use crate::datagen::{generate, unit_space, Distribution};
 use crate::polygen::{random_query_polygon, PolygonSpec};
 use std::time::Instant;
-use vaq_core::sync;
 use vaq_core::{AreaQueryEngine, ExpansionPolicy, QuerySession, QuerySpec};
 
 /// Mean per-query measurements for one method.
@@ -80,11 +77,6 @@ pub struct SweepConfig {
     /// in-memory regime). Restores the paper's validation-dominated cost
     /// model; see `vaq_core::RecordStore`.
     pub payload_bytes: usize,
-    /// Build the next data size's engine on a worker thread while the
-    /// current one is measured. Saves wall time, but the background build
-    /// contends for memory bandwidth and visibly perturbs per-query
-    /// timings — leave off for timing runs, use for stats-only sweeps.
-    pub pipeline_builds: bool,
 }
 
 impl Default for SweepConfig {
@@ -97,7 +89,6 @@ impl Default for SweepConfig {
             min_radius_ratio: 0.3,
             policy: ExpansionPolicy::Segment,
             payload_bytes: 0,
-            pipeline_builds: false,
         }
     }
 }
@@ -179,50 +170,23 @@ pub fn build_engine(data_size: usize, cfg: &SweepConfig) -> AreaQueryEngine {
         .build()
 }
 
-/// Table I / Figs 4–5: sweep over data sizes at a fixed query size.
-///
-/// With [`SweepConfig::pipeline_builds`], engines for successive sizes are
-/// built on a worker thread while the previous one is measured (bounded
-/// pipeline of depth 1); wall time drops to roughly `max(total build,
-/// total measure)`, but the background build contends for memory bandwidth
-/// and perturbs timings — so the default is fully sequential. `progress`
-/// is invoked with each finished row.
+/// Table I / Figs 4–5: sweep over data sizes at a fixed query size, one
+/// engine build per size. `progress` is invoked with each finished row.
 pub fn data_size_sweep(
     sizes: &[usize],
     query_size: f64,
     cfg: &SweepConfig,
     mut progress: impl FnMut(&ConfigResult),
 ) -> Vec<ConfigResult> {
-    if !cfg.pipeline_builds {
-        return sizes
-            .iter()
-            .map(|&n| {
-                let engine = build_engine(n, cfg);
-                let row = run_config(&engine, query_size, cfg);
-                progress(&row);
-                row
-            })
-            .collect();
-    }
-    let (tx, rx) = sync::channel::bounded::<AreaQueryEngine>(1);
-    let mut out = Vec::with_capacity(sizes.len());
-    sync::scope(|s| {
-        s.spawn(|| {
-            for &n in sizes {
-                // The receiver hangs up early only on measurement panic.
-                if tx.send(build_engine(n, cfg)).is_err() {
-                    break;
-                }
-            }
-        });
-        for _ in sizes {
-            let engine = rx.recv().expect("builder thread lives");
+    sizes
+        .iter()
+        .map(|&n| {
+            let engine = build_engine(n, cfg);
             let row = run_config(&engine, query_size, cfg);
             progress(&row);
-            out.push(row);
-        }
-    });
-    out
+            row
+        })
+        .collect()
 }
 
 /// Table II / Figs 6–7: sweep over query sizes at a fixed data size
@@ -303,11 +267,8 @@ mod tests {
     }
 
     #[test]
-    fn data_size_sweep_pipeline_returns_rows_in_order() {
-        let cfg = SweepConfig {
-            pipeline_builds: true,
-            ..small_cfg()
-        };
+    fn data_size_sweep_returns_rows_in_order() {
+        let cfg = small_cfg();
         let mut seen = Vec::new();
         let rows = data_size_sweep(&[1000, 2000, 3000], 0.02, &cfg, |r| {
             seen.push(r.data_size);
@@ -317,13 +278,6 @@ mod tests {
         assert!(rows.windows(2).all(|w| w[0].data_size < w[1].data_size));
         // Result size grows roughly linearly with data size.
         assert!(rows[2].result_size > rows[0].result_size * 2.0);
-        // The sequential path returns the same statistics (times differ).
-        let seq = data_size_sweep(&[1000, 2000, 3000], 0.02, &small_cfg(), |_| {});
-        for (a, b) in rows.iter().zip(&seq) {
-            assert_eq!(a.data_size, b.data_size);
-            assert!((a.result_size - b.result_size).abs() < 1e-9);
-            assert!((a.traditional.candidates - b.traditional.candidates).abs() < 1e-9);
-        }
     }
 
     #[test]
