@@ -20,10 +20,10 @@
 //! including kNN-within-area and payload materialisation — batches with
 //! zero extra dispatch here.
 
-use crate::area::{AreaFingerprint, QueryArea};
+use crate::area::QueryArea;
 use crate::engine::AreaQueryEngine;
-use crate::plan::{ExecutionPlan, PlanFeatures, PlannedPath, Planner};
-use crate::query::{PrepareMode, QueryOutput, QuerySession, QuerySpec};
+use crate::plan::{plan_batch, PlanFeatures, PlannedPath};
+use crate::query::{PrepareMode, PreparedAreaCache, QueryOutput, QuerySession, QuerySpec};
 use crate::stats::CacheCounters;
 use crate::sync::par_map;
 use std::sync::Arc;
@@ -45,10 +45,10 @@ pub(crate) struct BatchPreparedAreas {
 
 /// Resolves a batch's areas for `spec`. Returns `None` for
 /// [`PrepareMode::Raw`] (areas run exactly as passed). For
-/// [`PrepareMode::Cached`], distinct fingerprints are prepared once and
-/// shared; for [`PrepareMode::PrepareOnce`], each area is prepared
-/// individually (per-query semantics) but still off the workers' hot
-/// loop.
+/// [`PrepareMode::Cached`], distinct fingerprints are prepared once
+/// through one unbounded [`PreparedAreaCache`] and shared; for
+/// [`PrepareMode::PrepareOnce`], each area is prepared individually
+/// (per-query semantics) but still off the workers' hot loop.
 pub(crate) fn prepare_batch_shared<A: QueryArea>(
     spec: &QuerySpec,
     areas: &[A],
@@ -56,34 +56,18 @@ pub(crate) fn prepare_batch_shared<A: QueryArea>(
     if spec.prepare == PrepareMode::Raw {
         return None;
     }
-    let mut resolved: Vec<Option<Arc<dyn QueryArea + Send + Sync>>> =
-        Vec::with_capacity(areas.len());
     let mut counters = vec![CacheCounters::default(); areas.len()];
-    let mut distinct: Vec<(AreaFingerprint, Arc<dyn QueryArea + Send + Sync>)> = Vec::new();
-    for (i, area) in areas.iter().enumerate() {
-        if spec.prepare == PrepareMode::PrepareOnce {
-            resolved.push(area.prepare().map(Arc::from));
-            continue;
-        }
-        let Some(fp) = area.fingerprint() else {
-            resolved.push(None);
-            continue;
-        };
-        if let Some((_, prep)) = distinct
-            .iter()
-            .find(|(k, _)| k.hash() == fp.hash() && *k == fp)
-        {
-            counters[i].hits = 1;
-            resolved.push(Some(Arc::clone(prep)));
-        } else if let Some(prep) = area.prepare() {
-            let prep: Arc<dyn QueryArea + Send + Sync> = Arc::from(prep);
-            counters[i].misses = 1;
-            distinct.push((fp, Arc::clone(&prep)));
-            resolved.push(Some(prep));
-        } else {
-            resolved.push(None);
-        }
-    }
+    let mut cache = PreparedAreaCache::new(usize::MAX);
+    let resolved = areas
+        .iter()
+        .zip(&mut counters)
+        .map(|(area, counters)| {
+            if spec.prepare == PrepareMode::PrepareOnce {
+                return area.prepare().map(Arc::from);
+            }
+            cache.get_or_prepare(area.fingerprint()?, || area.prepare(), counters)
+        })
+        .collect();
     Some(BatchPreparedAreas { resolved, counters })
 }
 
@@ -108,6 +92,14 @@ impl AreaQueryEngine {
     /// returned stats: the first input-order occurrence of a fingerprint
     /// records the miss, every repeat a hit — exactly what one
     /// unbounded shared cache would have seen, independent of `threads`.
+    ///
+    /// A [`QuerySpec::auto()`] batch resolves every area's plan up front
+    /// with a fresh [`Planner`](crate::Planner) and feeds nothing back,
+    /// so its plans depend on neither worker interleaving nor earlier
+    /// batches. The batch path has no session cache, so the planner
+    /// never chooses `Cached` here ([`PlannedPath::Batch`] prepares per
+    /// query instead). Each output carries its
+    /// [`ExecutionPlan`](crate::ExecutionPlan).
     pub fn execute_batch<A: QueryArea + Sync>(
         &self,
         spec: &QuerySpec,
@@ -115,7 +107,28 @@ impl AreaQueryEngine {
         threads: usize,
     ) -> Vec<QueryOutput> {
         if spec.method.is_auto() {
-            return self.execute_batch_auto(spec, areas, threads);
+            let bounds = self.data_bounds();
+            let plans = plan_batch(spec, areas, |area| {
+                PlanFeatures::of(
+                    area,
+                    area.fingerprint().is_some(),
+                    self.len(),
+                    self.density_map(),
+                    bounds,
+                    self.diagram_kind(),
+                    PlannedPath::Batch,
+                )
+            });
+            let mut outs = par_map(
+                areas.len(),
+                threads,
+                || QuerySession::new(self),
+                |session, i| session.execute(&plans[i].0, &areas[i]),
+            );
+            for (out, (_, plan)) in outs.iter_mut().zip(&plans) {
+                out.stats_mut().plan = Some(*plan);
+            }
+            return outs;
         }
         // PrepareOnce keeps its documented per-query semantics (each
         // worker compiles per query); Raw has nothing to prepare. The
@@ -146,53 +159,6 @@ impl AreaQueryEngine {
                 }
             },
         )
-    }
-
-    /// The batched planned path: every area's plan is resolved **up
-    /// front** with one fresh [`Planner`] (the batch path has no session
-    /// cache and plans must not depend on worker interleaving, so
-    /// resolution happens before any query runs and the planner never
-    /// chooses [`PrepareMode::Cached`] here — [`PlannedPath::Batch`]
-    /// prepares per query instead). The resolved explicit specs then run
-    /// through the ordinary per-worker sessions, and each output carries
-    /// its [`ExecutionPlan`]. Deterministic for a fixed engine and area
-    /// list, whatever the thread count.
-    fn execute_batch_auto<A: QueryArea + Sync>(
-        &self,
-        spec: &QuerySpec,
-        areas: &[A],
-        threads: usize,
-    ) -> Vec<QueryOutput> {
-        let planner = Planner::default();
-        let plans: Vec<(QuerySpec, ExecutionPlan)> = areas
-            .iter()
-            .map(|area| {
-                let mbr = area.mbr();
-                let features = PlanFeatures {
-                    len: self.len(),
-                    est_candidates: self.density_map().estimate_count(&mbr),
-                    vertices: area.complexity(),
-                    cached: false,
-                    cacheable: area.fingerprint().is_some(),
-                    delta_len: 0,
-                    shards: 0,
-                    in_hull: self.data_bounds().contains_rect(&mbr),
-                    diagram: self.diagram_kind(),
-                    path: PlannedPath::Batch,
-                };
-                planner.resolve(spec, &features)
-            })
-            .collect();
-        let mut outs = par_map(
-            areas.len(),
-            threads,
-            || QuerySession::new(self),
-            |session, i| session.execute(&plans[i].0, &areas[i]),
-        );
-        for (out, (_, plan)) in outs.iter_mut().zip(&plans) {
-            out.stats_mut().plan = Some(*plan);
-        }
-        outs
     }
 }
 

@@ -23,7 +23,7 @@
 
 use crate::area::QueryArea;
 use crate::voronoi_query::cell_intersects_area;
-use vaq_delaunay::{DiagramMetric, Triangulation};
+use vaq_delaunay::Triangulation;
 use vaq_geom::Rect;
 
 /// The class of one point relative to a query area.
@@ -47,8 +47,8 @@ pub enum PointClass {
 /// coordinates — matching the query semantics, which still report hidden
 /// sites inside the area — and [`PointClass::External`] otherwise (its
 /// empty cell can intersect nothing).
-pub fn classify_points<M: DiagramMetric, A: QueryArea + ?Sized>(
-    tri: &Triangulation<M>,
+pub fn classify_points<A: QueryArea + ?Sized>(
+    tri: &Triangulation,
     area: &A,
     window: &Rect,
 ) -> Vec<PointClass> {

@@ -43,7 +43,7 @@ use crate::plan::DensityMap;
 use crate::scratch::QueryScratch;
 use crate::shard::ShardedAreaQueryEngine;
 use crate::stats::QueryStats;
-use vaq_delaunay::{DiagramKind, SiteMetric, Triangulation};
+use vaq_delaunay::{DiagramKind, Triangulation};
 use vaq_geom::{Point, Rect};
 use vaq_rtree::RTree;
 
@@ -190,11 +190,11 @@ impl EngineBuilder {
 pub struct AreaQueryEngine {
     pub(crate) points: Vec<Point>,
     pub(crate) rtree: RTree,
-    /// `None` only for an empty point set. The metric is decided by the
+    /// `None` only for an empty point set. The diagram is decided by the
     /// input: unweighted or uniformly weighted datasets build the classic
     /// Delaunay triangulation, non-uniform weights the regular
     /// triangulation of the power diagram.
-    pub(crate) tri: Option<Triangulation<SiteMetric>>,
+    pub(crate) tri: Option<Triangulation>,
     /// Simulated geometry records (None = pure in-memory regime).
     pub(crate) records: Option<RecordStore>,
     data_bbox: Rect,
@@ -228,7 +228,7 @@ impl AreaQueryEngine {
     /// freshly built one.
     pub(crate) fn assemble(
         points: Vec<Point>,
-        tri: Option<Triangulation<SiteMetric>>,
+        tri: Option<Triangulation>,
         records: Option<RecordStore>,
         boundary_straddlers: Option<Vec<bool>>,
         prebuilt_rtree: Option<RTree>,
@@ -241,12 +241,9 @@ impl AreaQueryEngine {
         // and shard-boundary expansions grow by the largest such radius.
         // Euclidean builds (and all-non-positive weights) add 0.0,
         // keeping every window bit-identical to the unweighted engine.
-        let weight_radius = match tri.as_ref().map(Triangulation::metric) {
-            Some(SiteMetric::Power(pw)) => {
-                pw.weights().iter().fold(0.0f64, |m, &w| m.max(w)).sqrt()
-            }
-            _ => 0.0,
-        };
+        let weight_radius = tri.as_ref().map_or(0.0, |t| {
+            t.weights().iter().fold(0.0f64, |m, &w| m.max(w)).sqrt()
+        });
         if let Some(rs) = records.as_ref() {
             assert_eq!(
                 rs.len(),
@@ -319,7 +316,7 @@ impl AreaQueryEngine {
     }
 
     /// The underlying triangulation (`None` for an empty engine).
-    pub fn triangulation(&self) -> Option<&Triangulation<SiteMetric>> {
+    pub fn triangulation(&self) -> Option<&Triangulation> {
         self.tri.as_ref()
     }
 

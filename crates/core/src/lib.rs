@@ -7,10 +7,10 @@
 //! An **area query** returns every point of a set `P` contained in a given
 //! closed polygon `A`. Two implementations:
 //!
-//! * **Traditional filter–refine** ([`traditional_area_query`], module
-//!   [`traditional`]): window query with `MBR(A)` on the R-tree, then
-//!   exact validation of each candidate. Candidates ≈ all points in the
-//!   MBR, so irregular areas validate mostly garbage.
+//! * **Traditional filter–refine** (module [`traditional`]): window
+//!   query with `MBR(A)` on the R-tree, then exact validation of each
+//!   candidate. Candidates ≈ all points in the MBR, so irregular areas
+//!   validate mostly garbage.
 //! * **Voronoi-based incremental generation** ([`voronoi_area_query`],
 //!   module [`voronoi_query`] — the paper's Algorithm 1): seed with the
 //!   nearest site to a point of `A` (an R-tree NN query — the paper uses
@@ -126,5 +126,4 @@ pub use shard::{ShardBreakdown, ShardedAreaQueryEngine, ShardedQueryOutput};
 pub use sink::{Neighbor, SinkId};
 pub use snapshot::{LoadedEngine, SnapshotError, SnapshotInfo, SnapshotKind, SNAPSHOT_VERSION};
 pub use stats::{CacheCounters, PredicateCounters, QueryStats};
-pub use traditional::traditional_area_query;
 pub use voronoi_query::{voronoi_area_query, ExpansionPolicy};

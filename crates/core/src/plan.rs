@@ -42,11 +42,16 @@
 //!
 //! Every decision is recorded as an [`ExecutionPlan`] in
 //! [`QueryStats::plan`](crate::QueryStats): which method/policy/prepare
-//! mode ran, on which path, and at what predicted cost. After the query,
-//! the engine feeds the observed work back through [`Planner::observe`];
-//! an exponentially decayed per-method calibration ratio keeps the
-//! analytic model honest when a workload (or machine) disagrees with its
-//! constants.
+//! mode ran, on which path, and at what predicted cost. Calibration lives
+//! in sessions: after each planned query a
+//! [`QuerySession`](crate::QuerySession) (and the dynamic engine, which
+//! owns its session state) feeds the observed work back through
+//! [`Planner::observe`]; an exponentially decayed per-method calibration
+//! ratio keeps the analytic model honest when a workload (or machine)
+//! disagrees with its constants. A batch, on the plain or the sharded
+//! engine, plans every area up front with a fresh planner and feeds
+//! nothing back, so its plans depend on neither the thread count nor
+//! earlier batches.
 //!
 //! Planned queries are **bit-identical** to explicit ones: the planner
 //! only rewrites the spec *before* execution, so running the spec named
@@ -56,6 +61,7 @@
 //!
 //! [`QuerySpec::auto()`]: crate::QuerySpec::auto
 
+use crate::area::QueryArea;
 use crate::query::{PrepareMode, QueryMethod, QuerySpec};
 use crate::stats::QueryStats;
 use crate::voronoi_query::ExpansionPolicy;
@@ -135,8 +141,7 @@ pub struct PlanFeatures {
     /// [`DensityMap`]. This is exactly the traditional method's expected
     /// candidate count.
     pub est_candidates: f64,
-    /// The area's vertex count `k` (see
-    /// [`QueryArea::complexity`](crate::QueryArea::complexity)).
+    /// The area's vertex count `k` (see [`QueryArea::complexity`]).
     pub vertices: usize,
     /// `true` when the area's fingerprint is already resident in the
     /// executing session's prepared-area cache (a hit is nearly free).
@@ -161,6 +166,36 @@ pub struct PlanFeatures {
     pub diagram: DiagramKind,
     /// The path the query will execute on.
     pub path: PlannedPath,
+}
+
+impl PlanFeatures {
+    /// The features of a query over `area` on an engine of `len` points
+    /// with this `density` map and data bounding box `bounds`, planned for
+    /// `path`. `cacheable` says whether the area has a prepared form; the
+    /// caller sets `cached`, `delta_len` and `shards` where they apply.
+    pub(crate) fn of<A: QueryArea + ?Sized>(
+        area: &A,
+        cacheable: bool,
+        len: usize,
+        density: &DensityMap,
+        bounds: Rect,
+        diagram: DiagramKind,
+        path: PlannedPath,
+    ) -> PlanFeatures {
+        let mbr = area.mbr();
+        PlanFeatures {
+            len,
+            est_candidates: density.estimate_count(&mbr),
+            vertices: area.complexity(),
+            cached: false,
+            cacheable,
+            delta_len: 0,
+            shards: 0,
+            in_hull: bounds.contains_rect(&mbr),
+            diagram,
+            path,
+        }
+    }
 }
 
 impl Default for PlanFeatures {
@@ -305,9 +340,9 @@ const RING_FACTOR: f64 = 3.4;
 const DEGREE: f64 = 6.0;
 
 /// The cost-model planner. One lives inside every
-/// [`QuerySession`](crate::QuerySession) /
-/// [`SessionState`](crate::QuerySession) and on each sharded engine;
-/// [`Planner::default()`] starts with unit calibration.
+/// [`QuerySession`](crate::QuerySession) and dynamic engine, where
+/// calibration accumulates across planned queries; batches plan with a
+/// fresh one. [`Planner::default()`] starts with unit calibration.
 ///
 /// The planner is deliberately small: an analytic model over
 /// [`PlanFeatures`] plus three exponentially decayed per-method
@@ -343,29 +378,6 @@ impl Planner {
     /// (`1.0` until [`Planner::observe`] has seen that method run).
     pub fn calibration(&self, method: QueryMethod) -> f64 {
         self.calibration[Planner::method_slot(method)]
-    }
-
-    /// The raw calibration table (Traditional, Voronoi, BruteForce), for
-    /// snapshot persistence.
-    pub fn calibration_array(&self) -> [f64; 3] {
-        self.calibration
-    }
-
-    /// Rebuilds a planner from a persisted calibration table — closing
-    /// the loop on calibration that previously reset to `1.0` every
-    /// session. Entries are sanitised into the same `[0.05, 20.0]` band
-    /// [`Planner::observe`] confines live ratios to (a snapshot from a
-    /// buggy or hand-edited writer must not poison every future plan).
-    pub fn with_calibration(calibration: [f64; 3]) -> Planner {
-        Planner {
-            calibration: calibration.map(|c| {
-                if c.is_finite() {
-                    c.clamp(0.05, 20.0)
-                } else {
-                    1.0
-                }
-            }),
-        }
     }
 
     /// Work-unit cost of one raw geometric primitive against a
@@ -522,6 +534,22 @@ impl Planner {
         let slot = Planner::method_slot(plan.method);
         self.calibration[slot] = DECAY * self.calibration[slot] + (1.0 - DECAY) * ratio;
     }
+}
+
+/// Resolves every area's plan up front with one fresh [`Planner`], as
+/// both engines' batches do: a batch keeps no planner state and feeds no
+/// observation back, so its plans depend on neither worker interleaving
+/// nor earlier batches. Returns each area's explicit spec and its plan.
+pub(crate) fn plan_batch<A>(
+    spec: &QuerySpec,
+    areas: &[A],
+    features: impl Fn(&A) -> PlanFeatures,
+) -> Vec<(QuerySpec, ExecutionPlan)> {
+    let planner = Planner::default();
+    areas
+        .iter()
+        .map(|area| planner.resolve(spec, &features(area)))
+        .collect()
 }
 
 #[cfg(test)]

@@ -396,15 +396,16 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 64;
 ///
 /// Entries are `Arc` (not `Rc`) so the cache — and everything owning one:
 /// `QuerySession`, `DynamicAreaQueryEngine` — stays `Send` and can move
-/// to a worker thread.
-struct PreparedAreaCache {
+/// to a worker thread. A batch resolves its areas through an unbounded
+/// one before its workers start.
+pub(crate) struct PreparedAreaCache {
     capacity: usize,
     /// Front = most recently used.
     entries: Vec<(AreaFingerprint, Arc<dyn QueryArea + Send + Sync>)>,
 }
 
 impl PreparedAreaCache {
-    fn new(capacity: usize) -> PreparedAreaCache {
+    pub(crate) fn new(capacity: usize) -> PreparedAreaCache {
         PreparedAreaCache {
             capacity,
             entries: Vec::new(),
@@ -414,7 +415,7 @@ impl PreparedAreaCache {
     /// Returns the cached prepared area for `fp`, preparing via `build` on
     /// miss. `delta` records the hit or miss. Returns `None` when `build`
     /// yields `None` (the area has no prepared form).
-    fn get_or_prepare(
+    pub(crate) fn get_or_prepare(
         &mut self,
         fp: AreaFingerprint,
         build: impl FnOnce() -> Option<Box<dyn QueryArea + Send + Sync>>,
@@ -489,19 +490,19 @@ impl SessionState {
         path: PlannedPath,
         delta_len: usize,
     ) -> PlanFeatures {
-        let mbr = area.mbr();
         let fp = area.fingerprint();
         PlanFeatures {
-            len: engine.len(),
-            est_candidates: engine.density_map().estimate_count(&mbr),
-            vertices: area.complexity(),
             cached: fp.as_ref().is_some_and(|fp| self.cache.contains(fp)),
-            cacheable: fp.is_some(),
             delta_len,
-            shards: 0,
-            in_hull: engine.data_bounds().contains_rect(&mbr),
-            diagram: engine.diagram_kind(),
-            path,
+            ..PlanFeatures::of(
+                area,
+                fp.is_some(),
+                engine.len(),
+                engine.density_map(),
+                engine.data_bounds(),
+                engine.diagram_kind(),
+                path,
+            )
         }
     }
 

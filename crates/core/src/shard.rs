@@ -60,7 +60,7 @@ use crate::area::QueryArea;
 use crate::batch::prepare_batch_shared;
 use crate::engine::{AreaQueryEngine, EngineBuilder};
 use crate::payload::RecordStore;
-use crate::plan::{DensityMap, ExecutionPlan, PlanFeatures, PlannedPath, Planner};
+use crate::plan::{plan_batch, DensityMap, PlanFeatures, PlannedPath};
 use crate::query::{PrepareMode, QueryMethod, QuerySpec};
 use crate::scratch::QueryScratch;
 use crate::sink::{Neighbor, Partial, Sink};
@@ -168,10 +168,6 @@ pub struct ShardedAreaQueryEngine {
     /// point counts) — the planner's candidate estimator, free at build
     /// time.
     density: DensityMap,
-    /// The engine-resident planner resolving
-    /// [`MethodChoice::Auto`](crate::MethodChoice) specs; behind a mutex
-    /// because the sharded engine executes through `&self`.
-    planner: Mutex<Planner>,
     /// The diagram family the *input* weights selected. Per-shard weight
     /// slices may individually normalise to Euclidean (a shard whose
     /// points all share one weight); the global kind is what the planner
@@ -298,7 +294,6 @@ impl ShardedAreaQueryEngine {
             len: points.len(),
             shards: built,
             density,
-            planner: Mutex::new(Planner::default()),
             diagram: match weights {
                 Some(w) if !weights_are_uniform(w) => DiagramKind::Power,
                 _ => DiagramKind::Euclidean,
@@ -355,54 +350,24 @@ impl ShardedAreaQueryEngine {
             .map(RecordStore::record_bytes)
     }
 
-    /// Assembles the planner's feature vector for a query over `area` on
-    /// this engine ([`PlannedPath::Sharded`]).
-    fn plan_features<A: QueryArea + ?Sized>(&self, area: &A) -> PlanFeatures {
-        let mbr = area.mbr();
-        let bounds = self
-            .shards
-            .iter()
-            .fold(Rect::EMPTY, |acc, s| acc.union(&s.mbr));
-        PlanFeatures {
-            len: self.len,
-            est_candidates: self.density.estimate_count(&mbr),
-            vertices: area.complexity(),
-            cached: false,
-            cacheable: area.fingerprint().is_some(),
-            delta_len: 0,
-            shards: self.shards.len(),
-            in_hull: bounds.contains_rect(&mbr),
-            path: PlannedPath::Sharded,
-            diagram: self.diagram,
-        }
-    }
-
     /// The persisted fields of the sharded engine, for the snapshot
     /// writer: shards (each carrying its own engine and global ids),
-    /// total length, the diagram family, and the planner's current
-    /// calibration ratios. Shard MBRs and the density map are *not*
-    /// persisted — both are recomputed exactly from the shard point sets
-    /// on load.
-    pub(crate) fn snapshot_parts(&self) -> (&[Shard], usize, DiagramKind, [f64; 3]) {
-        let calibration = self
-            .planner
-            .lock()
-            .expect("planner mutex poisoned")
-            .calibration_array();
-        (&self.shards, self.len, self.diagram, calibration)
+    /// total length and the diagram family. Shard MBRs and the density
+    /// map are *not* persisted — both are recomputed exactly from the
+    /// shard point sets on load.
+    pub(crate) fn snapshot_parts(&self) -> (&[Shard], usize, DiagramKind) {
+        (&self.shards, self.len, self.diagram)
     }
 
     /// Reassembles a sharded engine from snapshot-loaded parts. Shard
     /// MBRs are recomputed from the shard point sets (`Rect::from_points`
     /// is deterministic, so they are bit-identical to the built engine's)
     /// and the density map is rebuilt from them exactly as
-    /// `build_inner` does; the planner resumes from the persisted
-    /// calibration ratios.
+    /// `build_inner` does.
     pub(crate) fn from_snapshot_parts(
         shards: Vec<(AreaQueryEngine, Vec<u32>)>,
         len: usize,
         diagram: DiagramKind,
-        calibration: [f64; 3],
     ) -> ShardedAreaQueryEngine {
         let shards: Vec<Shard> = shards
             .into_iter()
@@ -421,7 +386,6 @@ impl ShardedAreaQueryEngine {
             shards,
             len,
             density,
-            planner: Mutex::new(Planner::with_calibration(calibration)),
             diagram,
         }
     }
@@ -468,6 +432,13 @@ impl ShardedAreaQueryEngine {
     /// batch-wide hit/miss counters land in the per-area stats exactly
     /// as in [`AreaQueryEngine::execute_batch`].
     ///
+    /// A [`QuerySpec::auto()`] batch resolves every area's plan up front
+    /// with a fresh [`Planner`](crate::Planner), exactly as the plain
+    /// engine's batch does, then runs each area's explicit spec on the
+    /// work-stealing pool at per-area granularity; each output carries
+    /// its plan. The engine keeps no planner state, so the outputs do not
+    /// depend on the thread count or on earlier batches.
+    ///
     /// # Panics
     ///
     /// As [`ShardedAreaQueryEngine::execute`].
@@ -478,7 +449,29 @@ impl ShardedAreaQueryEngine {
         threads: usize,
     ) -> Vec<ShardedQueryOutput> {
         if spec.method.is_auto() {
-            return self.execute_batch_auto(spec, areas, threads);
+            let bounds = self.shards.iter().fold(Rect::EMPTY, |b, s| b.union(&s.mbr));
+            let plans = plan_batch(spec, areas, |area| PlanFeatures {
+                shards: self.shards.len(),
+                ..PlanFeatures::of(
+                    area,
+                    area.fingerprint().is_some(),
+                    self.len,
+                    &self.density,
+                    bounds,
+                    self.diagram,
+                    PlannedPath::Sharded,
+                )
+            });
+            return par_map(
+                areas.len(),
+                threads,
+                || (),
+                |_, i| {
+                    let mut out = self.execute(&plans[i].0, &areas[i]);
+                    out.stats.plan = Some(plans[i].1);
+                    out
+                },
+            );
         }
         let Some(sink) = Sink::of(spec.output) else {
             // vaq-lint: allow(panic-hygiene) -- documented unsupported-mode
@@ -590,47 +583,6 @@ impl ShardedAreaQueryEngine {
                 }
             })
             .collect()
-    }
-
-    /// The batched planned path: every area's plan is resolved **up
-    /// front** against the planner's pre-batch calibration — plans never
-    /// depend on worker interleaving — then the resolved explicit
-    /// queries run on a work-stealing pool at per-area granularity and
-    /// each output carries its plan. Observations feed the calibration
-    /// back in area order after the batch, so the whole call is
-    /// deterministic for a fixed engine and area list.
-    fn execute_batch_auto<A: QueryArea + Sync>(
-        &self,
-        spec: &QuerySpec,
-        areas: &[A],
-        threads: usize,
-    ) -> Vec<ShardedQueryOutput> {
-        let plans: Vec<(QuerySpec, ExecutionPlan, usize)> = {
-            let planner = self.planner.lock().expect("planner mutex poisoned");
-            areas
-                .iter()
-                .map(|area| {
-                    let features = self.plan_features(area);
-                    let (resolved, plan) = planner.resolve(spec, &features);
-                    (resolved, plan, features.vertices)
-                })
-                .collect()
-        };
-        let outs = par_map(
-            areas.len(),
-            threads,
-            || (),
-            |_, i| {
-                let mut out = self.execute(&plans[i].0, &areas[i]);
-                out.stats.plan = Some(plans[i].1);
-                out
-            },
-        );
-        let mut planner = self.planner.lock().expect("planner mutex poisoned");
-        for (out, (_, plan, vertices)) in outs.iter().zip(&plans) {
-            planner.observe(plan, Planner::observed_cost(&out.stats, *vertices));
-        }
-        outs
     }
 }
 

@@ -48,15 +48,17 @@
 //!   arrays ([`TriangulationFlat`]: the adjacency CSR, hull, weights and
 //!   hidden/anchor tables, plus the duplicate maps when inputs
 //!   coincide), payload record pages, shard-boundary flags and the
-//!   R-tree arena. A load rebuilds the rest: the canonical site array
-//!   (from the points), the planner's density map (from the points) and
-//!   the hidden-site R-tree (from the hidden sites). Format v4 stores no
-//!   triangle mesh: no query reads one.
+//!   R-tree arena. The writer borrows the flat arrays through
+//!   [`Triangulation::as_flat`]; it copies none of them. A load rebuilds
+//!   the rest: the canonical site array (from the points), the planner's
+//!   density map (from the points) and the hidden-site R-tree (from the
+//!   hidden sites). The format stores no triangle mesh: no query reads
+//!   one.
 //! * **Sharded** ([`ShardedAreaQueryEngine`]): the kd-partition
 //!   metadata (point count, diagram family, shard count) plus **one
 //!   independently loadable section per shard** (its global-id table and
-//!   a nested engine blob), and the planner's calibration ratios, so a
-//!   loaded engine resumes with the calibration it had learned.
+//!   a nested engine blob). The engine keeps no planner state, so there
+//!   is no calibration to store.
 //! * **Dynamic** ([`DynamicAreaQueryEngine`]): the base engine blob
 //!   plus the overlay **as data** — the base id table, the delta buffer
 //!   of `(id, point)` entries, tombstones and the id counter are stored
@@ -85,7 +87,7 @@ pub const SNAPSHOT_MAGIC: u64 = u64::from_le_bytes(*b"VAQSNAP1");
 /// Current container format version. Bump on **any** change to the
 /// header, section or flat-array layouts (the layout-fingerprint guard
 /// test enforces the coupling).
-pub const SNAPSHOT_VERSION: u32 = 4;
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 /// Section payloads (and the first section) start on multiples of this.
 pub const SNAPSHOT_PAGE: usize = 4096;
@@ -118,7 +120,7 @@ const TAG_SHARD: u64 = 0x1000;
 /// misparsing it. The guard test in this module pins the fingerprint:
 /// editing this string (or the layouts it describes) without bumping
 /// [`SNAPSHOT_VERSION`] fails the build's test suite.
-const LAYOUT: &str = "vaq-snapshot layout v4:\
+const LAYOUT: &str = "vaq-snapshot layout v5:\
  header{magic:u64,version:u32,kind:u32,layout:u64,file_len:u64,sections:u64,\
 table_sum:u64,git_rev:[u8;24],params:[u8;56]}\
  table{tag:u64,offset:u64,len:u64,checksum:u64}*\
@@ -130,7 +132,7 @@ straddlers?:[u8],rtree{levels:[u32],entry_offsets:[u32],entry_children:[u32],\
 inner_rects:[f64],root:u32,len:u64,max_entries:u32}}\
  dyn_overlay{base_ids:[u64],delta:[{id:u64,x:f64,y:f64}],tombstones:[u64],\
 next_id:u64}\
- sh_meta{len:u64,diagram:u32,calibration:[f64;3],shard_count:u64}\
+ sh_meta{len:u64,diagram:u32,shard_count:u64}\
  shard{global:[u32],engine:[u8]}";
 
 /// The layout fingerprint of this build: [`checksum64`] over the
@@ -836,7 +838,7 @@ fn encode_engine(engine: &AreaQueryEngine) -> Vec<u8> {
     match engine.tri.as_ref() {
         Some(tri) => {
             w.u32(1);
-            let flat = tri.to_flat();
+            let flat = tri.as_flat();
             // The triangulation's site array is not stored: it holds the
             // first occurrence of every distinct input point, in input
             // order, which a load re-derives from the engine's points.
@@ -1088,7 +1090,7 @@ pub fn dynamic_to_bytes(engine: &DynamicAreaQueryEngine) -> Vec<u8> {
 /// Serializes a sharded engine into an in-memory container: partition
 /// metadata plus one independently checksummed section per shard.
 pub fn sharded_to_bytes(engine: &ShardedAreaQueryEngine) -> Vec<u8> {
-    let (shards, len, diagram, calibration) = engine.snapshot_parts();
+    let (shards, len, diagram) = engine.snapshot_parts();
     let mut c = ContainerWriter::new(SnapshotKind::Sharded);
     let mut m = SecWriter::default();
     m.u64(len as u64);
@@ -1096,9 +1098,6 @@ pub fn sharded_to_bytes(engine: &ShardedAreaQueryEngine) -> Vec<u8> {
         DiagramKind::Euclidean => 0,
         DiagramKind::Power => 1,
     });
-    for v in calibration {
-        m.f64(v);
-    }
     m.u64(shards.len() as u64);
     c.section(TAG_SH_META, m.buf);
     for (i, shard) in shards.iter().enumerate() {
@@ -1190,8 +1189,7 @@ pub fn dynamic_from_bytes(bytes: &[u8]) -> Result<DynamicAreaQueryEngine, Snapsh
 
 /// Deserializes a sharded engine from container bytes. Shard MBRs and
 /// the density map are recomputed from the shard point sets
-/// (deterministically, so they match the built engine's bit for bit)
-/// and the planner resumes from the persisted calibration.
+/// (deterministically, so they match the built engine's bit for bit).
 pub fn sharded_from_bytes(bytes: &[u8]) -> Result<ShardedAreaQueryEngine, SnapshotError> {
     let c = Container::parse(bytes)?;
     c.expect_kind(SnapshotKind::Sharded)?;
@@ -1209,7 +1207,6 @@ pub fn sharded_from_bytes(bytes: &[u8]) -> Result<ShardedAreaQueryEngine, Snapsh
             )))
         }
     };
-    let calibration = [m.f64()?, m.f64()?, m.f64()?];
     let shard_count: usize = m
         .u64()?
         .try_into()
@@ -1250,10 +1247,7 @@ pub fn sharded_from_bytes(bytes: &[u8]) -> Result<ShardedAreaQueryEngine, Snapsh
         )));
     }
     Ok(ShardedAreaQueryEngine::from_snapshot_parts(
-        shards,
-        len,
-        diagram,
-        calibration,
+        shards, len, diagram,
     ))
 }
 
@@ -1348,12 +1342,12 @@ mod tests {
     #[test]
     fn layout_fingerprint_is_pinned_to_the_version() {
         assert_eq!(
-            SNAPSHOT_VERSION, 4,
+            SNAPSHOT_VERSION, 5,
             "version changed: re-pin the fingerprint"
         );
         assert_eq!(
             layout_fingerprint(),
-            0xc22b_e30d_973b_33a2,
+            0xd76c_eb21_51c7_cd98,
             "flat layout changed: bump SNAPSHOT_VERSION and re-pin this fingerprint"
         );
     }

@@ -120,12 +120,12 @@ pub struct QueryStats {
     /// counts as a candidate and a containment test, so the classic
     /// identities keep holding on the dynamic path.
     pub delta_scanned: usize,
-    /// Hidden sites surfaced by the hidden-site kd window lookup and
+    /// Hidden sites surfaced by the hidden-site R-tree's window lookup and
     /// geometrically examined against the area (weighted engines only;
     /// zero on Euclidean engines, which hide nothing). Each examined
     /// site also counts as a candidate and a containment test.
     pub hidden_examined: usize,
-    /// Hidden sites the kd window lookup skipped without per-site work.
+    /// Hidden sites the R-tree window lookup skipped without per-site work.
     /// Before the index, the post-BFS sweep rect-scanned **every**
     /// hidden site — `hidden_examined + hidden_pruned` of them — so this
     /// is the before/after saving of the spatial index, per query.

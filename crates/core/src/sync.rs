@@ -25,22 +25,18 @@
 //! * **Work distribution** — the batch executors (unsharded, sharded,
 //!   planned, and the parallel shard build) all run on [`par_map`], which
 //!   hands out work through a [`ClaimCounter`]: one `fetch_add` per item,
-//!   no other coordination.
-//! * **Planner calibration** — [`ShardedAreaQueryEngine`] resolves and
-//!   observes `MethodChoice::Auto` queries through a [`Mutex`]`<Planner>`
-//!   (the engine executes through `&self`).
-//! * **Build-time record stores** — the parallel shard build parks each
-//!   shard's split [`RecordStore`](crate::RecordStore) in a
-//!   [`Mutex`]`<Option<RecordStore>>` so the owning worker can *take* it
-//!   instead of cloning record contents.
+//!   no other coordination. A planned batch resolves every plan before
+//!   its workers start, so no planner is shared.
+//! * **Build-time record stores** — the one [`Mutex`]: the parallel shard
+//!   build parks each shard's split [`RecordStore`](crate::RecordStore)
+//!   in a [`Mutex`]`<Option<RecordStore>>` so the owning worker can
+//!   *take* it instead of cloning record contents.
 //!
 //! The dynamic engine (`DynamicAreaQueryEngine`) mutates
 //! delta/tombstone/compaction state through `&mut self` and is
 //! externally synchronised; `vaq-race` model-checks them behind
 //! a model [`Mutex`](model::Mutex) to prove that a plain exclusive lock
 //! is a sufficient sharing contract for that state.
-//!
-//! [`ShardedAreaQueryEngine`]: crate::ShardedAreaQueryEngine
 
 pub mod model;
 

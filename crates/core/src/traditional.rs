@@ -6,30 +6,15 @@
 //! test. When the area is irregular (`area(A) ≪ area(MBR(A))`), most
 //! candidates fail validation; that waste is what the paper's method
 //! removes.
+//!
+//! Every execution path runs the method through the engine: the filter
+//! is the engine's R-tree window, and `refine_each` validates the
+//! candidates into the query's sink.
 
 use crate::area::QueryArea;
 use crate::payload::RecordStore;
 use crate::stats::QueryStats;
 use vaq_geom::Point;
-use vaq_rtree::RTree;
-
-/// Runs the traditional filter–refine query using the R-tree.
-///
-/// Returns the matching point ids (input indices, in index-traversal
-/// order) and fills `stats`. When `records` is present, every validation
-/// first materialises the candidate's payload record (the paper's
-/// "geometric information loading"); see [`RecordStore`].
-pub fn traditional_area_query<A: QueryArea + ?Sized>(
-    rtree: &RTree,
-    points: &[Point],
-    area: &A,
-    records: Option<&RecordStore>,
-    stats: &mut QueryStats,
-) -> Vec<u32> {
-    let mbr = area.mbr();
-    let candidates = rtree.window_with_stats(&mbr, &mut stats.index);
-    refine(candidates, points, area, records, stats)
-}
 
 /// The refine step shared by every result sink:
 /// materialise the candidate's record (when simulated), validate with the
@@ -57,28 +42,14 @@ pub(crate) fn refine_each<A: QueryArea + ?Sized>(
     }
 }
 
-/// Collecting refine: validates every candidate into a result vector.
-pub(crate) fn refine<A: QueryArea + ?Sized>(
-    candidates: Vec<u32>,
-    points: &[Point],
-    area: &A,
-    records: Option<&RecordStore>,
-    stats: &mut QueryStats,
-) -> Vec<u32> {
-    let mut result = Vec::with_capacity(candidates.len() / 2);
-    refine_each(candidates, points, area, records, stats, |id, _| {
-        result.push(id)
-    });
-    stats.result_size = result.len();
-    result
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::engine::AreaQueryEngine;
+    use crate::query::QuerySpec;
+    use crate::stats::QueryStats;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use vaq_geom::Polygon;
+    use vaq_geom::{Point, Polygon};
 
     fn p(x: f64, y: f64) -> Point {
         Point::new(x, y)
@@ -103,16 +74,20 @@ mod tests {
         Polygon::new(vec![p(0.2, 0.2), p(0.8, 0.25), p(0.4, 0.9)]).unwrap()
     }
 
+    /// The traditional method through the engine: sorted ids and stats.
+    fn traditional(pts: &[Point], area: &Polygon) -> (Vec<u32>, QueryStats) {
+        let out = AreaQueryEngine::build(pts).execute(&QuerySpec::traditional(), area);
+        let r = out.into_result().expect("collect output");
+        (r.sorted_indices(), r.stats)
+    }
+
     #[test]
     fn rtree_filter_matches_brute_force() {
         let pts = uniform(500, 61);
         let area = triangle_area();
         let want = brute(&pts, &area);
 
-        let rt = RTree::bulk_load(&pts);
-        let mut s = QueryStats::default();
-        let mut got = traditional_area_query(&rt, &pts, &area, None, &mut s);
-        got.sort_unstable();
+        let (got, s) = traditional(&pts, &area);
         assert_eq!(got, want);
 
         // The candidate set is exactly the points in the MBR.
@@ -132,10 +107,7 @@ mod tests {
         // The paper's motivating observation: a triangle's area is at most
         // half of its MBR's, so about half the candidates are redundant.
         let pts = uniform(4000, 62);
-        let area = triangle_area();
-        let rt = RTree::bulk_load(&pts);
-        let mut s = QueryStats::default();
-        traditional_area_query(&rt, &pts, &area, None, &mut s);
+        let (_, s) = traditional(&pts, &triangle_area());
         assert!(
             s.redundant_validations() * 3 >= s.candidates,
             "expected heavy waste, got {}/{} redundant",
@@ -146,10 +118,7 @@ mod tests {
 
     #[test]
     fn empty_point_set() {
-        let pts: Vec<Point> = Vec::new();
-        let rt = RTree::bulk_load(&pts);
-        let mut s = QueryStats::default();
-        let got = traditional_area_query(&rt, &pts, &triangle_area(), None, &mut s);
+        let (got, s) = traditional(&[], &triangle_area());
         assert!(got.is_empty());
         assert_eq!(s.candidates, 0);
     }
@@ -158,9 +127,7 @@ mod tests {
     fn area_outside_data_extent() {
         let pts = uniform(100, 63);
         let area = Polygon::new(vec![p(5.0, 5.0), p(6.0, 5.0), p(5.5, 6.0)]).unwrap();
-        let rt = RTree::bulk_load(&pts);
-        let mut s = QueryStats::default();
-        let got = traditional_area_query(&rt, &pts, &area, None, &mut s);
+        let (got, s) = traditional(&pts, &area);
         assert!(got.is_empty());
         assert_eq!(s.candidates, 0, "MBR misses all data");
     }
@@ -170,10 +137,7 @@ mod tests {
         // The area query is over the *closed* region.
         let pts = vec![p(0.5, 0.5), p(0.2, 0.2), p(0.8, 0.25)];
         let area = triangle_area(); // two of the points are its vertices
-        let rt = RTree::bulk_load(&pts);
-        let mut s = QueryStats::default();
-        let mut got = traditional_area_query(&rt, &pts, &area, None, &mut s);
-        got.sort_unstable();
+        let (got, _) = traditional(&pts, &area);
         assert_eq!(got, vec![0, 1, 2]);
     }
 }

@@ -16,7 +16,7 @@ use crate::area::QueryArea;
 use crate::payload::RecordStore;
 use crate::scratch::QueryScratch;
 use crate::stats::QueryStats;
-use vaq_delaunay::{cell_polygon, DiagramMetric, Triangulation};
+use vaq_delaunay::{cell_polygon, Triangulation};
 use vaq_geom::{Point, Polygon, Rect, Segment};
 
 /// How the BFS expands from a candidate that is *not* inside the area.
@@ -53,8 +53,8 @@ pub enum ExpansionPolicy {
 /// and fills `stats`. Result order is BFS discovery order, which is
 /// deterministic for a fixed build.
 #[allow(clippy::too_many_arguments)] // mirrors Algorithm 1's explicit inputs
-pub fn voronoi_area_query<M: DiagramMetric, A: QueryArea + ?Sized>(
-    tri: &Triangulation<M>,
+pub fn voronoi_area_query<A: QueryArea + ?Sized>(
+    tri: &Triangulation,
     area: &A,
     seed: u32,
     policy: ExpansionPolicy,
@@ -92,8 +92,8 @@ pub fn voronoi_area_query<M: DiagramMetric, A: QueryArea + ?Sized>(
 /// cheap segment-only test, so the fallback costs `O(1)` per flagged
 /// frontier edge and nothing at all when `straddlers` is `None`.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn voronoi_area_query_with_boundary<M: DiagramMetric, A: QueryArea + ?Sized>(
-    tri: &Triangulation<M>,
+pub(crate) fn voronoi_area_query_with_boundary<A: QueryArea + ?Sized>(
+    tri: &Triangulation,
     area: &A,
     seed: u32,
     policy: ExpansionPolicy,
@@ -173,8 +173,8 @@ pub(crate) fn voronoi_area_query_with_boundary<M: DiagramMetric, A: QueryArea + 
 }
 
 /// `true` when the (window-clipped) Voronoi cell of `v` intersects `area`.
-pub(crate) fn cell_intersects_area<M: DiagramMetric, A: QueryArea + ?Sized>(
-    tri: &Triangulation<M>,
+pub(crate) fn cell_intersects_area<A: QueryArea + ?Sized>(
+    tri: &Triangulation,
     v: u32,
     area: &A,
     window: &Rect,

@@ -19,13 +19,15 @@
 //!   clipped to a window, computed by half-plane clipping. The area-query
 //!   engine's *cell expansion policy* uses [`cell_polygon`] on demand.
 //! * [`hilbert`] — the Hilbert-curve ordering used for fast insertion.
-//! * [`metric`] — the [`DiagramMetric`] abstraction that generalises the
-//!   whole substrate to **power diagrams**: [`Triangulation`] is generic
-//!   over the metric, with the zero-sized [`Euclidean`] default compiling
-//!   to the classic unweighted algorithm and
-//!   [`Triangulation::with_site_metric`] building the regular
+//! * **Power diagrams**: the site weights are one more array of the
+//!   triangulation ([`Triangulation::weights`]), empty for the Euclidean
+//!   diagram. [`Triangulation::with_site_metric`] builds the regular
 //!   triangulation of weighted sites (dominated sites become *hidden* —
-//!   cell-less — and every walk and cell routine handles them).
+//!   cell-less — and every walk and cell routine handles them); module
+//!   [`metric`] names the two diagram kinds.
+//! * [`TriangulationFlat`] — the triangulation's flat arrays, which a
+//!   snapshot stores verbatim ([`Triangulation::as_flat`],
+//!   [`Triangulation::from_flat`]).
 //!
 //! Degenerate inputs are first-class: exact duplicates are merged (with a
 //! two-way index mapping), and fully collinear inputs (including 1 or 2
@@ -63,8 +65,6 @@ pub mod triangulation;
 pub mod voronoi;
 
 pub use flat::TriangulationFlat;
-pub use metric::{
-    weights_are_uniform, DiagramKind, DiagramMetric, Euclidean, PowerWeights, SiteMetric,
-};
+pub use metric::{weights_are_uniform, DiagramKind};
 pub use triangulation::{DelaunayError, Triangulation};
 pub use voronoi::{cell_polygon, VoronoiCell, VoronoiDiagram};

@@ -1,23 +1,13 @@
-//! The diagram-metric abstraction: which distance function the diagram
-//! substrate is built under.
+//! Which diagram a set of site weights induces.
 //!
-//! The engine's expansion machinery (CSR neighbour oracle, greedy
-//! nearest-vertex walk, cell clipping) is not intrinsically Euclidean —
-//! it only needs a diagram whose cells are convex and line-bounded and a
-//! dual triangulation to walk on. [`DiagramMetric`] captures exactly
-//! that: a per-site weight and the diagram kind it induces.
-//!
-//! * [`Euclidean`] is a zero-sized type; a
-//!   [`Triangulation<Euclidean>`](crate::Triangulation) compiles to
-//!   exactly the unweighted code (every weight is the constant `0.0`,
-//!   which folds out) and is the default type parameter, so existing
-//!   code is untouched.
-//! * [`PowerWeights`] holds one weight per canonical vertex and yields
-//!   the **power diagram** (its dual is the regular triangulation).
-//!   Weighted sites can be *hidden*: a site dominated everywhere owns no
-//!   cell and no triangulation vertex.
-//! * [`SiteMetric`] is the runtime sum of the two, for engines that pick
-//!   the metric per dataset rather than per type.
+//! A triangulation's weights are data: an empty weight vector is the
+//! classic Voronoi diagram, one weight per canonical vertex the **power
+//! diagram** (its dual is the regular triangulation), where the power
+//! distance from site `v` to a location `x` is `|x − p_v|² − w_v`.
+//! Weighted sites can be *hidden*: a site dominated everywhere owns no
+//! cell and no triangulation vertex. A uniform weight vector shifts every
+//! power distance by the same constant, so builders normalise it to the
+//! empty one ([`weights_are_uniform`]).
 
 /// Which diagram a triangulation realizes.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -27,111 +17,6 @@ pub enum DiagramKind {
     Euclidean,
     /// A power diagram / regular triangulation of weighted sites.
     Power,
-}
-
-/// A distance function over the canonical vertices of a triangulation.
-///
-/// The contract is small by design: the power distance from site `v` to
-/// a location `x` is `|x − p_v|² − weight(v)`, and `kind()` says whether
-/// any weight is actually in play. Implementations with
-/// `kind() == DiagramKind::Euclidean` must return `0.0` from
-/// [`weight`](DiagramMetric::weight) for every vertex — the builders rely
-/// on this to keep the Euclidean path bit-identical.
-pub trait DiagramMetric {
-    /// The diagram kind this metric induces.
-    fn kind(&self) -> DiagramKind;
-
-    /// The weight of canonical vertex `v` (squared-distance units).
-    fn weight(&self, v: u32) -> f64;
-}
-
-/// The unweighted metric: every site has weight zero.
-///
-/// A zero-sized type, so `Triangulation<Euclidean>` stores nothing and
-/// every `weight()` call folds to the constant `0.0`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Euclidean;
-
-impl DiagramMetric for Euclidean {
-    #[inline]
-    fn kind(&self) -> DiagramKind {
-        DiagramKind::Euclidean
-    }
-
-    #[inline]
-    fn weight(&self, _v: u32) -> f64 {
-        0.0
-    }
-}
-
-/// Per-canonical-vertex weights of a power diagram.
-///
-/// Held by a built triangulation, the weights are indexed by *canonical*
-/// vertex id (post-duplicate-merge); coincident input sites collapse to
-/// the maximum weight of their group, since a coincident site with a
-/// smaller weight is dominated everywhere by the heavier one.
-#[derive(Clone, Debug, PartialEq)]
-pub struct PowerWeights {
-    w: Vec<f64>,
-}
-
-impl PowerWeights {
-    /// Wraps per-vertex weights. The caller is responsible for the
-    /// indexing contract (one weight per canonical vertex).
-    pub fn new(w: Vec<f64>) -> PowerWeights {
-        PowerWeights { w }
-    }
-
-    /// The weights, indexed by canonical vertex id.
-    pub fn weights(&self) -> &[f64] {
-        &self.w
-    }
-}
-
-impl DiagramMetric for PowerWeights {
-    #[inline]
-    fn kind(&self) -> DiagramKind {
-        DiagramKind::Power
-    }
-
-    #[inline]
-    fn weight(&self, v: u32) -> f64 {
-        self.w[v as usize]
-    }
-}
-
-/// A runtime-selected metric: Euclidean or power, decided per dataset.
-///
-/// This is what the area-query engine stores — whether a dataset carries
-/// weights is a property of the input, not of the program. Uniform
-/// weights (including none at all) normalize to the
-/// [`SiteMetric::Euclidean`] variant at build time, so the weighted code
-/// paths only ever see genuinely non-uniform weights.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub enum SiteMetric {
-    /// No weights (or all weights equal — the diagram is the same).
-    #[default]
-    Euclidean,
-    /// Genuinely non-uniform weights: a power diagram.
-    Power(PowerWeights),
-}
-
-impl DiagramMetric for SiteMetric {
-    #[inline]
-    fn kind(&self) -> DiagramKind {
-        match self {
-            SiteMetric::Euclidean => DiagramKind::Euclidean,
-            SiteMetric::Power(_) => DiagramKind::Power,
-        }
-    }
-
-    #[inline]
-    fn weight(&self, v: u32) -> f64 {
-        match self {
-            SiteMetric::Euclidean => 0.0,
-            SiteMetric::Power(pw) => pw.weight(v),
-        }
-    }
 }
 
 /// `true` when every weight equals the first (vacuously true when empty).
@@ -148,34 +33,6 @@ pub fn weights_are_uniform(w: &[f64]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn euclidean_is_zero_everywhere() {
-        let m = Euclidean;
-        assert_eq!(m.kind(), DiagramKind::Euclidean);
-        assert_eq!(m.weight(0), 0.0);
-        assert_eq!(m.weight(1_000_000), 0.0);
-    }
-
-    #[test]
-    fn power_weights_index_by_vertex() {
-        let m = PowerWeights::new(vec![1.0, -2.5, 0.0]);
-        assert_eq!(m.kind(), DiagramKind::Power);
-        assert_eq!(m.weight(0), 1.0);
-        assert_eq!(m.weight(1), -2.5);
-        assert_eq!(m.weights(), &[1.0, -2.5, 0.0]);
-    }
-
-    #[test]
-    fn site_metric_dispatches() {
-        let e = SiteMetric::Euclidean;
-        assert_eq!(e.kind(), DiagramKind::Euclidean);
-        assert_eq!(e.weight(7), 0.0);
-        let p = SiteMetric::Power(PowerWeights::new(vec![4.0]));
-        assert_eq!(p.kind(), DiagramKind::Power);
-        assert_eq!(p.weight(0), 4.0);
-        assert_eq!(SiteMetric::default(), SiteMetric::Euclidean);
-    }
 
     #[test]
     fn uniformity_check() {

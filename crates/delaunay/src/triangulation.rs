@@ -28,22 +28,20 @@
 //! * **Duplicates** (exactly equal coordinates) are merged up front; every
 //!   input index maps to a canonical vertex via [`Triangulation::canonical`]
 //!   and back via [`Triangulation::inputs_of`].
-//! * **Metric genericity**: [`Triangulation`] is parameterised by a
-//!   [`DiagramMetric`]. The default [`Euclidean`] metric compiles to the
-//!   unweighted algorithm (bit-identical to the pre-generic code); building
-//!   with non-uniform site weights via
+//! * **Weights are data**: the weights are one more flat array, empty for
+//!   the Euclidean diagram. Building with non-uniform site weights via
 //!   [`Triangulation::with_site_metric`] produces the **regular
 //!   triangulation** (dual of the power diagram) instead, using the exact
-//!   [`power_incircle`] conflict predicate. Weighted sites may be *hidden*
-//!   — dominated everywhere, owning no cell and no Delaunay vertex; they
-//!   are reported by [`Triangulation::hidden_vertices`] and every hidden
-//!   site carries a live *anchor* so graph walks never stall on it.
+//!   [`power_incircle`] conflict predicate; uniform weights normalise to
+//!   the empty vector. Weighted sites may be *hidden* — dominated
+//!   everywhere, owning no cell and no Delaunay vertex; they are reported
+//!   by [`Triangulation::hidden_vertices`] and every hidden site carries a
+//!   live *anchor* so graph walks never stall on it.
 
+use crate::flat::TriangulationFlat;
 use crate::hilbert::hilbert_sort;
 use crate::mesh::{Mesh, GHOST, NONE};
-use crate::metric::{
-    weights_are_uniform, DiagramKind, DiagramMetric, Euclidean, PowerWeights, SiteMetric,
-};
+use crate::metric::{weights_are_uniform, DiagramKind};
 use vaq_geom::{incircle, orient2d, power_incircle, Point};
 
 /// Errors from [`Triangulation::new`].
@@ -357,57 +355,20 @@ impl Core {
 /// Voronoi-neighbour adjacency (the paper's `VN(P, p)` oracle).
 ///
 /// Build once with [`Triangulation::new`] (Euclidean) or
-/// [`Triangulation::with_site_metric`] (runtime-selected, possibly
-/// weighted); query adjacency, the hull and nearest vertices afterwards.
-/// The triangle mesh the build works on is dropped once the adjacency is
-/// derived from it.
+/// [`Triangulation::with_site_metric`] (possibly weighted); query
+/// adjacency, the hull and nearest vertices afterwards. The triangle mesh
+/// the build works on is dropped once the adjacency is derived from it.
 /// Input points may contain exact duplicates — they are merged into
 /// canonical vertices, with both directions of the mapping exposed.
 ///
-/// The type parameter is the [`DiagramMetric`] the structure was built
-/// under; the default [`Euclidean`] is a zero-sized type and that
-/// instantiation is bit-identical to the pre-generic unweighted code.
-pub struct Triangulation<M: DiagramMetric = Euclidean> {
-    /// Unique (canonical) points, indexed by vertex id.
-    pts: Vec<Point>,
-    /// Input index → canonical vertex id.
-    canon: Vec<u32>,
-    /// CSR: canonical vertex → the input indices that collapsed onto it.
-    members_off: Vec<u32>,
-    members: Vec<u32>,
-    /// CSR adjacency over canonical vertices (each row sorted ascending).
-    adj_off: Vec<u32>,
-    adj: Vec<u32>,
-    /// Hull vertices in CCW order; in degenerate mode, the path order
-    /// (weighted degenerate mode: the *live* path order).
-    hull: Vec<u32>,
-    degenerate: bool,
-    /// The metric the structure was built under.
-    metric: M,
-    /// Hidden canonical vertices, sorted ascending (weighted builds only;
-    /// always empty for Euclidean builds).
-    hidden: Vec<u32>,
-    /// For each canonical vertex, a live vertex to stand in for it during
-    /// graph walks: identity for live vertices, a power-nearest live
-    /// vertex for hidden ones. Empty when no vertex is hidden.
-    anchor: Vec<u32>,
-}
-
-/// Everything a build produces except the metric (which the public
-/// constructors attach afterwards).
-struct Parts {
-    pts: Vec<Point>,
-    canon: Vec<u32>,
-    members_off: Vec<u32>,
-    members: Vec<u32>,
-    adj_off: Vec<u32>,
-    adj: Vec<u32>,
-    hull: Vec<u32>,
-    degenerate: bool,
-    hidden: Vec<u32>,
-    anchor: Vec<u32>,
-    /// Canonical weights (empty for Euclidean builds).
-    cw: Vec<f64>,
+/// The structure is its flat arrays ([`TriangulationFlat`]), borrowed
+/// whole by [`Triangulation::as_flat`]. The weights are one of them:
+/// empty for the Euclidean diagram, one per canonical vertex for a power
+/// diagram.
+pub struct Triangulation {
+    /// Private, so every triangulation either came from a build or
+    /// passed [`Triangulation::from_flat`]'s checks.
+    flat: TriangulationFlat,
 }
 
 /// Shared input validation for all constructors.
@@ -421,7 +382,7 @@ fn validate_points(points: &[Point]) -> Result<(), DelaunayError> {
     Ok(())
 }
 
-impl Triangulation<Euclidean> {
+impl Triangulation {
     /// Builds the Delaunay triangulation of `points` with Hilbert-ordered
     /// insertion.
     ///
@@ -434,17 +395,13 @@ impl Triangulation<Euclidean> {
     /// [`Triangulation::is_degenerate`]).
     pub fn new(points: &[Point]) -> Result<Triangulation, DelaunayError> {
         validate_points(points)?;
-        Ok(Triangulation::from_parts(
-            build_parts(points, None),
-            Euclidean,
-        ))
+        Ok(build(points, None))
     }
-}
 
-impl Triangulation<SiteMetric> {
-    /// Builds the triangulation under a runtime-selected metric:
-    /// unweighted (`weights == None`) or a regular triangulation of the
-    /// weighted sites, with Hilbert-ordered insertion.
+    /// Builds the triangulation of optionally weighted sites: unweighted
+    /// (`weights == None`) or a regular triangulation of the weighted
+    /// sites, with Hilbert-ordered insertion. Whether a dataset carries
+    /// weights is a property of the input, decided at run time.
     ///
     /// **Uniform weights normalize away**: if every weight is equal
     /// (including the all-zero case), a uniform shift cancels out of every
@@ -465,73 +422,37 @@ impl Triangulation<SiteMetric> {
     pub fn with_site_metric(
         points: &[Point],
         weights: Option<&[f64]>,
-    ) -> Result<Triangulation<SiteMetric>, DelaunayError> {
+    ) -> Result<Triangulation, DelaunayError> {
         validate_points(points)?;
-        let effective = match weights {
-            None => None,
-            Some(w) => {
-                if w.len() != points.len() {
-                    return Err(DelaunayError::WeightCountMismatch {
-                        expected: points.len(),
-                        got: w.len(),
-                    });
-                }
-                if let Some(i) = w.iter().position(|x| !x.is_finite()) {
-                    return Err(DelaunayError::NonFiniteWeight(i));
-                }
-                if weights_are_uniform(w) {
-                    None
-                } else {
-                    Some(w)
-                }
+        if let Some(w) = weights {
+            if w.len() != points.len() {
+                return Err(DelaunayError::WeightCountMismatch {
+                    expected: points.len(),
+                    got: w.len(),
+                });
             }
-        };
-        match effective {
-            None => Ok(Triangulation::from_parts(
-                build_parts(points, None),
-                SiteMetric::Euclidean,
-            )),
-            Some(w) => {
-                let mut parts = build_parts(points, Some(w));
-                let metric = SiteMetric::Power(PowerWeights::new(std::mem::take(&mut parts.cw)));
-                Ok(Triangulation::from_parts(parts, metric))
+            if let Some(i) = w.iter().position(|x| !x.is_finite()) {
+                return Err(DelaunayError::NonFiniteWeight(i));
             }
         }
+        Ok(build(points, weights.filter(|w| !weights_are_uniform(w))))
     }
-}
 
-impl Triangulation<SiteMetric> {
-    /// Explodes the built structure into flat POD arrays for snapshot
-    /// storage. The inverse of [`Triangulation::from_flat`]: the round
-    /// trip reconstructs a bit-identical structure (same canonical ids,
-    /// same adjacency rows, hull, hidden sites and anchors).
-    pub fn to_flat(&self) -> crate::flat::TriangulationFlat {
-        let weights = match &self.metric {
-            SiteMetric::Euclidean => Vec::new(),
-            SiteMetric::Power(pw) => pw.weights().to_vec(),
-        };
-        crate::flat::TriangulationFlat {
-            pts: self.pts.clone(),
-            canon: self.canon.clone(),
-            members_off: self.members_off.clone(),
-            members: self.members.clone(),
-            adj_off: self.adj_off.clone(),
-            adj: self.adj.clone(),
-            hull: self.hull.clone(),
-            degenerate: self.degenerate,
-            weights,
-            hidden: self.hidden.clone(),
-            anchor: self.anchor.clone(),
-        }
+    /// Borrows the flat arrays the triangulation is made of — what a
+    /// snapshot stores. The inverse of [`Triangulation::from_flat`]:
+    /// `from_flat(tri.as_flat().clone())` rebuilds a bit-identical
+    /// structure (same canonical ids, same adjacency rows, hull, hidden
+    /// sites and anchors).
+    #[inline]
+    pub fn as_flat(&self) -> &TriangulationFlat {
+        &self.flat
     }
 
     /// Rebuilds a triangulation from its flat representation, validating
     /// the cross-array invariants (bounds, CSR monotonicity, hidden and
-    /// anchor tables) without re-running any geometry.
-    ///
-    /// Empty `weights` reconstructs the [`SiteMetric::Euclidean`]
-    /// structure; otherwise one weight per canonical vertex rebuilds the
-    /// power metric.
+    /// anchor tables) without re-running any geometry. Empty `weights`
+    /// is the Euclidean diagram; otherwise one weight per canonical
+    /// vertex is the power diagram.
     ///
     /// # Errors
     ///
@@ -540,15 +461,12 @@ impl Triangulation<SiteMetric> {
     /// geometric — a snapshot's section checksum is what vouches for the
     /// payload bytes; this guards against a *consistent but wrong* file
     /// turning into out-of-bounds panics at query time.
-    pub fn from_flat(
-        flat: crate::flat::TriangulationFlat,
-    ) -> Result<Triangulation<SiteMetric>, String> {
+    pub fn from_flat(flat: TriangulationFlat) -> Result<Triangulation, String> {
         let n = flat.pts.len();
         if n == 0 {
             return Err("empty vertex set".into());
         }
-        let pts = flat.pts;
-        if let Some(i) = pts.iter().position(|p| !p.is_finite()) {
+        if let Some(i) = flat.pts.iter().position(|p| !p.is_finite()) {
             return Err(format!("vertex {i} has a non-finite coordinate"));
         }
         let nu = n as u32;
@@ -593,27 +511,7 @@ impl Triangulation<SiteMetric> {
         if flat.hidden.is_empty() != flat.anchor.is_empty() {
             return Err("hidden list and anchor table must be empty together".into());
         }
-        let metric = if flat.weights.is_empty() {
-            SiteMetric::Euclidean
-        } else {
-            SiteMetric::Power(PowerWeights::new(flat.weights))
-        };
-        Ok(Triangulation::from_parts(
-            Parts {
-                pts,
-                canon: flat.canon,
-                members_off: flat.members_off,
-                members: flat.members,
-                adj_off: flat.adj_off,
-                adj: flat.adj,
-                hull: flat.hull,
-                degenerate: flat.degenerate,
-                hidden: flat.hidden,
-                anchor: flat.anchor,
-                cw: Vec::new(),
-            },
-            metric,
-        ))
+        Ok(Triangulation { flat })
     }
 }
 
@@ -640,19 +538,19 @@ fn check_csr(what: &str, off: &[u32], payload: &[u32], rows: usize) -> Result<()
     Ok(())
 }
 
-/// Runs the incremental build and assembles all metric-independent state;
-/// the build mesh is dropped here.
+/// Runs the incremental build and assembles the triangulation; the build
+/// mesh is dropped here.
 ///
 /// `weights` is `None` for Euclidean builds and `Some` only for genuinely
 /// non-uniform weights (the constructors normalize uniform inputs away).
-fn build_parts(points: &[Point], weights: Option<&[f64]>) -> Parts {
+fn build(points: &[Point], weights: Option<&[f64]>) -> Triangulation {
     build_with_mesh(points, weights).0
 }
 
-/// [`build_parts`] plus the closed triangle mesh the parts were derived
+/// [`build`] plus the closed triangle mesh the triangulation was derived
 /// from (empty in degenerate path mode). Only the structural tests keep
 /// the mesh.
-fn build_with_mesh(points: &[Point], weights: Option<&[f64]>) -> (Parts, Mesh) {
+fn build_with_mesh(points: &[Point], weights: Option<&[f64]>) -> (Triangulation, Mesh) {
     let (pts, canon, members_off, members) = dedup(points);
 
     // Canonical weights: coincident inputs collapse to the max weight of
@@ -690,12 +588,12 @@ fn build_with_mesh(points: &[Point], weights: Option<&[f64]>) -> (Parts, Mesh) {
     };
 
     let Some((i0, i1, i2)) = tri0 else {
-        let parts = if cw.is_empty() {
+        let flat = if cw.is_empty() {
             degenerate_path_parts(pts, canon, members_off, members)
         } else {
             weighted_collinear_parts(pts, canon, members_off, members, cw)
         };
-        return (parts, Mesh::new());
+        return (Triangulation { flat }, Mesh::new());
     };
 
     // Orient the seed triangle CCW.
@@ -783,7 +681,7 @@ fn build_with_mesh(points: &[Point], weights: Option<&[f64]>) -> (Parts, Mesh) {
         anchor
     };
 
-    let parts = Parts {
+    let flat = TriangulationFlat {
         pts: core.pts,
         canon,
         members_off,
@@ -792,11 +690,11 @@ fn build_with_mesh(points: &[Point], weights: Option<&[f64]>) -> (Parts, Mesh) {
         adj,
         hull,
         degenerate: false,
+        weights: core.w,
         hidden,
         anchor,
-        cw: core.w,
     };
-    (parts, core.mesh)
+    (Triangulation { flat }, core.mesh)
 }
 
 /// Greedy power-distance descent over the CSR adjacency from a **live**
@@ -845,7 +743,7 @@ fn degenerate_path_parts(
     canon: Vec<u32>,
     members_off: Vec<u32>,
     members: Vec<u32>,
-) -> Parts {
+) -> TriangulationFlat {
     let mut order: Vec<u32> = (0..pts.len() as u32).collect();
     // Lexicographic order equals order along any line.
     order.sort_by(|&a, &b| pts[a as usize].cmp_lex(&pts[b as usize]));
@@ -872,7 +770,7 @@ fn degenerate_path_parts(
     for v in 0..n {
         adj[adj_off[v] as usize..adj_off[v + 1] as usize].sort_unstable();
     }
-    Parts {
+    TriangulationFlat {
         pts,
         canon,
         members_off,
@@ -881,9 +779,9 @@ fn degenerate_path_parts(
         adj,
         hull: order,
         degenerate: true,
+        weights: Vec::new(),
         hidden: Vec::new(),
         anchor: Vec::new(),
-        cw: Vec::new(),
     }
 }
 
@@ -908,7 +806,7 @@ fn weighted_collinear_parts(
     members_off: Vec<u32>,
     members: Vec<u32>,
     cw: Vec<f64>,
-) -> Parts {
+) -> TriangulationFlat {
     let n = pts.len();
     let mut order: Vec<u32> = (0..n as u32).collect();
     // Lexicographic order equals order along any line.
@@ -1017,7 +915,7 @@ fn weighted_collinear_parts(
         anchor
     };
 
-    Parts {
+    TriangulationFlat {
         pts,
         canon,
         members_off,
@@ -1026,47 +924,41 @@ fn weighted_collinear_parts(
         adj,
         hull: live,
         degenerate: true,
+        weights: cw,
         hidden,
         anchor,
-        cw,
     }
 }
 
-impl<M: DiagramMetric> Triangulation<M> {
-    /// Assembles the public structure from build parts plus its metric.
-    fn from_parts(parts: Parts, metric: M) -> Triangulation<M> {
-        Triangulation {
-            pts: parts.pts,
-            canon: parts.canon,
-            members_off: parts.members_off,
-            members: parts.members,
-            adj_off: parts.adj_off,
-            adj: parts.adj,
-            hull: parts.hull,
-            degenerate: parts.degenerate,
-            metric,
-            hidden: parts.hidden,
-            anchor: parts.anchor,
+impl Triangulation {
+    /// Which diagram this triangulation realizes: [`DiagramKind::Power`]
+    /// exactly when it carries weights. Uniform-weight builds report
+    /// [`DiagramKind::Euclidean`]: they are Euclidean builds.
+    #[inline]
+    pub fn diagram_kind(&self) -> DiagramKind {
+        if self.flat.weights.is_empty() {
+            DiagramKind::Euclidean
+        } else {
+            DiagramKind::Power
         }
     }
 
-    /// The metric the triangulation was built under.
+    /// The site weights, indexed by canonical vertex id; empty for the
+    /// Euclidean diagram.
     #[inline]
-    pub fn metric(&self) -> &M {
-        &self.metric
+    pub fn weights(&self) -> &[f64] {
+        &self.flat.weights
     }
 
-    /// Which diagram this triangulation realizes. Uniform-weight builds
-    /// report [`DiagramKind::Euclidean`]: they are Euclidean builds.
-    #[inline]
-    pub fn diagram_kind(&self) -> DiagramKind {
-        self.metric.kind()
-    }
-
-    /// The weight of canonical vertex `v` (`0.0` under a Euclidean metric).
+    /// The weight of canonical vertex `v` (`0.0` on the Euclidean
+    /// diagram).
     #[inline]
     pub fn weight(&self, v: u32) -> f64 {
-        self.metric.weight(v)
+        if self.flat.weights.is_empty() {
+            0.0
+        } else {
+            self.flat.weights[v as usize]
+        }
     }
 
     /// The hidden canonical vertices (sorted ascending): weighted sites
@@ -1074,14 +966,14 @@ impl<M: DiagramMetric> Triangulation<M> {
     /// neighbours. Always empty for Euclidean builds.
     #[inline]
     pub fn hidden_vertices(&self) -> &[u32] {
-        &self.hidden
+        &self.flat.hidden
     }
 
     /// `true` when canonical vertex `v` owns no cell (see
     /// [`Triangulation::hidden_vertices`]).
     #[inline]
     pub fn is_hidden(&self, v: u32) -> bool {
-        self.hidden.binary_search(&v).is_ok()
+        self.flat.hidden.binary_search(&v).is_ok()
     }
 
     /// A live stand-in for vertex `v` in graph walks: `v` itself when
@@ -1091,50 +983,50 @@ impl<M: DiagramMetric> Triangulation<M> {
     /// (no neighbours).
     #[inline]
     pub fn anchor_of(&self, v: u32) -> u32 {
-        if self.anchor.is_empty() {
+        if self.flat.anchor.is_empty() {
             v
         } else {
-            self.anchor[v as usize]
+            self.flat.anchor[v as usize]
         }
     }
 
     /// Number of canonical (unique) vertices.
     #[inline]
     pub fn vertex_count(&self) -> usize {
-        self.pts.len()
+        self.flat.pts.len()
     }
 
     /// Number of input points (before duplicate merging).
     #[inline]
     pub fn input_count(&self) -> usize {
-        self.canon.len()
+        self.flat.canon.len()
     }
 
     /// The coordinates of canonical vertex `v`.
     #[inline]
     pub fn point(&self, v: u32) -> Point {
-        self.pts[v as usize]
+        self.flat.pts[v as usize]
     }
 
     /// All canonical vertex coordinates, indexed by vertex id.
     #[inline]
     pub fn points(&self) -> &[Point] {
-        &self.pts
+        &self.flat.pts
     }
 
     /// The canonical vertex that input index `i` collapsed onto.
     #[inline]
     pub fn canonical(&self, i: usize) -> u32 {
-        self.canon[i]
+        self.flat.canon[i]
     }
 
     /// The input indices that collapsed onto canonical vertex `v`
     /// (always at least one).
     #[inline]
     pub fn inputs_of(&self, v: u32) -> &[u32] {
-        let lo = self.members_off[v as usize] as usize;
-        let hi = self.members_off[v as usize + 1] as usize;
-        &self.members[lo..hi]
+        let lo = self.flat.members_off[v as usize] as usize;
+        let hi = self.flat.members_off[v as usize + 1] as usize;
+        &self.flat.members[lo..hi]
     }
 
     /// `true` when the input was entirely collinear (including 1 or 2
@@ -1143,7 +1035,7 @@ impl<M: DiagramMetric> Triangulation<M> {
     /// nearest-vertex walks and Voronoi cells all still work.
     #[inline]
     pub fn is_degenerate(&self) -> bool {
-        self.degenerate
+        self.flat.degenerate
     }
 
     /// The Voronoi neighbours `VN(P, p)` of canonical vertex `v`, sorted
@@ -1151,9 +1043,9 @@ impl<M: DiagramMetric> Triangulation<M> {
     /// Algorithm 1.
     #[inline]
     pub fn neighbors(&self, v: u32) -> &[u32] {
-        let lo = self.adj_off[v as usize] as usize;
-        let hi = self.adj_off[v as usize + 1] as usize;
-        &self.adj[lo..hi]
+        let lo = self.flat.adj_off[v as usize] as usize;
+        let hi = self.flat.adj_off[v as usize + 1] as usize;
+        &self.flat.adj[lo..hi]
     }
 
     /// Degree of canonical vertex `v` in the Delaunay graph.
@@ -1165,24 +1057,24 @@ impl<M: DiagramMetric> Triangulation<M> {
     /// Total number of Delaunay edges.
     #[inline]
     pub fn edge_count(&self) -> usize {
-        self.adj.len() / 2
+        self.flat.adj.len() / 2
     }
 
     /// Convex-hull vertices in CCW order (degenerate mode: path order).
     #[inline]
     pub fn hull(&self) -> &[u32] {
-        &self.hull
+        &self.flat.hull
     }
 
     /// Number of finite triangles, by Euler's formula for a triangulated
     /// point set: edges + 1 − live vertices (`0` in degenerate path mode).
     pub fn triangle_count(&self) -> usize {
-        if self.degenerate {
+        if self.flat.degenerate {
             return 0;
         }
         // Saturating: a structure loaded from a crafted file may carry
         // fewer edges than vertices, and must not panic here.
-        (self.edge_count() + 1).saturating_sub(self.pts.len() - self.hidden.len())
+        (self.edge_count() + 1).saturating_sub(self.flat.pts.len() - self.flat.hidden.len())
     }
 
     /// The canonical vertex nearest to `q` under the build metric —
@@ -1201,20 +1093,20 @@ impl<M: DiagramMetric> Triangulation<M> {
     /// site; it is first remapped to its live anchor. Hidden vertices are
     /// never returned: the result always owns the cell containing `q`.
     ///
-    /// Under a Euclidean metric every weight is `0.0` and `d − 0.0 == d`
+    /// On the Euclidean diagram every weight is `0.0` and `d − 0.0 == d`
     /// bit-for-bit, so the descent visits exactly the vertices the
     /// unweighted code did.
     pub fn nearest_vertex(&self, q: Point, hint: Option<u32>) -> u32 {
-        let mut v = hint.unwrap_or(0).min(self.pts.len() as u32 - 1);
-        if !self.anchor.is_empty() {
-            v = self.anchor[v as usize];
+        let mut v = hint.unwrap_or(0).min(self.flat.pts.len() as u32 - 1);
+        if !self.flat.anchor.is_empty() {
+            v = self.flat.anchor[v as usize];
         }
-        let mut dv = self.pts[v as usize].dist_sq(q) - self.metric.weight(v);
+        let mut dv = self.flat.pts[v as usize].dist_sq(q) - self.weight(v);
         loop {
             let mut best = v;
             let mut bd = dv;
             for &u in self.neighbors(v) {
-                let d = self.pts[u as usize].dist_sq(q) - self.metric.weight(u);
+                let d = self.flat.pts[u as usize].dist_sq(q) - self.weight(u);
                 if d < bd {
                     bd = d;
                     best = u;
@@ -1377,23 +1269,23 @@ mod tests {
     /// triangulation from: re-running the build over the triangulation's
     /// own canonical sites (and weights) reproduces it exactly, and
     /// `build_mesh` asserts that before handing the mesh out.
-    impl<M: DiagramMetric> Triangulation<M> {
+    impl Triangulation {
         /// The build mesh, after asserting that it has exactly this
         /// triangulation's adjacency and hull (and is empty in degenerate
         /// path mode).
         fn build_mesh(&self) -> Mesh {
-            let weights: Option<Vec<f64>> = (self.metric.kind() == DiagramKind::Power)
-                .then(|| (0..self.pts.len() as u32).map(|v| self.weight(v)).collect());
-            let (_, mesh) = build_with_mesh(&self.pts, weights.as_deref());
-            if self.degenerate {
+            let f = &self.flat;
+            let weights = (!f.weights.is_empty()).then_some(&f.weights[..]);
+            let (_, mesh) = build_with_mesh(&f.pts, weights);
+            if f.degenerate {
                 assert_eq!(mesh.slots(), 0, "degenerate build keeps a mesh");
             } else {
-                let (adj_off, adj) = build_adjacency(&mesh, self.pts.len());
+                let (adj_off, adj) = build_adjacency(&mesh, f.pts.len());
                 assert!(
-                    adj_off == self.adj_off && adj == self.adj,
+                    adj_off == f.adj_off && adj == f.adj,
                     "mesh adjacency differs from the triangulation's"
                 );
-                assert_eq!(extract_hull(&mesh), self.hull, "mesh hull differs");
+                assert_eq!(extract_hull(&mesh), f.hull, "mesh hull differs");
             }
             mesh
         }
@@ -1403,18 +1295,14 @@ mod tests {
         /// builds, no power conflict (local regularity) for weighted ones.
         fn is_delaunay(&self) -> bool {
             let mesh = self.build_mesh();
-            let weighted = self.metric.kind() == DiagramKind::Power;
+            let weighted = self.diagram_kind() == DiagramKind::Power;
             for t in mesh.live_ids() {
                 let tri = mesh.tri(t);
                 if tri.is_ghost() {
                     continue;
                 }
                 let [a, b, c] = tri.v;
-                let (pa, pb, pc) = (
-                    self.pts[a as usize],
-                    self.pts[b as usize],
-                    self.pts[c as usize],
-                );
+                let (pa, pb, pc) = (self.point(a), self.point(b), self.point(c));
                 for i in 0..3 {
                     let ntri = mesh.tri(tri.n[i]);
                     if ntri.is_ghost() {
@@ -1430,14 +1318,14 @@ mod tests {
                             pa,
                             pb,
                             pc,
-                            self.pts[apex as usize],
+                            self.point(apex),
                             self.weight(a),
                             self.weight(b),
                             self.weight(c),
                             self.weight(apex),
                         ) > 0.0
                     } else {
-                        incircle(pa, pb, pc, self.pts[apex as usize]) > 0.0
+                        incircle(pa, pb, pc, self.point(apex)) > 0.0
                     };
                     if bad {
                         return false;
@@ -1447,10 +1335,15 @@ mod tests {
             true
         }
 
-        /// Structural self-check of the build mesh: mutual neighbour
-        /// links, and as many finite triangles as
+        /// Structural self-check: the flat arrays survive
+        /// [`Triangulation::from_flat`] unchanged, and the build mesh has
+        /// mutual neighbour links and as many finite triangles as
         /// [`Triangulation::triangle_count`] reports.
         fn check_structure(&self) -> Result<(), String> {
+            let back = Triangulation::from_flat(self.as_flat().clone())?;
+            if back.as_flat() != self.as_flat() {
+                return Err("the flat round trip changed the arrays".into());
+            }
             let mesh = self.build_mesh();
             let finite = mesh.live_ids().filter(|&t| !mesh.tri(t).is_ghost()).count();
             if finite != self.triangle_count() {
@@ -1522,6 +1415,7 @@ mod tests {
         assert_eq!(t.neighbors(2), &[0, 3]);
         assert_eq!(t.neighbors(0), &[2]);
         assert_eq!(t.edge_count(), 3);
+        t.check_structure().unwrap();
     }
 
     #[test]
@@ -1603,6 +1497,7 @@ mod tests {
         assert_eq!(t.inputs_of(0), &[0, 2, 5]);
         assert_eq!(t.inputs_of(1), &[1, 4]);
         assert_eq!(t.inputs_of(2), &[3]);
+        t.check_structure().unwrap();
     }
 
     #[test]
@@ -1703,7 +1598,7 @@ mod tests {
     }
 
     /// Brute-force power-nearest live canonical vertex.
-    fn brute_power_nn(t: &Triangulation<SiteMetric>, q: Point) -> f64 {
+    fn brute_power_nn(t: &Triangulation, q: Point) -> f64 {
         (0..t.vertex_count() as u32)
             .filter(|&v| !t.is_hidden(v))
             .map(|v| t.point(v).dist_sq(q) - t.weight(v))
@@ -1821,6 +1716,7 @@ mod tests {
         assert_eq!(t.weight(v), 9.0, "max weight of the coincident group");
         assert_eq!(t.inputs_of(v), &[3, 4, 5]);
         assert!(t.is_delaunay());
+        t.check_structure().unwrap();
     }
 
     /// Collinear weighted sites: the 1-D lower envelope hides dominated
@@ -1837,17 +1733,20 @@ mod tests {
         assert_eq!(t.hull(), &[0, 2], "hull is the live path order");
         assert!(!t.is_hidden(t.anchor_of(1)));
         assert!(!t.is_hidden(t.nearest_vertex(p(1.0, 0.0), Some(1))));
+        t.check_structure().unwrap();
 
         // Heavy middle site: everyone keeps a 1-D cell.
         let t = Triangulation::with_site_metric(&pts, Some(&[0.0, 5.0, 0.0])).unwrap();
         assert!(t.hidden_vertices().is_empty());
         assert_eq!(t.neighbors(1), &[0, 2]);
+        t.check_structure().unwrap();
 
         // Heavy *end* site hides its lighter inner neighbour but never the
         // other extreme.
         let t = Triangulation::with_site_metric(&pts, Some(&[3.9, 0.0, 0.0])).unwrap();
         assert_eq!(t.hidden_vertices(), &[1]);
         assert!(!t.is_hidden(2), "line-extreme sites cannot hide");
+        t.check_structure().unwrap();
     }
 
     #[test]

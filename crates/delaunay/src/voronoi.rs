@@ -12,14 +12,13 @@
 //! It also works verbatim in the degenerate collinear mode, where cells are
 //! slabs between successive bisectors along the line.
 //!
-//! Under a weighted ([`DiagramMetric`]) build the same scheme yields
-//! **power cells**: each neighbour contributes its *radical-axis*
-//! half-plane instead of the perpendicular bisector
-//! ([`vaq_geom::clip_power_bisector`], which delegates to the plain
-//! bisector when the two weights are equal — so Euclidean builds are
+//! On a weighted build the same scheme yields **power cells**: each
+//! neighbour contributes its *radical-axis* half-plane instead of the
+//! perpendicular bisector ([`vaq_geom::clip_power_bisector`], which
+//! delegates to the plain bisector when the two weights are equal — and
+//! every weight of a Euclidean build is `0.0`, so its cells are
 //! bit-identical), and hidden sites get empty cells without any clipping.
 
-use crate::metric::DiagramMetric;
 use crate::triangulation::Triangulation;
 use vaq_geom::{clip_power_bisector, Point, Polygon, Rect};
 
@@ -68,7 +67,7 @@ impl VoronoiDiagram {
     /// `Rect::from_points(..).expand(margin)`); cells of hull vertices are
     /// truncated at the window boundary. Hidden sites of a weighted build
     /// get empty cells (and are never unbounded: hull sites cannot hide).
-    pub fn new<M: DiagramMetric>(tri: &Triangulation<M>, window: Rect) -> VoronoiDiagram {
+    pub fn new(tri: &Triangulation, window: Rect) -> VoronoiDiagram {
         let mut hull_mark = vec![false; tri.vertex_count()];
         for &h in tri.hull() {
             hull_mark[h as usize] = true;
@@ -103,11 +102,11 @@ impl VoronoiDiagram {
 /// This is the on-demand primitive used by the area-query engine's
 /// cell-expansion policy, which needs a handful of boundary cells rather
 /// than the whole diagram. A cell is bounded by one half-plane per graph
-/// neighbour: the perpendicular bisector under the Euclidean metric, the
-/// radical axis under a power metric (the single code path below covers
+/// neighbour: the perpendicular bisector on the Euclidean diagram, the
+/// radical axis on a power diagram (the single code path below covers
 /// both, since [`clip_power_bisector`] with equal weights *is* the
 /// bisector). A hidden vertex owns no region and yields an empty ring.
-pub fn cell_polygon<M: DiagramMetric>(tri: &Triangulation<M>, v: u32, window: &Rect) -> Vec<Point> {
+pub fn cell_polygon(tri: &Triangulation, v: u32, window: &Rect) -> Vec<Point> {
     if tri.is_hidden(v) {
         return Vec::new();
     }

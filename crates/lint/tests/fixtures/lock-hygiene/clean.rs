@@ -22,7 +22,7 @@ pub fn ordered_nesting(a: &Mutex<u64>, b: &Mutex<u64>) -> u64 {
     *left + *right
 }
 
-pub fn chained_temporary(planner: &Mutex<Planner>, spec: &QuerySpec) -> ExecutionPlan {
+pub fn chained_temporary(planner: &Mutex<CostModel>, spec: &QuerySpec) -> ExecutionPlan {
     planner.lock().expect("planner mutex poisoned").resolve(spec)
 }
 

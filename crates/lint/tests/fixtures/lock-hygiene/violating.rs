@@ -11,7 +11,7 @@ pub fn nested_without_order(a: &Mutex<u64>, b: &Mutex<u64>) -> u64 {
     *left + *right
 }
 
-pub fn execute_under_lock(planner: &Mutex<Planner>, engine: &Engine, areas: &[Rect]) {
+pub fn execute_under_lock(planner: &Mutex<CostModel>, engine: &Engine, areas: &[Rect]) {
     let plan = planner.lock().expect("planner mutex poisoned");
     engine.execute_batch(&plan, areas);
 }

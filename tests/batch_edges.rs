@@ -129,15 +129,15 @@ fn thread_count_never_changes_results_or_stats() {
 #[test]
 fn sharded_batch_is_thread_count_invariant_and_conserves_shard_counters() {
     let areas = areas();
+    // One engine for every run: a batch plans with a fresh planner and
+    // feeds nothing back, so the engine carries no state from one batch
+    // to the next and the auto batches must agree across runs too.
+    let sharded = ShardedAreaQueryEngine::build(&points(), 4);
     for spec in specs() {
-        // A fresh engine per run: the sharded planner's calibration is
-        // deliberately stateful *across* batches (observations feed back
-        // in area order), so thread-count invariance is a property of
-        // one engine state, not of an engine mutated by earlier batches.
         let runs: Vec<Vec<(Vec<u32>, QueryStats)>> = [1usize, 2, 8]
             .iter()
             .map(|&threads| {
-                ShardedAreaQueryEngine::build(&points(), 4)
+                sharded
                     .execute_batch(&spec, &areas, threads)
                     .into_iter()
                     .map(|o| (o.indices.clone(), o.stats))
