@@ -28,15 +28,13 @@ pub struct AreaFingerprint {
 }
 
 impl AreaFingerprint {
-    /// Builds a fingerprint from the area's content words (FNV-1a hash).
+    /// Builds a fingerprint from the area's content words (FNV-1a over
+    /// whole words). The hash only filters: equal fingerprints also need
+    /// equal `words`, so a collision costs a comparison, never an answer.
     pub fn new(words: Vec<u64>) -> AreaFingerprint {
-        let mut hash = 0xcbf2_9ce4_8422_2325u64;
-        for w in &words {
-            for byte in w.to_le_bytes() {
-                hash ^= u64::from(byte);
-                hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        }
+        let hash = words.iter().fold(0xcbf2_9ce4_8422_2325u64, |hash, &w| {
+            (hash ^ w).wrapping_mul(0x0000_0100_0000_01B3)
+        });
         AreaFingerprint { hash, words }
     }
 

@@ -30,7 +30,7 @@
 
 use crate::area::QueryArea;
 use crate::engine::AreaQueryEngine;
-use crate::plan::{PlannedPath, Planner};
+use crate::plan::PlannedPath;
 use crate::query::{QuerySpec, SessionState, DEFAULT_CACHE_CAPACITY};
 use crate::sink::{Neighbor, Partial, Sink};
 use crate::stats::{CacheCounters, QueryStats};
@@ -198,19 +198,10 @@ impl DynamicAreaQueryEngine {
         spec: &QuerySpec,
         area: &A,
     ) -> DynamicQueryResult {
-        if spec.method.is_auto() {
-            let live_delta = self.delta.len() - self.dead_delta;
-            let features =
-                self.state
-                    .plan_features(&self.base, area, PlannedPath::Dynamic, live_delta);
-            let (resolved, plan) = self.state.planner.resolve(spec, &features);
-            let mut out = self.execute(&resolved, area);
-            out.stats.plan = Some(plan);
+        let live_delta = self.delta.len() - self.dead_delta;
+        let (spec, planned, fp) =
             self.state
-                .planner
-                .observe(&plan, Planner::observed_cost(&out.stats, features.vertices));
-            return out;
-        }
+                .plan(&self.base, spec, area, PlannedPath::Dynamic, live_delta);
         let Some(sink) = Sink::of(spec.output) else {
             // vaq-lint: allow(panic-hygiene) -- documented unsupported-mode
             // contract: classification is whole-diagram by definition, and the
@@ -229,8 +220,16 @@ impl DynamicAreaQueryEngine {
                 let id = self.base_ids[i as usize];
                 (!self.tombstones.contains(&id)).then_some(id)
             };
-            self.state
-                .execute_sink(&self.base, spec, area, sink, &mut partial, &map, &mut stats);
+            self.state.execute_sink(
+                &self.base,
+                &spec,
+                area,
+                fp,
+                sink,
+                &mut partial,
+                &map,
+                &mut stats,
+            );
         }
         let delta_predicates = AreaQueryEngine::sample_predicates(|| {
             for &(id, p) in &self.delta {
@@ -249,6 +248,7 @@ impl DynamicAreaQueryEngine {
         stats.predicates.absorb(delta_predicates);
         let (ids, neighbors, result_size) = partial.into_sorted();
         stats.result_size = result_size;
+        self.state.observe(planned, &mut stats);
         DynamicQueryResult {
             ids,
             neighbors,

@@ -99,9 +99,9 @@ impl EngineBuilder {
 
     /// Attaches a pre-built record store instead of generating one
     /// (overrides [`EngineBuilder::payload_bytes`]). The sharded build
-    /// uses this to hand each shard its slice of one logical store
-    /// ([`RecordStore::split`]) — shard-local ids, record contents copied
-    /// exactly once, checksums bit-identical to the unsharded store's.
+    /// uses this to hand each shard its own copy of its records from one
+    /// logical store — shard-local ids, record contents copied exactly
+    /// once, checksums bit-identical to the unsharded store's.
     ///
     /// The store must hold exactly one record per point;
     /// [`EngineBuilder::build`] panics otherwise.
@@ -163,9 +163,11 @@ impl EngineBuilder {
     /// builds the power diagram of its own slice of the weights, and one
     /// logical record store — generated exactly as [`EngineBuilder::build`]
     /// would, or the one passed to [`EngineBuilder::record_store`] — is
-    /// [split](RecordStore::split) into per-shard stores, so payload
-    /// checksums stay bit-identical to the unsharded engine's. Shard
-    /// engines build in parallel on up to `shards` worker threads.
+    /// copied shard by shard into per-shard stores, so payload checksums
+    /// stay bit-identical to the unsharded engine's. Shard engines build
+    /// in parallel, one worker per available hardware thread (never more
+    /// than the shard count): the shard count is a data layout, not a
+    /// thread request.
     ///
     /// # Panics
     ///
@@ -174,11 +176,10 @@ impl EngineBuilder {
     /// not hold one record per point.
     pub fn build_sharded(mut self, shards: usize) -> ShardedAreaQueryEngine {
         let records = self.take_records();
-        let shards = crate::sync::resolve_threads(shards);
         ShardedAreaQueryEngine::build_inner(
             &self.points,
-            shards,
-            shards,
+            crate::sync::resolve_threads(shards),
+            crate::sync::resolve_threads(0),
             self.weights.as_deref(),
             records.as_ref(),
         )

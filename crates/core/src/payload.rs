@@ -26,10 +26,10 @@
 //!   result sink reads each *accepted* candidate's record again, modelling
 //!   the final fetch of the full feature row into the response.
 //!
-//! Sharded engines own **per-shard stores** with shard-local ids, produced
-//! by [`RecordStore::split`] from one logical store — record contents are
-//! copied exactly once, and checksums stay bit-identical to the unsharded
-//! store's.
+//! Sharded engines own **per-shard stores** with shard-local ids: each
+//! build worker copies its shard's records out of one logical store, so
+//! record contents are copied exactly once, and checksums stay
+//! bit-identical to the unsharded store's.
 
 use std::fmt;
 
@@ -80,7 +80,7 @@ pub struct RecordStore {
 
 /// The deterministic seed every engine-attached store is generated from
 /// (`EngineBuilder::payload_bytes` and the sharded payload constructors
-/// share it, so per-shard stores split from the logical store hold
+/// share it, so per-shard stores copied from the logical store hold
 /// byte-identical records to the unsharded engine's).
 pub(crate) const PAYLOAD_SEED: u64 = 0x5EED;
 
@@ -193,34 +193,28 @@ impl RecordStore {
         RecordStore { data, record_bytes }
     }
 
-    /// Splits one logical store into per-part stores: part `s` of the
-    /// result holds, at local id `i`, a byte-identical copy of record
-    /// `parts[s][i]` of `self`. This is how a sharded engine turns the
-    /// dataset's logical record store into **per-shard stores addressed
-    /// by shard-local ids** — each record's bytes are copied exactly
-    /// once, straight from the logical store into its shard's store.
+    /// Copies records `ids` into a new store: local id `i` of the result
+    /// holds a byte-identical copy of record `ids[i]` of `self`. This is
+    /// how a sharded build worker turns the dataset's logical record
+    /// store into its **shard's store, addressed by shard-local ids**.
     ///
-    /// Returns an error when any global id is out of range.
-    pub fn split(&self, parts: &[Vec<u32>]) -> Result<Vec<RecordStore>, RecordStoreError> {
-        let mut out = Vec::with_capacity(parts.len());
-        for part in parts {
-            let mut data = Vec::with_capacity(part.len() * self.record_bytes);
-            for &g in part {
-                if self.record_bytes == 0 || g as usize >= self.len() {
-                    return Err(RecordStoreError::OutOfRange {
-                        id: g,
-                        len: self.len(),
-                    });
-                }
-                let lo = g as usize * self.record_bytes;
-                data.extend_from_slice(&self.data[lo..lo + self.record_bytes]);
+    /// Returns an error when any id is out of range.
+    pub(crate) fn subset(&self, ids: &[u32]) -> Result<RecordStore, RecordStoreError> {
+        let mut data = Vec::with_capacity(ids.len() * self.record_bytes);
+        for &g in ids {
+            if self.record_bytes == 0 || g as usize >= self.len() {
+                return Err(RecordStoreError::OutOfRange {
+                    id: g,
+                    len: self.len(),
+                });
             }
-            out.push(RecordStore {
-                data,
-                record_bytes: self.record_bytes,
-            });
+            let lo = g as usize * self.record_bytes;
+            data.extend_from_slice(&self.data[lo..lo + self.record_bytes]);
         }
-        Ok(out)
+        Ok(RecordStore {
+            data,
+            record_bytes: self.record_bytes,
+        })
     }
 }
 
@@ -304,23 +298,21 @@ mod tests {
     #[test]
     fn split_preserves_record_contents() {
         let logical = RecordStore::generate(9, 32, 0xFEED);
-        let parts = vec![vec![4u32, 1, 8], vec![0u32, 7], vec![]];
-        let stores = logical.split(&parts).unwrap();
-        assert_eq!(stores.len(), 3);
-        for (s, part) in stores.iter().zip(&parts) {
-            assert_eq!(s.len(), part.len());
+        for ids in [vec![4u32, 1, 8], vec![0u32, 7], vec![]] {
+            let s = logical.subset(&ids).unwrap();
+            assert_eq!(s.len(), ids.len());
             assert_eq!(s.record_bytes(), 32);
-            for (local, &global) in part.iter().enumerate() {
+            for (local, &global) in ids.iter().enumerate() {
                 assert_eq!(
                     s.read(local as u32),
                     logical.read(global),
-                    "local {local} of part {part:?}"
+                    "local {local} of ids {ids:?}"
                 );
             }
         }
         // Out-of-range global ids are rejected, not propagated as panics.
         assert_eq!(
-            logical.split(&[vec![9u32]]).unwrap_err(),
+            logical.subset(&[9u32]).unwrap_err(),
             RecordStoreError::OutOfRange { id: 9, len: 9 }
         );
     }

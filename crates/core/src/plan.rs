@@ -446,11 +446,12 @@ impl Planner {
     /// planner (calibration moves only through [`Planner::observe`]).
     pub fn resolve(&self, spec: &QuerySpec, features: &PlanFeatures) -> (QuerySpec, ExecutionPlan) {
         // Segment expansion is the paper's fastest policy; hedge to the
-        // provably complete cell policy when the area leaves the data
-        // bounding box (the staple counterexample) or the diagram is a
-        // power diagram (weighted cells shift off the inter-site
-        // midlines) — except under brute force / traditional, where the
-        // policy is inert.
+        // cell policy (complete on Euclidean diagrams) when the area
+        // leaves the data bounding box (the staple counterexample) or the
+        // diagram is a power diagram (weighted cells shift off the
+        // inter-site midlines; there both policies can miss a stray site,
+        // see `ExpansionPolicy::Cell`) — except under brute force /
+        // traditional, where the policy is inert.
         let policy = if features.in_hull && features.diagram == DiagramKind::Euclidean {
             ExpansionPolicy::Segment
         } else {

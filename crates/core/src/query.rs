@@ -55,7 +55,7 @@
 use crate::area::{AreaFingerprint, QueryArea};
 use crate::classify::classify_points;
 use crate::engine::{AreaQueryEngine, QueryResult};
-use crate::plan::{PlanFeatures, PlannedPath, Planner};
+use crate::plan::{ExecutionPlan, PlanFeatures, PlannedPath, Planner};
 use crate::scratch::QueryScratch;
 use crate::sink::{Neighbor, Partial, Sink, SinkId};
 use crate::stats::{CacheCounters, QueryStats};
@@ -479,19 +479,31 @@ impl SessionState {
         }
     }
 
-    /// Assembles the planner's O(1) feature vector for `area` on this
-    /// engine: density-grid candidate estimate, vertex count, prepared
-    /// cache residency, and whether the area's MBR stays inside the data
-    /// bounding box.
-    pub(crate) fn plan_features<A: QueryArea + ?Sized>(
+    /// Resolves a [`MethodChoice::Auto`] spec through the planner from
+    /// the area's O(1) features (density-grid candidate estimate, vertex
+    /// count, prepared cache residency, and whether the area's MBR stays
+    /// inside the data bounding box). Returns the explicit spec to run,
+    /// the plan with the area's vertex count (for
+    /// [`SessionState::observe`]), and the area's fingerprint: computed
+    /// once, for the plan and the preparation alike. An explicit spec
+    /// passes through with neither.
+    pub(crate) fn plan<A: QueryArea + ?Sized>(
         &self,
         engine: &AreaQueryEngine,
+        spec: &QuerySpec,
         area: &A,
         path: PlannedPath,
         delta_len: usize,
-    ) -> PlanFeatures {
+    ) -> (
+        QuerySpec,
+        Option<(ExecutionPlan, usize)>,
+        Option<AreaFingerprint>,
+    ) {
+        if !spec.method.is_auto() {
+            return (*spec, None, None);
+        }
         let fp = area.fingerprint();
-        PlanFeatures {
+        let features = PlanFeatures {
             cached: fp.as_ref().is_some_and(|fp| self.cache.contains(fp)),
             delta_len,
             ..PlanFeatures::of(
@@ -503,30 +515,23 @@ impl SessionState {
                 engine.diagram_kind(),
                 path,
             )
-        }
+        };
+        let (resolved, plan) = self.planner.resolve(spec, &features);
+        (resolved, Some((plan, features.vertices)), fp)
     }
 
-    /// Resolves a [`MethodChoice::Auto`] spec through the planner, runs
-    /// the concrete spec, records the
-    /// [`ExecutionPlan`](crate::ExecutionPlan) in the output's stats,
-    /// and feeds the observed work-unit cost back into the planner's
-    /// calibration.
-    pub(crate) fn execute_auto<A: QueryArea + ?Sized>(
+    /// Records a planned query's [`ExecutionPlan`] in its stats and feeds
+    /// the observed work-unit cost back into the planner's calibration.
+    pub(crate) fn observe(
         &mut self,
-        engine: &AreaQueryEngine,
-        spec: &QuerySpec,
-        area: &A,
-        path: PlannedPath,
-    ) -> QueryOutput {
-        let features = self.plan_features(engine, area, path, 0);
-        let (resolved, plan) = self.planner.resolve(spec, &features);
-        let mut out = self.execute(engine, &resolved, area);
-        out.stats_mut().plan = Some(plan);
-        self.planner.observe(
-            &plan,
-            Planner::observed_cost(out.stats(), features.vertices),
-        );
-        out
+        planned: Option<(ExecutionPlan, usize)>,
+        stats: &mut QueryStats,
+    ) {
+        if let Some((plan, vertices)) = planned {
+            stats.plan = Some(plan);
+            self.planner
+                .observe(&plan, Planner::observed_cost(stats, vertices));
+        }
     }
 
     /// Drops the scratch (call after the underlying engine is rebuilt;
@@ -549,20 +554,25 @@ impl SessionState {
     /// from the LRU cache under [`PrepareMode::Cached`] (which degrades to
     /// `PrepareOnce` when the cache is disabled or the area has no
     /// fingerprint), freshly prepared under `PrepareOnce` — or `None` to
-    /// run `area` as passed. Returns this query's cache traffic, already
-    /// added to the session totals.
+    /// run `area` as passed. `fp` is the area's fingerprint when the
+    /// caller already computed it (a planned query); otherwise it is
+    /// computed here, under `Cached` only. Returns this query's cache
+    /// traffic, already added to the session totals.
     fn resolve<A: QueryArea + ?Sized>(
         &mut self,
         spec: &QuerySpec,
         area: &A,
+        fp: Option<AreaFingerprint>,
     ) -> (Option<Arc<dyn QueryArea + Send + Sync>>, CacheCounters) {
         let mut delta = CacheCounters::default();
         let prepared = match spec.prepare {
             PrepareMode::Raw => None,
-            PrepareMode::Cached if self.cache.capacity > 0 => match area.fingerprint() {
-                Some(fp) => self.cache.get_or_prepare(fp, || area.prepare(), &mut delta),
-                None => area.prepare().map(Arc::from),
-            },
+            PrepareMode::Cached if self.cache.capacity > 0 => {
+                match fp.or_else(|| area.fingerprint()) {
+                    Some(fp) => self.cache.get_or_prepare(fp, || area.prepare(), &mut delta),
+                    None => area.prepare().map(Arc::from),
+                }
+            }
             PrepareMode::Cached | PrepareMode::PrepareOnce => area.prepare().map(Arc::from),
         };
         self.cache_totals.absorb(delta);
@@ -578,22 +588,35 @@ impl SessionState {
         spec: &QuerySpec,
         area: &A,
     ) -> QueryOutput {
-        if spec.method.is_auto() {
-            return self.execute_auto(engine, spec, area, PlannedPath::Plain);
-        }
-        let Some(sink) = Sink::of(spec.output) else {
-            let (prepared, delta) = self.resolve(spec, area);
-            let (classes, mut stats) = match &prepared {
-                Some(prepared) => classify_area(engine, prepared.as_ref()),
-                None => classify_area(engine, area),
-            };
-            stats.prepared_cache = delta;
-            return QueryOutput::Classified { classes, stats };
+        let (spec, planned, fp) = self.plan(engine, spec, area, PlannedPath::Plain, 0);
+        let mut out = match Sink::of(spec.output) {
+            Some(sink) => {
+                let mut stats = QueryStats::default();
+                let mut partial = Partial::default();
+                self.execute_sink(
+                    engine,
+                    &spec,
+                    area,
+                    fp,
+                    sink,
+                    &mut partial,
+                    &Some,
+                    &mut stats,
+                );
+                sink.output(partial, stats)
+            }
+            None => {
+                let (prepared, delta) = self.resolve(&spec, area, fp);
+                let (classes, mut stats) = match &prepared {
+                    Some(prepared) => classify_area(engine, prepared.as_ref()),
+                    None => classify_area(engine, area),
+                };
+                stats.prepared_cache = delta;
+                QueryOutput::Classified { classes, stats }
+            }
         };
-        let mut stats = QueryStats::default();
-        let mut partial = Partial::default();
-        self.execute_sink(engine, spec, area, sink, &mut partial, &Some, &mut stats);
-        sink.output(partial, stats)
+        self.observe(planned, out.stats_mut());
+        out
     }
 
     /// The session funnel over the generic emission core: resolves the
@@ -601,13 +624,15 @@ impl SessionState {
     /// scratch, and runs [`AreaQueryEngine::run_sink`]. Every plain and
     /// dynamic query goes through here; the dynamic engine emits
     /// external ids and filters tombstones through `map`. Sets
-    /// `stats.prepared_cache` to this query's cache traffic.
+    /// `stats.prepared_cache` to this query's cache traffic. `fp` as in
+    /// [`SessionState::resolve`].
     #[allow(clippy::too_many_arguments)] // the emission core's explicit inputs
     pub(crate) fn execute_sink<A, I, F>(
         &mut self,
         engine: &AreaQueryEngine,
         spec: &QuerySpec,
         area: &A,
+        fp: Option<AreaFingerprint>,
         sink: Sink,
         partial: &mut Partial<I>,
         map: &F,
@@ -617,7 +642,7 @@ impl SessionState {
         I: SinkId,
         F: Fn(u32) -> Option<I>,
     {
-        let (prepared, delta) = self.resolve(spec, area);
+        let (prepared, delta) = self.resolve(spec, area, fp);
         let scratch = if spec.method == QueryMethod::Voronoi {
             Some(self.scratch.get_or_insert_with(|| engine.new_scratch()))
         } else {
@@ -1166,6 +1191,49 @@ mod tests {
         fn assert_send<T: Send>() {}
         assert_send::<QuerySession<'static>>();
         assert_send::<crate::dynamic::DynamicAreaQueryEngine>();
+    }
+
+    #[test]
+    fn planned_cached_query_fingerprints_the_area_once() {
+        /// A polygon that counts its `fingerprint` calls.
+        struct Counted(Polygon, std::cell::Cell<usize>);
+        impl QueryArea for Counted {
+            fn mbr(&self) -> Rect {
+                self.0.mbr()
+            }
+            fn contains(&self, q: Point) -> bool {
+                self.0.contains(q)
+            }
+            fn boundary_intersects_segment(&self, seg: &vaq_geom::Segment) -> bool {
+                self.0.boundary_intersects_segment(seg)
+            }
+            fn intersects_polygon(&self, poly: &Polygon) -> bool {
+                QueryArea::intersects_polygon(&self.0, poly)
+            }
+            fn interior_point(&self) -> Point {
+                self.0.interior_point()
+            }
+            fn complexity(&self) -> usize {
+                self.0.len()
+            }
+            fn fingerprint(&self) -> Option<AreaFingerprint> {
+                self.1.set(self.1.get() + 1);
+                QueryArea::fingerprint(&self.0)
+            }
+            fn prepare(&self) -> Option<Box<dyn QueryArea + Send + Sync>> {
+                QueryArea::prepare(&self.0)
+            }
+        }
+        let engine = AreaQueryEngine::build(&uniform(400, 81));
+        let mut session = engine.session();
+        let area = Counted(star_polygon(p(0.5, 0.5), 0.2, 32, 81), Default::default());
+        let out = session.execute(&QuerySpec::auto(), &area);
+        assert_eq!(out.stats().plan.unwrap().prepare, PrepareMode::Cached);
+        assert_eq!(
+            area.1.get(),
+            1,
+            "one fingerprint for the plan and the cache"
+        );
     }
 
     #[test]

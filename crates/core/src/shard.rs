@@ -36,6 +36,10 @@
 //! (`tests/sharded_differential.rs`, `tests/sink_differential.rs`)
 //! enforce equality of the sorted global index sets, counts, kNN
 //! answers and payload checksums across the whole `QuerySpec` grid.
+//! One exception: on a power diagram the Voronoi method can miss a
+//! *stray* site (see [`ExpansionPolicy::Cell`](crate::ExpansionPolicy)),
+//! and a shard cut can make a site stray or not, so the two engines'
+//! Voronoi answers may differ there.
 //!
 //! The paper's **segment expansion heuristic**
 //! ([`ExpansionPolicy::Segment`](crate::ExpansionPolicy)) needs one
@@ -54,7 +58,9 @@
 //! heuristic at `O(1)` extra cost per boundary frontier
 //! (`tests/shard_segment_gap.rs` reproduces the old drop and verifies
 //! the fix). The [`ExpansionPolicy::Cell`](crate::ExpansionPolicy)
-//! policy remains exact on every path with no fallback needed.
+//! policy needs no fallback: it is complete on Euclidean shards as it
+//! stands (on power diagrams every Voronoi policy can miss a *stray*
+//! site — see its docs).
 
 use crate::area::QueryArea;
 use crate::batch::prepare_batch_shared;
@@ -65,7 +71,7 @@ use crate::query::{PrepareMode, QueryMethod, QuerySpec};
 use crate::scratch::QueryScratch;
 use crate::sink::{Neighbor, Partial, Sink};
 use crate::stats::{CacheCounters, QueryStats};
-use crate::sync::{par_map, Mutex};
+use crate::sync::par_map;
 use vaq_delaunay::{weights_are_uniform, DiagramKind};
 use vaq_geom::{Point, Rect};
 
@@ -177,9 +183,10 @@ pub struct ShardedAreaQueryEngine {
 
 impl ShardedAreaQueryEngine {
     /// Partitions `points` into (at most) `shards` shards and builds the
-    /// per-shard engines in parallel on up to `shards` worker threads.
-    /// Fewer than `shards` shards are built when the point set is
-    /// smaller than the shard count.
+    /// per-shard engines in parallel, one worker per available hardware
+    /// thread (never more than the shard count; the shard count is a data
+    /// layout, not a thread request). Fewer than `shards` shards are
+    /// built when the point set is smaller than the shard count.
     ///
     /// `shards == 0` **auto-tunes**: the shard count becomes the
     /// machine's [`std::thread::available_parallelism`] (the first rung
@@ -188,8 +195,7 @@ impl ShardedAreaQueryEngine {
     /// prune). The CLI exposes it as `--shards auto`. Weighted sites and
     /// payload records go through [`EngineBuilder::build_sharded`].
     pub fn build(points: &[Point], shards: usize) -> ShardedAreaQueryEngine {
-        let shards = crate::sync::resolve_threads(shards);
-        ShardedAreaQueryEngine::build_inner(points, shards, shards, None, None)
+        ShardedAreaQueryEngine::build_with(points, shards, crate::sync::resolve_threads(0))
     }
 
     /// As [`ShardedAreaQueryEngine::build`] with an explicit build
@@ -237,21 +243,8 @@ impl ShardedAreaQueryEngine {
             );
         }
         let parts = partition(points, shards);
-        // Per-shard slices of the logical record store (shard-local ids),
-        // each record's bytes copied exactly once; the mutex lets each
-        // build worker *take* its shard's store instead of cloning it (a
-        // clone would be a second copy of the record contents).
-        let shard_stores: Vec<Mutex<Option<RecordStore>>> = match records {
-            Some(logical) => logical
-                .split(&parts)
-                .expect("partition indices are in range")
-                .into_iter()
-                .map(|s| Mutex::new(Some(s)))
-                .collect(),
-            None => (0..parts.len()).map(|_| Mutex::new(None)).collect(),
-        };
         let multi = parts.len() > 1;
-        let build_one = |si: usize, part: &[u32]| -> Shard {
+        let build_one = |part: &[u32]| -> Shard {
             let pts: Vec<Point> = part.iter().map(|&i| points[i as usize]).collect();
             let ws: Option<Vec<f64>> =
                 weights.map(|w| part.iter().map(|&i| w[i as usize]).collect());
@@ -259,12 +252,15 @@ impl ShardedAreaQueryEngine {
             if let Some(ws) = &ws {
                 builder = builder.weights(ws);
             }
-            let store = shard_stores[si]
-                .lock()
-                .expect("store mutex poisoned")
-                .take();
-            if let Some(store) = store {
-                builder = builder.record_store(store);
+            if let Some(logical) = records {
+                // The worker copies its shard's records out of the shared
+                // logical store (shard-local ids): each record's bytes are
+                // copied exactly once, and only while its shard builds.
+                builder = builder.record_store(
+                    logical
+                        .subset(part)
+                        .expect("partition indices are in range"),
+                );
             }
             let mbr = Rect::from_points(pts.iter().copied());
             let mut engine = builder.build();
@@ -286,7 +282,7 @@ impl ShardedAreaQueryEngine {
             parts.len(),
             build_threads,
             || (),
-            |_, i| build_one(i, &parts[i]),
+            |_, i| build_one(&parts[i]),
         );
         let density =
             DensityMap::from_regions(built.iter().map(|s| (s.mbr, s.engine.len() as f64)));
@@ -341,7 +337,7 @@ impl ShardedAreaQueryEngine {
 
     /// Bytes per payload record of the per-shard record stores (`None`
     /// when the engine was built without payload simulation). Every
-    /// shard's store is split from one logical store, so the first
+    /// shard's store is copied from one logical store, so the first
     /// shard speaks for all of them.
     pub fn payload_record_bytes(&self) -> Option<usize> {
         self.shards
@@ -718,6 +714,36 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn shard_count_sets_the_layout_not_the_thread_count() {
+        // `build` and `build_sharded` run on the machine's hardware
+        // threads, not one thread per shard; the engine is the same bits
+        // as a one-thread build, records included.
+        let pts = uniform(2000, 71);
+        let bytes = crate::snapshot::sharded_to_bytes;
+        let parallel = ShardedAreaQueryEngine::build(&pts, 64);
+        assert_eq!(parallel.shard_count(), 64);
+        assert_eq!(
+            bytes(&parallel),
+            bytes(&ShardedAreaQueryEngine::build_with(&pts, 64, 1))
+        );
+        let logical = RecordStore::generate(pts.len(), 24, crate::payload::PAYLOAD_SEED);
+        assert_eq!(
+            bytes(
+                &AreaQueryEngine::builder(&pts)
+                    .payload_bytes(24)
+                    .build_sharded(64)
+            ),
+            bytes(&ShardedAreaQueryEngine::build_inner(
+                &pts,
+                64,
+                1,
+                None,
+                Some(&logical)
+            ))
+        );
     }
 
     #[test]

@@ -974,7 +974,7 @@ fn decode_engine(payload: &[u8]) -> Result<AreaQueryEngine, SnapshotError> {
                 .try_into()
                 .map_err(|_| SnapshotError::Malformed("record size overflows usize".to_string()))?;
             let data = r.bytes()?.to_vec();
-            if record_bytes == 0 || data.len() != n_points * record_bytes {
+            if record_bytes == 0 || n_points.checked_mul(record_bytes) != Some(data.len()) {
                 return Err(SnapshotError::Inconsistent(format!(
                     "record store holds {} bytes, expected {} records x {} bytes",
                     data.len(),
@@ -1212,8 +1212,16 @@ pub fn sharded_from_bytes(bytes: &[u8]) -> Result<ShardedAreaQueryEngine, Snapsh
         .try_into()
         .map_err(|_| SnapshotError::Malformed("shard count overflows usize".to_string()))?;
     m.finish()?;
+    // Both counts are checked against data that is already in memory
+    // before anything is sized by them: each shard has its own section,
+    // and the shards' global ids must add up to the point count.
+    if shard_count >= c.sections.len() {
+        return Err(SnapshotError::Malformed(format!(
+            "{shard_count} shards declared in a container of {} sections",
+            c.sections.len()
+        )));
+    }
     let mut shards = Vec::with_capacity(shard_count);
-    let mut covered = vec![false; len];
     for i in 0..shard_count {
         let mut r = SecReader::new(c.section(TAG_SHARD + i as u64)?);
         let global = r.u32s()?;
@@ -1226,7 +1234,18 @@ pub fn sharded_from_bytes(bytes: &[u8]) -> Result<ShardedAreaQueryEngine, Snapsh
                 engine.len()
             )));
         }
-        for &g in &global {
+        shards.push((engine, global));
+    }
+    let total: usize = shards.iter().map(|(_, global)| global.len()).sum();
+    if total != len {
+        return Err(SnapshotError::Inconsistent(format!(
+            "shards hold {total} points, the metadata declares {len}"
+        )));
+    }
+    // `len` ids, each in range and none repeated, cover every point.
+    let mut covered = vec![false; len];
+    for (i, (_, global)) in shards.iter().enumerate() {
+        for &g in global {
             let slot = covered.get_mut(g as usize).ok_or_else(|| {
                 SnapshotError::Inconsistent(format!(
                     "shard {i} global id {g} out of range for {len} points"
@@ -1239,12 +1258,6 @@ pub fn sharded_from_bytes(bytes: &[u8]) -> Result<ShardedAreaQueryEngine, Snapsh
             }
             *slot = true;
         }
-        shards.push((engine, global));
-    }
-    if let Some(missing) = covered.iter().position(|&c| !c) {
-        return Err(SnapshotError::Inconsistent(format!(
-            "global id {missing} is covered by no shard"
-        )));
     }
     Ok(ShardedAreaQueryEngine::from_snapshot_parts(
         shards, len, diagram,

@@ -1,67 +1,32 @@
-//! The concurrency facade: every synchronisation primitive the engine's
-//! hot paths share state through, importable from exactly one place.
+//! The concurrency facade: the engine's one work-stealing loop and the
+//! one piece of mutable state its threads share.
 //!
-//! Two implementations sit behind the same names:
+//! The paper's Algorithm 1 runs one sequential BFS per area; the engine
+//! parallelises across areas and shards only. Workers share their inputs
+//! (the engine, spec, areas, prepared areas, the shard partition and the
+//! logical record store) by `&`, immutably, and own everything they
+//! mutate. The **only cross-thread mutable state** is the
+//! [`ClaimCounter`] inside [`par_map`]: one `fetch_add` per item, with
+//! results stitched back in index order after the join.
 //!
-//! * **Passthrough** (default): zero-cost re-exports of `std::sync` —
-//!   [`AtomicUsize`] *is* `std::sync::atomic::AtomicUsize` and [`Mutex`]
-//!   *is* `std::sync::Mutex`, so codegen is bit-identical to writing the
-//!   std paths directly.
-//! * **Model** (`--cfg vaq_race`): the deterministic interleaving
-//!   explorer in [`model`] supplies drop-in replacements whose every
-//!   operation is a scheduling point. `RUSTFLAGS='--cfg vaq_race'
-//!   cargo test -p vaq-race` then enumerates bounded thread
-//!   interleavings of the code built on this facade (DFS over schedules
-//!   with a preemption bound — loom-style, but std-only).
+//! * **Work distribution** — batch execution (single-engine and sharded,
+//!   planned or not) and the parallel shard build all run on [`par_map`].
+//!   A planned batch resolves every plan before its workers start, so no
+//!   planner is shared; the sharded engine folds per-shard stats on the
+//!   calling thread after [`par_map`] returns; each shard-build worker
+//!   copies its own shard's records out of the shared logical store.
+//! * **The dynamic engine** (`DynamicAreaQueryEngine`) mutates its delta,
+//!   tombstones and compaction state through `&mut self`: callers that
+//!   share one synchronise externally, and it takes no lock itself.
 //!
-//! The `sync-facade` vaq-lint rule keeps raw `std::sync::{atomic,
-//! Mutex}` imports confined to this module, so the two implementations
-//! cannot silently drift apart: concurrent code that bypasses the
-//! facade is a lint finding, not a latent blind spot of the model
-//! checker.
-//!
-//! ## What is shared, and under which primitive
-//!
-//! * **Work distribution** — the batch executors (unsharded, sharded,
-//!   planned, and the parallel shard build) all run on [`par_map`], which
-//!   hands out work through a [`ClaimCounter`]: one `fetch_add` per item,
-//!   no other coordination. A planned batch resolves every plan before
-//!   its workers start, so no planner is shared.
-//! * **Build-time record stores** — the one [`Mutex`]: the parallel shard
-//!   build parks each shard's split [`RecordStore`](crate::RecordStore)
-//!   in a [`Mutex`]`<Option<RecordStore>>` so the owning worker can
-//!   *take* it instead of cloning record contents.
-//!
-//! The dynamic engine (`DynamicAreaQueryEngine`) mutates
-//! delta/tombstone/compaction state through `&mut self` and is
-//! externally synchronised; `vaq-race` model-checks them behind
-//! a model [`Mutex`](model::Mutex) to prove that a plain exclusive lock
-//! is a sufficient sharing contract for that state.
+//! The `sync-facade` vaq-lint rule keeps raw `std::sync` primitives out
+//! of the rest of the tree, so every piece of cross-thread mutable state
+//! is declared and justified in this one module.
 
-pub mod model;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Atomic memory-ordering tokens. Both facade implementations use the
-/// std orderings verbatim; the model executes operations under
-/// sequential consistency (it explores *interleavings*, not memory-model
-/// weakenings), so every ordering argument is also a documentation
-/// artefact — which is why the `atomic-ordering` lint insists each use
-/// carries an `// ordering:` justification.
-pub use std::sync::atomic::Ordering;
-
-#[cfg(not(vaq_race))]
-pub use std::sync::atomic::AtomicUsize;
-#[cfg(not(vaq_race))]
-pub use std::sync::{Mutex, MutexGuard};
-
-#[cfg(vaq_race)]
-pub use model::{AtomicUsize, Mutex, MutexGuard};
-
-/// Scoped threads, re-exported so worker fan-out rides the facade too.
-/// Thread creation itself is not a modelled operation — the model
-/// checker spawns its own logical threads via [`model::spawn`] — but
-/// routing the engine's scopes through this name keeps every
-/// concurrency ingredient in one audited module.
-pub use std::thread::{scope, Scope};
+/// Scoped threads, the engine's worker fan-out (see [`par_map`]).
+pub use std::thread::scope;
 
 /// The work-stealing claim counter: the one claim primitive behind
 /// [`par_map`], and so behind every parallel loop in the engine.
@@ -69,9 +34,8 @@ pub use std::thread::{scope, Scope};
 /// Workers repeatedly [`claim`](ClaimCounter::claim) the next work index
 /// until the returned index runs past the work list. Each index is
 /// handed to exactly one worker (the counter never skips and never
-/// repeats — the property `vaq-race` model-checks exhaustively), and a
-/// worker that finishes early keeps claiming instead of idling behind a
-/// fixed chunk boundary.
+/// repeats: `fetch_add` is atomic), and a worker that finishes early
+/// keeps claiming instead of idling behind a fixed chunk boundary.
 #[derive(Debug, Default)]
 pub struct ClaimCounter {
     next: AtomicUsize,
@@ -244,6 +208,36 @@ mod tests {
             }
         }
         assert!(par_map(0, 4, || (), |_, i| i).is_empty());
+    }
+
+    #[test]
+    fn par_map_runs_each_index_once_under_skewed_work() {
+        // Item 5 costs about 100x the others, so the worker holding it
+        // falls behind while the rest drain the counter. A double claim
+        // would silently overwrite its slot, so the calls are counted.
+        let n = 64;
+        let work = |i: usize| -> u64 {
+            let rounds = if i == 5 { 200_000 } else { 2_000 };
+            (0..rounds).fold(i as u64, |acc, r| {
+                std::hint::black_box(acc.wrapping_mul(31).wrapping_add(r))
+            })
+        };
+        for threads in [1, 2, 3, 8] {
+            let calls = AtomicUsize::new(0);
+            let out = par_map(
+                n,
+                threads,
+                || (),
+                |_, i| {
+                    calls.fetch_add(1, Ordering::SeqCst);
+                    (i, work(i))
+                },
+            );
+            assert_eq!(calls.into_inner(), n, "threads={threads}");
+            for (at, &(i, w)) in out.iter().enumerate() {
+                assert_eq!((i, w), (at, work(at)), "threads={threads}");
+            }
+        }
     }
 
     #[test]

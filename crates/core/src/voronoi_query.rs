@@ -9,8 +9,9 @@
 //! * a candidate **outside** the area enqueues only the unvisited
 //!   neighbours that pass the **expansion test**.
 //!
-//! The expansion test is where the paper's heuristic and the provably
-//! complete variant differ — see [`ExpansionPolicy`].
+//! The expansion test is where the paper's heuristic and the variant
+//! that is complete on Euclidean diagrams differ — see
+//! [`ExpansionPolicy`].
 
 use crate::area::QueryArea;
 use crate::payload::RecordStore;
@@ -31,9 +32,16 @@ pub enum ExpansionPolicy {
     #[default]
     Segment,
     /// Enqueue neighbour `pn` when **`pn`'s Voronoi cell** intersects the
-    /// area. The set of cells meeting a connected area is connected in the
-    /// Delaunay graph, so this policy provably visits every internal point;
-    /// it costs a convex-cell × polygon intersection per test.
+    /// area. It costs a convex-cell × polygon intersection per test.
+    ///
+    /// On a **Euclidean** diagram the cells meeting a connected area are
+    /// connected in the Delaunay graph and every site lies in its own
+    /// cell, so this policy provably visits every internal point. On a
+    /// **power** diagram it can miss a *stray* site: one that is not
+    /// hidden, yet neither it nor any of its neighbours owns its location
+    /// (the BFS tests a site only while visiting one of its neighbours).
+    /// Every Voronoi policy shares that gap; the traditional and
+    /// brute-force methods are exact on both diagrams.
     Cell,
 }
 

@@ -9,8 +9,8 @@
 //! provenance, atomic orderings must be justified where they are chosen,
 //! lock guards must not be held across emit/merge paths, and raw
 //! `std::sync` primitives stay confined to the `vaq_core::sync` facade so
-//! the `--cfg vaq_race` model checker sees every interleaving that
-//! matters. This crate turns those conventions into machine-checked
+//! every piece of cross-thread mutable state is declared and justified
+//! in one module. This crate turns those conventions into machine-checked
 //! rules (see [`rules`] for each rule's exact contract) with a uniform
 //! escape hatch:
 //!

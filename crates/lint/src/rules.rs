@@ -753,7 +753,7 @@ const ATOMIC_ORDERINGS: [&str; 5] = ["Relaxed", "Acquire", "Release", "AcqRel", 
 /// The sync facade: the one module allowed to touch raw `std::sync`
 /// primitives, and the only home of the documented `Relaxed` idiom.
 fn is_sync_facade(rel: &str) -> bool {
-    rel == "crates/core/src/sync.rs" || rel.starts_with("crates/core/src/sync/")
+    rel == "crates/core/src/sync.rs"
 }
 
 /// **atomic-ordering** — outside `#[cfg(test)]` regions, every use of a
@@ -761,7 +761,7 @@ fn is_sync_facade(rel: &str) -> bool {
 /// / `AcqRel` / `SeqCst`) must carry a `// ordering:` justification — on
 /// the line itself or in the run of comment lines directly above — that
 /// argues why that strength suffices. Additionally, `Ordering::Relaxed`
-/// is permitted only inside the sync facade (`crates/core/src/sync*`),
+/// is permitted only inside the sync facade (`crates/core/src/sync.rs`),
 /// where the claim-counter idiom documents why no cross-thread ordering
 /// is needed; anywhere else `Relaxed` is a finding even when commented
 /// (promote to the facade's `ClaimCounter`, use a stronger ordering, or
@@ -974,8 +974,8 @@ fn strip_trailing_simple_call<'a>(expr: &'a str, opener: &str) -> Option<&'a str
 // ---------------------------------------------------------------------------
 
 /// **sync-facade** — raw concurrency primitives live in one place:
-/// `crates/core/src/sync.rs` (and its `sync/` submodules). Everywhere
-/// else, non-test code must not reference:
+/// `crates/core/src/sync.rs`. Everywhere else, non-test code must not
+/// reference:
 ///
 /// * `std::sync::atomic` (including `Ordering` imports — the facade
 ///   re-exports it),
@@ -985,11 +985,11 @@ fn strip_trailing_simple_call<'a>(expr: &'a str, opener: &str) -> Option<&'a str
 /// * `crossbeam` (scoped threads route through `vaq_core::sync::scope`).
 ///
 /// `Arc`, `Weak`, `Once*` and `LazyLock` are plain sharing/init tools
-/// with no scheduling behaviour to model and stay allowed. The point of
-/// the confinement (same shape as sink-dispatch) is that building with
-/// `--cfg vaq_race` swaps *every* primitive the engine actually uses
-/// onto the model-checked implementation — a raw import anywhere else
-/// would silently escape the explorer.
+/// that carry no cross-thread mutable state and stay allowed. The point
+/// of the confinement (same shape as sink-dispatch) is that every piece
+/// of cross-thread mutable state is declared and justified in one
+/// module — a raw primitive anywhere else would be shared state nobody
+/// declared.
 pub fn sync_facade(file: &SourceFile, out: &mut Vec<Finding>) {
     if is_sync_facade(&file.rel) {
         return;
@@ -1004,9 +1004,9 @@ pub fn sync_facade(file: &SourceFile, out: &mut Vec<Finding>) {
                 line: idx + 1,
                 rule: SYNC_FACADE,
                 message: format!(
-                    "raw std::sync {what} reference outside the sync facade — import it \
-                     from vaq_core::sync (crates/core/src/sync.rs) so `--cfg vaq_race` \
-                     can swap in the model-checked implementation"
+                    "raw std::sync {what} reference outside the sync facade — every piece \
+                     of cross-thread mutable state is declared and justified in \
+                     vaq_core::sync (crates/core/src/sync.rs); add it there"
                 ),
             });
         }

@@ -253,7 +253,7 @@ fn atomic_ordering_flags_unjustified_sites_and_stray_relaxed() {
 fn atomic_ordering_permits_commented_relaxed_only_in_the_facade() {
     // same bytes inside the facade: Relaxed's comment now counts, but
     // the two unjustified sites still need their `// ordering:` notes
-    let findings = lint(&[("crates/core/src/sync/model.rs", ATOMIC_BAD)]);
+    let findings = lint(&[("crates/core/src/sync.rs", ATOMIC_BAD)]);
     assert_eq!(
         tagged(&findings),
         vec![(4, ATOMIC_ORDERING), (8, ATOMIC_ORDERING)]
@@ -310,7 +310,7 @@ fn sync_facade_confines_raw_primitives() {
 #[test]
 fn sync_facade_permits_the_facade_itself() {
     // the facade module is where the raw primitives are supposed to live
-    assert_clean(&lint(&[("crates/core/src/sync/model.rs", FACADE_BAD)]));
+    assert_clean(&lint(&[("crates/core/src/sync.rs", FACADE_BAD)]));
 }
 
 #[test]

@@ -3,9 +3,9 @@
 //! stats conservation — on both the single-engine and sharded batch
 //! paths.
 //!
-//! The work-stealing claim loop these tests stress end-to-end is the
-//! same idiom `vaq-race` model-checks exhaustively on 2–3-thread
-//! schedules; here it runs at full scale with real queries.
+//! These tests stress the work-stealing claim loop (`sync::par_map`)
+//! end to end with real queries; its own unit tests in `sync.rs` check
+//! index order and one call per item on skewed work.
 
 use voronoi_area_query::core::{
     AreaQueryEngine, MethodChoice, PrepareMode, QuerySpec, QueryStats, ShardedAreaQueryEngine,

@@ -580,6 +580,54 @@ fn version_and_endianness_mismatches_are_rejected() {
     ));
 }
 
+/// Overwrites the `u64` at byte `at` of section `tag`, then re-seals the
+/// section and table checksums: a crafted file, not an accident.
+fn reseal_u64(bytes: &mut [u8], tag: u64, at: usize, value: u64) {
+    let table = section_table(bytes);
+    let i = table.iter().position(|&(t, _, _)| t == tag).unwrap();
+    let (_, offset, len) = table[i];
+    bytes[offset + at..offset + at + 8].copy_from_slice(&value.to_le_bytes());
+    let sum = checksum64(&bytes[offset..offset + len]);
+    bytes[128 + 32 * i + 24..128 + 32 * i + 32].copy_from_slice(&sum.to_le_bytes());
+    let sum = checksum64(&bytes[128..128 + 32 * table.len()]);
+    bytes[40..48].copy_from_slice(&sum.to_le_bytes());
+}
+
+#[test]
+fn crafted_length_fields_are_typed_errors() {
+    let expect_typed = |bytes: &[u8], what: &str| match snapshot::from_bytes(bytes) {
+        Err(SnapshotError::Malformed(_) | SnapshotError::Inconsistent(_)) => {}
+        Err(e) => panic!("{what}: expected Malformed or Inconsistent, got {e}"),
+        Ok(_) => panic!("{what}: crafted container loaded"),
+    };
+    // sh_meta{len:u64, diagram:u32, shard_count:u64}: neither count may
+    // size an allocation before it is checked.
+    for (at, value, what) in [(0, 1u64 << 62, "point count"), (12, 1 << 40, "shard count")] {
+        let mut evil = sample_container();
+        reseal_u64(&mut evil, 0x20, at, value);
+        expect_typed(&evil, what);
+    }
+    // A 4-point engine with 16-byte records: 4 x (2^62 + 16) wraps to 64,
+    // the true data length, so only a checked product catches it.
+    let pts = [p(0.1, 0.1), p(0.9, 0.2), p(0.5, 0.9), p(0.4, 0.4)];
+    let mut evil =
+        snapshot::engine_to_bytes(&AreaQueryEngine::builder(&pts).payload_bytes(16).build());
+    let (_, offset, len) = section_table(&evil)[0];
+    // records{flag:u32 = 1, record_bytes:u64 = 16, data:[u8] of 64}
+    let marker: Vec<u8> = [
+        &1u32.to_le_bytes()[..],
+        &16u64.to_le_bytes(),
+        &64u64.to_le_bytes(),
+    ]
+    .concat();
+    let at = evil[offset..offset + len]
+        .windows(marker.len())
+        .position(|w| w == marker.as_slice())
+        .unwrap();
+    reseal_u64(&mut evil, 0x01, at + 4, (1 << 62) + 16);
+    expect_typed(&evil, "record size");
+}
+
 #[test]
 fn checksum64_separates_close_inputs() {
     assert_ne!(checksum64(b""), checksum64(&[0]));
