@@ -1,164 +1,221 @@
 //! Batch query execution: answer many area queries over one engine,
 //! optionally in parallel.
 //!
-//! The engine is immutable after construction and `Sync`; the only
-//! per-query mutable state is the per-worker
-//! [`QuerySession`]. The single batch entrypoint is
-//! [`AreaQueryEngine::execute_batch`]: any [`QuerySpec`] over any slice of
-//! areas, on any number of worker threads. Workers claim queries from a
-//! **shared atomic work-stealing index** (one `fetch_add` per query, no
-//! other coordination), so skewed query sizes never leave threads idle the
-//! way fixed contiguous chunks did — the thread that drew three heavy
-//! 32 %-size queries no longer gates the batch while its siblings sleep.
-//! Results always come back in input order. This is the
-//! throughput-oriented serving mode of a GIS backend, complementing the
-//! paper's latency-oriented single-query evaluation.
+//! Both engines' `execute_batch` run one crate-private executor,
+//! `Batch`. It plans and prepares every area once on the calling thread,
+//! then runs `(area, part)` work items on [`par_map`], where a **part**
+//! is an engine plus the map from its local ids to output ids. The plain
+//! engine is one part that every area runs on
+//! ([`AreaQueryEngine::execute_batch`]); the sharded engine's parts are
+//! its shards, and its work list keeps the pairs that survive MBR pruning
+//! ([`ShardedAreaQueryEngine::execute_batch`](crate::ShardedAreaQueryEngine::execute_batch)).
 //!
-//! The batch path never inspects the spec's output mode: each worker's
-//! session emits into the spec's sink (see [`crate::sink`]) and returns
-//! the finished per-query [`QueryOutput`], so every output shape —
-//! including kNN-within-area and payload materialisation — batches with
-//! zero extra dispatch here.
+//! Workers claim items from a **shared atomic work-stealing index** (one
+//! `fetch_add` per item, no other coordination), so skewed query sizes
+//! never leave threads idle behind a fixed chunk boundary. Each worker
+//! owns one scratch per part; the engine, the areas and their compiled
+//! forms are shared by `&`. Results always come back in input order,
+//! whatever the thread count. This is the throughput-oriented serving
+//! mode of a GIS backend, complementing the paper's latency-oriented
+//! single-query evaluation.
+//!
+//! The executor never inspects the spec's output mode: each item emits
+//! into the spec's sink (see [`crate::sink`]) and returns its partial, so
+//! every output shape batches with no extra dispatch here.
 
 use crate::area::QueryArea;
 use crate::engine::AreaQueryEngine;
-use crate::plan::{plan_batch, PlanFeatures, PlannedPath};
-use crate::query::{PrepareMode, PreparedAreaCache, QueryOutput, QuerySession, QuerySpec};
-use crate::stats::CacheCounters;
+use crate::plan::{ExecutionPlan, PlanFeatures, PlannedPath, Planner};
+use crate::query::{PrepareMode, PreparedAreaCache, QueryOutput, QuerySpec};
+use crate::scratch::QueryScratch;
+use crate::sink::{Partial, Sink};
+use crate::stats::{CacheCounters, QueryStats};
 use crate::sync::par_map;
 use std::sync::Arc;
 
-/// Prepared-area resolution for one whole batch: each distinct area
-/// fingerprint is query-compiled exactly once on the calling thread and
-/// the immutable compiled form is shared (`Arc`) by every worker — and,
-/// on the sharded engine, by every shard. The per-area counters replay
-/// what a single batch-wide cache would have recorded: a miss on a
-/// fingerprint's first (input-order) occurrence, a hit on every repeat.
-pub(crate) struct BatchPreparedAreas {
-    /// Per input area: the shared compiled form (`None` when the area has
-    /// no prepared form and runs as-is).
-    pub(crate) resolved: Vec<Option<Arc<dyn QueryArea + Send + Sync>>>,
-    /// Per input area: the synthesized cache traffic (all zero unless the
-    /// spec asked for [`PrepareMode::Cached`]).
-    pub(crate) counters: Vec<CacheCounters>,
+/// One part of a batch: an engine and the map from its local ids to
+/// output ids (`None` when the ids map to themselves).
+pub(crate) type Part<'e> = (&'e AreaQueryEngine, Option<&'e [u32]>);
+
+/// One area of a batch, resolved before any worker starts.
+struct Resolved {
+    /// The explicit spec the area runs.
+    spec: QuerySpec,
+    /// The planner's decision, for an auto spec.
+    plan: Option<ExecutionPlan>,
+    /// The compiled form every part shares (`None`: run the area as
+    /// passed).
+    prepared: Option<Arc<dyn QueryArea + Send + Sync>>,
+    /// The area's share of the batch-wide cache traffic.
+    cache: CacheCounters,
 }
 
-/// Resolves a batch's areas for `spec`. Returns `None` for
-/// [`PrepareMode::Raw`] (areas run exactly as passed). For
-/// [`PrepareMode::Cached`], distinct fingerprints are prepared once
-/// through one unbounded [`PreparedAreaCache`] and shared; for
-/// [`PrepareMode::PrepareOnce`], each area is prepared individually
-/// (per-query semantics) but still off the workers' hot loop.
-pub(crate) fn prepare_batch_shared<A: QueryArea>(
-    spec: &QuerySpec,
-    areas: &[A],
-) -> Option<BatchPreparedAreas> {
-    if spec.prepare == PrepareMode::Raw {
-        return None;
+/// The batch executor: a batch's areas, planned and prepared.
+pub(crate) struct Batch<'a, A> {
+    areas: &'a [A],
+    resolved: Vec<Resolved>,
+    /// The spec's sink; a plan never changes the output.
+    pub(crate) sink: Sink,
+}
+
+impl<'a, A: QueryArea + Sync> Batch<'a, A> {
+    /// Plans and prepares every area on the calling thread.
+    ///
+    /// An auto spec is planned area by area with one fresh [`Planner`]
+    /// that observes nothing, so the plans depend on neither the thread
+    /// count nor earlier batches; `features(area, cacheable)` describes an
+    /// area to it. Each area is then prepared by its own spec: `Raw`
+    /// prepares nothing, `PrepareOnce` compiles the area, and `Cached`
+    /// goes through one unbounded cache, where a fingerprint's first
+    /// occurrence in input order is a miss and every repeat a hit,
+    /// whatever the thread count. An area is fingerprinted at most once.
+    pub(crate) fn new(
+        spec: &QuerySpec,
+        areas: &'a [A],
+        features: impl Fn(&A, bool) -> PlanFeatures,
+    ) -> Batch<'a, A> {
+        let planner = Planner::default();
+        let mut cache = PreparedAreaCache::new(usize::MAX);
+        let auto = spec.method.is_auto();
+        let resolved = areas
+            .iter()
+            .map(|area| {
+                let fp = (auto || spec.prepare == PrepareMode::Cached)
+                    .then(|| area.fingerprint())
+                    .flatten();
+                let (spec, plan) = if auto {
+                    let (spec, plan) = planner.resolve(spec, &features(area, fp.is_some()));
+                    (spec, Some(plan))
+                } else {
+                    (*spec, None)
+                };
+                let mut cache_delta = CacheCounters::default();
+                let prepared = match spec.prepare {
+                    PrepareMode::Raw => None,
+                    PrepareMode::PrepareOnce => area.prepare().map(Arc::from),
+                    PrepareMode::Cached => fp.and_then(|fp| {
+                        cache.get_or_prepare(fp, || area.prepare(), &mut cache_delta)
+                    }),
+                };
+                Resolved {
+                    spec: spec.prepare(PrepareMode::Raw),
+                    plan,
+                    prepared,
+                    cache: cache_delta,
+                }
+            })
+            .collect();
+        Batch {
+            areas,
+            resolved,
+            sink: Sink::of(spec.output),
+        }
     }
-    let mut counters = vec![CacheCounters::default(); areas.len()];
-    let mut cache = PreparedAreaCache::new(usize::MAX);
-    let resolved = areas
-        .iter()
-        .zip(&mut counters)
-        .map(|(area, counters)| {
-            if spec.prepare == PrepareMode::PrepareOnce {
-                return area.prepare().map(Arc::from);
-            }
-            cache.get_or_prepare(area.fingerprint()?, || area.prepare(), counters)
-        })
-        .collect();
-    Some(BatchPreparedAreas { resolved, counters })
+
+    /// Runs the `(area, part)` items of `work` on `threads` workers and
+    /// returns each item's partial and stats, in `work` order. Each
+    /// worker keeps one scratch per part, made on its first Voronoi
+    /// query.
+    pub(crate) fn run(
+        &self,
+        parts: &[Part<'_>],
+        work: &[(u32, u32)],
+        threads: usize,
+    ) -> Vec<(Partial<u32>, QueryStats)> {
+        par_map(
+            work.len(),
+            threads,
+            || -> Vec<Option<QueryScratch>> { parts.iter().map(|_| None).collect() },
+            |scratch, w| {
+                let (ai, pi) = (work[w].0 as usize, work[w].1 as usize);
+                let (engine, ids) = parts[pi];
+                let area = &self.resolved[ai];
+                let scratch = &mut scratch[pi];
+                let map = |local: u32| Some(ids.map_or(local, |ids| ids[local as usize]));
+                let mut stats = QueryStats::default();
+                let mut partial = Partial::default();
+                match area.prepared.as_deref() {
+                    Some(prepared) => engine.run_sink(
+                        &area.spec,
+                        prepared,
+                        scratch,
+                        self.sink,
+                        &mut partial,
+                        &map,
+                        &mut stats,
+                    ),
+                    None => engine.run_sink(
+                        &area.spec,
+                        &self.areas[ai],
+                        scratch,
+                        self.sink,
+                        &mut partial,
+                        &map,
+                        &mut stats,
+                    ),
+                }
+                stats.result_size = partial.len();
+                (partial, stats)
+            },
+        )
+    }
+
+    /// Attaches area `area`'s plan and cache counters to its stats.
+    pub(crate) fn finish(&self, area: usize, stats: &mut QueryStats) {
+        stats.plan = self.resolved[area].plan;
+        stats.prepared_cache = self.resolved[area].cache;
+    }
 }
 
 impl AreaQueryEngine {
     /// Executes `spec` over every area, on `threads` worker threads, and
-    /// returns the outputs **in input order**.
+    /// returns the outputs **in input order**, each equal to the
+    /// session path's answer and stats (ids in emission order).
     ///
-    /// `threads <= 1` (or a batch of at most one query) runs sequentially
-    /// on the calling thread with a single reused session. The parallel
-    /// path gives each worker its own session and hands out queries
-    /// through a shared atomic index (work stealing): a worker that
-    /// finishes early keeps pulling work instead of idling behind a
-    /// fixed chunk boundary.
+    /// The engine is the batch's one part, and every area runs on it:
+    /// nothing is pruned, so an area off the data still seeds and
+    /// validates as it would in a session. `threads <= 1` (or a batch of
+    /// at most one area) runs on the calling thread.
     ///
-    /// Preparation is hoisted out of the workers on **both** paths:
-    /// under [`PrepareMode::Cached`](crate::PrepareMode) each
-    /// **distinct** fingerprint is compiled exactly once per batch and
-    /// the compiled form is shared by every worker (a repeated-area
-    /// batch no longer re-prepares the same area once per worker, and a
-    /// batch with more distinct areas than a session cache holds cannot
-    /// thrash it), and the batch-wide hit/miss counters land in the
-    /// returned stats: the first input-order occurrence of a fingerprint
-    /// records the miss, every repeat a hit — exactly what one
-    /// unbounded shared cache would have seen, independent of `threads`.
+    /// Preparation happens on the calling thread before the workers
+    /// start. Under [`PrepareMode::Cached`] each **distinct**
+    /// fingerprint is compiled once per batch and shared by every
+    /// worker: its first input-order occurrence records the miss, every
+    /// repeat a hit, independent of `threads`.
     ///
-    /// A [`QuerySpec::auto()`] batch resolves every area's plan up front
-    /// with a fresh [`Planner`](crate::Planner) and feeds nothing back,
-    /// so its plans depend on neither worker interleaving nor earlier
-    /// batches. The batch path has no session cache, so the planner
-    /// never chooses `Cached` here ([`PlannedPath::Batch`] prepares per
-    /// query instead). Each output carries its
-    /// [`ExecutionPlan`](crate::ExecutionPlan).
+    /// A [`QuerySpec::auto()`] batch plans every area up front with a
+    /// fresh [`Planner`] and feeds nothing back, so its plans depend on
+    /// neither worker interleaving nor earlier batches. The batch has no
+    /// session cache, so the planner never chooses `Cached` here
+    /// ([`PlannedPath::Batch`] prepares per query instead). Each output
+    /// carries its [`ExecutionPlan`].
     pub fn execute_batch<A: QueryArea + Sync>(
         &self,
         spec: &QuerySpec,
         areas: &[A],
         threads: usize,
     ) -> Vec<QueryOutput> {
-        if spec.method.is_auto() {
-            let bounds = self.data_bounds();
-            let plans = plan_batch(spec, areas, |area| {
-                PlanFeatures::of(
-                    area,
-                    area.fingerprint().is_some(),
-                    self.len(),
-                    self.density_map(),
-                    bounds,
-                    self.diagram_kind(),
-                    PlannedPath::Batch,
-                )
-            });
-            let mut outs = par_map(
-                areas.len(),
-                threads,
-                || QuerySession::new(self),
-                |session, i| session.execute(&plans[i].0, &areas[i]),
-            );
-            for (out, (_, plan)) in outs.iter_mut().zip(&plans) {
-                out.stats_mut().plan = Some(*plan);
-            }
-            return outs;
-        }
-        // PrepareOnce keeps its documented per-query semantics (each
-        // worker compiles per query); Raw has nothing to prepare. The
-        // sequential path shares the once-per-batch preparation, so cache
-        // counters (and the preparation count) do not depend on the
-        // thread count — and a batch with more distinct areas than the
-        // session LRU holds cannot thrash it.
-        let shared = match spec.prepare {
-            PrepareMode::Cached => prepare_batch_shared(spec, areas),
-            PrepareMode::Raw | PrepareMode::PrepareOnce => None,
-        };
-        let raw_spec = spec.prepare(PrepareMode::Raw);
-        par_map(
-            areas.len(),
-            threads,
-            || QuerySession::new(self),
-            |session, i| {
-                let resolved = shared
-                    .as_ref()
-                    .and_then(|s| Some((s.resolved[i].as_deref()?, s.counters[i])));
-                match resolved {
-                    Some((prepared, counters)) => {
-                        let mut out = session.execute(&raw_spec, prepared);
-                        out.stats_mut().prepared_cache = counters;
-                        out
-                    }
-                    None => session.execute(spec, &areas[i]),
-                }
-            },
-        )
+        let batch = Batch::new(spec, areas, |area, cacheable| {
+            PlanFeatures::of(
+                area,
+                cacheable,
+                self.len(),
+                self.density_map(),
+                self.data_bounds(),
+                self.diagram_kind(),
+                PlannedPath::Batch,
+            )
+        });
+        let work: Vec<(u32, u32)> = (0..areas.len() as u32).map(|ai| (ai, 0)).collect();
+        batch
+            .run(&[(self, None)], &work, threads)
+            .into_iter()
+            .enumerate()
+            .map(|(ai, (partial, mut stats))| {
+                batch.finish(ai, &mut stats);
+                batch.sink.output(partial, stats)
+            })
+            .collect()
     }
 }
 
@@ -290,6 +347,70 @@ mod tests {
                     "query {i}, threads={threads}"
                 );
             }
+        }
+    }
+
+    /// Each batch area is fingerprinted once: for the plan's `cacheable`
+    /// feature under `auto`, for deduplication under `Cached`; never once
+    /// per part or per worker.
+    #[test]
+    fn batch_areas_are_fingerprinted_once() {
+        use crate::area::AreaFingerprint;
+        use crate::shard::ShardedAreaQueryEngine;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use vaq_geom::{Rect, Segment};
+
+        /// A polygon that counts its `fingerprint` calls.
+        struct Counted(Polygon, AtomicUsize);
+        impl QueryArea for Counted {
+            fn mbr(&self) -> Rect {
+                self.0.mbr()
+            }
+            fn contains(&self, q: Point) -> bool {
+                self.0.contains(q)
+            }
+            fn boundary_intersects_segment(&self, seg: &Segment) -> bool {
+                self.0.boundary_intersects_segment(seg)
+            }
+            fn intersects_polygon(&self, poly: &Polygon) -> bool {
+                QueryArea::intersects_polygon(&self.0, poly)
+            }
+            fn interior_point(&self) -> Point {
+                self.0.interior_point()
+            }
+            fn complexity(&self) -> usize {
+                self.0.len()
+            }
+            fn fingerprint(&self) -> Option<AreaFingerprint> {
+                self.1.fetch_add(1, Ordering::SeqCst);
+                QueryArea::fingerprint(&self.0)
+            }
+            fn prepare(&self) -> Option<Box<dyn QueryArea + Send + Sync>> {
+                QueryArea::prepare(&self.0)
+            }
+        }
+
+        let pts = uniform(1500, 29);
+        let plain = AreaQueryEngine::build(&pts);
+        let sharded = ShardedAreaQueryEngine::build(&pts, 3);
+        let specs = [
+            QuerySpec::auto(),
+            QuerySpec::voronoi().prepare(PrepareMode::Cached),
+        ];
+        for spec in specs {
+            let areas: Vec<Counted> = squares()
+                .into_iter()
+                .step_by(4)
+                .map(|sq| Counted(sq, AtomicUsize::new(0)))
+                .collect();
+            assert_eq!(areas.len(), 4);
+            let calls = |areas: &[Counted]| -> usize {
+                areas.iter().map(|a| a.1.swap(0, Ordering::SeqCst)).sum()
+            };
+            plain.execute_batch(&spec, &areas, 2);
+            assert_eq!(calls(&areas), 4, "plain {spec:?}");
+            sharded.execute_batch(&spec, &areas, 2);
+            assert_eq!(calls(&areas), 4, "sharded {spec:?}");
         }
     }
 

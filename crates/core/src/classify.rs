@@ -47,7 +47,7 @@ pub enum PointClass {
 /// coordinates — matching the query semantics, which still report hidden
 /// sites inside the area — and [`PointClass::External`] otherwise (its
 /// empty cell can intersect nothing).
-pub fn classify_points<A: QueryArea + ?Sized>(
+pub(crate) fn classify_points<A: QueryArea + ?Sized>(
     tri: &Triangulation,
     area: &A,
     window: &Rect,

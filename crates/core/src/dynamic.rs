@@ -26,6 +26,9 @@
 //! method / seed / policy / prepare mode (with an owned prepared-area
 //! cache amortising repeated areas), and the delta scan's cost is
 //! surfaced in the returned stats ([`QueryStats::delta_scanned`]).
+//! Every spec runs here. Point classification is not a spec: it is
+//! defined on one diagram, not on a base + delta overlay, so it is
+//! [`AreaQueryEngine::classify`] on the plain engine only.
 //! [`DynamicAreaQueryEngine::query`] is the paper-default convenience.
 
 use crate::area::QueryArea;
@@ -188,11 +191,6 @@ impl DynamicAreaQueryEngine {
     /// Delta-buffered points have no stored payload records until
     /// compaction, so the materialising sink reads records for base
     /// points only.
-    ///
-    /// # Panics
-    ///
-    /// Panics for `OutputMode::Classify` (classification is whole-diagram
-    /// and undefined over a base + delta overlay).
     pub fn execute<A: QueryArea + ?Sized>(
         &mut self,
         spec: &QuerySpec,
@@ -202,14 +200,7 @@ impl DynamicAreaQueryEngine {
         let (spec, planned, fp) =
             self.state
                 .plan(&self.base, spec, area, PlannedPath::Dynamic, live_delta);
-        let Some(sink) = Sink::of(spec.output) else {
-            // vaq-lint: allow(panic-hygiene) -- documented unsupported-mode
-            // contract: classification is whole-diagram by definition, and the
-            // message tells the caller exactly which engine to use instead.
-            panic!(
-                "point classification is whole-diagram and is not supported on the dynamic engine"
-            );
-        };
+        let sink = Sink::of(spec.output);
         // Base pass through the session funnel, tombstones filtered and
         // base indices translated to external ids *before* the sink; then
         // the live delta scanned into the same partial; then one finish.
@@ -623,18 +614,6 @@ mod tests {
             CacheCounters { hits: 1, misses: 0 }
         );
         assert_eq!(eng.cache_counters(), CacheCounters { hits: 1, misses: 1 });
-    }
-
-    #[test]
-    #[should_panic(expected = "not supported on the dynamic engine")]
-    fn classify_is_rejected() {
-        use crate::query::OutputMode;
-        let mut eng = DynamicAreaQueryEngine::new(&uniform(50, 51));
-        eng.insert(p(0.5, 0.5));
-        eng.execute(
-            &QuerySpec::new().output(OutputMode::Classify),
-            &square(0.5, 0.5, 0.2),
-        );
     }
 
     #[test]

@@ -38,6 +38,7 @@
 //! the benchmark harness quantify it.
 
 use crate::area::QueryArea;
+use crate::classify::{classify_points, PointClass};
 use crate::payload::RecordStore;
 use crate::plan::DensityMap;
 use crate::scratch::QueryScratch;
@@ -392,12 +393,23 @@ impl AreaQueryEngine {
         let r = self.data_bbox.union(&area.mbr());
         r.expand((r.width() + r.height()).max(1.0) + self.weight_radius)
     }
+
+    /// The paper's Section III classification of every canonical vertex
+    /// against `area`: internal, boundary or external (see
+    /// [`crate::classify`]). Classification is defined on one whole
+    /// diagram, so it is a method of this engine rather than a
+    /// [`QuerySpec`](crate::QuerySpec) output; pass `area.prepare()` to
+    /// classify against the compiled form. Empty for an empty engine.
+    pub fn classify<A: QueryArea + ?Sized>(&self, area: &A) -> Vec<PointClass> {
+        self.tri.as_ref().map_or_else(Vec::new, |tri| {
+            classify_points(tri, area, &self.cell_window(area))
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::classify::PointClass;
     use crate::query::{OutputMode, PrepareMode, QueryMethod, QuerySpec};
     use crate::voronoi_query::ExpansionPolicy;
     use rand::rngs::StdRng;
@@ -449,11 +461,6 @@ mod tests {
 
     fn brute<A: QueryArea + ?Sized>(engine: &AreaQueryEngine, area: &A) -> Vec<u32> {
         collect(engine, QuerySpec::brute_force(), area).sorted_indices()
-    }
-
-    fn classes<A: QueryArea + ?Sized>(engine: &AreaQueryEngine, area: &A) -> Vec<PointClass> {
-        let spec = QuerySpec::new().output(OutputMode::Classify);
-        engine.execute(&spec, area).classes().unwrap().to_vec()
     }
 
     #[test]
@@ -510,7 +517,7 @@ mod tests {
             assert_eq!(raw_t.stats.candidates, prep_t.stats.candidates);
             // Classification and counts flow through the same trait.
             let prep = PreparedPolygon::new(area.clone());
-            assert_eq!(classes(&engine, &area), classes(&engine, &prep));
+            assert_eq!(engine.classify(&area), engine.classify(&prep));
             for spec in [QuerySpec::voronoi(), QuerySpec::traditional()] {
                 assert_eq!(count(&engine, spec, &area), count(&engine, spec, &prep));
             }
@@ -553,7 +560,7 @@ mod tests {
         ] {
             assert!(collect(&engine, spec, &area).indices.is_empty());
         }
-        assert!(classes(&engine, &area).is_empty());
+        assert!(engine.classify(&area).is_empty());
     }
 
     #[test]
@@ -648,7 +655,8 @@ mod tests {
         let pts = uniform(400, 87);
         let engine = AreaQueryEngine::build(&pts);
         let area = star_polygon(p(0.5, 0.5), 0.3, 10, 88);
-        let internal = classes(&engine, &area)
+        let internal = engine
+            .classify(&area)
             .iter()
             .filter(|&&c| c == PointClass::Internal)
             .count();

@@ -22,22 +22,27 @@
 //! [`QuerySpec`] names a point in the evaluation grid (method × expansion
 //! policy × prepare mode × output shape) and a [`QuerySession`] executes
 //! it, owning the reusable scratch and a bounded LRU **prepared-area
-//! cache** for dashboard-style repeated queries. A brute-force oracle and the paper's Section III point
-//! classification ([`classify`]) run through the same funnel. Callers
-//! who'd rather not pick a strategy ask for [`QuerySpec::auto()`]: the
-//! cost-model planner (module [`plan`]) resolves method, expansion
-//! policy and prepare mode per query and records its decision as an
-//! [`ExecutionPlan`] in the stats. What happens to each accepted
-//! candidate — collect, count, keep the k nearest, materialise its
-//! record — is the spec's output shape, a plain value every execution
-//! path emits into (module [`sink`]).
+//! cache** for dashboard-style repeated queries. A brute-force oracle
+//! runs through the same funnel. The paper's Section III point
+//! classification ([`classify`]) is defined on one whole diagram, so it
+//! is a method of the plain engine, [`AreaQueryEngine::classify`], not a
+//! query. Callers who'd rather not pick a strategy ask for
+//! [`QuerySpec::auto()`]: the cost-model planner (module [`plan`])
+//! resolves method, expansion policy and prepare mode per query and
+//! records its decision as an [`ExecutionPlan`] in the stats. What
+//! happens to each accepted candidate — collect, count, keep the k
+//! nearest, materialise its record — is the spec's output shape, a plain
+//! value every execution path emits into (module [`sink`]).
 //!
 //! Three engines share that surface: [`AreaQueryEngine`] over one
 //! diagram (Euclidean, or a power diagram of weighted sites);
 //! [`ShardedAreaQueryEngine`], a kd partition of plain engines built by
 //! [`EngineBuilder::build_sharded`] with the same weight and payload
 //! options; and [`DynamicAreaQueryEngine`], a Euclidean base with an
-//! insert/delete overlay. Module [`snapshot`] saves and loads all three.
+//! insert/delete overlay. Every [`QuerySpec`] runs on every engine. Both
+//! batch paths run one executor (module [`batch`]), with the plain
+//! engine as its one-part case. Module [`snapshot`] saves and loads all
+//! three.
 //!
 //! ## Quick start
 //!
@@ -112,7 +117,7 @@ pub mod traditional;
 pub mod voronoi_query;
 
 pub use area::{AreaFingerprint, QueryArea};
-pub use classify::{classify_points, PointClass};
+pub use classify::PointClass;
 pub use dynamic::{DynamicAreaQueryEngine, DynamicQueryResult};
 pub use engine::{AreaQueryEngine, EngineBuilder, QueryResult};
 pub use payload::{RecordStore, RecordStoreError};

@@ -48,10 +48,12 @@
 //! owns its session state) feeds the observed work back through
 //! [`Planner::observe`]; an exponentially decayed per-method calibration
 //! ratio keeps the analytic model honest when a workload (or machine)
-//! disagrees with its constants. A batch, on the plain or the sharded
-//! engine, plans every area up front with a fresh planner and feeds
-//! nothing back, so its plans depend on neither the thread count nor
-//! earlier batches.
+//! disagrees with its constants. Planning happens in two places only:
+//! a session's (or the dynamic engine's) `SessionState::plan`, and the
+//! batch executor both engines' `execute_batch` run (see
+//! [`crate::batch`]), which plans every area on the calling thread with
+//! a fresh planner and feeds nothing back, so its plans depend on
+//! neither the thread count nor earlier batches.
 //!
 //! Planned queries are **bit-identical** to explicit ones: the planner
 //! only rewrites the spec *before* execution, so running the spec named
@@ -535,22 +537,6 @@ impl Planner {
         let slot = Planner::method_slot(plan.method);
         self.calibration[slot] = DECAY * self.calibration[slot] + (1.0 - DECAY) * ratio;
     }
-}
-
-/// Resolves every area's plan up front with one fresh [`Planner`], as
-/// both engines' batches do: a batch keeps no planner state and feeds no
-/// observation back, so its plans depend on neither worker interleaving
-/// nor earlier batches. Returns each area's explicit spec and its plan.
-pub(crate) fn plan_batch<A>(
-    spec: &QuerySpec,
-    areas: &[A],
-    features: impl Fn(&A) -> PlanFeatures,
-) -> Vec<(QuerySpec, ExecutionPlan)> {
-    let planner = Planner::default();
-    areas
-        .iter()
-        .map(|area| planner.resolve(spec, &features(area)))
-        .collect()
 }
 
 #[cfg(test)]

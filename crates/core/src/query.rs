@@ -6,7 +6,7 @@
 //! run on one STR-bulk-loaded R-tree, as in the paper: its window query is
 //! the traditional filter and its nearest-neighbour query the Voronoi
 //! seed. Instead of one entrypoint per grid cell, [`QuerySpec`] is a
-//! plain-data point in that grid and every query funnels through
+//! plain-data point in that grid and every single query funnels through
 //! [`QuerySession::execute`]:
 //!
 //! ```
@@ -53,7 +53,6 @@
 //! edges per primitive).
 
 use crate::area::{AreaFingerprint, QueryArea};
-use crate::classify::classify_points;
 use crate::engine::{AreaQueryEngine, QueryResult};
 use crate::plan::{ExecutionPlan, PlanFeatures, PlannedPath, Planner};
 use crate::scratch::QueryScratch;
@@ -63,7 +62,6 @@ use crate::traditional::refine_each;
 use crate::voronoi_query::{
     arbitrary_position_in, voronoi_area_query_with_boundary, ExpansionPolicy,
 };
-use crate::PointClass;
 use std::sync::Arc;
 use vaq_geom::Point;
 use vaq_rtree::AccessStats;
@@ -163,8 +161,7 @@ pub enum PrepareMode {
 }
 
 /// The shape of the answer — what every execution path does with each
-/// accepted candidate (see [`crate::sink`]), except for
-/// [`OutputMode::Classify`], which is whole-diagram, not per-candidate.
+/// accepted candidate (see [`crate::sink`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub enum OutputMode {
     /// Materialise the matching point indices (the default).
@@ -175,10 +172,6 @@ pub enum OutputMode {
     /// run the same seeded, stats-tracked path as [`OutputMode::Collect`]:
     /// every counter, including `result_size`, is bit-identical.
     Count,
-    /// Classify every canonical vertex as internal / boundary / external
-    /// (the paper's Section III). Classification is defined on the Voronoi
-    /// diagram and ignores `method` and `policy`.
-    Classify,
     /// kNN-within-area: of the points inside the area, the `k` nearest to
     /// `origin` by exact squared Euclidean distance, ties broken by
     /// ascending index (a bounded max-heap, merged across shards and
@@ -295,14 +288,6 @@ pub enum QueryOutput {
         /// Work counters — bit-identical to the collecting run's.
         stats: QueryStats,
     },
-    /// `OutputMode::Classify`: per-canonical-vertex classes. Empty for an
-    /// empty engine.
-    Classified {
-        /// One class per canonical vertex of the triangulation.
-        classes: Vec<PointClass>,
-        /// Statistics (classification populates only the cache counters).
-        stats: QueryStats,
-    },
     /// `OutputMode::TopKNearest`: the k nearest matches to the origin,
     /// ascending by `(dist_sq, index)`, plus statistics.
     TopK {
@@ -323,31 +308,16 @@ impl QueryOutput {
     pub fn stats(&self) -> &QueryStats {
         match self {
             QueryOutput::Collected(r) | QueryOutput::Materialized(r) => &r.stats,
-            QueryOutput::Counted { stats, .. } => stats,
-            QueryOutput::Classified { stats, .. } => stats,
-            QueryOutput::TopK { stats, .. } => stats,
+            QueryOutput::Counted { stats, .. } | QueryOutput::TopK { stats, .. } => stats,
         }
     }
 
-    pub(crate) fn stats_mut(&mut self) -> &mut QueryStats {
-        match self {
-            QueryOutput::Collected(r) | QueryOutput::Materialized(r) => &mut r.stats,
-            QueryOutput::Counted { stats, .. } => stats,
-            QueryOutput::Classified { stats, .. } => stats,
-            QueryOutput::TopK { stats, .. } => stats,
-        }
-    }
-
-    /// Number of matching points: the result length, the count, the
-    /// number of `Internal` vertices, or the number of neighbours kept.
+    /// Number of matching points: the result length, the count, or the
+    /// number of neighbours kept.
     pub fn count(&self) -> usize {
         match self {
             QueryOutput::Collected(r) | QueryOutput::Materialized(r) => r.indices.len(),
             QueryOutput::Counted { count, .. } => *count,
-            QueryOutput::Classified { classes, .. } => classes
-                .iter()
-                .filter(|&&c| c == PointClass::Internal)
-                .count(),
             QueryOutput::TopK { neighbors, .. } => neighbors.len(),
         }
     }
@@ -366,14 +336,6 @@ impl QueryOutput {
     pub fn into_result(self) -> Option<QueryResult> {
         match self {
             QueryOutput::Collected(r) | QueryOutput::Materialized(r) => Some(r),
-            _ => None,
-        }
-    }
-
-    /// The per-vertex classes, when this was a `Classify` query.
-    pub fn classes(&self) -> Option<&[PointClass]> {
-        match self {
-            QueryOutput::Classified { classes, .. } => Some(classes),
             _ => None,
         }
     }
@@ -580,8 +542,7 @@ impl SessionState {
     }
 
     /// The session funnel body: the planner for [`MethodChoice::Auto`],
-    /// the whole-diagram classification for [`OutputMode::Classify`], and
-    /// otherwise the spec's sink over [`SessionState::execute_sink`].
+    /// then the spec's sink over [`SessionState::execute_sink`].
     pub(crate) fn execute<A: QueryArea + ?Sized>(
         &mut self,
         engine: &AreaQueryEngine,
@@ -589,34 +550,21 @@ impl SessionState {
         area: &A,
     ) -> QueryOutput {
         let (spec, planned, fp) = self.plan(engine, spec, area, PlannedPath::Plain, 0);
-        let mut out = match Sink::of(spec.output) {
-            Some(sink) => {
-                let mut stats = QueryStats::default();
-                let mut partial = Partial::default();
-                self.execute_sink(
-                    engine,
-                    &spec,
-                    area,
-                    fp,
-                    sink,
-                    &mut partial,
-                    &Some,
-                    &mut stats,
-                );
-                sink.output(partial, stats)
-            }
-            None => {
-                let (prepared, delta) = self.resolve(&spec, area, fp);
-                let (classes, mut stats) = match &prepared {
-                    Some(prepared) => classify_area(engine, prepared.as_ref()),
-                    None => classify_area(engine, area),
-                };
-                stats.prepared_cache = delta;
-                QueryOutput::Classified { classes, stats }
-            }
-        };
-        self.observe(planned, out.stats_mut());
-        out
+        let sink = Sink::of(spec.output);
+        let mut stats = QueryStats::default();
+        let mut partial = Partial::default();
+        self.execute_sink(
+            engine,
+            &spec,
+            area,
+            fp,
+            sink,
+            &mut partial,
+            &Some,
+            &mut stats,
+        );
+        self.observe(planned, &mut stats);
+        sink.output(partial, stats)
     }
 
     /// The session funnel over the generic emission core: resolves the
@@ -643,11 +591,7 @@ impl SessionState {
         F: Fn(u32) -> Option<I>,
     {
         let (prepared, delta) = self.resolve(spec, area, fp);
-        let scratch = if spec.method == QueryMethod::Voronoi {
-            Some(self.scratch.get_or_insert_with(|| engine.new_scratch()))
-        } else {
-            None
-        };
+        let scratch = &mut self.scratch;
         // Preparation is resolved: run raw on the compiled form.
         let raw_spec = spec.prepare(PrepareMode::Raw);
         match &prepared {
@@ -748,8 +692,9 @@ impl AreaQueryEngine {
     /// `sink`'s `partial`, with its engine-local index translated through
     /// `map` into the caller's id space (`None` drops the candidate — the
     /// dynamic engine's tombstone filter, applied *before* the sink so a
-    /// bounded sink never wastes a slot on a dead point). The thread's
-    /// exact-predicate totals are sampled around the run, so
+    /// bounded sink never wastes a slot on a dead point). `scratch` is the
+    /// caller's reusable Voronoi scratch, made here on first use. The
+    /// thread's exact-predicate totals are sampled around the run, so
     /// `stats.predicates` reports this query's filter/fallback split (a
     /// query executes on one thread, so the window is exact).
     #[allow(clippy::too_many_arguments)] // the emission core's explicit inputs
@@ -757,7 +702,7 @@ impl AreaQueryEngine {
         &self,
         spec: &QuerySpec,
         area: &A,
-        scratch: Option<&mut QueryScratch>,
+        scratch: &mut Option<QueryScratch>,
         sink: Sink,
         partial: &mut Partial<I>,
         map: &F,
@@ -814,7 +759,7 @@ impl AreaQueryEngine {
         &self,
         spec: &QuerySpec,
         area: &A,
-        scratch: Option<&mut QueryScratch>,
+        scratch: &mut Option<QueryScratch>,
         sink: Sink,
         partial: &mut Partial<I>,
         map: &F,
@@ -827,14 +772,7 @@ impl AreaQueryEngine {
         let Some(tri) = self.tri.as_ref() else {
             return;
         };
-        let mut owned;
-        let scratch = match scratch {
-            Some(s) => s,
-            None => {
-                owned = self.new_scratch();
-                &mut owned
-            }
-        };
+        let scratch = scratch.get_or_insert_with(|| self.new_scratch());
         // Line 3–4 of Algorithm 1: seed with NN(P, pA) for an arbitrary
         // position pA inside A, answered by the R-tree as in the paper.
         let pa = arbitrary_position_in(area);
@@ -948,23 +886,6 @@ impl AreaQueryEngine {
     }
 }
 
-/// The paper's Section III classification of every canonical vertex
-/// against `area` (empty for an empty engine).
-fn classify_area<A: QueryArea + ?Sized>(
-    engine: &AreaQueryEngine,
-    area: &A,
-) -> (Vec<PointClass>, QueryStats) {
-    let mut stats = QueryStats::default();
-    let Some(tri) = engine.tri.as_ref() else {
-        return (Vec::new(), stats);
-    };
-    let mut classes = Vec::new();
-    stats.predicates = AreaQueryEngine::sample_predicates(|| {
-        classes = classify_points(tri, area, &engine.cell_window(area));
-    });
-    (classes, stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1051,9 +972,14 @@ mod tests {
                 collected.stats(),
                 "count and collect share every counter ({method:?})"
             );
-            let classified = session.execute(&spec.output(OutputMode::Classify), &area);
-            assert_eq!(classified.count(), want.len(), "{method:?}");
         }
+        // Classification has no method axis.
+        let internal = engine
+            .classify(&area)
+            .iter()
+            .filter(|&&c| c == crate::PointClass::Internal)
+            .count();
+        assert_eq!(internal, want.len());
     }
 
     #[test]
@@ -1175,12 +1101,8 @@ mod tests {
                     .count(),
                 0
             );
-            assert!(session
-                .execute(&spec.output(OutputMode::Classify), &area)
-                .classes()
-                .unwrap()
-                .is_empty());
         }
+        assert!(engine.classify(&area).is_empty());
     }
 
     /// Regression: the prepared-area cache must not cost the session (or

@@ -18,12 +18,14 @@
 //!   on `n/S` points at a time. [`EngineBuilder::build_sharded`] takes
 //!   the same weights and payload options as the unsharded build;
 //! * any [`QuerySpec`] is answered by **MBR-pruning** the shards against
-//!   the area's MBR and running the survivors on a shared work-stealing
-//!   worker pool in [`ShardedAreaQueryEngine::execute_batch`], where the
-//!   work items are `(area, shard)` pairs and prepared areas are
-//!   compiled **once per batch** and shared across shards by
-//!   fingerprint. [`ShardedAreaQueryEngine::execute`] is the one-area
-//!   batch on the calling thread;
+//!   the area's MBR and running the survivors in
+//!   [`ShardedAreaQueryEngine::execute_batch`] on the batch executor the
+//!   plain engine uses (see [`crate::batch`]), with the shards as its
+//!   parts: the work items are `(area, shard)` pairs on a shared
+//!   work-stealing pool, and each area is planned and prepared **once
+//!   per batch**, its compiled form shared across shards.
+//!   [`ShardedAreaQueryEngine::execute`] is the one-area batch on the
+//!   calling thread;
 //! * shard-local results are mapped back to **global input indices** and
 //!   merged in ascending input order, with per-shard counters folded
 //!   into one aggregate [`QueryStats`] (see
@@ -63,14 +65,13 @@
 //! site — see its docs).
 
 use crate::area::QueryArea;
-use crate::batch::prepare_batch_shared;
+use crate::batch::{Batch, Part};
 use crate::engine::{AreaQueryEngine, EngineBuilder};
 use crate::payload::RecordStore;
-use crate::plan::{plan_batch, DensityMap, PlanFeatures, PlannedPath};
-use crate::query::{PrepareMode, QueryMethod, QuerySpec};
-use crate::scratch::QueryScratch;
-use crate::sink::{Neighbor, Partial, Sink};
-use crate::stats::{CacheCounters, QueryStats};
+use crate::plan::{DensityMap, PlanFeatures, PlannedPath};
+use crate::query::QuerySpec;
+use crate::sink::{Neighbor, Partial};
+use crate::stats::QueryStats;
 use crate::sync::par_map;
 use vaq_delaunay::{weights_are_uniform, DiagramKind};
 use vaq_geom::{Point, Rect};
@@ -391,22 +392,15 @@ impl ShardedAreaQueryEngine {
     /// Shards whose MBR misses the area's MBR are pruned outright, the
     /// survivors run through the generic emission path, and the
     /// shard-local sink partials are **merged** into one answer mapped to
-    /// ascending global input indices.
-    /// Preparation (for [`PrepareMode::PrepareOnce`] / `Cached`) happens
-    /// **once** and the compiled area is shared by every shard.
+    /// ascending global input indices. Preparation (for
+    /// [`PrepareMode::PrepareOnce`](crate::PrepareMode) / `Cached`)
+    /// happens **once** and the compiled area is shared by every shard.
     ///
-    /// Note: a lone `execute` holds no state across calls, so
-    /// [`PrepareMode::Cached`] here equals `PrepareOnce` shared across
-    /// shards — each call re-compiles the area (stats report the one
-    /// miss). Repeated-area amortisation needs a batch (each distinct
-    /// fingerprint is compiled once per batch) or a caller-held prepared
-    /// area.
-    ///
-    /// # Panics
-    ///
-    /// Panics for `OutputMode::Classify`: classification is defined on
-    /// one global Voronoi diagram, which the sharded engine does not
-    /// build.
+    /// Note: a lone `execute` holds no state across calls, so `Cached`
+    /// here equals `PrepareOnce` shared across shards — each call
+    /// re-compiles the area (stats report the one miss). Repeated-area
+    /// amortisation needs a batch (each distinct fingerprint is compiled
+    /// once per batch) or a caller-held prepared area.
     pub fn execute<A: QueryArea + Sync>(&self, spec: &QuerySpec, area: &A) -> ShardedQueryOutput {
         self.execute_batch(spec, std::slice::from_ref(area), 1)
             .pop()
@@ -416,69 +410,45 @@ impl ShardedAreaQueryEngine {
     /// Executes `spec` over every area on `threads` worker threads and
     /// returns the merged outputs **in input order**.
     ///
-    /// The unit of work is one `(area, shard)` pair of the pruned
-    /// survivor set, handed out through a shared atomic index (work
-    /// stealing), so a worker never idles behind one heavy area *or* one
-    /// heavy shard. Workers keep per-shard scratch across the batch, and
-    /// each work item fills its own sink partial — the merge step folds
-    /// partials in ascending shard order, never re-dispatching on the
-    /// output mode. Under [`PrepareMode::Cached`],
-    /// each **distinct** area fingerprint is compiled once per batch and
-    /// the compiled form is shared across workers *and* shards; the
-    /// batch-wide hit/miss counters land in the per-area stats exactly
-    /// as in [`AreaQueryEngine::execute_batch`].
+    /// The batch runs on the executor the plain engine's batch uses (see
+    /// [`crate::batch`]), with the shards as its parts. The unit of work
+    /// is one `(area, shard)` pair of the pruned survivor set, handed out
+    /// through a shared atomic index (work stealing), so a worker never
+    /// idles behind one heavy area *or* one heavy shard. Workers keep
+    /// per-shard scratch across the batch, and each work item fills its
+    /// own sink partial — the merge step folds partials in ascending
+    /// shard order, never re-dispatching on the output mode. Under
+    /// [`PrepareMode::Cached`](crate::PrepareMode), each **distinct** area
+    /// fingerprint is compiled once per batch and the compiled form is
+    /// shared across workers *and* shards; the batch-wide hit/miss
+    /// counters land in the per-area stats exactly as in
+    /// [`AreaQueryEngine::execute_batch`].
     ///
-    /// A [`QuerySpec::auto()`] batch resolves every area's plan up front
-    /// with a fresh [`Planner`](crate::Planner), exactly as the plain
-    /// engine's batch does, then runs each area's explicit spec on the
-    /// work-stealing pool at per-area granularity; each output carries
-    /// its plan. The engine keeps no planner state, so the outputs do not
-    /// depend on the thread count or on earlier batches.
-    ///
-    /// # Panics
-    ///
-    /// As [`ShardedAreaQueryEngine::execute`].
+    /// A [`QuerySpec::auto()`] batch plans every area up front with a
+    /// fresh [`Planner`](crate::Planner), exactly as the plain engine's
+    /// batch does, and runs each area's explicit spec at the same
+    /// `(area, shard)` granularity; each output carries its plan. The
+    /// engine keeps no planner state, so the outputs do not depend on the
+    /// thread count or on earlier batches.
     pub fn execute_batch<A: QueryArea + Sync>(
         &self,
         spec: &QuerySpec,
         areas: &[A],
         threads: usize,
     ) -> Vec<ShardedQueryOutput> {
-        if spec.method.is_auto() {
-            let bounds = self.shards.iter().fold(Rect::EMPTY, |b, s| b.union(&s.mbr));
-            let plans = plan_batch(spec, areas, |area| PlanFeatures {
-                shards: self.shards.len(),
-                ..PlanFeatures::of(
-                    area,
-                    area.fingerprint().is_some(),
-                    self.len,
-                    &self.density,
-                    bounds,
-                    self.diagram,
-                    PlannedPath::Sharded,
-                )
-            });
-            return par_map(
-                areas.len(),
-                threads,
-                || (),
-                |_, i| {
-                    let mut out = self.execute(&plans[i].0, &areas[i]);
-                    out.stats.plan = Some(plans[i].1);
-                    out
-                },
-            );
-        }
-        let Some(sink) = Sink::of(spec.output) else {
-            // vaq-lint: allow(panic-hygiene) -- documented unsupported-mode
-            // contract: classification is per-diagram, and the message points
-            // the caller at the right engine.
-            panic!(
-                "point classification is per-diagram and is not supported on the sharded engine"
-            );
-        };
-        let shared = prepare_batch_shared(spec, areas);
-        let raw_spec = spec.prepare(PrepareMode::Raw);
+        let bounds = self.shards.iter().fold(Rect::EMPTY, |b, s| b.union(&s.mbr));
+        let batch = Batch::new(spec, areas, |area, cacheable| PlanFeatures {
+            shards: self.shards.len(),
+            ..PlanFeatures::of(
+                area,
+                cacheable,
+                self.len,
+                &self.density,
+                bounds,
+                self.diagram,
+                PlannedPath::Sharded,
+            )
+        });
 
         // Prune: the work list holds only the (area, shard) pairs whose
         // MBRs intersect (a pruned shard provably holds no matching
@@ -486,7 +456,6 @@ impl ShardedAreaQueryEngine {
         // range.
         let mut work: Vec<(u32, u32)> = Vec::new();
         let mut ranges: Vec<(usize, usize)> = Vec::with_capacity(areas.len());
-        let mut pruned: Vec<usize> = Vec::with_capacity(areas.len());
         for area in areas {
             let mbr = area.mbr();
             let start = work.len();
@@ -496,51 +465,13 @@ impl ShardedAreaQueryEngine {
                 }
             }
             ranges.push((start, work.len()));
-            pruned.push(self.shards.len() - (work.len() - start));
         }
-
-        // One (area, shard) work item producing its own sink partial and
-        // per-shard stats; `scratch` is the worker's per-shard scratch,
-        // created on first use and only for the Voronoi method (the
-        // other methods never touch it).
-        let run_one = |&(ai, si): &(u32, u32), scratch: &mut Vec<Option<QueryScratch>>| {
-            let shard = &self.shards[si as usize];
-            let s = if spec.method == QueryMethod::Voronoi {
-                Some(scratch[si as usize].get_or_insert_with(|| shard.engine.new_scratch()))
-            } else {
-                None
-            };
-            let mut st = QueryStats::default();
-            let mut part = Partial::default();
-            let shard_map = |local: u32| Some(shard.global[local as usize]);
-            match shared
-                .as_ref()
-                .and_then(|sh| sh.resolved[ai as usize].as_deref())
-            {
-                Some(prep) => shard
-                    .engine
-                    .run_sink(&raw_spec, prep, s, sink, &mut part, &shard_map, &mut st),
-                None => shard.engine.run_sink(
-                    &raw_spec,
-                    &areas[ai as usize],
-                    s,
-                    sink,
-                    &mut part,
-                    &shard_map,
-                    &mut st,
-                ),
-            }
-            st.result_size = part.len();
-            (part, st)
-        };
-
-        let mut results = par_map(
-            work.len(),
-            threads,
-            || -> Vec<Option<QueryScratch>> { (0..self.shards.len()).map(|_| None).collect() },
-            |scratch, w| run_one(&work[w], scratch),
-        )
-        .into_iter();
+        let parts: Vec<Part<'_>> = self
+            .shards
+            .iter()
+            .map(|s| (&s.engine, Some(s.global.as_slice())))
+            .collect();
+        let mut results = batch.run(&parts, &work, threads).into_iter();
 
         // Merge each area's shard partials back to one output, in
         // ascending shard order (the work list was built that way), so
@@ -550,7 +481,7 @@ impl ShardedAreaQueryEngine {
             .enumerate()
             .map(|(ai, &(start, end))| {
                 let mut stats = QueryStats {
-                    shards_pruned: pruned[ai],
+                    shards_pruned: self.shards.len() - (end - start),
                     ..QueryStats::default()
                 };
                 let mut breakdown = Vec::with_capacity(end - start);
@@ -558,7 +489,7 @@ impl ShardedAreaQueryEngine {
                 let items = results.by_ref().take(end - start);
                 for (&(_, si), (part, st)) in work[start..end].iter().zip(items) {
                     stats.shards_visited += 1;
-                    sink.merge(&mut acc, part);
+                    batch.sink.merge(&mut acc, part);
                     stats.absorb_shard(&st);
                     breakdown.push(ShardBreakdown {
                         shard: si as usize,
@@ -567,9 +498,7 @@ impl ShardedAreaQueryEngine {
                 }
                 let (indices, neighbors, count) = acc.into_sorted();
                 stats.result_size = count;
-                stats.prepared_cache = shared
-                    .as_ref()
-                    .map_or(CacheCounters::default(), |sh| sh.counters[ai]);
+                batch.finish(ai, &mut stats);
                 ShardedQueryOutput {
                     indices,
                     count,
@@ -586,7 +515,8 @@ impl ShardedAreaQueryEngine {
 mod tests {
     use super::*;
     use crate::engine::AreaQueryEngine;
-    use crate::query::OutputMode;
+    use crate::query::{OutputMode, PrepareMode, QueryMethod};
+    use crate::stats::CacheCounters;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use vaq_geom::Polygon;
@@ -791,26 +721,6 @@ mod tests {
                 assert_eq!(out.indices, raw.indices);
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "not supported on the sharded engine")]
-    fn classify_is_rejected() {
-        let engine = ShardedAreaQueryEngine::build(&uniform(50, 71), 2);
-        engine.execute(
-            &QuerySpec::new().output(OutputMode::Classify),
-            &square(0.5, 0.5, 0.2),
-        );
-    }
-
-    /// Regression: a planned classify batch panics on a worker thread;
-    /// the documented message must survive the join.
-    #[test]
-    #[should_panic(expected = "not supported on the sharded engine")]
-    fn classify_is_rejected_from_worker_threads() {
-        let engine = ShardedAreaQueryEngine::build(&uniform(200, 72), 4);
-        let areas = [square(0.3, 0.3, 0.2), square(0.7, 0.7, 0.2)];
-        engine.execute_batch(&QuerySpec::auto().output(OutputMode::Classify), &areas, 2);
     }
 
     /// Regression: a shard built on a worker thread panics on a NaN

@@ -31,10 +31,6 @@
 //! engine wraps its partial as a [`QueryOutput`] in emission order; the
 //! sharded and dynamic engines share one sorted finisher (ids ascending,
 //! neighbours by ascending `(dist_sq, id)`).
-//!
-//! [`OutputMode::Classify`] has no sink — classification is defined on
-//! the whole Voronoi diagram, not per accepted candidate — so `Sink::of`
-//! returns `None` for it and each engine answers (or rejects) it itself.
 
 use crate::engine::QueryResult;
 use crate::payload::RecordStore;
@@ -95,8 +91,8 @@ impl<I: SinkId> Ord for HeapEntry<I> {
 }
 
 /// What a query does with each accepted candidate: one variant per
-/// non-classify [`OutputMode`]. A small `Copy` value, shared freely
-/// across worker threads.
+/// [`OutputMode`]. A small `Copy` value, shared freely across worker
+/// threads.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum Sink {
     /// The matching ids, in emission order.
@@ -127,16 +123,14 @@ pub(crate) struct Partial<I: SinkId> {
 
 impl Sink {
     /// **The one `OutputMode` dispatch in the crate**: the sink for
-    /// `output`, or `None` for [`OutputMode::Classify`], which is
-    /// whole-diagram rather than per-candidate. Adding a sink means adding
-    /// an [`OutputMode`] variant, a `Sink` variant and one arm here.
-    pub(crate) fn of(output: OutputMode) -> Option<Sink> {
+    /// `output`. Adding a sink means adding an [`OutputMode`] variant, a
+    /// `Sink` variant and one arm here.
+    pub(crate) fn of(output: OutputMode) -> Sink {
         match output {
-            OutputMode::Collect => Some(Sink::Collect),
-            OutputMode::Count => Some(Sink::Count),
-            OutputMode::Classify => None,
-            OutputMode::TopKNearest { k, origin } => Some(Sink::TopK { k, origin }),
-            OutputMode::Materialize => Some(Sink::Materialize),
+            OutputMode::Collect => Sink::Collect,
+            OutputMode::Count => Sink::Count,
+            OutputMode::TopKNearest { k, origin } => Sink::TopK { k, origin },
+            OutputMode::Materialize => Sink::Materialize,
         }
     }
 

@@ -9,10 +9,11 @@
 //! [`ClaimCounter`] inside [`par_map`]: one `fetch_add` per item, with
 //! results stitched back in index order after the join.
 //!
-//! * **Work distribution** — batch execution (single-engine and sharded,
-//!   planned or not) and the parallel shard build all run on [`par_map`].
-//!   A planned batch resolves every plan before its workers start, so no
-//!   planner is shared; the sharded engine folds per-shard stats on the
+//! * **Work distribution** — batch execution (one executor for the
+//!   single-engine and the sharded batch, planned or not) and the
+//!   parallel shard build all run on [`par_map`]. A batch resolves every
+//!   plan and preparation before its workers start, so no planner or
+//!   cache is shared; the sharded engine folds per-shard stats on the
 //!   calling thread after [`par_map`] returns; each shard-build worker
 //!   copies its own shard's records out of the shared logical store.
 //! * **The dynamic engine** (`DynamicAreaQueryEngine`) mutates its delta,
@@ -66,13 +67,13 @@ impl ClaimCounter {
 
 /// Maps `f` over `0..n` on up to `threads` scoped workers and returns the
 /// results **in index order** — the one work-stealing loop behind every
-/// parallel path in the engine (batch execution, the sharded `(area,
-/// shard)` fan-out, and the parallel shard build).
+/// parallel path in the engine (the batch executor's `(area, part)`
+/// items, and the parallel shard build).
 ///
 /// Workers claim indices from one shared [`ClaimCounter`], so a worker
 /// that finishes early keeps pulling work instead of idling behind a
 /// fixed chunk boundary. Each worker owns the state `init` creates for
-/// it (a query session, per-shard scratch) and lends it to every `f`
+/// it (the batch executor's per-part scratch) and lends it to every `f`
 /// call it makes. With `threads <= 1 || n <= 1` everything runs on the
 /// calling thread with a single state, in ascending index order.
 pub fn par_map<S, T, I, F>(n: usize, threads: usize, init: I, f: F) -> Vec<T>
@@ -238,6 +239,22 @@ mod tests {
                 assert_eq!((i, w), (at, work(at)), "threads={threads}");
             }
         }
+    }
+
+    /// A worker's panic reaches the caller with its own payload, so a
+    /// documented panic message reads the same on any thread count.
+    #[test]
+    #[should_panic(expected = "item 5 failed")]
+    fn par_map_reraises_the_worker_panic_payload() {
+        par_map(
+            16,
+            2,
+            || (),
+            |_, i| {
+                assert!(i != 5, "item {i} failed");
+                i
+            },
+        );
     }
 
     #[test]

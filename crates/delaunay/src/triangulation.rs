@@ -588,11 +588,7 @@ fn build_with_mesh(points: &[Point], weights: Option<&[f64]>) -> (Triangulation,
     };
 
     let Some((i0, i1, i2)) = tri0 else {
-        let flat = if cw.is_empty() {
-            degenerate_path_parts(pts, canon, members_off, members)
-        } else {
-            weighted_collinear_parts(pts, canon, members_off, members, cw)
-        };
+        let flat = collinear_parts(pts, canon, members_off, members, cw);
         return (Triangulation { flat }, Mesh::new());
     };
 
@@ -735,72 +731,25 @@ fn power_descent(
     }
 }
 
-/// Builds the degenerate "triangulation" of an entirely collinear point
-/// set: the Delaunay graph collapses to the path along the line, which
-/// is exactly the Voronoi adjacency of collinear sites.
-fn degenerate_path_parts(
-    pts: Vec<Point>,
-    canon: Vec<u32>,
-    members_off: Vec<u32>,
-    members: Vec<u32>,
-) -> TriangulationFlat {
-    let mut order: Vec<u32> = (0..pts.len() as u32).collect();
-    // Lexicographic order equals order along any line.
-    order.sort_by(|&a, &b| pts[a as usize].cmp_lex(&pts[b as usize]));
-    let n = pts.len();
-    let mut adj_off = vec![0u32; n + 1];
-    let mut adj = Vec::with_capacity(2 * n.saturating_sub(1));
-    // Degree 2 inside the path, 1 at the ends (0 for a single point).
-    let mut deg = vec![0u32; n];
-    for (&a, &b) in order.iter().zip(order.iter().skip(1)) {
-        deg[a as usize] += 1;
-        deg[b as usize] += 1;
-    }
-    for v in 0..n {
-        adj_off[v + 1] = adj_off[v] + deg[v];
-    }
-    adj.resize(adj_off[n] as usize, 0);
-    let mut cursor: Vec<u32> = adj_off[..n].to_vec();
-    for (&a, &b) in order.iter().zip(order.iter().skip(1)) {
-        adj[cursor[a as usize] as usize] = b;
-        cursor[a as usize] += 1;
-        adj[cursor[b as usize] as usize] = a;
-        cursor[b as usize] += 1;
-    }
-    for v in 0..n {
-        adj[adj_off[v] as usize..adj_off[v + 1] as usize].sort_unstable();
-    }
-    TriangulationFlat {
-        pts,
-        canon,
-        members_off,
-        members,
-        adj_off,
-        adj,
-        hull: order,
-        degenerate: true,
-        weights: Vec::new(),
-        hidden: Vec::new(),
-        anchor: Vec::new(),
-    }
-}
-
-/// Builds the degenerate structure of entirely collinear **weighted**
-/// sites: the 1-D power diagram along the line.
+/// Builds the degenerate structure of an entirely collinear point set:
+/// the Voronoi (or power) diagram along the line, whose adjacency is the
+/// path through the sites that own a cell, in order along the line.
 ///
-/// Restricted to a line, the power distance of site `i` at parameter `t`
-/// is `(t − tᵢ)² − wᵢ`; a site owns a 1-D cell iff its lifted point
-/// `(tᵢ, tᵢ² − wᵢ)` is a vertex of the **lower convex hull** of all
-/// lifted points — the 1-D instance of the same lifting that defines the
-/// regular triangulation. We use the scaled parameter `s = (p − o)·d`
-/// (with `d` the direction between the lexicographic extremes) and lift
-/// `z = s² − |d|²·w`; positive affine scalings of both axes preserve
-/// lower-hull membership, so no square roots are needed. The hull scan
-/// keeps strict turns only: a lifted point exactly *on* a hull edge owns
-/// a zero-length cell and counts as hidden, matching the strict-conflict
-/// convention of the 2-D build. `s` and `z` round like any float dot
-/// product; the turn tests on the rounded lifts are exact (`orient2d`).
-fn weighted_collinear_parts(
+/// Without weights (`cw` empty) every site owns a cell, so the path runs
+/// through all of them. With weights, restricted to a line, the power
+/// distance of site `i` at parameter `t` is `(t − tᵢ)² − wᵢ`; a site owns
+/// a 1-D cell iff its lifted point `(tᵢ, tᵢ² − wᵢ)` is a vertex of the
+/// **lower convex hull** of all lifted points — the 1-D instance of the
+/// same lifting that defines the regular triangulation. We use the scaled
+/// parameter `s = (p − o)·d` (with `d` the direction between the
+/// lexicographic extremes) and lift `z = s² − |d|²·w`; positive affine
+/// scalings of both axes preserve lower-hull membership, so no square
+/// roots are needed. The hull scan keeps strict turns only: a lifted
+/// point exactly *on* a hull edge owns a zero-length cell and counts as
+/// hidden, matching the strict-conflict convention of the 2-D build. `s`
+/// and `z` round like any float dot product; the turn tests on the
+/// rounded lifts are exact (`orient2d`).
+fn collinear_parts(
     pts: Vec<Point>,
     canon: Vec<u32>,
     members_off: Vec<u32>,
@@ -812,11 +761,11 @@ fn weighted_collinear_parts(
     // Lexicographic order equals order along any line.
     order.sort_by(|&a, &b| pts[a as usize].cmp_lex(&pts[b as usize]));
 
-    let live: Vec<u32> = if n == 1 {
-        vec![0]
+    let live: Vec<u32> = if cw.is_empty() || n == 1 {
+        order
     } else {
-        // vaq-lint: allow(panic-hygiene) -- this branch has n >= 2 (the
-        // n == 1 case returned above), so `order` is non-empty.
+        // vaq-lint: allow(panic-hygiene) -- this branch has n >= 2 (a
+        // single site takes the branch above), so `order` is non-empty.
         let o = pts[order[0] as usize];
         let d = pts[order[n - 1] as usize] - o;
         let dd = d.dot(d);

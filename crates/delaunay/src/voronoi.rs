@@ -37,11 +37,6 @@ pub struct VoronoiCell {
 }
 
 impl VoronoiCell {
-    /// The clipped cell as a [`Polygon`], if it is non-degenerate.
-    pub fn to_polygon(&self) -> Option<Polygon> {
-        Polygon::new(self.polygon.clone()).ok()
-    }
-
     /// Area of the clipped cell.
     pub fn area(&self) -> f64 {
         if self.polygon.len() < 3 {

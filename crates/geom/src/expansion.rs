@@ -104,16 +104,6 @@ pub fn two_two_diff(a1: f64, a0: f64, b1: f64, b0: f64) -> [f64; 4] {
     [x0, x1, x2, x3]
 }
 
-/// `(a1, a0) + (b1, b0)` as an exact 4-component expansion.
-#[inline]
-pub fn two_two_sum(a1: f64, a0: f64, b1: f64, b0: f64) -> [f64; 4] {
-    let (si, x0) = two_sum(a0, b0);
-    let (x2a, x1a) = two_sum(a1, si);
-    let (si2, x1) = two_sum(x1a, b1);
-    let (x3, x2) = two_sum(x2a, si2);
-    [x0, x1, x2, x3]
-}
-
 /// Sums two expansions into `h`, eliminating zero components.
 /// Returns the number of components written. `h` must have room for
 /// `e.len() + f.len()` components.

@@ -22,7 +22,6 @@
 //!   [`power_incircle`] conflict predicate behind power diagrams /
 //!   regular triangulations, built on the same filter-then-expansion
 //!   discipline.
-//! * [`triangle`] — circumcenter / circumradius / containment helpers.
 //! * [`convex_hull`] — Andrew's monotone chain, used by tests and the
 //!   triangulation hull bookkeeping.
 //! * [`clip`] — Sutherland–Hodgman half-plane clipping, used to clip
@@ -57,7 +56,6 @@ pub mod prepared;
 pub mod rect;
 pub mod region;
 pub mod segment;
-pub mod triangle;
 
 pub use clip::{clip_bisector, clip_halfplane, clip_power_bisector, clip_rect};
 pub use convex_hull::{convex_hull_indices, convex_hull_points};
@@ -65,8 +63,8 @@ pub use point::Point;
 pub use polygon::Polygon;
 pub use power::{power_incircle, WeightedPoint};
 pub use predicates::{
-    in_circle, incircle, orient2d, orient2d_filter_batch, orient2d_filter_batch_points,
-    orientation, predicate_totals, Orientation, PredicateTotals, FILTER_MAX_LANES,
+    incircle, orient2d, orient2d_filter_batch, orient2d_filter_batch_points, orientation,
+    predicate_totals, Orientation, PredicateTotals, FILTER_MAX_LANES,
 };
 pub use prepared::{PreparedPolygon, PreparedRegion};
 pub use rect::Rect;

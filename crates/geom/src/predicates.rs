@@ -516,13 +516,6 @@ fn incircle_exact(pa: Point, pb: Point, pc: Point, pd: Point) -> f64 {
     expansion_sign(&det)
 }
 
-/// `true` when `pd` is strictly inside the circumcircle of the CCW triangle
-/// `(pa, pb, pc)`.
-#[inline]
-pub fn in_circle(pa: Point, pb: Point, pc: Point, pd: Point) -> bool {
-    incircle(pa, pb, pc, pd) > 0.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -11,7 +11,7 @@
 //! ```
 
 use std::fs;
-use voronoi_area_query::core::{AreaQueryEngine, OutputMode, QuerySpec};
+use voronoi_area_query::core::{AreaQueryEngine, QuerySpec};
 use voronoi_area_query::delaunay::{Triangulation, VoronoiDiagram};
 use voronoi_area_query::geom::{Point, Polygon, Rect};
 use voronoi_area_query::viz::{candidate_scene, Scene};
@@ -54,12 +54,11 @@ fn main() {
     let svg = candidate_scene(world, 600.0, &points, &area, &trad.indices, &mbr_candidates);
     fs::write("results/fig2_traditional.svg", svg).expect("write svg");
 
-    // Voronoi candidates: rebuild the candidate list from stats by running
-    // the classification — result + the boundary ring the BFS touched. For
+    // Voronoi candidates: rebuild the candidate list by running the
+    // classification — result + the boundary ring the BFS touched. For
     // the illustration we reconstruct it as result ∪ (validated − accepted)
-    // via the classify output mode of the same funnel.
-    let classified = session.execute(&QuerySpec::new().output(OutputMode::Classify), &area);
-    let classes = classified.classes().expect("classify output").to_vec();
+    // via the engine's classification of the same area.
+    let classes = engine.classify(&area);
     let tri = engine.triangulation().expect("non-empty engine");
     let mut voro_candidates = voro.indices.clone();
     for (v, class) in classes.iter().enumerate() {

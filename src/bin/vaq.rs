@@ -26,8 +26,9 @@
 //!   per-shard index builds, MBR shard pruning at query time) — same
 //!   indices, per-shard statistics; `--shards auto` picks one shard per
 //!   hardware thread. `--threads N|auto` routes the query through the
-//!   batch executor's work-stealing worker pool (`auto`, like `0`, picks
-//!   one worker per hardware thread); results are bit-identical to the
+//!   batch executor's work-stealing worker pool, with at most one worker
+//!   per hardware thread (`auto`, like `0`, picks exactly that many; a
+//!   larger N is capped to it); results are bit-identical to the
 //!   in-line path. `--knn K --at X,Y` answers the kNN-within-area
 //!   query (the K matches nearest to the origin, exact distances, ties
 //!   by index); `--payload-bytes N` attaches an N-byte simulated payload
@@ -196,7 +197,9 @@ const USAGE: &str = "usage: vaq <build|query|info|svg> \
 sharded with --shards) and writes a snapshot.
   query/info accept --load FILE.snap to serve from a snapshot instead of \
 building; --points/--shards/--weights/--payload-bytes passed alongside \
---load are cross-checked against the snapshot's contents.";
+--load are cross-checked against the snapshot's contents.
+  --threads starts at most one worker per hardware thread ('auto' or 0 \
+picks exactly that many).";
 
 fn main() -> ExitCode {
     match run() {
@@ -530,10 +533,13 @@ has no per-record payload to print)",
     }
 }
 
-/// Resolves `--threads` (0 = auto) to a concrete worker count and
-/// reports it, mirroring the sharded path's engine summary line.
+/// Resolves `--threads` (0 = auto) to a concrete worker count, capped
+/// at the machine's available parallelism (a larger request would only
+/// start threads that share the same cores), and reports it, mirroring
+/// the sharded path's engine summary line.
 fn resolve_cli_threads(threads: usize) -> usize {
-    let workers = voronoi_area_query::core::sync::resolve_threads(threads);
+    use voronoi_area_query::core::sync::resolve_threads;
+    let workers = resolve_threads(threads).min(resolve_threads(0));
     eprintln!("batch executor: {workers} worker thread(s)");
     workers
 }
@@ -964,8 +970,7 @@ fn svg(points: &[Point], area: &CliArea, out: &str) -> Result<(), String> {
         .expect("collect-mode query");
     // Redundant candidates for the overlay: boundary-class points.
     let tri = engine.triangulation().expect("non-empty input");
-    let classified = engine.execute(&QuerySpec::new().output(OutputMode::Classify), query_area);
-    let classes = classified.classes().expect("classify-mode query");
+    let classes = engine.classify(query_area);
     let mut candidates = r.indices.clone();
     for (v, class) in classes.iter().enumerate() {
         if *class == PointClass::Boundary {

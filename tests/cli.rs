@@ -414,6 +414,55 @@ fn threads_flag_matches_inline_and_fails_cleanly() {
     }
 }
 
+/// `--threads N` starts at most one worker per hardware thread: a
+/// request past the machine's parallelism reports the same worker count
+/// as `--threads auto` and prints the in-line indices. Three shards keep
+/// the batch at three work items, so no run starts more than three
+/// threads whatever it reports.
+#[test]
+fn threads_flag_is_capped_at_the_hardware_threads() {
+    let dir = temp_dir("threads-cap");
+    let pts = write_points(&dir);
+    let run = |extra: &[&str]| {
+        let mut args = vec![
+            "query",
+            "--points",
+            pts.to_str().unwrap(),
+            "--area",
+            "POLYGON ((0.0 0.0, 0.62 0.0, 0.55 0.55, 0.0 0.48))",
+            "--shards",
+            "3",
+        ];
+        args.extend_from_slice(extra);
+        let out = vaq().args(&args).output().expect("run vaq");
+        assert!(
+            out.status.success(),
+            "{extra:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        let workers = stderr
+            .lines()
+            .find(|l| l.contains("worker thread"))
+            .map(str::to_owned);
+        (String::from_utf8_lossy(&out.stdout).into_owned(), workers)
+    };
+    let (inline, _) = run(&[]);
+    assert!(!inline.is_empty());
+    let (auto, auto_workers) = run(&["--threads", "auto"]);
+    let (capped, capped_workers) = run(&["--threads", "100000"]);
+    assert_eq!(auto, inline);
+    assert_eq!(
+        capped, inline,
+        "--threads 100000 must not change the indices"
+    );
+    assert!(auto_workers.is_some());
+    assert_eq!(
+        capped_workers, auto_workers,
+        "--threads 100000 is capped at the hardware threads"
+    );
+}
+
 #[test]
 fn info_reports_dataset_facts() {
     let dir = temp_dir("info");

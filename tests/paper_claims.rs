@@ -101,15 +101,14 @@ fn candidates_scale_linearly_with_data_size() {
 /// that union.
 #[test]
 fn voronoi_candidates_are_internal_plus_boundary() {
-    use voronoi_area_query::core::{AreaQueryEngine, ExpansionPolicy, OutputMode, QuerySpec};
+    use voronoi_area_query::core::{AreaQueryEngine, ExpansionPolicy, QuerySpec};
     use voronoi_area_query::workload::{
         generate, random_query_polygon, unit_space, Distribution, PolygonSpec,
     };
     let points = generate(3_000, Distribution::Uniform, 33);
     let engine = AreaQueryEngine::build(&points);
     let area = random_query_polygon(&unit_space(), &PolygonSpec::with_query_size(0.05), 34);
-    let classified = engine.execute(&QuerySpec::new().output(OutputMode::Classify), &area);
-    let classes = classified.classes().unwrap();
+    let classes = engine.classify(&area);
     let internal = classes
         .iter()
         .filter(|&&c| c == PointClass::Internal)

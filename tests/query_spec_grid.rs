@@ -5,8 +5,8 @@
 //! with hit counters) and the work-stealing batch ordering guarantee.
 
 use voronoi_area_query::core::{
-    AreaQueryEngine, CacheCounters, ExpansionPolicy, OutputMode, PrepareMode, QueryArea,
-    QueryMethod, QuerySpec,
+    AreaQueryEngine, CacheCounters, ExpansionPolicy, OutputMode, PointClass, PrepareMode,
+    QueryArea, QueryMethod, QuerySpec,
 };
 use voronoi_area_query::geom::{Point, Polygon, Rect, Region};
 use voronoi_area_query::workload::{
@@ -69,21 +69,24 @@ fn assert_grid_agrees(engine: &AreaQueryEngine, area: &dyn QueryArea, context: &
             }
         }
     }
-    // Classification ignores method and policy; sweep only the prepare
-    // axis.
-    for prepare in [
-        PrepareMode::Raw,
-        PrepareMode::PrepareOnce,
-        PrepareMode::Cached,
-    ] {
-        let spec = QuerySpec::new()
-            .prepare(prepare)
-            .output(OutputMode::Classify);
-        let classified = session.execute(&spec, area);
+    // Classification has no method, policy or prepare axis: check the
+    // raw area and its compiled form.
+    let internal = |classes: Vec<PointClass>| {
+        classes
+            .iter()
+            .filter(|&&c| c == PointClass::Internal)
+            .count()
+    };
+    assert_eq!(
+        internal(engine.classify(area)),
+        want_sorted.len(),
+        "{context} classify"
+    );
+    if let Some(prepared) = area.prepare() {
         assert_eq!(
-            classified.count(),
+            internal(engine.classify(prepared.as_ref())),
             want_sorted.len(),
-            "{context} classify {prepare:?}"
+            "{context} classify prepared"
         );
     }
 }
