@@ -12,10 +12,11 @@
 //! needs connectedness; the traditional method does not, but a
 //! disconnected "area" is two queries in disguise anyway.
 
+use std::hash::{Hash, Hasher};
 use vaq_geom::{Point, Polygon, PreparedPolygon, PreparedRegion, Rect, Region, Segment};
 
-/// A content hash of a query area's vertices, keying the per-session
-/// prepared-area cache (see `QuerySession`).
+/// A content hash of a query area's vertices, keying the prepared-area
+/// cache (a session's LRU, a batch's deduplication).
 ///
 /// Two areas with the same fingerprint are geometrically identical down to
 /// the last f64 bit: the `words` hold the exact coordinate bit patterns
@@ -37,10 +38,13 @@ impl AreaFingerprint {
         });
         AreaFingerprint { hash, words }
     }
+}
 
-    /// The 64-bit content hash (cheap first-stage comparison).
-    pub fn hash(&self) -> u64 {
-        self.hash
+/// Hashes the precomputed 64-bit content hash only, so a hash-map probe
+/// never re-reads the words; equality still compares them.
+impl Hash for AreaFingerprint {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
     }
 }
 

@@ -1,11 +1,18 @@
-//! Batch query execution: answer many area queries over one engine,
-//! optionally in parallel.
+//! The per-area step every query runs first, and the batch executor.
 //!
-//! Both engines' `execute_batch` run one crate-private executor,
-//! `Batch`. It plans and prepares every area once on the calling thread,
-//! then runs `(area, part)` work items on [`par_map`], where a **part**
-//! is an engine plus the map from its local ids to output ids. The plain
-//! engine is one part that every area runs on
+//! Every query path plans and prepares its area in one place,
+//! `Resolved::new`, and runs it on one part in one place,
+//! `Resolved::run`. A [`QuerySession`](crate::QuerySession) is the
+//! executor's one-area, one-part case: it resolves each area with its own
+//! 64-entry LRU cache and calibrating planner and runs it on its own
+//! scratch. The dynamic engine is the same case, with its tombstone map
+//! and delta scan on top.
+//!
+//! Both engines' `execute_batch` run `Batch`. It resolves every area
+//! once on the calling thread, with one fresh planner and one cache that
+//! never evicts, then runs `(area, part)` work items on [`par_map`], where
+//! a **part** is an engine plus the map from its local ids to output ids.
+//! The plain engine is one part that every area runs on
 //! ([`AreaQueryEngine::execute_batch`]); the sharded engine's parts are
 //! its shards, and its work list keeps the pairs that survive MBR pruning
 //! ([`ShardedAreaQueryEngine::execute_batch`](crate::ShardedAreaQueryEngine::execute_batch)).
@@ -23,32 +30,173 @@
 //! into the spec's sink (see [`crate::sink`]) and returns its partial, so
 //! every output shape batches with no extra dispatch here.
 
-use crate::area::QueryArea;
+use crate::area::{AreaFingerprint, QueryArea};
 use crate::engine::AreaQueryEngine;
 use crate::plan::{ExecutionPlan, PlanFeatures, PlannedPath, Planner};
-use crate::query::{PrepareMode, PreparedAreaCache, QueryOutput, QuerySpec};
+use crate::query::{PrepareMode, QueryOutput, QuerySpec};
 use crate::scratch::QueryScratch;
-use crate::sink::{Partial, Sink};
+use crate::sink::{Partial, Sink, SinkId};
 use crate::stats::{CacheCounters, QueryStats};
 use crate::sync::par_map;
+use std::collections::HashMap;
 use std::sync::Arc;
+
+/// An area's compiled form, shared by every part and worker that runs it.
+type Prepared = Arc<dyn QueryArea + Send + Sync>;
+
+/// Prepared areas keyed by content fingerprint. A session holds
+/// [`DEFAULT_CACHE_CAPACITY`](crate::DEFAULT_CACHE_CAPACITY) of them and
+/// evicts the least recently used; a batch deduplicates its areas
+/// through one that never evicts. Entries are `Arc` (not `Rc`), so every
+/// owner of a cache (`QuerySession`, `DynamicAreaQueryEngine`) stays
+/// `Send`.
+pub(crate) struct PreparedAreaCache {
+    capacity: usize,
+    /// Each compiled form with the tick of its last use.
+    entries: HashMap<AreaFingerprint, (Prepared, u64)>,
+    /// The lookup clock the use stamps read.
+    tick: u64,
+}
+
+impl PreparedAreaCache {
+    /// An empty cache that holds at most `capacity` areas.
+    pub(crate) fn new(capacity: usize) -> PreparedAreaCache {
+        PreparedAreaCache {
+            capacity,
+            entries: HashMap::new(),
+            tick: 0,
+        }
+    }
+
+    /// Returns the cached compiled form of `fp`, preparing it via `build`
+    /// on a miss, which evicts the least recently used entry when the
+    /// cache is full. `delta` records the hit or miss. Returns `None` when
+    /// `build` yields `None` (the area has no prepared form).
+    fn get_or_prepare(
+        &mut self,
+        fp: AreaFingerprint,
+        build: impl FnOnce() -> Option<Box<dyn QueryArea + Send + Sync>>,
+        delta: &mut CacheCounters,
+    ) -> Option<Prepared> {
+        self.tick += 1;
+        if let Some((prepared, used)) = self.entries.get_mut(&fp) {
+            delta.hits += 1;
+            *used = self.tick;
+            return Some(Arc::clone(prepared));
+        }
+        let prepared: Prepared = Arc::from(build()?);
+        delta.misses += 1;
+        if self.entries.len() == self.capacity {
+            let oldest = self.entries.values().map(|&(_, used)| used).min();
+            self.entries
+                .retain(|_, &mut (_, used)| Some(used) != oldest);
+        }
+        self.entries.insert(fp, (Arc::clone(&prepared), self.tick));
+        Some(prepared)
+    }
+
+    /// Number of prepared areas held.
+    pub(crate) fn len(&self) -> usize {
+        self.entries.len()
+    }
+}
+
+/// One area, planned and prepared: what every query path decides before
+/// the search runs.
+pub(crate) struct Resolved {
+    /// The explicit spec the area runs, its preparation already done.
+    spec: QuerySpec,
+    /// The planner's decision and the area's vertex count (which
+    /// [`Planner::observed_cost`] needs), for an auto spec.
+    pub(crate) plan: Option<(ExecutionPlan, usize)>,
+    /// The compiled form every part shares (`None`: run the area as
+    /// passed).
+    prepared: Option<Prepared>,
+    /// The area's cache traffic.
+    pub(crate) cache: CacheCounters,
+}
+
+impl Resolved {
+    /// Plans and prepares `area` for `spec`.
+    ///
+    /// The area is fingerprinted at most once, under an auto spec or
+    /// [`PrepareMode::Cached`] only. An auto spec is planned by `planner`
+    /// from `features(area, cacheable)`, with `cached` read from `cache`.
+    /// The area is then prepared by the resolved spec: `Raw` prepares
+    /// nothing, `PrepareOnce` compiles the area, and `Cached` goes through
+    /// `cache`; an area without a fingerprint runs as passed.
+    pub(crate) fn new<A: QueryArea + ?Sized>(
+        spec: &QuerySpec,
+        area: &A,
+        cache: &mut PreparedAreaCache,
+        planner: &Planner,
+        features: impl FnOnce(&A, bool) -> PlanFeatures,
+    ) -> Resolved {
+        let auto = spec.method.is_auto();
+        let fp = (auto || spec.prepare == PrepareMode::Cached)
+            .then(|| area.fingerprint())
+            .flatten();
+        let (spec, plan) = if auto {
+            let features = PlanFeatures {
+                cached: fp.as_ref().is_some_and(|fp| cache.entries.contains_key(fp)),
+                ..features(area, fp.is_some())
+            };
+            let (spec, plan) = planner.resolve(spec, &features);
+            (spec, Some((plan, features.vertices)))
+        } else {
+            (*spec, None)
+        };
+        let mut traffic = CacheCounters::default();
+        let prepared = match spec.prepare {
+            PrepareMode::Raw => None,
+            PrepareMode::PrepareOnce => area.prepare().map(Arc::from),
+            PrepareMode::Cached => {
+                fp.and_then(|fp| cache.get_or_prepare(fp, || area.prepare(), &mut traffic))
+            }
+        };
+        Resolved {
+            spec: spec.prepare(PrepareMode::Raw),
+            plan,
+            prepared,
+            cache: traffic,
+        }
+    }
+
+    /// Runs the area on one part: `engine`'s emission core over the
+    /// compiled form when there is one, otherwise over `area`.
+    #[allow(clippy::too_many_arguments)] // the emission core's explicit inputs
+    pub(crate) fn run<A, I, F>(
+        &self,
+        engine: &AreaQueryEngine,
+        area: &A,
+        scratch: &mut Option<QueryScratch>,
+        sink: Sink,
+        partial: &mut Partial<I>,
+        map: &F,
+        stats: &mut QueryStats,
+    ) where
+        A: QueryArea + ?Sized,
+        I: SinkId,
+        F: Fn(u32) -> Option<I>,
+    {
+        match self.prepared.as_deref() {
+            Some(prepared) => {
+                engine.run_sink(&self.spec, prepared, scratch, sink, partial, map, stats);
+            }
+            None => engine.run_sink(&self.spec, area, scratch, sink, partial, map, stats),
+        }
+    }
+
+    /// Attaches the plan and the cache traffic to the area's stats.
+    pub(crate) fn finish(&self, stats: &mut QueryStats) {
+        stats.plan = self.plan.map(|(plan, _)| plan);
+        stats.prepared_cache = self.cache;
+    }
+}
 
 /// One part of a batch: an engine and the map from its local ids to
 /// output ids (`None` when the ids map to themselves).
 pub(crate) type Part<'e> = (&'e AreaQueryEngine, Option<&'e [u32]>);
-
-/// One area of a batch, resolved before any worker starts.
-struct Resolved {
-    /// The explicit spec the area runs.
-    spec: QuerySpec,
-    /// The planner's decision, for an auto spec.
-    plan: Option<ExecutionPlan>,
-    /// The compiled form every part shares (`None`: run the area as
-    /// passed).
-    prepared: Option<Arc<dyn QueryArea + Send + Sync>>,
-    /// The area's share of the batch-wide cache traffic.
-    cache: CacheCounters,
-}
 
 /// The batch executor: a batch's areas, planned and prepared.
 pub(crate) struct Batch<'a, A> {
@@ -59,16 +207,14 @@ pub(crate) struct Batch<'a, A> {
 }
 
 impl<'a, A: QueryArea + Sync> Batch<'a, A> {
-    /// Plans and prepares every area on the calling thread.
+    /// Resolves every area on the calling thread (see [`Resolved::new`]).
     ///
-    /// An auto spec is planned area by area with one fresh [`Planner`]
-    /// that observes nothing, so the plans depend on neither the thread
-    /// count nor earlier batches; `features(area, cacheable)` describes an
-    /// area to it. Each area is then prepared by its own spec: `Raw`
-    /// prepares nothing, `PrepareOnce` compiles the area, and `Cached`
-    /// goes through one unbounded cache, where a fingerprint's first
-    /// occurrence in input order is a miss and every repeat a hit,
-    /// whatever the thread count. An area is fingerprinted at most once.
+    /// One fresh [`Planner`] that observes nothing plans every area of an
+    /// auto spec, so the plans depend on neither the thread count nor
+    /// earlier batches; `features(area, cacheable)` describes an area to
+    /// it. One cache that never evicts serves the whole batch: a
+    /// fingerprint's first occurrence in input order is a miss and every
+    /// repeat a hit, whatever the thread count.
     pub(crate) fn new(
         spec: &QuerySpec,
         areas: &'a [A],
@@ -76,34 +222,9 @@ impl<'a, A: QueryArea + Sync> Batch<'a, A> {
     ) -> Batch<'a, A> {
         let planner = Planner::default();
         let mut cache = PreparedAreaCache::new(usize::MAX);
-        let auto = spec.method.is_auto();
         let resolved = areas
             .iter()
-            .map(|area| {
-                let fp = (auto || spec.prepare == PrepareMode::Cached)
-                    .then(|| area.fingerprint())
-                    .flatten();
-                let (spec, plan) = if auto {
-                    let (spec, plan) = planner.resolve(spec, &features(area, fp.is_some()));
-                    (spec, Some(plan))
-                } else {
-                    (*spec, None)
-                };
-                let mut cache_delta = CacheCounters::default();
-                let prepared = match spec.prepare {
-                    PrepareMode::Raw => None,
-                    PrepareMode::PrepareOnce => area.prepare().map(Arc::from),
-                    PrepareMode::Cached => fp.and_then(|fp| {
-                        cache.get_or_prepare(fp, || area.prepare(), &mut cache_delta)
-                    }),
-                };
-                Resolved {
-                    spec: spec.prepare(PrepareMode::Raw),
-                    plan,
-                    prepared,
-                    cache: cache_delta,
-                }
-            })
+            .map(|area| Resolved::new(spec, area, &mut cache, &planner, &features))
             .collect();
         Batch {
             areas,
@@ -129,45 +250,50 @@ impl<'a, A: QueryArea + Sync> Batch<'a, A> {
             |scratch, w| {
                 let (ai, pi) = (work[w].0 as usize, work[w].1 as usize);
                 let (engine, ids) = parts[pi];
-                let area = &self.resolved[ai];
-                let scratch = &mut scratch[pi];
                 let map = |local: u32| Some(ids.map_or(local, |ids| ids[local as usize]));
                 let mut stats = QueryStats::default();
                 let mut partial = Partial::default();
-                match area.prepared.as_deref() {
-                    Some(prepared) => engine.run_sink(
-                        &area.spec,
-                        prepared,
-                        scratch,
-                        self.sink,
-                        &mut partial,
-                        &map,
-                        &mut stats,
-                    ),
-                    None => engine.run_sink(
-                        &area.spec,
-                        &self.areas[ai],
-                        scratch,
-                        self.sink,
-                        &mut partial,
-                        &map,
-                        &mut stats,
-                    ),
-                }
+                self.resolved[ai].run(
+                    engine,
+                    &self.areas[ai],
+                    &mut scratch[pi],
+                    self.sink,
+                    &mut partial,
+                    &map,
+                    &mut stats,
+                );
                 stats.result_size = partial.len();
                 (partial, stats)
             },
         )
     }
 
-    /// Attaches area `area`'s plan and cache counters to its stats.
+    /// Attaches area `area`'s plan and cache traffic to its stats.
     pub(crate) fn finish(&self, area: usize, stats: &mut QueryStats) {
-        stats.plan = self.resolved[area].plan;
-        stats.prepared_cache = self.resolved[area].cache;
+        self.resolved[area].finish(stats);
     }
 }
 
 impl AreaQueryEngine {
+    /// The planner's features of a query over `area` on this engine, on
+    /// `path`; `cacheable` says whether the area has a prepared form.
+    pub(crate) fn plan_features<A: QueryArea + ?Sized>(
+        &self,
+        area: &A,
+        cacheable: bool,
+        path: PlannedPath,
+    ) -> PlanFeatures {
+        PlanFeatures::of(
+            area,
+            cacheable,
+            self.len(),
+            self.density_map(),
+            self.data_bounds(),
+            self.diagram_kind(),
+            path,
+        )
+    }
+
     /// Executes `spec` over every area, on `threads` worker threads, and
     /// returns the outputs **in input order**, each equal to the
     /// session path's answer and stats (ids in emission order).
@@ -185,8 +311,8 @@ impl AreaQueryEngine {
     ///
     /// A [`QuerySpec::auto()`] batch plans every area up front with a
     /// fresh [`Planner`] and feeds nothing back, so its plans depend on
-    /// neither worker interleaving nor earlier batches. The batch has no
-    /// session cache, so the planner never chooses `Cached` here
+    /// neither worker interleaving nor earlier batches. The batch keeps
+    /// no cache across calls, so the planner never chooses `Cached` here
     /// ([`PlannedPath::Batch`] prepares per query instead). Each output
     /// carries its [`ExecutionPlan`].
     pub fn execute_batch<A: QueryArea + Sync>(
@@ -196,15 +322,7 @@ impl AreaQueryEngine {
         threads: usize,
     ) -> Vec<QueryOutput> {
         let batch = Batch::new(spec, areas, |area, cacheable| {
-            PlanFeatures::of(
-                area,
-                cacheable,
-                self.len(),
-                self.density_map(),
-                self.data_bounds(),
-                self.diagram_kind(),
-                PlannedPath::Batch,
-            )
+            self.plan_features(area, cacheable, PlannedPath::Batch)
         });
         let work: Vec<(u32, u32)> = (0..areas.len() as u32).map(|ai| (ai, 0)).collect();
         batch

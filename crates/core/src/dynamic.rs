@@ -21,20 +21,23 @@
 //! shifts its cell, never its membership in an area, so weights could
 //! change the overlay's performance but not its answers.)
 //!
-//! Queries run through the same [`QuerySpec`] funnel as the static
-//! engine ([`DynamicAreaQueryEngine::execute`]): the base pass honours
-//! method / seed / policy / prepare mode (with an owned prepared-area
-//! cache amortising repeated areas), and the delta scan's cost is
-//! surfaced in the returned stats ([`QueryStats::delta_scanned`]).
+//! A query ([`DynamicAreaQueryEngine::execute`]) is the batch executor's
+//! one-area, one-part case, as a session's is (see [`crate::batch`]):
+//! the area is planned and prepared with the engine's own prepared-area
+//! cache and calibrating planner, the base pass honours method / policy
+//! / prepare mode with tombstones filtered before the sink, and the
+//! delta scan's cost is surfaced in the returned stats
+//! ([`QueryStats::delta_scanned`]).
 //! Every spec runs here. Point classification is not a spec: it is
 //! defined on one diagram, not on a base + delta overlay, so it is
 //! [`AreaQueryEngine::classify`] on the plain engine only.
 //! [`DynamicAreaQueryEngine::query`] is the paper-default convenience.
 
 use crate::area::QueryArea;
+use crate::batch::Resolved;
 use crate::engine::AreaQueryEngine;
-use crate::plan::PlannedPath;
-use crate::query::{QuerySpec, SessionState, DEFAULT_CACHE_CAPACITY};
+use crate::plan::{PlanFeatures, PlannedPath};
+use crate::query::{QuerySpec, SessionState};
 use crate::sink::{Neighbor, Partial, Sink};
 use crate::stats::{CacheCounters, QueryStats};
 use std::collections::HashSet;
@@ -88,8 +91,8 @@ pub struct DynamicAreaQueryEngine {
     tombstones: HashSet<u64>,
     /// Next external id to hand out.
     next_id: u64,
-    /// Owned session state (reusable scratch + prepared-area cache), so
-    /// repeated dynamic queries get the same amortisation a
+    /// Owned session state (reusable scratch, prepared-area cache and
+    /// planner), so repeated dynamic queries get the same amortisation a
     /// [`QuerySession`](crate::QuerySession) gives static callers.
     state: SessionState,
 }
@@ -105,7 +108,7 @@ impl DynamicAreaQueryEngine {
             delta: Vec::new(),
             dead_delta: 0,
             tombstones: HashSet::new(),
-            state: SessionState::new(DEFAULT_CACHE_CAPACITY),
+            state: SessionState::new(),
         }
     }
 
@@ -176,17 +179,17 @@ impl DynamicAreaQueryEngine {
         self.execute(&QuerySpec::new(), area).ids
     }
 
-    /// Executes `spec` over `area` through the same
-    /// [`QuerySpec`]/session funnel as the static engine: the base query
-    /// honours the spec's method, expansion policy and prepare mode
-    /// (including the owned prepared-area cache — repeated dashboard
-    /// areas hit it across dynamic queries), then the live delta is
-    /// scanned linearly. Both passes **emit into the spec's
-    /// result sink** in external-id space, with tombstoned ids filtered
-    /// *before* the sink (so a bounded sink like
-    /// [`OutputMode::TopKNearest`](crate::OutputMode) never wastes a
-    /// slot on a dead point). Stats surface both passes — see
-    /// [`DynamicQueryResult::stats`] and [`QueryStats::delta_scanned`].
+    /// Executes `spec` over `area` as a session does: the area is planned
+    /// and prepared with the engine's own prepared-area cache (repeated
+    /// dashboard areas hit it across dynamic queries) and planner, the
+    /// base query honours the spec's method, expansion policy and
+    /// prepare mode, then the live delta is scanned linearly. An empty
+    /// base is planned and prepared too, and only its delta is scanned.
+    /// Both passes **emit into the spec's result sink** in external-id
+    /// space, with tombstoned ids filtered *before* the sink (so a
+    /// bounded sink like [`OutputMode::TopKNearest`](crate::OutputMode)
+    /// never wastes a slot on a dead point). Stats surface both passes —
+    /// see [`DynamicQueryResult::stats`] and [`QueryStats::delta_scanned`].
     ///
     /// Delta-buffered points have no stored payload records until
     /// compaction, so the materialising sink reads records for base
@@ -197,25 +200,32 @@ impl DynamicAreaQueryEngine {
         area: &A,
     ) -> DynamicQueryResult {
         let live_delta = self.delta.len() - self.dead_delta;
-        let (spec, planned, fp) =
-            self.state
-                .plan(&self.base, spec, area, PlannedPath::Dynamic, live_delta);
+        let (base, state) = (&self.base, &mut self.state);
+        let resolved = Resolved::new(
+            spec,
+            area,
+            &mut state.cache,
+            &state.planner,
+            |area, cacheable| PlanFeatures {
+                delta_len: live_delta,
+                ..base.plan_features(area, cacheable, PlannedPath::Dynamic)
+            },
+        );
         let sink = Sink::of(spec.output);
-        // Base pass through the session funnel, tombstones filtered and
-        // base indices translated to external ids *before* the sink; then
-        // the live delta scanned into the same partial; then one finish.
+        // Base pass, tombstones filtered and base indices translated to
+        // external ids *before* the sink; then the live delta scanned
+        // into the same partial; then one finish.
         let mut stats = QueryStats::default();
         let mut partial = Partial::default();
-        if !self.base.is_empty() {
+        if !base.is_empty() {
             let map = |i: u32| {
                 let id = self.base_ids[i as usize];
                 (!self.tombstones.contains(&id)).then_some(id)
             };
-            self.state.execute_sink(
-                &self.base,
-                &spec,
+            resolved.run(
+                base,
                 area,
-                fp,
+                &mut state.scratch,
                 sink,
                 &mut partial,
                 &map,
@@ -239,7 +249,7 @@ impl DynamicAreaQueryEngine {
         stats.predicates.absorb(delta_predicates);
         let (ids, neighbors, result_size) = partial.into_sorted();
         stats.result_size = result_size;
-        self.state.observe(planned, &mut stats);
+        self.state.observe(&resolved, &mut stats);
         DynamicQueryResult {
             ids,
             neighbors,
@@ -250,7 +260,7 @@ impl DynamicAreaQueryEngine {
     /// Lifetime hit/miss totals of the owned prepared-area cache (see
     /// [`PrepareMode::Cached`](crate::PrepareMode)).
     pub fn cache_counters(&self) -> CacheCounters {
-        self.state.cache_totals()
+        self.state.cache_totals
     }
 
     /// The **live** overlay size: delta points not yet tombstoned, plus
@@ -330,7 +340,7 @@ impl DynamicAreaQueryEngine {
             dead_delta,
             tombstones,
             next_id,
-            state: SessionState::new(DEFAULT_CACHE_CAPACITY),
+            state: SessionState::new(),
         }
     }
 
@@ -356,9 +366,11 @@ impl DynamicAreaQueryEngine {
         self.base_ids = order.iter().map(|&i| ids[i]).collect();
         let pts: Vec<Point> = order.iter().map(|&i| pts[i]).collect();
         self.base = AreaQueryEngine::build(&pts);
-        // The scratch was sized for the old base; the prepared-area cache
-        // is content-keyed and survives the rebuild untouched.
-        self.state.reset_scratch();
+        // The scratch was sized for the old base: the next query makes
+        // one at the new size (keeping the old one raised the peak RSS
+        // of a 5 × 10⁵-point insert/remove churn by 6 MB). The
+        // prepared-area cache is content-keyed and survives the rebuild.
+        self.state.scratch = None;
         self.delta.clear();
         self.dead_delta = 0;
         self.tombstones.clear();

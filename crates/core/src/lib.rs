@@ -21,8 +21,9 @@
 //! [`AreaQueryEngine`] packages both behind **one query surface**: a
 //! [`QuerySpec`] names a point in the evaluation grid (method × expansion
 //! policy × prepare mode × output shape) and a [`QuerySession`] executes
-//! it, owning the reusable scratch and a bounded LRU **prepared-area
-//! cache** for dashboard-style repeated queries. A brute-force oracle
+//! it, owning the reusable scratch, a bounded LRU **prepared-area
+//! cache** for dashboard-style repeated queries and a calibrating
+//! planner. A brute-force oracle
 //! runs through the same funnel. The paper's Section III point
 //! classification ([`classify`]) is defined on one whole diagram, so it
 //! is a method of the plain engine, [`AreaQueryEngine::classify`], not a
@@ -39,10 +40,12 @@
 //! [`ShardedAreaQueryEngine`], a kd partition of plain engines built by
 //! [`EngineBuilder::build_sharded`] with the same weight and payload
 //! options; and [`DynamicAreaQueryEngine`], a Euclidean base with an
-//! insert/delete overlay. Every [`QuerySpec`] runs on every engine. Both
-//! batch paths run one executor (module [`batch`]), with the plain
-//! engine as its one-part case. Module [`snapshot`] saves and loads all
-//! three.
+//! insert/delete overlay. Every [`QuerySpec`] runs on every engine. One
+//! step plans and prepares every query's area (module [`batch`]): a
+//! session and the dynamic engine run it as the batch executor's
+//! one-area, one-part case, and both engines' batches run it per area,
+//! with the plain engine as one part and the sharded engine's shards as
+//! parts. Module [`snapshot`] saves and loads all three.
 //!
 //! ## Quick start
 //!

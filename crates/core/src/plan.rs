@@ -20,8 +20,8 @@
 //!   primitive in the pipeline is `O(k)` raw, `O(log k)` prepared);
 //! * `cached` / `cacheable` — whether the area's
 //!   [`AreaFingerprint`](crate::AreaFingerprint) is already resident in
-//!   the session's prepared-area LRU, and whether the area has a prepared
-//!   form at all;
+//!   the prepared-area cache the query runs with, and whether the area
+//!   has a prepared form at all;
 //! * `delta_len`, `shards` — overlay depth on the dynamic engine and
 //!   shard count on the sharded one;
 //! * `in_hull` — whether the area's MBR stays inside the data bounding
@@ -48,12 +48,12 @@
 //! owns its session state) feeds the observed work back through
 //! [`Planner::observe`]; an exponentially decayed per-method calibration
 //! ratio keeps the analytic model honest when a workload (or machine)
-//! disagrees with its constants. Planning happens in two places only:
-//! a session's (or the dynamic engine's) `SessionState::plan`, and the
-//! batch executor both engines' `execute_batch` run (see
-//! [`crate::batch`]), which plans every area on the calling thread with
-//! a fresh planner and feeds nothing back, so its plans depend on
-//! neither the thread count nor earlier batches.
+//! disagrees with its constants. Planning happens in one place on every
+//! path, the batch executor's per-area step (see [`crate::batch`]): a
+//! session and the dynamic engine run it with their own calibrating
+//! planner, and both engines' `execute_batch` with a fresh planner that
+//! feeds nothing back, so a batch's plans depend on neither the thread
+//! count nor earlier batches.
 //!
 //! Planned queries are **bit-identical** to explicit ones: the planner
 //! only rewrites the spec *before* execution, so running the spec named
@@ -146,7 +146,9 @@ pub struct PlanFeatures {
     /// The area's vertex count `k` (see [`QueryArea::complexity`]).
     pub vertices: usize,
     /// `true` when the area's fingerprint is already resident in the
-    /// executing session's prepared-area cache (a hit is nearly free).
+    /// prepared-area cache the query runs with (a hit is nearly free).
+    /// Only the plain and dynamic paths act on it: a batch's cache lives
+    /// for one call.
     pub cached: bool,
     /// `true` when the area has a prepared form at all (plain rectangles
     /// do not; preparation can only be planned when this holds).
@@ -488,8 +490,9 @@ impl Planner {
     /// Picks the prepare mode: a resident cache entry is nearly free
     /// (`Cached`), otherwise compiling the area pays only when the
     /// predicted `O(k)` primitive volume dwarfs the `O(k log k)`
-    /// compilation. Paths without a session cache use `PrepareOnce` so
-    /// the decision never depends on cache state the path cannot see.
+    /// compilation. Batch paths, whose cache lives for one call, use
+    /// `PrepareOnce` and ignore `cached`, so a batch's plans never depend
+    /// on the order of its areas.
     fn plan_prepare(&self, method: QueryMethod, cost: f64, f: &PlanFeatures) -> PrepareMode {
         if !f.cacheable {
             return PrepareMode::Raw;

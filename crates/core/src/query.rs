@@ -30,20 +30,26 @@
 //! assert_eq!(collected.count(), counted.count());
 //! ```
 //!
-//! The session's two pieces of mutable state are exactly the two things a
-//! caller wants amortised across queries:
+//! A session is the batch executor's one-area, one-part case (see
+//! [`crate::batch`]): each query is planned and prepared by the same step
+//! a batch runs per area, then runs on the session's engine. What the
+//! session adds is the state a caller wants amortised across queries:
 //!
 //! * the reusable [`QueryScratch`] (epoch-stamped visited set — avoids an
 //!   `O(n)` allocation per Voronoi query), created lazily on the first
 //!   query that needs it;
-//! * a bounded LRU **prepared-area cache** keyed by a content hash of the
-//!   area's vertices ([`AreaFingerprint`]). Dashboard-style workloads ask
-//!   the same handful of areas over and over; with
-//!   [`PrepareMode::Cached`] the expensive query-compilation (slab index +
-//!   edge grid, see `vaq_geom::prepared`) happens once per distinct area
-//!   and every repeat is served from the cache. Hit/miss counters are
-//!   surfaced per query in [`QueryStats::prepared_cache`] and as session
-//!   totals in [`QuerySession::cache_counters`].
+//! * a **prepared-area cache** of [`DEFAULT_CACHE_CAPACITY`] entries,
+//!   keyed by a content hash of the area's vertices
+//!   ([`AreaFingerprint`](crate::AreaFingerprint)) and evicting the least
+//!   recently used. Dashboard-style workloads ask the same handful of
+//!   areas over and over; with [`PrepareMode::Cached`] the expensive
+//!   query-compilation (slab index + edge grid, see `vaq_geom::prepared`)
+//!   happens once per distinct area and every repeat is served from the
+//!   cache. Hit/miss counters are surfaced per query in
+//!   [`QueryStats::prepared_cache`] and as session totals in
+//!   [`QuerySession::cache_counters`];
+//! * the cost-model [`Planner`] behind [`QuerySpec::auto()`], which
+//!   calibrates on every planned query the session runs.
 //!
 //! Results are **bit-identical across the `prepare` axis** — the prepared
 //! layer is exact, so `Raw`, `PrepareOnce` and `Cached` return the same
@@ -52,9 +58,10 @@
 //! split ([`QueryStats::predicates`] — prepared areas evaluate far fewer
 //! edges per primitive).
 
-use crate::area::{AreaFingerprint, QueryArea};
+use crate::area::QueryArea;
+use crate::batch::{PreparedAreaCache, Resolved};
 use crate::engine::{AreaQueryEngine, QueryResult};
-use crate::plan::{ExecutionPlan, PlanFeatures, PlannedPath, Planner};
+use crate::plan::{PlannedPath, Planner};
 use crate::scratch::QueryScratch;
 use crate::sink::{Neighbor, Partial, Sink, SinkId};
 use crate::stats::{CacheCounters, QueryStats};
@@ -62,7 +69,6 @@ use crate::traditional::refine_each;
 use crate::voronoi_query::{
     arbitrary_position_in, voronoi_area_query_with_boundary, ExpansionPolicy,
 };
-use std::sync::Arc;
 use vaq_geom::Point;
 use vaq_rtree::AccessStats;
 
@@ -154,9 +160,10 @@ pub enum PrepareMode {
     /// (the `voronoi_prepared` behaviour). Areas without a prepared form
     /// ([`QueryArea::prepare`] returns `None`) pass through unchanged.
     PrepareOnce,
-    /// Look the area up in the session's LRU cache by content fingerprint,
-    /// preparing (and inserting) on miss. Repeated areas skip preparation
-    /// entirely. Areas without a fingerprint pass through unchanged.
+    /// Look the area up in the prepared-area cache by content fingerprint
+    /// (a session's LRU, or a batch's deduplication), preparing (and
+    /// inserting) on miss. Repeated areas skip preparation entirely.
+    /// Areas without a fingerprint pass through unchanged, on every path.
     Cached,
 }
 
@@ -349,270 +356,55 @@ impl QueryOutput {
     }
 }
 
-/// Default number of distinct prepared areas a session keeps alive.
+/// Number of distinct prepared areas a session keeps alive.
 pub const DEFAULT_CACHE_CAPACITY: usize = 64;
 
-/// Bounded LRU of prepared areas, keyed by content fingerprint. Lookup is
-/// a linear scan over at most `capacity` entries comparing the 64-bit hash
-/// first — negligible next to a single prepared `contains` call.
-///
-/// Entries are `Arc` (not `Rc`) so the cache — and everything owning one:
-/// `QuerySession`, `DynamicAreaQueryEngine` — stays `Send` and can move
-/// to a worker thread. A batch resolves its areas through an unbounded
-/// one before its workers start.
-pub(crate) struct PreparedAreaCache {
-    capacity: usize,
-    /// Front = most recently used.
-    entries: Vec<(AreaFingerprint, Arc<dyn QueryArea + Send + Sync>)>,
-}
-
-impl PreparedAreaCache {
-    pub(crate) fn new(capacity: usize) -> PreparedAreaCache {
-        PreparedAreaCache {
-            capacity,
-            entries: Vec::new(),
-        }
-    }
-
-    /// Returns the cached prepared area for `fp`, preparing via `build` on
-    /// miss. `delta` records the hit or miss. Returns `None` when `build`
-    /// yields `None` (the area has no prepared form).
-    pub(crate) fn get_or_prepare(
-        &mut self,
-        fp: AreaFingerprint,
-        build: impl FnOnce() -> Option<Box<dyn QueryArea + Send + Sync>>,
-        delta: &mut CacheCounters,
-    ) -> Option<Arc<dyn QueryArea + Send + Sync>> {
-        if let Some(pos) = self
-            .entries
-            .iter()
-            .position(|(k, _)| k.hash() == fp.hash() && *k == fp)
-        {
-            delta.hits += 1;
-            let entry = self.entries.remove(pos);
-            let area = Arc::clone(&entry.1);
-            self.entries.insert(0, entry);
-            return Some(area);
-        }
-        let prepared: Arc<dyn QueryArea + Send + Sync> = Arc::from(build()?);
-        delta.misses += 1;
-        if self.capacity > 0 {
-            self.entries.insert(0, (fp, Arc::clone(&prepared)));
-            self.entries.truncate(self.capacity);
-        }
-        Some(prepared)
-    }
-
-    /// `true` when `fp` is resident (a peek: no LRU reordering, no
-    /// counter traffic). The planner's cache signal.
-    fn contains(&self, fp: &AreaFingerprint) -> bool {
-        self.entries
-            .iter()
-            .any(|(k, _)| k.hash() == fp.hash() && k == fp)
-    }
-
-    fn len(&self) -> usize {
-        self.entries.len()
-    }
-}
-
 /// The owned half of a session: the reusable scratch, the prepared-area
-/// cache, and the lifetime cache totals. Split out of [`QuerySession`] so
-/// a long-lived owner of an engine (the dynamic overlay, which rebuilds
-/// its base on compaction and therefore cannot hold a borrowing session)
-/// can keep the state across queries and run the same funnel.
+/// cache, its lifetime totals and the calibrating planner. Split out of
+/// [`QuerySession`] so a long-lived owner of an engine (the dynamic
+/// overlay, which rebuilds its base on compaction and therefore cannot
+/// hold a borrowing session) keeps the same state across queries. Both
+/// resolve each area through [`Resolved::new`] with this cache and
+/// planner, run it on this scratch, then [`SessionState::observe`].
 pub(crate) struct SessionState {
-    scratch: Option<QueryScratch>,
-    cache: PreparedAreaCache,
-    cache_totals: CacheCounters,
+    pub(crate) scratch: Option<QueryScratch>,
+    pub(crate) cache: PreparedAreaCache,
+    pub(crate) cache_totals: CacheCounters,
     /// The cost-model planner resolving [`MethodChoice::Auto`] specs;
     /// calibration accumulates across the session's planned queries.
     pub(crate) planner: Planner,
 }
 
 impl SessionState {
-    /// Fresh state with a prepared-area cache of `capacity` entries.
-    pub(crate) fn new(capacity: usize) -> SessionState {
+    /// Fresh state with a prepared-area cache of
+    /// [`DEFAULT_CACHE_CAPACITY`] entries.
+    pub(crate) fn new() -> SessionState {
         SessionState {
             scratch: None,
-            cache: PreparedAreaCache::new(capacity),
+            cache: PreparedAreaCache::new(DEFAULT_CACHE_CAPACITY),
             cache_totals: CacheCounters::default(),
             planner: Planner::default(),
         }
     }
 
-    /// Resolves a [`MethodChoice::Auto`] spec through the planner from
-    /// the area's O(1) features (density-grid candidate estimate, vertex
-    /// count, prepared cache residency, and whether the area's MBR stays
-    /// inside the data bounding box). Returns the explicit spec to run,
-    /// the plan with the area's vertex count (for
-    /// [`SessionState::observe`]), and the area's fingerprint: computed
-    /// once, for the plan and the preparation alike. An explicit spec
-    /// passes through with neither.
-    pub(crate) fn plan<A: QueryArea + ?Sized>(
-        &self,
-        engine: &AreaQueryEngine,
-        spec: &QuerySpec,
-        area: &A,
-        path: PlannedPath,
-        delta_len: usize,
-    ) -> (
-        QuerySpec,
-        Option<(ExecutionPlan, usize)>,
-        Option<AreaFingerprint>,
-    ) {
-        if !spec.method.is_auto() {
-            return (*spec, None, None);
-        }
-        let fp = area.fingerprint();
-        let features = PlanFeatures {
-            cached: fp.as_ref().is_some_and(|fp| self.cache.contains(fp)),
-            delta_len,
-            ..PlanFeatures::of(
-                area,
-                fp.is_some(),
-                engine.len(),
-                engine.density_map(),
-                engine.data_bounds(),
-                engine.diagram_kind(),
-                path,
-            )
-        };
-        let (resolved, plan) = self.planner.resolve(spec, &features);
-        (resolved, Some((plan, features.vertices)), fp)
-    }
-
-    /// Records a planned query's [`ExecutionPlan`] in its stats and feeds
-    /// the observed work-unit cost back into the planner's calibration.
-    pub(crate) fn observe(
-        &mut self,
-        planned: Option<(ExecutionPlan, usize)>,
-        stats: &mut QueryStats,
-    ) {
-        if let Some((plan, vertices)) = planned {
-            stats.plan = Some(plan);
+    /// Finishes one query: attaches its plan and cache traffic to
+    /// `stats`, adds the traffic to the lifetime totals, and feeds a
+    /// planned query's observed work-unit cost back into the planner's
+    /// calibration.
+    pub(crate) fn observe(&mut self, resolved: &Resolved, stats: &mut QueryStats) {
+        resolved.finish(stats);
+        self.cache_totals.absorb(resolved.cache);
+        if let Some((plan, vertices)) = resolved.plan {
             self.planner
                 .observe(&plan, Planner::observed_cost(stats, vertices));
         }
     }
-
-    /// Drops the scratch (call after the underlying engine is rebuilt;
-    /// the next query re-creates it at the new size).
-    pub(crate) fn reset_scratch(&mut self) {
-        self.scratch = None;
-    }
-
-    /// Lifetime prepared-area cache totals.
-    pub(crate) fn cache_totals(&self) -> CacheCounters {
-        self.cache_totals
-    }
-
-    /// Number of prepared areas currently cached.
-    pub(crate) fn cache_len(&self) -> usize {
-        self.cache.len()
-    }
-
-    /// Resolves `spec.prepare` for `area`: the compiled form to run —
-    /// from the LRU cache under [`PrepareMode::Cached`] (which degrades to
-    /// `PrepareOnce` when the cache is disabled or the area has no
-    /// fingerprint), freshly prepared under `PrepareOnce` — or `None` to
-    /// run `area` as passed. `fp` is the area's fingerprint when the
-    /// caller already computed it (a planned query); otherwise it is
-    /// computed here, under `Cached` only. Returns this query's cache
-    /// traffic, already added to the session totals.
-    fn resolve<A: QueryArea + ?Sized>(
-        &mut self,
-        spec: &QuerySpec,
-        area: &A,
-        fp: Option<AreaFingerprint>,
-    ) -> (Option<Arc<dyn QueryArea + Send + Sync>>, CacheCounters) {
-        let mut delta = CacheCounters::default();
-        let prepared = match spec.prepare {
-            PrepareMode::Raw => None,
-            PrepareMode::Cached if self.cache.capacity > 0 => {
-                match fp.or_else(|| area.fingerprint()) {
-                    Some(fp) => self.cache.get_or_prepare(fp, || area.prepare(), &mut delta),
-                    None => area.prepare().map(Arc::from),
-                }
-            }
-            PrepareMode::Cached | PrepareMode::PrepareOnce => area.prepare().map(Arc::from),
-        };
-        self.cache_totals.absorb(delta);
-        (prepared, delta)
-    }
-
-    /// The session funnel body: the planner for [`MethodChoice::Auto`],
-    /// then the spec's sink over [`SessionState::execute_sink`].
-    pub(crate) fn execute<A: QueryArea + ?Sized>(
-        &mut self,
-        engine: &AreaQueryEngine,
-        spec: &QuerySpec,
-        area: &A,
-    ) -> QueryOutput {
-        let (spec, planned, fp) = self.plan(engine, spec, area, PlannedPath::Plain, 0);
-        let sink = Sink::of(spec.output);
-        let mut stats = QueryStats::default();
-        let mut partial = Partial::default();
-        self.execute_sink(
-            engine,
-            &spec,
-            area,
-            fp,
-            sink,
-            &mut partial,
-            &Some,
-            &mut stats,
-        );
-        self.observe(planned, &mut stats);
-        sink.output(partial, stats)
-    }
-
-    /// The session funnel over the generic emission core: resolves the
-    /// area's preparation (see [`SessionState::resolve`]), lends the
-    /// scratch, and runs [`AreaQueryEngine::run_sink`]. Every plain and
-    /// dynamic query goes through here; the dynamic engine emits
-    /// external ids and filters tombstones through `map`. Sets
-    /// `stats.prepared_cache` to this query's cache traffic. `fp` as in
-    /// [`SessionState::resolve`].
-    #[allow(clippy::too_many_arguments)] // the emission core's explicit inputs
-    pub(crate) fn execute_sink<A, I, F>(
-        &mut self,
-        engine: &AreaQueryEngine,
-        spec: &QuerySpec,
-        area: &A,
-        fp: Option<AreaFingerprint>,
-        sink: Sink,
-        partial: &mut Partial<I>,
-        map: &F,
-        stats: &mut QueryStats,
-    ) where
-        A: QueryArea + ?Sized,
-        I: SinkId,
-        F: Fn(u32) -> Option<I>,
-    {
-        let (prepared, delta) = self.resolve(spec, area, fp);
-        let scratch = &mut self.scratch;
-        // Preparation is resolved: run raw on the compiled form.
-        let raw_spec = spec.prepare(PrepareMode::Raw);
-        match &prepared {
-            Some(prepared) => engine.run_sink(
-                &raw_spec,
-                prepared.as_ref(),
-                scratch,
-                sink,
-                partial,
-                map,
-                stats,
-            ),
-            None => engine.run_sink(&raw_spec, area, scratch, sink, partial, map, stats),
-        }
-        stats.prepared_cache = delta;
-    }
 }
 
-/// Per-caller query state over a borrowed engine: the reusable scratch and
-/// the prepared-area cache. Cheap to create; create one per thread (the
-/// engine itself is `Sync`, the session is not).
+/// Per-caller query state over a borrowed engine: the reusable scratch,
+/// the prepared-area cache and the calibrating planner. Cheap to create;
+/// create one per thread (the engine itself is `Sync`, the session is
+/// not).
 ///
 /// See the [module docs](self) for the full story and an example.
 pub struct QuerySession<'e> {
@@ -621,41 +413,51 @@ pub struct QuerySession<'e> {
 }
 
 impl<'e> QuerySession<'e> {
-    /// Starts a session with the default prepared-area cache capacity
-    /// ([`DEFAULT_CACHE_CAPACITY`]).
+    /// Starts a session whose prepared-area cache keeps at most
+    /// [`DEFAULT_CACHE_CAPACITY`] areas.
     pub fn new(engine: &'e AreaQueryEngine) -> QuerySession<'e> {
-        QuerySession::with_cache_capacity(engine, DEFAULT_CACHE_CAPACITY)
-    }
-
-    /// Starts a session keeping at most `capacity` prepared areas alive
-    /// (`0` disables caching: every `Cached` query degrades to
-    /// `PrepareOnce`).
-    pub fn with_cache_capacity(engine: &'e AreaQueryEngine, capacity: usize) -> QuerySession<'e> {
         QuerySession {
             engine,
-            state: SessionState::new(capacity),
+            state: SessionState::new(),
         }
-    }
-
-    /// The engine this session queries.
-    pub fn engine(&self) -> &'e AreaQueryEngine {
-        self.engine
     }
 
     /// Session-lifetime prepared-area cache totals.
     pub fn cache_counters(&self) -> CacheCounters {
-        self.state.cache_totals()
+        self.state.cache_totals
     }
 
     /// Number of prepared areas currently cached.
     pub fn cache_len(&self) -> usize {
-        self.state.cache_len()
+        self.state.cache.len()
     }
 
-    /// Executes `spec` over `area` — the single funnel every query runs
-    /// through.
+    /// Executes `spec` over `area`: the batch executor's one-area,
+    /// one-part case (see [`crate::batch`]), with this session's cache,
+    /// planner and scratch.
     pub fn execute<A: QueryArea + ?Sized>(&mut self, spec: &QuerySpec, area: &A) -> QueryOutput {
-        self.state.execute(self.engine, spec, area)
+        let (engine, state) = (self.engine, &mut self.state);
+        let resolved = Resolved::new(
+            spec,
+            area,
+            &mut state.cache,
+            &state.planner,
+            |area, cacheable| engine.plan_features(area, cacheable, PlannedPath::Plain),
+        );
+        let sink = Sink::of(spec.output);
+        let mut stats = QueryStats::default();
+        let mut partial = Partial::default();
+        resolved.run(
+            engine,
+            area,
+            &mut state.scratch,
+            sink,
+            &mut partial,
+            &Some,
+            &mut stats,
+        );
+        state.observe(&resolved, &mut stats);
+        sink.output(partial, stats)
     }
 }
 
@@ -889,6 +691,7 @@ impl AreaQueryEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::area::AreaFingerprint;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use vaq_geom::{Point, Polygon, Rect};
@@ -1022,35 +825,29 @@ mod tests {
     fn cache_evicts_least_recently_used() {
         let pts = uniform(300, 31);
         let engine = AreaQueryEngine::build(&pts);
-        let mut session = QuerySession::with_cache_capacity(&engine, 2);
+        let mut session = engine.session();
         let spec = QuerySpec::voronoi().prepare(PrepareMode::Cached);
-        let areas: Vec<Polygon> = (0..3)
+        let areas: Vec<Polygon> = (0..=DEFAULT_CACHE_CAPACITY as u64)
             .map(|i| star_polygon(p(0.5, 0.5), 0.2, 8, 100 + i))
             .collect();
         for a in &areas {
             session.execute(&spec, a);
         }
-        assert_eq!(session.cache_len(), 2);
+        assert_eq!(session.cache_len(), DEFAULT_CACHE_CAPACITY);
         // areas[0] was evicted: querying it again misses.
         session.execute(&spec, &areas[0]);
-        assert_eq!(session.cache_counters().misses, 4);
-        // areas[2] is still resident.
-        session.execute(&spec, &areas[2]);
+        assert_eq!(session.cache_counters().misses, areas.len() as u64 + 1);
+        // The newest area is still resident.
+        session.execute(&spec, &areas[DEFAULT_CACHE_CAPACITY]);
         assert_eq!(session.cache_counters().hits, 1);
-    }
-
-    #[test]
-    fn zero_capacity_disables_the_cache() {
-        let pts = uniform(200, 41);
-        let engine = AreaQueryEngine::build(&pts);
-        let mut session = QuerySession::with_cache_capacity(&engine, 0);
-        let spec = QuerySpec::voronoi().prepare(PrepareMode::Cached);
-        let area = star_polygon(p(0.5, 0.5), 0.2, 8, 42);
-        let a = session.execute(&spec, &area);
-        let b = session.execute(&spec, &area);
-        assert_eq!(a.result().unwrap().indices, b.result().unwrap().indices);
-        assert_eq!(session.cache_counters(), CacheCounters::default());
-        assert_eq!(session.cache_len(), 0);
+        // A hit refreshes an entry: after one on areas[2], the next miss
+        // evicts areas[3] instead.
+        session.execute(&spec, &areas[2]);
+        session.execute(&spec, &areas[1]);
+        session.execute(&spec, &areas[2]);
+        assert_eq!(session.cache_counters().hits, 3);
+        session.execute(&spec, &areas[3]);
+        assert_eq!(session.cache_counters().misses, areas.len() as u64 + 3);
     }
 
     #[test]

@@ -999,6 +999,16 @@ fn decode_engine(payload: &[u8]) -> Result<AreaQueryEngine, SnapshotError> {
             )))
         }
     };
+    // The search reads one flag per vertex and treats a missing one as
+    // "not a straddler", so a short array would silently switch off the
+    // shard-boundary fallback.
+    let vertices = tri.as_ref().map_or(0, Triangulation::vertex_count);
+    if let Some(flags) = boundary_straddlers.as_ref().filter(|f| f.len() != vertices) {
+        return Err(SnapshotError::Inconsistent(format!(
+            "{} shard-boundary flags for {vertices} vertices",
+            flags.len()
+        )));
+    }
     let raw = RTreeRaw {
         levels: r.u32s()?,
         entry_offsets: r.u32s()?,
@@ -1490,6 +1500,41 @@ mod tests {
             per_point <= 56.0,
             "{per_point:.2} bytes per point in the engine blob"
         );
+    }
+
+    /// A shard-boundary flag array must hold one flag per vertex: a
+    /// shorter or longer one is rejected, on a shard and on a plain
+    /// engine alike.
+    #[test]
+    fn straddler_flag_count_must_match_the_vertices() {
+        let pts: Vec<Point> = (0..100)
+            .map(|i| {
+                Point::new(
+                    f64::from(i % 10),
+                    f64::from(i / 10) + 0.01 * f64::from(i % 7),
+                )
+            })
+            .collect();
+        let mut engine = AreaQueryEngine::build(&pts);
+        let vertices = engine.triangulation().unwrap().vertex_count();
+        for flags in [3, vertices - 1, vertices + 1] {
+            engine.boundary_straddlers = Some(vec![true; flags]);
+            assert!(
+                matches!(
+                    decode_engine(&encode_engine(&engine)),
+                    Err(SnapshotError::Inconsistent(_))
+                ),
+                "{flags} flags for {vertices} vertices"
+            );
+        }
+        engine.boundary_straddlers = Some(vec![true; vertices]);
+        assert!(decode_engine(&encode_engine(&engine)).is_ok());
+        let mut empty = AreaQueryEngine::build(&[]);
+        empty.boundary_straddlers = Some(vec![false; 5]);
+        assert!(matches!(
+            decode_engine(&encode_engine(&empty)),
+            Err(SnapshotError::Inconsistent(_))
+        ));
     }
 
     #[test]

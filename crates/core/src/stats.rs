@@ -9,9 +9,10 @@
 
 use vaq_rtree::AccessStats;
 
-/// Hit/miss counters for the per-session prepared-area cache (see
-/// `QuerySession`). Per query each counter is 0 or 1 — a query touches the
-/// cache at most once; the session also accumulates lifetime totals.
+/// Hit/miss counters for the prepared-area cache (a session's LRU, or a
+/// batch's deduplication). Per query each counter is 0 or 1 — a query
+/// touches the cache at most once; a session also accumulates lifetime
+/// totals.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheCounters {
     /// Cache lookups answered from an already-prepared area.
@@ -102,8 +103,9 @@ pub struct QueryStats {
     /// simulates record loading; it both proves the bytes were actually
     /// read and keeps the optimiser from eliding the loads.
     pub payload_checksum: u64,
-    /// Prepared-area cache traffic of this query (all zero unless the
-    /// query ran through a `QuerySession` with `PrepareMode::Cached`).
+    /// Prepared-area cache traffic of this query (all zero unless it ran
+    /// with `PrepareMode::Cached` on an area that has a fingerprint and a
+    /// prepared form).
     /// With [`QueryStats::predicates`], one of the only two stats fields
     /// allowed to differ across the `PrepareMode` axis — everything else
     /// is bit-identical.

@@ -945,12 +945,6 @@ impl Triangulation {
         self.flat.pts.len()
     }
 
-    /// Number of input points (before duplicate merging).
-    #[inline]
-    pub fn input_count(&self) -> usize {
-        self.flat.canon.len()
-    }
-
     /// The coordinates of canonical vertex `v`.
     #[inline]
     pub fn point(&self, v: u32) -> Point {
@@ -1436,7 +1430,6 @@ mod tests {
         ];
         let t = Triangulation::new(&pts).unwrap();
         assert_eq!(t.vertex_count(), 3);
-        assert_eq!(t.input_count(), 6);
         assert_eq!(t.canonical(0), 0);
         assert_eq!(t.canonical(2), 0);
         assert_eq!(t.canonical(5), 0);

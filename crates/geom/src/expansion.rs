@@ -81,16 +81,6 @@ pub fn two_product(a: f64, b: f64) -> (f64, f64) {
     (x, alo * blo - err3)
 }
 
-/// Exact square: slightly cheaper than `two_product(a, a)`.
-#[inline]
-pub fn two_square(a: f64) -> (f64, f64) {
-    let x = a * a;
-    let (ahi, alo) = split(a);
-    let err1 = x - ahi * ahi;
-    let err3 = err1 - (ahi + ahi) * alo;
-    (x, alo * alo - err3)
-}
-
 /// `(a1, a0) - (b1, b0)` as an exact 4-component expansion
 /// `[x0, x1, x2, x3]` (increasing magnitude).
 #[inline]
@@ -377,16 +367,6 @@ mod tests {
         let (x, y) = two_product(a, b);
         let exact = (a as i128) * (b as i128);
         assert_eq!(x as i128 + y as i128, exact);
-    }
-
-    #[test]
-    fn two_square_matches_two_product() {
-        for &a in &[3.25, -1e10 + 0.123, 94_906_267.0, 0.0, -7.5] {
-            let (x1, y1) = two_square(a);
-            let (x2, y2) = two_product(a, a);
-            assert_eq!(x1, x2);
-            assert_eq!(y1, y2);
-        }
     }
 
     #[test]

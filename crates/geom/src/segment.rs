@@ -26,12 +26,6 @@ impl Segment {
         self.a.dist(self.b)
     }
 
-    /// Squared segment length.
-    #[inline]
-    pub fn length_sq(&self) -> f64 {
-        self.a.dist_sq(self.b)
-    }
-
     /// Midpoint of the segment.
     #[inline]
     pub fn midpoint(&self) -> Point {
@@ -136,20 +130,6 @@ impl Segment {
         let t = (d1 / (d1 - d2)).clamp(0.0, 1.0);
         Some(self.a + (self.b - self.a) * t)
     }
-
-    /// Squared distance from `p` to the closest point of the segment.
-    pub fn dist_sq_to_point(&self, p: Point) -> f64 {
-        let ab = self.b - self.a;
-        let len_sq = ab.norm_sq();
-        // vaq-lint: allow(float-exactness) -- division guard in an
-        // approximate distance helper: a squared length that underflows to
-        // 0.0 degrades gracefully to the endpoint distance.
-        if len_sq == 0.0 {
-            return self.a.dist_sq(p);
-        }
-        let t = ((p - self.a).dot(ab) / len_sq).clamp(0.0, 1.0);
-        (self.a + ab * t).dist_sq(p)
-    }
 }
 
 #[cfg(test)]
@@ -164,7 +144,6 @@ mod tests {
     fn basic_measures() {
         let seg = s(0.0, 0.0, 3.0, 4.0);
         assert_eq!(seg.length(), 5.0);
-        assert_eq!(seg.length_sq(), 25.0);
         assert_eq!(seg.midpoint(), Point::new(1.5, 2.0));
         assert_eq!(seg.reversed().a, Point::new(3.0, 4.0));
     }
@@ -239,16 +218,6 @@ mod tests {
         assert!(seg.contains_point(Point::new(0.0, 0.0)));
         assert!(!seg.contains_point(Point::new(5.0, 5.0 + 1e-15)));
         assert!(!seg.contains_point(Point::new(11.0, 11.0))); // collinear, outside
-    }
-
-    #[test]
-    fn distance_to_point() {
-        let seg = s(0.0, 0.0, 10.0, 0.0);
-        assert_eq!(seg.dist_sq_to_point(Point::new(5.0, 3.0)), 9.0);
-        assert_eq!(seg.dist_sq_to_point(Point::new(-4.0, 3.0)), 25.0); // clamps to a
-        assert_eq!(seg.dist_sq_to_point(Point::new(13.0, 4.0)), 25.0); // clamps to b
-        let degenerate = s(1.0, 1.0, 1.0, 1.0);
-        assert_eq!(degenerate.dist_sq_to_point(Point::new(4.0, 5.0)), 25.0);
     }
 
     #[test]

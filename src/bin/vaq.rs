@@ -10,8 +10,8 @@
 //! ```
 //!
 //! Every query runs through the engine's unified surface: the flags build
-//! a `QuerySpec` (method / prepare mode / output shape) and a
-//! `QuerySession` executes it.
+//! a `QuerySpec` (method / prepare mode / output shape), and the plain or
+//! sharded engine runs it as a one-area batch.
 //!
 //! * `query` prints matching point indices (or just the count with
 //!   `--count`) and per-method statistics to stderr. `--method auto`
@@ -25,15 +25,15 @@
 //!   `--shards N` partitions the points into N spatial shards (parallel
 //!   per-shard index builds, MBR shard pruning at query time) — same
 //!   indices, per-shard statistics; `--shards auto` picks one shard per
-//!   hardware thread. `--threads N|auto` routes the query through the
-//!   batch executor's work-stealing worker pool, with at most one worker
-//!   per hardware thread (`auto`, like `0`, picks exactly that many; a
-//!   larger N is capped to it); results are bit-identical to the
-//!   in-line path. `--knn K --at X,Y` answers the kNN-within-area
-//!   query (the K matches nearest to the origin, exact distances, ties
-//!   by index); `--payload-bytes N` attaches an N-byte simulated payload
-//!   record to every point and materialises each matching record
-//!   (printing the fold of the record checksums).
+//!   hardware thread. `--threads N|auto` runs the query on N workers of
+//!   the batch executor's work-stealing pool instead of the calling
+//!   thread, with at most one worker per hardware thread (`auto`, like
+//!   `0`, picks exactly that many; a larger N is capped to it); results
+//!   are bit-identical whatever the count. `--knn K --at X,Y` answers
+//!   the kNN-within-area query (the K matches nearest to the origin,
+//!   exact distances, ties by index); `--payload-bytes N` attaches an
+//!   N-byte simulated payload record to every point and materialises
+//!   each matching record (printing the fold of the record checksums).
 //! * `info` prints dataset statistics: extent, Delaunay/Voronoi facts.
 //! * `svg` renders the query scene (points, result, redundant candidates,
 //!   area outline) to an SVG file.
@@ -41,7 +41,7 @@
 //! The area is either WKT `POLYGON` (including interior rings / holes;
 //! `--area-file` reads the WKT from a file) or `--window X0,Y0,X1,Y1` — a
 //! plain axis-aligned rectangle, the classic window query, served by the
-//! same engine and session.
+//! same engines.
 //!
 //! `--weights FILE|uniform:R` builds the engine over **weighted sites**
 //! (the power-diagram form — see the README's "Generalized diagrams"
@@ -57,8 +57,8 @@ use std::process::ExitCode;
 use voronoi_area_query::core::snapshot;
 use voronoi_area_query::core::{AreaQueryEngine, EngineBuilder};
 use voronoi_area_query::core::{
-    ExecutionPlan, ExpansionPolicy, LoadedEngine, MethodChoice, OutputMode, PointClass,
-    PrepareMode, QueryArea, QueryMethod, QuerySpec, ShardedAreaQueryEngine,
+    ExecutionPlan, ExpansionPolicy, LoadedEngine, MethodChoice, Neighbor, OutputMode, PointClass,
+    PrepareMode, QueryArea, QueryMethod, QuerySpec, QueryStats, ShardedAreaQueryEngine,
 };
 use voronoi_area_query::delaunay::{weights_are_uniform, DiagramKind};
 use voronoi_area_query::geom::{Point, Polygon, Rect, Region};
@@ -78,9 +78,8 @@ struct Options {
     verbose: bool,
     /// `None` = unsharded; `Some(0)` = auto-tune to the hardware.
     shards: Option<usize>,
-    /// `None` = in-line execution; `Some(0)` = auto-tune to the
-    /// hardware; `Some(n)` = run through the batch executor with `n`
-    /// worker threads.
+    /// `None` = the calling thread; `Some(0)` = auto-tune to the
+    /// hardware; `Some(n)` = `n` worker threads of the batch executor.
     threads: Option<usize>,
     knn: Option<usize>,
     at: Option<String>,
@@ -279,7 +278,7 @@ enum CliArea {
 }
 
 impl CliArea {
-    /// The area as a dynamic [`QueryArea`] for the session funnel.
+    /// The area as a dynamic [`QueryArea`] (for the SVG scene).
     fn as_query_area(&self) -> &dyn QueryArea {
         match self {
             CliArea::Region(r) => r,
@@ -572,89 +571,7 @@ fn build_plain_engine(points: &[Point], o: &Options) -> Result<AreaQueryEngine, 
 
 fn query(points: &[Point], area: &CliArea, o: &Options) -> Result<(), String> {
     let engine = build_plain_engine(points, o)?;
-    run_query_specs(&engine, area, o)
-}
-
-/// The execution half of the unsharded path: runs every requested
-/// method over an engine that is already built (or snapshot-loaded).
-fn run_query_specs(engine: &AreaQueryEngine, area: &CliArea, o: &Options) -> Result<(), String> {
-    let methods = parse_methods(&o.method)?;
-    reject_auto_conflicts(o)?;
-    let output = output_mode_for(o)?;
-    let workers = o.threads.map(resolve_cli_threads);
-    let mut session = engine.session();
-    // One spec per requested method; `--prepared` query-compiles the area
-    // (identical results, per-candidate containment and segment tests
-    // answered from the prepared indexes). `Cached` rather than
-    // `PrepareOnce` so `--method both` compiles the area once and the
-    // second method hits the session cache.
-    let mut base = QuerySpec::new()
-        .prepare(if o.prepared {
-            PrepareMode::Cached
-        } else {
-            PrepareMode::Raw
-        })
-        .output(output);
-    if let Some(policy) = o.policy.as_deref() {
-        base = base.policy(parse_policy(policy)?);
-    }
-    let mut printed = false;
-    for &(name, m) in methods {
-        let spec = base.method(m);
-        let out = match workers {
-            // The single-area batch exercises the same claim-counter
-            // worker pool as a real batch; results are bit-identical to
-            // the in-line session path.
-            Some(workers) => {
-                let mut outs = match area {
-                    CliArea::Region(r) => {
-                        engine.execute_batch(&spec, std::slice::from_ref(r), workers)
-                    }
-                    CliArea::Window(w) => {
-                        engine.execute_batch(&spec, std::slice::from_ref(w), workers)
-                    }
-                };
-                outs.pop().ok_or("batch executor returned no output")?
-            }
-            None => session.execute(&spec, area.as_query_area()),
-        };
-        let stats = out.stats();
-        if o.verbose {
-            print_plan(name, stats.plan.as_ref());
-        }
-        eprintln!(
-            "{name}:{pad} {} results, {} candidates, {} redundant validations",
-            stats.result_size,
-            stats.candidates,
-            stats.redundant_validations(),
-            pad = " ".repeat(11usize.saturating_sub(name.len())),
-        );
-        // vaq-lint: allow(sink-dispatch) -- presentation only: the CLI
-        // decides which summary lines to print for the mode it itself
-        // requested; execution already went through the sink layer.
-        if matches!(output, OutputMode::Materialize) {
-            eprintln!(
-                "{name}:{pad} payload checksum {:#018x} ({} bytes/record)",
-                stats.payload_checksum,
-                o.payload_bytes,
-                pad = " ".repeat(11usize.saturating_sub(name.len())),
-            );
-        }
-        if let Some(neighbors) = out.neighbors() {
-            emit_neighbors(
-                &neighbors
-                    .iter()
-                    .map(|n| (u64::from(n.id), n.dist_sq))
-                    .collect::<Vec<_>>(),
-                o.count_only,
-                &mut printed,
-            );
-        } else {
-            let r = out.result().expect("collect-shaped query");
-            emit(&r.sorted_indices(), o.count_only, &mut printed);
-        }
-    }
-    Ok(())
+    run_specs(&engine, area, o)
 }
 
 /// `--shards N|auto`: partition the points into N spatial shards, build
@@ -664,7 +581,7 @@ fn run_query_specs(engine: &AreaQueryEngine, area: &CliArea, o: &Options) -> Res
 /// record store.
 fn query_sharded(points: &[Point], area: &CliArea, o: &Options) -> Result<(), String> {
     let engine = build_sharded_engine(points, o)?;
-    run_sharded_specs(&engine, area, o)
+    run_specs(&engine, area, o)
 }
 
 /// Builds the sharded engine from the CLI's build-time flags; shared by
@@ -673,28 +590,86 @@ fn build_sharded_engine(points: &[Point], o: &Options) -> Result<ShardedAreaQuer
     Ok(cli_builder(points, o)?.build_sharded(o.shards.unwrap_or(1)))
 }
 
-/// The execution half of the sharded path, over a built or
-/// snapshot-loaded engine.
-fn run_sharded_specs(
-    engine: &ShardedAreaQueryEngine,
-    area: &CliArea,
-    o: &Options,
-) -> Result<(), String> {
+/// One method's output, as `query` prints it.
+struct Answer {
+    stats: QueryStats,
+    /// Appended to the summary line (the sharded engine's shard counts).
+    suffix: String,
+    /// The kept neighbours of a `--knn` query.
+    neighbors: Vec<Neighbor>,
+    /// The matching indices, ascending.
+    indices: Vec<u32>,
+}
+
+/// What `query` needs from an engine: the plain and the sharded engine
+/// differ only in how they run a spec and how their output reads.
+trait QueryEngine {
+    /// Prints what the engine reports before its first answer.
+    fn summary(&self) {}
+
+    /// Runs `spec` over `area` as a one-area batch on `threads` workers.
+    fn answer<A: QueryArea + Sync>(&self, spec: &QuerySpec, area: &A, threads: usize) -> Answer;
+}
+
+impl QueryEngine for AreaQueryEngine {
+    fn answer<A: QueryArea + Sync>(&self, spec: &QuerySpec, area: &A, threads: usize) -> Answer {
+        let out = self
+            .execute_batch(spec, std::slice::from_ref(area), threads)
+            .pop()
+            .expect("a one-area batch returns one output");
+        Answer {
+            stats: *out.stats(),
+            suffix: String::new(),
+            neighbors: out.neighbors().unwrap_or_default().to_vec(),
+            indices: out.result().map_or_else(Vec::new, |r| r.sorted_indices()),
+        }
+    }
+}
+
+impl QueryEngine for ShardedAreaQueryEngine {
+    fn summary(&self) {
+        eprintln!(
+            "sharded engine: {} shards over {} points (shard sizes {:?}, {:?} diagram)",
+            self.shard_count(),
+            self.len(),
+            self.shard_sizes(),
+            self.diagram_kind(),
+        );
+    }
+
+    fn answer<A: QueryArea + Sync>(&self, spec: &QuerySpec, area: &A, threads: usize) -> Answer {
+        let out = self
+            .execute_batch(spec, std::slice::from_ref(area), threads)
+            .pop()
+            .expect("a one-area batch returns one output");
+        Answer {
+            suffix: format!(
+                " [{} of {} shards visited, {} pruned]",
+                out.stats.shards_visited,
+                self.shard_count(),
+                out.stats.shards_pruned
+            ),
+            stats: out.stats,
+            neighbors: out.neighbors,
+            indices: out.indices,
+        }
+    }
+}
+
+/// The execution half of `query`, over a built or snapshot-loaded
+/// engine: runs every requested method over the area as a one-area batch
+/// on the `--threads` workers (the calling thread without the flag) and
+/// prints its answer.
+fn run_specs(engine: &impl QueryEngine, area: &CliArea, o: &Options) -> Result<(), String> {
     let methods = parse_methods(&o.method)?;
     reject_auto_conflicts(o)?;
     let output = output_mode_for(o)?;
-    eprintln!(
-        "sharded engine: {} shards over {} points (shard sizes {:?}, {:?} diagram)",
-        engine.shard_count(),
-        engine.len(),
-        engine.shard_sizes(),
-        engine.diagram_kind(),
-    );
-    // One route: the area runs as a one-area batch on the `--threads`
-    // workers (the calling thread without the flag). `--prepared`
-    // compiles the area once inside the batch and every shard runs on
-    // the compiled form.
+    engine.summary();
     let workers = o.threads.map_or(1, resolve_cli_threads);
+    // One spec per requested method; `--prepared` query-compiles the area
+    // (identical results, per-candidate containment and segment tests
+    // answered from the prepared indexes), once per method, and every
+    // shard runs on the compiled form.
     let mut base = QuerySpec::new()
         .prepare(if o.prepared {
             PrepareMode::Cached
@@ -708,46 +683,34 @@ fn run_sharded_specs(
     let mut printed = false;
     for &(name, m) in methods {
         let spec = base.method(m);
-        let mut outs = match area {
-            CliArea::Region(r) => engine.execute_batch(&spec, std::slice::from_ref(r), workers),
-            CliArea::Window(w) => engine.execute_batch(&spec, std::slice::from_ref(w), workers),
+        let out = match area {
+            CliArea::Region(r) => engine.answer(&spec, r, workers),
+            CliArea::Window(w) => engine.answer(&spec, w, workers),
         };
-        let out = outs.pop().ok_or("batch executor returned no output")?;
+        let pad = " ".repeat(11usize.saturating_sub(name.len()));
         if o.verbose {
             print_plan(name, out.stats.plan.as_ref());
         }
         eprintln!(
-            "{name}:{pad} {} results, {} candidates, {} redundant validations \
-[{} of {} shards visited, {} pruned]",
+            "{name}:{pad} {} results, {} candidates, {} redundant validations{}",
             out.stats.result_size,
             out.stats.candidates,
             out.stats.redundant_validations(),
-            out.stats.shards_visited,
-            engine.shard_count(),
-            out.stats.shards_pruned,
-            pad = " ".repeat(11usize.saturating_sub(name.len())),
+            out.suffix,
         );
-        // vaq-lint: allow(sink-dispatch) -- presentation only, as in the
-        // single-engine summary above.
+        // vaq-lint: allow(sink-dispatch) -- presentation only: the CLI
+        // decides which summary lines to print for the mode it itself
+        // requested; execution already went through the sink layer.
         if matches!(output, OutputMode::Materialize) {
             eprintln!(
                 "{name}:{pad} payload checksum {:#018x} ({} bytes/record)",
-                out.stats.payload_checksum,
-                o.payload_bytes,
-                pad = " ".repeat(11usize.saturating_sub(name.len())),
+                out.stats.payload_checksum, o.payload_bytes,
             );
         }
         // vaq-lint: allow(sink-dispatch) -- presentation only: neighbour
         // output is printed exactly when the user asked for --knn.
         if matches!(output, OutputMode::TopKNearest { .. }) {
-            emit_neighbors(
-                &out.neighbors
-                    .iter()
-                    .map(|n| (u64::from(n.id), n.dist_sq))
-                    .collect::<Vec<_>>(),
-                o.count_only,
-                &mut printed,
-            );
+            emit_neighbors(&out.neighbors, o.count_only, &mut printed);
         } else {
             emit(&out.indices, o.count_only, &mut printed);
         }
@@ -832,7 +795,7 @@ fn query_loaded(
                 engine.len(),
                 engine.diagram_kind(),
             );
-            run_query_specs(&engine, area, o)
+            run_specs(&engine, area, o)
         }
         LoadedEngine::Sharded(engine) => {
             check_loaded_consistency(
@@ -845,7 +808,7 @@ fn query_loaded(
                 o,
             )?;
             eprintln!("loaded {path}: sharded engine");
-            run_sharded_specs(&engine, area, o)
+            run_specs(&engine, area, o)
         }
         LoadedEngine::Dynamic(_) => Err(format!(
             "{path} holds a dynamic engine snapshot; the CLI serves plain and sharded \
@@ -945,7 +908,7 @@ fn emit(indices: &[u32], count_only: bool, printed: &mut bool) {
 
 /// Prints the kNN answer once: `index distance` per line, nearest first
 /// (ties by index), or just the neighbour count under `--count`.
-fn emit_neighbors(neighbors: &[(u64, f64)], count_only: bool, printed: &mut bool) {
+fn emit_neighbors(neighbors: &[Neighbor], count_only: bool, printed: &mut bool) {
     if *printed {
         return;
     }
@@ -955,8 +918,8 @@ fn emit_neighbors(neighbors: &[(u64, f64)], count_only: bool, printed: &mut bool
         return;
     }
     let mut out = String::with_capacity(neighbors.len() * 24);
-    for &(id, dist_sq) in neighbors {
-        out.push_str(&format!("{id} {dist}\n", dist = dist_sq.sqrt()));
+    for n in neighbors {
+        out.push_str(&format!("{} {}\n", n.id, n.dist_sq.sqrt()));
     }
     print!("{out}");
 }

@@ -1,16 +1,21 @@
 //! Batch-executor edge cases: empty batches, more workers than work,
 //! single-worker runs, and thread-count invariance with per-counter
 //! stats conservation — on both the single-engine and sharded batch
-//! paths.
+//! paths. A session and the dynamic engine are the executor's one-area
+//! case, so they must answer exactly as a one-area batch does.
 //!
 //! These tests stress the work-stealing claim loop (`sync::par_map`)
 //! end to end with real queries; its own unit tests in `sync.rs` check
 //! index order and one call per item on skewed work.
 
 use voronoi_area_query::core::{
-    AreaQueryEngine, MethodChoice, PrepareMode, QuerySpec, QueryStats, ShardedAreaQueryEngine,
+    AreaQueryEngine, DynamicAreaQueryEngine, ExpansionPolicy, MethodChoice, OutputMode,
+    PrepareMode, QueryMethod, QuerySpec, QueryStats, ShardedAreaQueryEngine,
 };
-use voronoi_area_query::geom::{Point, Rect};
+use voronoi_area_query::geom::{Point, Polygon, Rect};
+use voronoi_area_query::workload::{
+    generate, random_query_polygon, unit_space, Distribution, PolygonSpec,
+};
 
 /// A deterministic 12×12 jittered grid.
 fn points() -> Vec<Point> {
@@ -155,6 +160,111 @@ fn sharded_batch_is_thread_count_invariant_and_conserves_shard_counters() {
                 4,
                 "shard accounting must partition the 4 shards"
             );
+        }
+    }
+}
+
+/// Every explicit spec: 3 methods × 2 policies × 3 prepare modes × 3
+/// output shapes.
+fn explicit_specs() -> Vec<QuerySpec> {
+    let outputs = [
+        OutputMode::Collect,
+        OutputMode::Count,
+        OutputMode::TopKNearest {
+            k: 7,
+            origin: Point::new(0.5, 0.5),
+        },
+    ];
+    let mut specs = Vec::new();
+    for method in [
+        QueryMethod::Traditional,
+        QueryMethod::Voronoi,
+        QueryMethod::BruteForce,
+    ] {
+        for policy in [ExpansionPolicy::Segment, ExpansionPolicy::Cell] {
+            for prepare in [
+                PrepareMode::Raw,
+                PrepareMode::PrepareOnce,
+                PrepareMode::Cached,
+            ] {
+                for output in outputs {
+                    specs.push(
+                        QuerySpec::new()
+                            .method(method)
+                            .policy(policy)
+                            .prepare(prepare)
+                            .output(output),
+                    );
+                }
+            }
+        }
+    }
+    specs
+}
+
+/// A fresh session, a one-area batch on one thread and a fresh dynamic
+/// engine with an empty overlay answer every explicit spec with the same
+/// ids (the session and the batch in the same emission order) and the
+/// same stats in every field, cache counters included.
+#[test]
+fn single_query_paths_agree_on_ids_and_every_stat() {
+    let pts = generate(3000, Distribution::Uniform, 23);
+    let engine = AreaQueryEngine::build(&pts);
+    let areas: Vec<Polygon> = [(10, 0.01), (10, 0.05), (48, 0.02), (48, 0.1)]
+        .into_iter()
+        .zip(300..)
+        .map(|((vertices, query_size), seed)| {
+            let shape = PolygonSpec {
+                vertices,
+                query_size,
+                ..PolygonSpec::default()
+            };
+            random_query_polygon(&unit_space(), &shape, seed)
+        })
+        .collect();
+    for spec in explicit_specs() {
+        // The areas are distinct, so each path's cache misses once per
+        // area under `Cached`.
+        let mut session = engine.session();
+        let mut dynamic = DynamicAreaQueryEngine::new(&pts);
+        for (i, area) in areas.iter().enumerate() {
+            let context = format!("{spec:?}, area {i}");
+            let single = session.execute(&spec, area);
+            let batch = engine
+                .execute_batch(&spec, std::slice::from_ref(area), 1)
+                .pop()
+                .expect("one output per area");
+            assert_eq!(
+                single.result().map(|r| &r.indices),
+                batch.result().map(|r| &r.indices),
+                "{context}"
+            );
+            assert_eq!(single.neighbors(), batch.neighbors(), "{context}");
+            assert_eq!(single.count(), batch.count(), "{context}");
+            assert_eq!(single.stats(), batch.stats(), "{context}");
+
+            // The dynamic engine reports external ids (here the input
+            // indices) ascending, and its neighbours in the same order.
+            let got = dynamic.execute(&spec, area);
+            let neighbors = single.neighbors().unwrap_or_default();
+            let mut ids: Vec<u64> = (single.result().map_or(&[][..], |r| &r.indices).iter())
+                .chain(neighbors.iter().map(|n| &n.id))
+                .map(|&id| u64::from(id))
+                .collect();
+            ids.sort_unstable();
+            assert_eq!(got.ids, ids, "{context}");
+            assert_eq!(
+                got.neighbors
+                    .iter()
+                    .map(|n| (n.id, n.dist_sq))
+                    .collect::<Vec<_>>(),
+                neighbors
+                    .iter()
+                    .map(|n| (u64::from(n.id), n.dist_sq))
+                    .collect::<Vec<_>>(),
+                "{context}"
+            );
+            assert_eq!(got.stats, *single.stats(), "{context}");
         }
     }
 }
