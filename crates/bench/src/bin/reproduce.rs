@@ -1,17 +1,16 @@
 //! Reproduction driver: regenerates every table and figure of the paper.
 //!
 //! ```text
-//! reproduce [all|table1|table2|fig4|fig5|fig6|fig7|ablation|prepared|predicates
-//!            |knn|payload|planner|power] [--reps N] [--quick] [--payload BYTES] [--out DIR]
+//! reproduce [all|table1|table2|fig4|fig5|fig6|fig7|ablation|prepared|knn
+//!            |payload|planner|power] [--reps N] [--quick] [--payload BYTES] [--out DIR]
 //! ```
 //!
 //! * **table1** (also fig4/fig5): data-size sweep 1E5…1E6 at query size 1 %.
 //! * **table2** (also fig6/fig7): query-size sweep 1 %…32 % at 1E5 points.
 //! * **ablation**: candidate-level design ablations (expansion policy,
 //!   point distribution, query-polygon vertex count) → `ablation_*.csv`.
-//! * **prepared**, **predicates**: raw vs prepared query-area primitives
-//!   and the exact-predicate pipeline → `BENCH_prepared.json`,
-//!   `BENCH_predicates.json`.
+//! * **prepared**: raw vs prepared query-area primitives →
+//!   `BENCH_prepared.json`.
 //! * **knn**, **payload**: the kNN-within-area and payload-materialising
 //!   sinks against collecting → `BENCH_knn.json`, `BENCH_payload.json`.
 //! * **planner**: the cost-model planner against every fixed strategy
@@ -19,8 +18,8 @@
 //! * **power**: weighted (power-diagram) vs Euclidean build time, batch
 //!   query throughput (on every available core) and hidden-site count at
 //!   10⁶ points → `BENCH_power.json`.
-//! * `all` runs the tables, figures, ablations, `prepared` and
-//!   `predicates`; the other targets run only when named.
+//! * `all` runs the tables, figures, ablations and `prepared`; the other
+//!   targets run only when named.
 //! * `--reps N` — repetitions per configuration (default 200; the paper
 //!   uses 1000 — pass `--reps 1000` for the exact protocol).
 //! * `--quick` — divide data sizes by 10 and reps by 4 (smoke run).
@@ -63,7 +62,7 @@ fn parse_args() -> Result<Args, String> {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "all" | "table1" | "table2" | "fig4" | "fig5" | "fig6" | "fig7" | "ablation"
-            | "prepared" | "predicates" | "knn" | "payload" | "planner" | "power" => {
+            | "prepared" | "knn" | "payload" | "planner" | "power" => {
                 what = arg;
             }
             "--reps" => {
@@ -81,7 +80,7 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 return Err(String::from(
                     "usage: reproduce \
-[all|table1|table2|fig4|fig5|fig6|fig7|ablation|prepared|predicates|knn|payload|planner|power] \
+[all|table1|table2|fig4|fig5|fig6|fig7|ablation|prepared|knn|payload|planner|power] \
 [--reps N] [--quick] [--payload BYTES] [--out DIR]",
                 ));
             }
@@ -219,10 +218,6 @@ fn main() -> ExitCode {
         run_prepared_baseline(&args);
     }
 
-    if matches!(args.what.as_str(), "all" | "predicates") {
-        run_predicates_baseline(&args);
-    }
-
     // Explicit targets only, to keep `all` at its cost (`power` alone
     // builds two 10⁶-point engines).
     if args.what == "knn" {
@@ -240,56 +235,6 @@ fn main() -> ExitCode {
 
     eprintln!("done; outputs in {}", args.out.display());
     ExitCode::SUCCESS
-}
-
-/// Measures the exact-predicate pipeline (batched filter + ordered-slab
-/// containment vs their pre-change baselines) and records the
-/// `BENCH_predicates.json` baseline.
-fn run_predicates_baseline(args: &Args) {
-    use vaq_bench::predicates::{
-        measure_contains_paths, measure_filter_batch, predicates_report_json, PredicateBenchConfig,
-    };
-    use vaq_bench::provenance::Provenance;
-
-    let cfg = if args.quick {
-        PredicateBenchConfig::quick()
-    } else {
-        PredicateBenchConfig::standard()
-    };
-    eprintln!(
-        "== Predicate pipeline: contains-heavy sweep k = {:?} ({} probes x {} polygons), \
-filter micro-bench over {} lanes ==",
-        cfg.ks, cfg.probes, cfg.polys_per_k, cfg.filter_lanes
-    );
-    let rows = measure_contains_paths(&cfg);
-    for r in &rows {
-        eprintln!(
-            "  k={:>5}  raw {:8.1} ns   prepared scan {:7.1} -> adaptive {:7.1} ns ({:4.2}x)   \
-pipeline {:6.1}x   prepare {:9.0} ns",
-            r.k,
-            r.contains_raw_ns,
-            r.prepared_scan_ns,
-            r.prepared_ordered_ns,
-            r.ordered_speedup(),
-            r.pipeline_speedup(),
-            r.prepare_ns,
-        );
-    }
-    let filter = measure_filter_batch(&cfg);
-    eprintln!(
-        "  filter: scalar {:.2} ns -> batch {:.2} ns ({:.2}x), {}/{} lanes decided",
-        filter.scalar_ns,
-        filter.batch_ns,
-        filter.speedup(),
-        filter.decided,
-        filter.lanes,
-    );
-    let queries = (cfg.ks.len() * cfg.polys_per_k * cfg.probes) as u64 + filter.lanes;
-    let prov = Provenance::capture(0, queries, 1);
-    let json = predicates_report_json(&rows, &filter, &prov);
-    let path = args.out.join("BENCH_predicates.json");
-    fs::write(&path, json).expect("write BENCH_predicates.json");
-    eprintln!("wrote {}", path.display());
 }
 
 /// Measures the kNN-within-area sink against the collecting baseline

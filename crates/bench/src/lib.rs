@@ -13,7 +13,8 @@
 //! costs the end-to-end benchmark (`perfbench/`) cannot isolate.
 //!
 //! This library crate holds what those targets share: pre-generated
-//! polygon batches, a throughput timer, and one module per baseline.
+//! polygon batches, a throughput timer, and one module per baseline
+//! (`prepared`, `knn`, `payload`, `planner`, `power`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -22,7 +23,6 @@ pub mod knn;
 pub mod payload;
 pub mod planner;
 pub mod power;
-pub mod predicates;
 pub mod prepared;
 pub mod provenance;
 

@@ -17,7 +17,8 @@
 //!   [`DensityMap`] (free on sharded engines, a coarse grid on plain
 //!   engines);
 //! * `vertices` — the polygon's vertex count `k` (every geometric
-//!   primitive in the pipeline is `O(k)` raw, `O(log k)` prepared);
+//!   primitive in the pipeline is `O(k)` raw; prepared, it examines only
+//!   the few edges listed in one slab or grid cell);
 //! * `cached` / `cacheable` — whether the area's
 //!   [`AreaFingerprint`](crate::AreaFingerprint) is already resident in
 //!   the prepared-area cache the query runs with, and whether the area
@@ -510,8 +511,10 @@ impl Planner {
         }
         let k = f.vertices as f64;
         let prepare_cost = PREPARE_UNIT * k * (k + 2.0).log2();
-        // Prepared primitives run in O(log k) instead of O(k): the saving
-        // is roughly the whole O(k) share of the predicted cost.
+        // The model prices prepared primitives at O(log k) instead of
+        // O(k) (a slab or grid cell lists few edges of a star-shaped
+        // area): the saving is roughly the whole O(k) share of the
+        // predicted cost.
         let saving = cost * (1.0 - (k + 2.0).log2() / (k + 2.0));
         if saving > prepare_cost {
             if has_cache {

@@ -476,8 +476,8 @@ impl AreaQueryEngine {
     }
 
     /// Samples the thread's predicate totals around `body` and returns
-    /// the filter/fallback delta it produced — the delta-scan
-    /// counterpart of the sampling `run_sink` does for engine queries.
+    /// the filter/fallback delta it produced: `run_sink` samples every
+    /// engine query with it, the dynamic engine its delta scan.
     pub(crate) fn sample_predicates(body: impl FnOnce()) -> crate::stats::PredicateCounters {
         let before = vaq_geom::predicate_totals();
         body();
@@ -514,18 +514,14 @@ impl AreaQueryEngine {
         I: SinkId,
         F: Fn(u32) -> Option<I>,
     {
-        let before = vaq_geom::predicate_totals();
-        match spec.method.expect_fixed() {
+        let predicates = Self::sample_predicates(|| match spec.method.expect_fixed() {
             QueryMethod::Traditional => self.sink_traditional(area, sink, partial, map, stats),
             QueryMethod::Voronoi => {
                 self.sink_voronoi(spec, area, scratch, sink, partial, map, stats);
             }
             QueryMethod::BruteForce => self.sink_brute_force(area, sink, partial, map, stats),
-        }
-        let after = vaq_geom::predicate_totals();
-        stats.predicates.filter_fast_accepts +=
-            after.filter_fast_accepts - before.filter_fast_accepts;
-        stats.predicates.exact_fallbacks += after.exact_fallbacks - before.exact_fallbacks;
+        });
+        stats.predicates.absorb(predicates);
     }
 
     fn sink_traditional<A, I, F>(

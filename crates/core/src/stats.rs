@@ -41,8 +41,8 @@ impl CacheCounters {
 
 /// Counters for the two-stage exact-predicate pipeline (see
 /// `vaq_geom::predicates`): orientation evaluations decided by the cheap
-/// error-bound **filter** — scalar stage A or the batched
-/// `orient2d_filter_batch` lanes — versus evaluations that fell back to
+/// error-bound **filter** (stage A of `orient2d`, or `orient2d_filter`
+/// in the prepared segment screen) versus evaluations that fell back to
 /// the adaptive **exact** stages (expansion arithmetic).
 ///
 /// These count *work per primitive evaluation*, not per query answer, so
@@ -111,10 +111,10 @@ pub struct QueryStats {
     /// is bit-identical.
     pub prepared_cache: CacheCounters,
     /// Exact-predicate pipeline split of this query: orientation
-    /// evaluations decided by the cheap (batched) filter vs. adaptive
-    /// fallbacks. Like `prepared_cache`, this measures *how* the answer
-    /// was computed, not the answer: prepared areas evaluate fewer edges,
-    /// so the counters differ across the `PrepareMode` axis while every
+    /// evaluations decided by the cheap filter vs. adaptive fallbacks.
+    /// Like `prepared_cache`, this measures *how* the answer was
+    /// computed, not the answer: prepared areas evaluate fewer edges, so
+    /// the counters differ across the `PrepareMode` axis while every
     /// result-bearing counter stays bit-identical.
     pub predicates: PredicateCounters,
     /// Live overlay points linearly scanned by the dynamic engine's delta

@@ -63,8 +63,7 @@ pub use point::Point;
 pub use polygon::Polygon;
 pub use power::{power_incircle, WeightedPoint};
 pub use predicates::{
-    incircle, orient2d, orient2d_filter_batch, orient2d_filter_batch_points, orientation,
-    predicate_totals, Orientation, PredicateTotals, FILTER_MAX_LANES,
+    incircle, orient2d, orientation, predicate_totals, Orientation, PredicateTotals,
 };
 pub use prepared::{PreparedPolygon, PreparedRegion};
 pub use rect::Rect;

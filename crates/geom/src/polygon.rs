@@ -7,145 +7,11 @@
 
 use crate::expansion::{expansion_sign, expansion_sum, two_product, two_two_diff};
 use crate::point::Point;
-use crate::predicates::{orient2d, orient2d_filter_batch};
+use crate::predicates::orient2d;
 use crate::rect::Rect;
 use crate::segment::Segment;
 use crate::GeomError;
 use std::cmp::Ordering;
-
-/// Lane buffer capacity of [`CrossingScan`] (one filter flush). Small
-/// enough that initialising the buffers is negligible next to one
-/// predicate call, large enough to fill vector registers.
-const SCAN_LANES: usize = 8;
-
-/// Batched crossing-number accumulator for the prepared at-slab-boundary
-/// scan (the rare `p.y == vertex y` case, whose candidate lists can be
-/// dense — every edge touching that boundary value).
-///
-/// Edges are pushed in ring order; the ones that can influence the answer
-/// (bounding box contains `p`, or the edge straddles the horizontal ray
-/// through `p`) are gathered into structure-of-arrays lane buffers and
-/// their orientation against `p` is evaluated through the batched
-/// error-bound filter ([`orient2d_filter_batch`]), falling back to the
-/// adaptive [`orient2d`] only for lanes the filter cannot certify.
-///
-/// The final `(boundary, inside)` answer is **bit-identical** to the
-/// sequential scan: each edge's boundary/toggle decision depends only on
-/// its own exact orientation sign, the boundary flag is a disjunction and
-/// the parity toggle is commutative, so batching changes evaluation
-/// order but never the result — for any ring, including non-simple and
-/// degenerate ones.
-pub(crate) struct CrossingScan {
-    p: Point,
-    len: usize,
-    ax: [f64; SCAN_LANES],
-    ay: [f64; SCAN_LANES],
-    bx: [f64; SCAN_LANES],
-    by: [f64; SCAN_LANES],
-    /// bit 0: p inside the edge's closed bbox (boundary-eligible);
-    /// bit 1: the edge straddles the ray (toggle-eligible);
-    /// bit 2: the edge points upward (`b.y > a.y`).
-    flags: [u8; SCAN_LANES],
-    boundary: bool,
-    inside: bool,
-}
-
-impl CrossingScan {
-    pub(crate) fn new(p: Point) -> CrossingScan {
-        CrossingScan {
-            p,
-            len: 0,
-            ax: [0.0; SCAN_LANES],
-            ay: [0.0; SCAN_LANES],
-            bx: [0.0; SCAN_LANES],
-            by: [0.0; SCAN_LANES],
-            flags: [0; SCAN_LANES],
-            boundary: false,
-            inside: false,
-        }
-    }
-
-    /// Feeds one ring edge `a → b`. Edges that can neither host `p` on
-    /// their boundary nor toggle the crossing parity are dropped without
-    /// touching the predicates, exactly as in the sequential scan.
-    #[inline]
-    pub(crate) fn push(&mut self, a: Point, b: Point) {
-        let p = self.p;
-        let bbox = p.x >= a.x.min(b.x)
-            && p.x <= a.x.max(b.x)
-            && p.y >= a.y.min(b.y)
-            && p.y <= a.y.max(b.y);
-        let straddle = (a.y > p.y) != (b.y > p.y);
-        if !bbox && !straddle {
-            return;
-        }
-        let i = self.len;
-        self.ax[i] = a.x;
-        self.ay[i] = a.y;
-        self.bx[i] = b.x;
-        self.by[i] = b.y;
-        self.flags[i] = u8::from(bbox) | (u8::from(straddle) << 1) | (u8::from(b.y > a.y) << 2);
-        self.len = i + 1;
-        if self.len == SCAN_LANES {
-            self.flush();
-        }
-    }
-
-    /// Toggles the crossing parity directly (for callers that prove a
-    /// strictly-right crossing by coordinate comparison alone).
-    #[inline]
-    pub(crate) fn toggle(&mut self) {
-        self.inside = !self.inside;
-    }
-
-    /// Resolves the buffered lanes: batched filter first, adaptive
-    /// fallback per undecided lane.
-    fn flush(&mut self) {
-        let n = self.len;
-        self.len = 0;
-        if n == 0 {
-            return;
-        }
-        let mut det = [0.0f64; SCAN_LANES];
-        let mut decided = [false; SCAN_LANES];
-        if n > 2 {
-            orient2d_filter_batch(
-                &self.ax[..n],
-                &self.ay[..n],
-                &self.bx[..n],
-                &self.by[..n],
-                self.p.x,
-                self.p.y,
-                &mut det[..n],
-                &mut decided[..n],
-            );
-        }
-        for i in 0..n {
-            let o = if decided[i] {
-                det[i]
-            } else {
-                orient2d(
-                    Point::new(self.ax[i], self.ay[i]),
-                    Point::new(self.bx[i], self.by[i]),
-                    self.p,
-                )
-            };
-            let flags = self.flags[i];
-            if flags & 1 != 0 && o == 0.0 {
-                self.boundary = true;
-            }
-            if flags & 2 != 0 && o != 0.0 && (o > 0.0) == (flags & 4 != 0) {
-                self.inside = !self.inside;
-            }
-        }
-    }
-
-    /// Final `(boundary, inside)` answer.
-    pub(crate) fn finish(mut self) -> (bool, bool) {
-        self.flush();
-        (self.boundary, self.inside)
-    }
-}
 
 /// A polygon given by its vertex ring (implicitly closed, no repeated
 /// first/last vertex). May be convex or concave; vertices may wind either
@@ -381,12 +247,9 @@ impl Polygon {
     /// This is the `Contains(A, p)` primitive of the paper's Algorithm 1 and
     /// of the traditional refine step.
     ///
-    /// Deliberately a sequential scalar scan: the per-edge bbox/straddle
-    /// rejects cost a few cycles each and leave so few lanes needing the
-    /// orientation predicate that gathering them for the batched filter
-    /// was *measured slower* on the paper's star-polygon workloads
-    /// (`reproduce predicates` records the pipeline comparison). The
-    /// predicate itself still reports its filter/fallback split through
+    /// `O(k)` per call. [`crate::PreparedPolygon::contains`] runs the same
+    /// crossing step over only the edges whose y-range holds `p.y`. The
+    /// predicate reports its filter/fallback split through
     /// [`crate::predicates::predicate_totals`].
     pub fn contains(&self, p: Point) -> bool {
         let n = self.vertices.len();

@@ -127,7 +127,7 @@ pub fn power_incircle(
         + (adxbdy.abs() + bdxady.abs()) * clift_abs;
     let errbound = PWRERRBOUND_A * permanent;
     if det > errbound || -det > errbound {
-        bump_fast(1);
+        bump_fast();
         return det;
     }
 

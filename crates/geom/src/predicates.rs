@@ -5,7 +5,9 @@
 //! majority of inputs, and progressively more precise (ultimately exact)
 //! stages run only when the result is too close to zero to trust.
 //!
-//! * [`orient2d`] is a full port of Shewchuk's four-stage adaptive routine.
+//! * [`orient2d`] is a full port of Shewchuk's four-stage adaptive routine;
+//!   [`orient2d_filter`] is its first stage alone, for call sites that
+//!   screen cheaply before an exact test.
 //! * [`incircle`] uses Shewchuk's A and B stages plus his C-stage correction,
 //!   then falls back to a straightforward exact evaluation built on the
 //!   [`crate::expansion`] `Vec` arithmetic. The fallback is reached only for
@@ -26,8 +28,8 @@ use std::cell::Cell;
 
 /// Per-thread running totals of the two stages of the orientation
 /// pipeline: evaluations decided by the cheap error-bound **filter**
-/// (stage A — scalar or batched) and evaluations that had to **fall
-/// back** to the adaptive/exact stages.
+/// (stage A, in [`orient2d`] or [`orient2d_filter`]) and evaluations
+/// that had to **fall back** to the adaptive/exact stages.
 ///
 /// The totals only ever grow; callers measure a region of interest by
 /// subtracting two [`predicate_totals`] snapshots (each thread sees only
@@ -58,10 +60,10 @@ pub fn predicate_totals() -> PredicateTotals {
 }
 
 #[inline]
-pub(crate) fn bump_fast(n: u64) {
+pub(crate) fn bump_fast() {
     PREDICATE_TOTALS.with(|t| {
         let mut v = t.get();
-        v.filter_fast_accepts += n;
+        v.filter_fast_accepts += 1;
         t.set(v);
     });
 }
@@ -100,24 +102,24 @@ pub fn orient2d(pa: Point, pb: Point, pc: Point) -> f64 {
 
     let detsum = if detleft > 0.0 {
         if detright <= 0.0 {
-            bump_fast(1);
+            bump_fast();
             return det;
         }
         detleft + detright
     } else if detleft < 0.0 {
         if detright >= 0.0 {
-            bump_fast(1);
+            bump_fast();
             return det;
         }
         -detleft - detright
     } else {
-        bump_fast(1);
+        bump_fast();
         return det;
     };
 
     let errbound = CCWERRBOUND_A * detsum;
     if det >= errbound || -det >= errbound {
-        bump_fast(1);
+        bump_fast();
         return det;
     }
 
@@ -125,125 +127,30 @@ pub fn orient2d(pa: Point, pb: Point, pc: Point) -> f64 {
     orient2d_adapt(pa, pb, pc, detsum)
 }
 
-/// Maximum lane count accepted by the batched filter entry points.
-pub const FILTER_MAX_LANES: usize = 64;
-
-/// The branch-free stage-A criterion for one lane. Bit-identical to the
-/// decisions [`orient2d`] makes before calling into the adaptive stages:
-/// opposite (or zero) factor signs decide immediately, otherwise the
-/// forward error bound must certify `det`. `detleft.abs() +
-/// detright.abs()` equals the scalar code's `detsum` exactly in the
-/// same-sign case (and is unused otherwise).
-#[inline]
-fn filter_lane(ax: f64, ay: f64, bx: f64, by: f64, cx: f64, cy: f64) -> (f64, bool) {
-    let detleft = (ax - cx) * (by - cy);
-    let detright = (ay - cy) * (bx - cx);
-    let det = detleft - detright;
-    let opposite = (detleft <= 0.0 && detright >= 0.0) || (detleft >= 0.0 && detright <= 0.0);
-    let errbound = CCWERRBOUND_A * (detleft.abs() + detright.abs());
-    let certified = det >= errbound || -det >= errbound;
-    (det, opposite || certified)
-}
-
-/// Single-lane stage-A orientation filter: the determinant estimate and
-/// whether its **sign is certified exact** (the cases where [`orient2d`]
-/// would return without touching the expansion stages; the value then
-/// equals the scalar return bit for bit). The branch-free filter-first
-/// shape for call sites that want to try the cheap stage before paying
-/// for a full exact test; undecided results must be re-evaluated with
-/// [`orient2d`]. Decided calls count as filter fast-accepts in
-/// [`predicate_totals`]; undecided ones are counted by the fallback.
+/// Stage-A orientation filter: the determinant estimate and whether its
+/// **sign is certified exact** — the cases where [`orient2d`] returns
+/// without touching the adaptive stages, so the value then equals its
+/// return bit for bit: opposite (or zero) factor signs decide at once,
+/// otherwise the forward error bound must certify `det`. The branch-free
+/// filter-first shape for call sites that want to try the cheap stage
+/// before paying for a full exact test; undecided results must be
+/// re-evaluated with [`orient2d`]. Decided calls count as filter
+/// fast-accepts in [`predicate_totals`]; undecided ones are counted by
+/// the fallback.
 #[inline]
 pub fn orient2d_filter(pa: Point, pb: Point, pc: Point) -> (f64, bool) {
-    let (det, ok) = filter_lane(pa.x, pa.y, pb.x, pb.y, pc.x, pc.y);
+    let detleft = (pa.x - pc.x) * (pb.y - pc.y);
+    let detright = (pa.y - pc.y) * (pb.x - pc.x);
+    let det = detleft - detright;
+    let opposite = (detleft <= 0.0 && detright >= 0.0) || (detleft >= 0.0 && detright <= 0.0);
+    // `detleft.abs() + detright.abs()` equals `orient2d`'s `detsum`
+    // exactly in the same-sign case (and is unused otherwise).
+    let errbound = CCWERRBOUND_A * (detleft.abs() + detright.abs());
+    let ok = opposite || det >= errbound || -det >= errbound;
     if ok {
-        bump_fast(1);
+        bump_fast();
     }
     (det, ok)
-}
-
-/// Batched stage-A orientation filter over up to [`FILTER_MAX_LANES`]
-/// candidate edges against one common point `(cx, cy)`.
-///
-/// Lane `i` evaluates the determinant of `orient2d((ax[i], ay[i]),
-/// (bx[i], by[i]), (cx, cy))` with the cheap floating-point filter only —
-/// no branches, structure-of-arrays operands, auto-vectorizable. On
-/// return, `det[i]` holds the stage-A determinant and `decided[i]` is
-/// `true` when its **sign is certified exact** (the cases where the
-/// scalar [`orient2d`] would return without touching the expansion
-/// stages; the value then equals the scalar return bit for bit).
-/// Undecided lanes must be re-evaluated with [`orient2d`].
-///
-/// Decided lanes are counted as filter fast-accepts in
-/// [`predicate_totals`]; undecided lanes are *not* counted here (the
-/// scalar fallback counts them).
-///
-/// # Panics
-///
-/// Panics if the slices have mismatched lengths or more than
-/// [`FILTER_MAX_LANES`] lanes.
-#[allow(clippy::too_many_arguments)] // six SoA operand slices + two outputs IS the shape
-pub fn orient2d_filter_batch(
-    ax: &[f64],
-    ay: &[f64],
-    bx: &[f64],
-    by: &[f64],
-    cx: f64,
-    cy: f64,
-    det: &mut [f64],
-    decided: &mut [bool],
-) {
-    let n = ax.len();
-    assert!(n <= FILTER_MAX_LANES, "too many filter lanes: {n}");
-    assert!(
-        ay.len() == n && bx.len() == n && by.len() == n && det.len() == n && decided.len() == n,
-        "mismatched filter lane slices"
-    );
-    let mut fast = 0u64;
-    for i in 0..n {
-        let (d, ok) = filter_lane(ax[i], ay[i], bx[i], by[i], cx, cy);
-        det[i] = d;
-        decided[i] = ok;
-        fast += u64::from(ok);
-    }
-    bump_fast(fast);
-}
-
-/// Batched stage-A orientation filter of up to [`FILTER_MAX_LANES`]
-/// points against one common directed line `pa → pb`.
-///
-/// Lane `i` evaluates `orient2d(pa, pb, (cx[i], cy[i]))` under the same
-/// contract as [`orient2d_filter_batch`]: `decided[i]` certifies that
-/// `det[i]`'s sign is exact and equal to the scalar result. This is the
-/// shape of the segment-expansion tests, where many candidate edge
-/// endpoints are classified against one query segment.
-///
-/// # Panics
-///
-/// Panics if the slices have mismatched lengths or more than
-/// [`FILTER_MAX_LANES`] lanes.
-pub fn orient2d_filter_batch_points(
-    pa: Point,
-    pb: Point,
-    cx: &[f64],
-    cy: &[f64],
-    det: &mut [f64],
-    decided: &mut [bool],
-) {
-    let n = cx.len();
-    assert!(n <= FILTER_MAX_LANES, "too many filter lanes: {n}");
-    assert!(
-        cy.len() == n && det.len() == n && decided.len() == n,
-        "mismatched filter lane slices"
-    );
-    let mut fast = 0u64;
-    for i in 0..n {
-        let (d, ok) = filter_lane(pa.x, pa.y, pb.x, pb.y, cx[i], cy[i]);
-        det[i] = d;
-        decided[i] = ok;
-        fast += u64::from(ok);
-    }
-    bump_fast(fast);
 }
 
 /// Stages B–D of the adaptive orientation test.
@@ -697,53 +604,28 @@ mod tests {
         }
     }
 
-    /// The batched filter must agree with the i128 oracle on every decided
-    /// lane (and the scalar fallback on every undecided one) — the same
-    /// sweep as `orient2d_against_i128_oracle_small_grid`, batched.
+    /// The stage-A filter must agree with the i128 oracle on every decided
+    /// call (and the adaptive fallback on every undecided one) — the same
+    /// sweep as `orient2d_against_i128_oracle_small_grid`.
     #[test]
-    fn filter_batch_against_i128_oracle_small_grid() {
+    fn filter_against_i128_oracle_small_grid() {
         let coords: Vec<Point> = (-3..3)
             .flat_map(|x| (-3..3).map(move |y| p(x as f64, y as f64)))
             .collect();
-        let mut lanes: Vec<(Point, Point, Point)> = Vec::new();
+        let mut decided_total = 0usize;
         for &a in &coords {
             for &b in &coords {
                 for &c in coords.iter().step_by(5) {
-                    lanes.push((a, b, c));
+                    let (det, ok) = orient2d_filter(a, b, c);
+                    let got = if ok { det } else { orient2d(a, b, c) };
+                    assert_eq!(sgn(got), sgn_i(orient2d_i128(a, b, c)), "a={a} b={b} c={c}");
+                    if ok {
+                        decided_total += 1;
+                        // A decided call equals the adaptive result bit
+                        // for bit.
+                        assert_eq!(det.to_bits(), orient2d(a, b, c).to_bits());
+                    }
                 }
-            }
-        }
-        let mut decided_total = 0usize;
-        for chunk in lanes.chunks(FILTER_MAX_LANES) {
-            // Fixed-c variant: group by c within the chunk.
-            for (i, &(a, b, c)) in chunk.iter().enumerate() {
-                let (ax, ay) = ([a.x], [a.y]);
-                let (bx, by) = ([b.x], [b.y]);
-                let mut det = [0.0f64];
-                let mut dec = [false];
-                orient2d_filter_batch(&ax, &ay, &bx, &by, c.x, c.y, &mut det, &mut dec);
-                let got = if dec[0] { det[0] } else { orient2d(a, b, c) };
-                assert_eq!(
-                    sgn(got),
-                    sgn_i(orient2d_i128(a, b, c)),
-                    "lane {i}: a={a} b={b} c={c}"
-                );
-                if dec[0] {
-                    decided_total += 1;
-                    // A decided lane equals the scalar result bit for bit.
-                    assert_eq!(det[0].to_bits(), orient2d(a, b, c).to_bits());
-                }
-            }
-            // Fixed-line variant over the whole chunk.
-            let (pa, pb) = (chunk[0].0, chunk[0].1);
-            let cx: Vec<f64> = chunk.iter().map(|l| l.2.x).collect();
-            let cy: Vec<f64> = chunk.iter().map(|l| l.2.y).collect();
-            let mut det = vec![0.0f64; chunk.len()];
-            let mut dec = vec![false; chunk.len()];
-            orient2d_filter_batch_points(pa, pb, &cx, &cy, &mut det, &mut dec);
-            for (i, &(_, _, c)) in chunk.iter().enumerate() {
-                let got = if dec[i] { det[i] } else { orient2d(pa, pb, c) };
-                assert_eq!(sgn(got), sgn_i(orient2d_i128(pa, pb, c)));
             }
         }
         assert!(
@@ -752,10 +634,10 @@ mod tests {
         );
     }
 
-    /// Near-degenerate lanes: tiny perturbations off a diagonal, where the
+    /// Near-degenerate inputs: tiny perturbations off a diagonal, where the
     /// filter must either certify the exact sign or punt — never lie.
     #[test]
-    fn filter_batch_near_degenerate_grid() {
+    fn filter_near_degenerate_grid() {
         let s = 1.0 / f64::EPSILON;
         let mut undecided = 0usize;
         for i in 0..32 {
@@ -766,10 +648,8 @@ mod tests {
                 );
                 let b = p(12.0, 12.0);
                 let c = p(24.0, 24.0);
-                let mut det = [0.0f64];
-                let mut dec = [false];
-                orient2d_filter_batch(&[a.x], &[a.y], &[b.x], &[b.y], c.x, c.y, &mut det, &mut dec);
-                let got = if dec[0] { det[0] } else { orient2d(a, b, c) };
+                let (det, ok) = orient2d_filter(a, b, c);
+                let got = if ok { det } else { orient2d(a, b, c) };
                 let exact = {
                     let a2 = p((a.x - 0.5) * s * 2.0, (a.y - 0.5) * s * 2.0);
                     let b2 = p(11.5 * s * 2.0, 11.5 * s * 2.0);
@@ -777,14 +657,15 @@ mod tests {
                     orient2d_i128(a2, b2, c2)
                 };
                 assert_eq!(sgn(got), sgn_i(exact), "i={i} j={j}");
-                undecided += usize::from(!dec[0]);
+                undecided += usize::from(!ok);
             }
         }
         assert!(undecided > 0, "this grid must exercise the fallback");
     }
 
     /// The pipeline counters: fast accepts on generic inputs, exact
-    /// fallbacks on (near-)degenerate ones, batched accepts in bulk.
+    /// fallbacks on (near-)degenerate ones, and a decided stage-A filter
+    /// call counts as a fast accept while an undecided one counts nothing.
     #[test]
     fn predicate_totals_track_both_stages() {
         let t0 = predicate_totals();
@@ -797,24 +678,15 @@ mod tests {
         assert_eq!(orient2d(p(0.1, 0.1), p(0.2, 0.2), p(0.4, 0.4)), 0.0);
         let t2 = predicate_totals();
         assert_eq!(t2.exact_fallbacks - t1.exact_fallbacks, 1);
-        // A decided batch lane counts as a fast accept.
-        let mut det = [0.0f64; 2];
-        let mut dec = [false; 2];
-        orient2d_filter_batch(
-            &[0.0, 0.0],
-            &[0.0, 0.0],
-            &[1.0, 1.0],
-            &[0.0, 0.0],
-            0.25,
-            1.0,
-            &mut det,
-            &mut dec,
-        );
+        // A decided filter call counts as a fast accept.
+        let (_, ok) = orient2d_filter(p(0.0, 0.0), p(1.0, 0.0), p(0.25, 1.0));
+        assert!(ok);
         let t3 = predicate_totals();
-        assert_eq!(
-            t3.filter_fast_accepts - t2.filter_fast_accepts,
-            dec.iter().filter(|&&d| d).count() as u64
-        );
+        assert_eq!(t3.filter_fast_accepts - t2.filter_fast_accepts, 1);
+        // An undecided one counts in neither stage.
+        let (_, ok) = orient2d_filter(p(0.1, 0.1), p(0.2, 0.2), p(0.4, 0.4));
+        assert!(!ok);
+        assert_eq!(predicate_totals(), t3);
     }
 
     #[test]

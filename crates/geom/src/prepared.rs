@@ -1,6 +1,6 @@
 //! Prepared (query-compiled) areas: build-once indexes over a query
-//! polygon that turn the per-call geometric primitives from `O(k)` scans
-//! over all `k` edges into `O(log k)`-ish searches.
+//! polygon that let the per-call geometric primitives examine only the
+//! edges that can affect their answer, instead of all `k` edges.
 //!
 //! Both area-query methods of the paper spend their inner loop on two
 //! primitives against the query area `A`:
@@ -14,16 +14,12 @@
 //! [`PreparedPolygon`] preprocesses the ring once into
 //!
 //! 1. a **slab decomposition** over the sorted distinct vertex
-//!    y-coordinates, with per-slab lists of the edges spanning the slab.
-//!    Within an open slab of a simple polygon the spanning edges are
-//!    non-crossing, so they admit a left-to-right order (established and
-//!    *proven* per dense slab at build time, with a filtered exact
-//!    comparator); a query then binary-searches by [`orient2d`], giving
-//!    true `O(log k)` worst-case point-in-polygon. Small slabs (the
-//!    common case for star-shaped query areas), slabs where no order
-//!    exists (self-crossing rings) and slab-boundary probes keep the
-//!    `O(s)` candidate scan — the boundary fallback routed through the
-//!    batched orientation filter;
+//!    y-coordinates, listing for each open slab the edges that span it
+//!    and for each boundary value the edges whose closed y-range holds
+//!    it. Containment binary-searches the slab (or boundary value) that
+//!    holds `p.y` and runs the raw crossing step over the `s` edges
+//!    listed there: `O(log k + s)` per call, where `s` is a small
+//!    fraction of `k` for the paper's star-shaped query areas;
 //! 2. an **edge-bucket grid** over the MBR, so a segment test only
 //!    examines edges registered in the grid cells the segment's bounding
 //!    box overlaps;
@@ -54,16 +50,12 @@
 //! The differential property suite in `tests/prepared_differential.rs`
 //! enforces the contract on random, degenerate and adversarial inputs.
 
-use crate::expansion::{
-    expansion_diff, expansion_product, expansion_sign, expansion_sum, two_diff,
-};
 use crate::point::Point;
-use crate::polygon::{CrossingScan, Polygon};
+use crate::polygon::Polygon;
 use crate::predicates::{orient2d, orient2d_filter};
 use crate::rect::Rect;
 use crate::region::Region;
 use crate::segment::Segment;
-use std::cmp::Ordering;
 use std::sync::OnceLock;
 
 /// One preprocessed boundary edge: endpoints in ring order plus the exact
@@ -131,174 +123,20 @@ impl PreparedEdge {
     }
 }
 
-/// A floating-point value with a rigorous running **absolute** error
-/// bound, for the crossing comparator's filter stage. Inputs are exact;
-/// each operation folds its own rounding (bounded by `|result| · ε`,
-/// with `ε = f64::EPSILON` — twice the unit roundoff, so the slack also
-/// swallows the rounding of the bound arithmetic itself) plus a tiny
-/// absolute floor that keeps subnormal results honestly covered.
-#[derive(Clone, Copy)]
-struct Approx {
-    v: f64,
-    e: f64,
-}
-
-impl Approx {
-    #[inline]
-    fn exact(v: f64) -> Approx {
-        Approx { v, e: 0.0 }
-    }
-
-    #[inline]
-    fn add(self, o: Approx) -> Approx {
-        let v = self.v + o.v;
-        Approx {
-            v,
-            e: self.e + o.e + v.abs() * f64::EPSILON + f64::MIN_POSITIVE,
-        }
-    }
-
-    #[inline]
-    fn sub(self, o: Approx) -> Approx {
-        let v = self.v - o.v;
-        Approx {
-            v,
-            e: self.e + o.e + v.abs() * f64::EPSILON + f64::MIN_POSITIVE,
-        }
-    }
-
-    #[inline]
-    fn mul(self, o: Approx) -> Approx {
-        let v = self.v * o.v;
-        Approx {
-            v,
-            e: self.v.abs() * o.e
-                + o.v.abs() * self.e
-                + self.e * o.e
-                + v.abs() * f64::EPSILON
-                + f64::MIN_POSITIVE,
-        }
-    }
-}
-
-/// Exact sign of `x_e(y) − x_f(y)`, where `x_g(y)` is the crossing of
-/// edge `g`'s supporting line with the horizontal line at height `y`.
-/// Both edges must be non-horizontal (every slab-spanning edge is).
-///
-/// With `d_g = g.b.y − g.a.y` and `N_g(y) = g.a.x·(g.b.y − y) +
-/// g.b.x·(y − g.a.y)`, the crossing is `x_g(y) = N_g(y) / d_g`, so
-/// `sign(x_e − x_f) = sign(N_e·d_f − N_f·d_e) · sign(d_e) · sign(d_f)`.
-/// Three stages, build-time only: a bounding-box shortcut, a
-/// floating-point evaluation with a running forward error bound
-/// ([`Approx`] — decides every generic case), and exact expansion
-/// arithmetic for the (near-)tied remainder, so the sign is exact for
-/// all finite inputs.
-fn cmp_crossings_at(e: &PreparedEdge, f: &PreparedEdge, y: f64) -> Ordering {
-    // Bounding-box shortcut: the crossing of a spanning edge lies on the
-    // edge segment, hence inside its x-extent.
-    if e.max_x < f.min_x {
-        return Ordering::Less;
-    }
-    if f.max_x < e.min_x {
-        return Ordering::Greater;
-    }
-    let flip = (e.b.y < e.a.y) != (f.b.y < f.a.y);
-    let classify = |s: f64| -> Ordering {
-        let s = if flip { -s } else { s };
-        // vaq-lint: allow(float-exactness) -- callers pass either a
-        // filter-certified value (|t.v| > t.e) or the exact expansion
-        // stage's result, so the sign of `s` is exact; negating an exact
-        // sign stays exact.
-        if s < 0.0 {
-            Ordering::Less
-        // vaq-lint: allow(float-exactness) -- same certified-exact sign
-        // as the branch above.
-        } else if s > 0.0 {
-            Ordering::Greater
-        } else {
-            Ordering::Equal
-        }
-    };
-
-    // Filtered floating-point stage.
-    let num = |g: &PreparedEdge| -> Approx {
-        let t = Approx::exact(g.b.y).sub(Approx::exact(y));
-        let s = Approx::exact(y).sub(Approx::exact(g.a.y));
-        Approx::exact(g.a.x).mul(t).add(Approx::exact(g.b.x).mul(s))
-    };
-    let de = Approx::exact(e.b.y).sub(Approx::exact(e.a.y));
-    let df = Approx::exact(f.b.y).sub(Approx::exact(f.a.y));
-    let t = num(e).mul(df).sub(num(f).mul(de));
-    if t.v.abs() > t.e {
-        return classify(t.v);
-    }
-
-    // Exact expansion stage (rare: ties and near-ties).
-    fn numerator(g: &PreparedEdge, y: f64) -> Vec<f64> {
-        let (t1, t0) = two_diff(g.b.y, y);
-        let (s1, s0) = two_diff(y, g.a.y);
-        expansion_sum(
-            &expansion_product(&[t0, t1], &[g.a.x]),
-            &expansion_product(&[s0, s1], &[g.b.x]),
-        )
-    }
-    fn dy(g: &PreparedEdge) -> [f64; 2] {
-        let (d1, d0) = two_diff(g.b.y, g.a.y);
-        [d0, d1]
-    }
-    let t = expansion_diff(
-        &expansion_product(&numerator(e, y), &dy(f)),
-        &expansion_product(&numerator(f, y), &dy(e)),
-    );
-    classify(expansion_sign(&t))
-}
-
-/// Minimum slab occupancy before the left-to-right order is established
-/// and containment binary-searches it. Below this, the `max_x`-sorted
-/// prefix-skip scan is both cheaper to build (no order proof) and
-/// cheaper to query (coordinate compares at ~2 ns beat `log s`
-/// orientation predicates at ~20 ns until the scannable suffix is large);
-/// the measured crossover on star-polygon workloads sits near this
-/// occupancy (`reproduce predicates`: 1.6–1.8× for the search at ~200).
-const ORDERED_SEARCH_MIN: usize = 64;
-
-/// Spans at or below this size skip even the `max_x` prefix-skip binary
-/// search — scanning a handful of edges outright is cheaper than
-/// bisecting them.
-const SMALL_SPAN_SCAN: usize = 16;
-
-/// How one slab answers containment queries.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum SlabMode {
-    /// `max_x`-sorted prefix-skip scan (small slabs — the order proof
-    /// was not attempted because the scan is cheaper anyway).
-    Scan,
-    /// Left-to-right order proven across the whole closed slab: one
-    /// binary search by `orient2d` answers the slab.
-    Search,
-    /// The order proof failed (self-crossing ring): `max_x`-sorted scan.
-    Refused,
-}
-
-/// Slab decomposition for `O(log k)` point-in-polygon.
+/// Slab decomposition for point-in-polygon: the candidate edges of every
+/// open slab and of every slab boundary, each list in ring order.
 #[derive(Clone, Debug, Default)]
 struct Slabs {
     /// Sorted distinct vertex y-coordinates (slab boundaries).
     ys: Vec<f64>,
     /// CSR offsets into `span_edges`, one slab per adjacent `ys` pair.
     span_off: Vec<u32>,
-    /// Edges spanning each open slab. In a [`SlabMode::Search`] slab they
-    /// are sorted left-to-right across the whole slab, so containment is
-    /// a single binary search by `orient2d`; otherwise they are sorted
-    /// by `max_x` ascending (so the scan can skip the strictly-left
-    /// prefix with one binary search).
+    /// Edges spanning each open slab.
     span_edges: Vec<u32>,
-    /// Per-slab query strategy (see [`SlabMode`]).
-    mode: Vec<SlabMode>,
     /// CSR offsets into `at_edges`, one entry per value in `ys`.
     at_off: Vec<u32>,
     /// Edges whose closed y-range contains each boundary value (the
-    /// fallback candidate list when `p.y` equals a vertex y).
+    /// candidate list when `p.y` equals a vertex y).
     at_edges: Vec<u32>,
 }
 
@@ -351,75 +189,10 @@ impl Slabs {
                 at_cursor[yi] += 1;
             }
         }
-        // Order each slab's spanning edges. Small slabs keep the `max_x`
-        // sort and the prefix-skip scan (cheaper on both sides of the
-        // build/query trade). Dense slabs get the left-to-right order:
-        // sorted by a cheap approximate key (the f64 crossing with the
-        // slab's midline, ties by index), then *proven* pair by pair
-        // with the exact crossing comparator at both boundaries — each
-        // crossing is linear in y, so agreement at the endpoints extends
-        // to the whole slab. Slabs where the proof fails (self-crossing
-        // rings, or an approximate sort fooled by a sub-ulp tie) keep
-        // the `max_x` order and the scan.
-        let mut mode = vec![SlabMode::Scan; n_slabs];
-        let mut keyed: Vec<(f64, u32)> = Vec::new();
-        for s in 0..n_slabs {
-            let range = span_off[s] as usize..span_off[s + 1] as usize;
-            let (lo, hi) = (ys[s], ys[s + 1]);
-            let span = &mut span_edges[range];
-            if span.len() < ORDERED_SEARCH_MIN {
-                span.sort_by(|&i, &j| edges[i as usize].max_x.total_cmp(&edges[j as usize].max_x));
-                continue;
-            }
-            let ym = lo + 0.5 * (hi - lo);
-            keyed.clear();
-            keyed.extend(span.iter().map(|&i| {
-                let e = &edges[i as usize];
-                let key = e.a.x + (e.b.x - e.a.x) * ((ym - e.a.y) / (e.b.y - e.a.y));
-                (key, i)
-            }));
-            keyed.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            let verify = |keyed: &[(f64, u32)]| {
-                keyed.windows(2).all(|w| {
-                    // vaq-lint: allow(panic-hygiene) -- windows(2) yields
-                    // exactly two elements per slice.
-                    let (e, f) = (&edges[w[0].1 as usize], &edges[w[1].1 as usize]);
-                    cmp_crossings_at(e, f, lo) != Ordering::Greater
-                        && cmp_crossings_at(e, f, hi) != Ordering::Greater
-                })
-            };
-            let mut ok = verify(&keyed);
-            if !ok {
-                // The cheap key can mis-sort nearly-horizontal edges
-                // (their crossing divides by a tiny Δy). Retry with the
-                // exact comparator: the key `(x(lo), x(hi), index)`
-                // compares real values lexicographically, so it is a
-                // genuine total order even for self-crossing rings, and
-                // re-verification now fails only when no crossing-free
-                // order exists at all.
-                keyed.sort_by(|a, b| {
-                    let (e, f) = (&edges[a.1 as usize], &edges[b.1 as usize]);
-                    cmp_crossings_at(e, f, lo)
-                        .then_with(|| cmp_crossings_at(e, f, hi))
-                        .then(a.1.cmp(&b.1))
-                });
-                ok = verify(&keyed);
-            }
-            if ok {
-                mode[s] = SlabMode::Search;
-                for (slot, &(_, i)) in span.iter_mut().zip(&keyed) {
-                    *slot = i;
-                }
-            } else {
-                mode[s] = SlabMode::Refused;
-                span.sort_by(|&i, &j| edges[i as usize].max_x.total_cmp(&edges[j as usize].max_x));
-            }
-        }
         Slabs {
             ys,
             span_off,
             span_edges,
-            mode,
             at_off,
             at_edges,
         }
@@ -654,24 +427,6 @@ impl PreparedPolygon {
         self.poly.mbr()
     }
 
-    /// `(search, scan, refused)` slab counts — how many slabs proved a
-    /// left-to-right edge order and binary-search containment, how many
-    /// stayed on the small-slab prefix-skip scan, and how many *failed*
-    /// the order proof (possible only for self-crossing rings).
-    /// Diagnostics/tests only.
-    #[doc(hidden)]
-    pub fn slab_modes(&self) -> (usize, usize, usize) {
-        let mut counts = (0usize, 0usize, 0usize);
-        for m in &self.slabs.mode {
-            match m {
-                SlabMode::Search => counts.0 += 1,
-                SlabMode::Scan => counts.1 += 1,
-                SlabMode::Refused => counts.2 += 1,
-            }
-        }
-        counts
-    }
-
     /// Cached interior point (computed lazily with the raw polygon's
     /// algorithm, then reused for every seed query).
     pub fn interior_point(&self) -> Point {
@@ -679,20 +434,12 @@ impl PreparedPolygon {
     }
 
     /// `true` when `p` lies inside the polygon or exactly on its boundary.
-    /// Identical to [`Polygon::contains`]; true `O(log k)` worst case on
-    /// **ordered** slabs (every slab of a simple polygon): the spanning
-    /// edges are stored left-to-right, so one binary search by
-    /// [`orient2d`] separates the crossings strictly left of `p` from the
-    /// rest, and the answer is the parity of the strictly-right suffix.
-    /// Slab-boundary probes (`p.y` equals a vertex y) and the rare
-    /// unordered slabs of self-crossing rings keep the candidate scan —
-    /// routed through the batched orientation filter.
+    /// Identical to [`Polygon::contains`]: one binary search finds the
+    /// open slab holding `p.y` (or the boundary value `p.y` equals), and
+    /// the raw crossing step runs over the edges listed there —
+    /// `O(log k + s)` per call, with `s` the length of that list.
     pub fn contains(&self, p: Point) -> bool {
-        if self.poly.len() < 3 {
-            return false;
-        }
-        let mbr = self.poly.mbr();
-        if !mbr.contains_point(p) {
+        if self.poly.len() < 3 || !self.poly.mbr().contains_point(p) {
             // Outside the MBR the raw scan finds no boundary edge and an
             // even number of strictly-right crossings, i.e. `false`.
             return false;
@@ -702,98 +449,14 @@ impl PreparedPolygon {
         // [ys[0], ys[last]], so j is always in range.
         let j = ys.partition_point(|&y| y < p.y);
         debug_assert!(j < ys.len());
-        if ys[j] == p.y {
-            return self.contains_at_boundary(p, j);
-        }
-        // ys[j-1] < p.y < ys[j]: every edge whose y-range contains p.y
-        // spans this open slab.
-        debug_assert!(j > 0);
-        let span = self.slabs.span(j - 1);
-        if self.slabs.mode[j - 1] == SlabMode::Search {
-            // Crossings with the ray are non-decreasing along the span
-            // order, so "crossing strictly left of p" is a prefix. A
-            // spanning edge crosses strictly left exactly when p lies
-            // strictly on its right side; for an upward edge that is
-            // `orient2d < 0`, for a downward edge `> 0`.
-            let start = span.partition_point(|&ei| {
-                let e = &self.edges[ei as usize];
-                let o = orient2d(e.a, e.b, p);
-                o != 0.0 && (o > 0.0) != (e.b.y > e.a.y)
-            });
-            if start == span.len() {
-                // Every crossing is strictly left: zero right-crossings.
-                return false;
-            }
-            // The first non-left edge is the only candidate that can pass
-            // through p (later crossings are even further right).
-            let e = &self.edges[span[start] as usize];
-            if orient2d(e.a, e.b, p) == 0.0 {
-                // A spanning edge covers the slab in y, so collinearity
-                // at p.y puts p on the segment itself — the boundary.
-                return true;
-            }
-            // All crossings in span[start..] are strictly right of p:
-            // standard crossing-number parity.
-            (span.len() - start) % 2 == 1
-        } else {
-            // Small or unprovable slab: max_x-sorted scan. The
-            // strictly-left prefix (max_x < p.x — crossing strictly left,
-            // never toggles, never a boundary hit) is skipped with one
-            // binary search, unless the whole span is cheaper to scan
-            // than to bisect.
-            let start = if span.len() <= SMALL_SPAN_SCAN {
-                0
-            } else {
-                span.partition_point(|&ei| self.edges[ei as usize].max_x < p.x)
-            };
-            let mut inside = false;
-            for &ei in &span[start..] {
-                if self.edges[ei as usize].process(p, &mut inside) {
-                    return true;
-                }
-            }
-            inside
-        }
-    }
-
-    /// The slab-boundary case of [`PreparedPolygon::contains`] (`p.y` is
-    /// exactly a vertex y-coordinate): straddle status is not uniform
-    /// across the slab, so the full per-edge rule runs over the boundary
-    /// candidate list — gathered through the batched orientation filter.
-    /// Edges outside their x-extent keep the exact coordinate-comparison
-    /// proofs (strictly right toggles, strictly left never does).
-    fn contains_at_boundary(&self, p: Point, yi: usize) -> bool {
-        let mut scan = CrossingScan::new(p);
-        for &ei in self.slabs.at(yi) {
-            let e = &self.edges[ei as usize];
-            if e.bbox_contains(p) {
-                scan.push(e.a, e.b);
-            } else if (e.a.y > p.y) != (e.b.y > p.y) && e.min_x > p.x {
-                scan.toggle();
-            }
-        }
-        let (boundary, inside) = scan.finish();
-        boundary || inside
-    }
-
-    /// The pre-ordered-slab containment scan (slab lookup + linear
-    /// candidate scan), kept as the differential oracle for
-    /// [`PreparedPolygon::contains`] and the `reproduce predicates`
-    /// baseline. Bit-identical to `contains` and [`Polygon::contains`].
-    #[doc(hidden)]
-    pub fn contains_linear(&self, p: Point) -> bool {
-        if self.poly.len() < 3 || !self.poly.mbr().contains_point(p) {
-            return false;
-        }
-        let ys = &self.slabs.ys;
-        let j = ys.partition_point(|&y| y < p.y);
-        debug_assert!(j < ys.len());
-        let mut inside = false;
+        // Off a boundary, ys[j-1] < p.y < ys[j]: every edge whose y-range
+        // contains p.y spans that open slab.
         let candidates = if ys[j] == p.y {
             self.slabs.at(j)
         } else {
             self.slabs.span(j - 1)
         };
+        let mut inside = false;
         for &ei in candidates {
             if self.edges[ei as usize].process(p, &mut inside) {
                 return true;
@@ -1055,7 +718,7 @@ mod tests {
 
     #[test]
     fn horizontal_edge_probes() {
-        // p.y equal to a vertex y exercises the at-boundary fallback.
+        // p.y equal to a vertex y exercises the boundary candidate lists.
         let poly = ell();
         let prep = PreparedPolygon::new(poly.clone());
         for x in [-1.0, 0.0, 0.5, 1.0, 2.0, 4.0, 4.5] {

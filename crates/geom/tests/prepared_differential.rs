@@ -8,9 +8,11 @@
 //!   coincident vertices, non-simple rings;
 //! * star polygons of varying vertex count — the paper's query areas;
 //! * degenerate slivers — needle-thin rings stressing slab boundaries;
-//! * probes snapped onto vertex y-coordinates (the slab-boundary fallback
-//!   path), onto vertices, edge midpoints and the MBR frame — plus random
-//!   interior/exterior points.
+//! * dense rings whose slabs list many edges — zigzag combs with
+//!   repeated peak heights, a 1024-vertex gear and a self-crossing comb;
+//! * probes snapped onto vertex y-coordinates (the slab-boundary
+//!   candidate lists), onto vertices, edge midpoints and the MBR frame —
+//!   plus random interior/exterior points.
 
 use proptest::prelude::*;
 use vaq_geom::{Point, Polygon, PreparedPolygon, PreparedRegion, Rect, Region, Segment};
@@ -46,6 +48,28 @@ fn star_polygon(k: usize, seed: u64) -> Option<Polygon> {
     Polygon::new(verts).ok()
 }
 
+/// A zigzag comb with `teeth` teeth: every slab between the valley line
+/// (y = 1) and the lowest peak is spanned by ~2·teeth edges, and peak
+/// heights repeat y-coordinates aggressively. `sabotage` moves one
+/// tooth's valley far right, so its edges cross the neighbouring teeth
+/// inside the dense slabs.
+fn comb_polygon(teeth: usize, jitter: &[u8], sabotage: Option<usize>) -> Option<Polygon> {
+    let mut verts: Vec<Point> = vec![pt(0.0, 0.0), pt(2.0 * teeth as f64, 0.0)];
+    for t in (0..teeth).rev() {
+        let x = 2.0 * t as f64;
+        let peak = 2.0 + f64::from(jitter[t % jitter.len()]);
+        let valley = if sabotage == Some(t) {
+            x + 9.0
+        } else {
+            x + 1.0
+        };
+        verts.push(pt(x + 1.5, peak));
+        verts.push(pt(valley, 1.0));
+        verts.push(pt(x + 0.5, peak));
+    }
+    Polygon::new(verts).ok()
+}
+
 /// Probe battery for one polygon: random points plus every boundary-
 /// grazing configuration the slab/grid code special-cases.
 fn probe_battery(poly: &Polygon, extra: &[(f64, f64)]) -> Vec<Point> {
@@ -53,11 +77,14 @@ fn probe_battery(poly: &Polygon, extra: &[(f64, f64)]) -> Vec<Point> {
     let mbr = poly.mbr();
     for v in poly.vertices() {
         probes.push(*v);
-        // Same y as a vertex (slab-boundary fallback), varying x.
+        // Same y as a vertex (slab-boundary candidate list), varying x.
         probes.push(pt(v.x + 0.25, v.y));
         probes.push(pt(v.x - 0.25, v.y));
         probes.push(pt(mbr.min.x - 0.1, v.y));
         probes.push(pt(mbr.max.x + 0.1, v.y));
+        // Strictly inside a slab attached to this vertex.
+        probes.push(pt(v.x, v.y + 0.25));
+        probes.push(pt(v.x + 0.125, v.y - 0.25));
     }
     for e in poly.edges() {
         probes.push(e.midpoint());
@@ -214,6 +241,22 @@ proptest! {
         assert_polygon_agrees(&poly, &battery, &segments, &[])?;
     }
 
+    /// Combs from a handful of teeth to slabs listing ~160 edges.
+    #[test]
+    fn comb_polygons_agree(
+        teeth in 2usize..80,
+        jitter in proptest::collection::vec(0u8..3, 16),
+    ) {
+        let Some(poly) = comb_polygon(teeth, &jitter, None) else { return Ok(()); };
+        let battery = probe_battery(&poly, &[(1.25, 1.25), (3.0, 0.5), (2.0, 2.5)]);
+        let segments = [
+            Segment::new(pt(-1.0, 1.5), pt(2.0 * teeth as f64 + 1.0, 1.5)),
+            Segment::new(pt(0.75, 0.5), pt(0.75, 5.0)),
+            Segment::new(pt(1.0, 1.0), pt(3.0, 1.0)),
+        ];
+        assert_polygon_agrees(&poly, &battery, &segments, &[])?;
+    }
+
     /// Regions with holes: containment, segment and polygon tests agree
     /// across the ring structure.
     #[test]
@@ -348,4 +391,48 @@ fn segment_grid_covers_long_and_degenerate_segments() {
             "segment {s:?}"
         );
     }
+}
+
+/// A dense simple ring: a 1024-vertex gear whose middle slabs each list
+/// hundreds of spanning edges, probed on a grid and on vertex
+/// y-coordinates.
+#[test]
+fn dense_gear_agrees() {
+    let k = 1024;
+    let verts: Vec<Point> = (0..k)
+        .map(|i| {
+            let t = std::f64::consts::TAU * i as f64 / k as f64;
+            let r = if i % 2 == 0 { 1.0 } else { 0.35 };
+            pt(r * t.cos(), r * t.sin())
+        })
+        .collect();
+    let poly = Polygon::new(verts).unwrap();
+    let grid: Vec<(f64, f64)> = (-24..=24)
+        .flat_map(|i| (-24..=24).map(move |j| (f64::from(i) / 20.0, f64::from(j) / 20.0)))
+        .collect();
+    let battery = probe_battery(&poly, &grid);
+    let segments: Vec<Segment> = battery
+        .windows(2)
+        .step_by(7)
+        .map(|w| Segment::new(w[0], w[1]))
+        .collect();
+    assert_polygon_agrees(&poly, &battery, &segments, &[]).unwrap();
+}
+
+/// A dense self-crossing ring: a 70-tooth comb with one valley pulled
+/// across its neighbours — still bit-identical to the raw scan.
+#[test]
+fn dense_self_crossing_ring_agrees() {
+    let teeth = 70;
+    let poly = comb_polygon(teeth, &[0, 1, 2], Some(teeth / 2)).unwrap();
+    assert!(!poly.is_simple(), "the sabotage must cross edges");
+    let grid: Vec<(f64, f64)> = (0..180)
+        .flat_map(|i| (-2..=10).map(move |j| (f64::from(i) * 0.5 - 5.0, f64::from(j) * 0.5)))
+        .collect();
+    let battery = probe_battery(&poly, &grid);
+    let segments = [
+        Segment::new(pt(60.0, 1.5), pt(90.0, 1.5)),
+        Segment::new(pt(71.0, 0.5), pt(71.0, 5.0)),
+    ];
+    assert_polygon_agrees(&poly, &battery, &segments, &[]).unwrap();
 }

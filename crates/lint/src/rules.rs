@@ -844,7 +844,7 @@ const GUARD_CROSSING: [&str; 6] = [
     ".emit(",
     ".merge(",
     ".run_sink(",
-    ".execute_sink(",
+    ".run(",
     ".execute(",
     ".execute_batch(",
 ];
@@ -856,8 +856,8 @@ const GUARD_CROSSING: [&str; 6] = [
 /// not:
 ///
 /// * call into an emit/merge/execute path (`.emit(` / `.merge(` /
-///   `.run_sink(` / `.execute_sink(` / `.execute(` / `.execute_batch(`)
-///   — compute under the lock, release, then emit;
+///   `.run_sink(` / `.run(` / `.execute(` / `.execute_batch(`) —
+///   compute under the lock, release, then emit;
 /// * acquire another lock (`.lock(`) without a `// lock-order:` comment
 ///   on the line or directly above declaring the global acquisition
 ///   order that makes the nesting deadlock-free.

@@ -15,3 +15,8 @@ pub fn execute_under_lock(planner: &Mutex<CostModel>, engine: &Engine, areas: &[
     let plan = planner.lock().expect("planner mutex poisoned");
     engine.execute_batch(&plan, areas);
 }
+
+pub fn run_under_lock(cache: &Mutex<PreparedAreaCache>, resolved: &Resolved, engine: &Engine) {
+    let entries = cache.lock().expect("cache mutex poisoned");
+    resolved.run(engine, &entries);
+}

@@ -278,6 +278,7 @@ fn lock_hygiene_flags_crossings_and_unordered_nesting() {
             (5, LOCK_HYGIENE),  // .merge( under a live guard
             (10, LOCK_HYGIENE), // nested .lock( without a lock-order note
             (16, LOCK_HYGIENE), // .execute_batch( under a live guard
+            (21, LOCK_HYGIENE), // .run( under a live guard
         ]
     );
 }
@@ -349,7 +350,7 @@ fn real_tree_has_zero_findings() {
 /// The number of `panic-hygiene` allow annotations in the real tree. The
 /// count may only go down: lower this pin when a change removes some,
 /// and return an error instead of annotating a new panic.
-const PANIC_HYGIENE_ALLOWS: usize = 29;
+const PANIC_HYGIENE_ALLOWS: usize = 28;
 
 #[test]
 fn panic_hygiene_allows_only_go_down() {
