@@ -3,9 +3,11 @@
 //! A perf baseline without provenance cannot be compared across machines
 //! or revisions: the numbers drift and nobody knows whether the code or
 //! the box changed. Every JSON writer therefore embeds a `provenance`
-//! object with the git revision the benchmark ran at, the workload scale
-//! (point and query counts), and the threading situation (worker threads
-//! used and hardware parallelism available).
+//! object with the git revision the benchmark ran at (suffixed `+dirty`
+//! when the working tree had uncommitted changes, so a number measured on
+//! an uncommitted change never passes for its parent's), the workload
+//! scale (point and query counts), and the threading situation (worker
+//! threads used and hardware parallelism available).
 
 use std::fmt::Write as _;
 use std::process::Command;
@@ -13,8 +15,9 @@ use std::process::Command;
 /// Provenance of one benchmark run.
 #[derive(Clone, Debug)]
 pub struct Provenance {
-    /// `git rev-parse --short=12 HEAD` at run time (`"unknown"` when git
-    /// or the repository is unavailable — e.g. running from a tarball).
+    /// `git rev-parse --short=12 HEAD` at run time, plus `+dirty` when
+    /// `git status --porcelain` lists any change (`"unknown"` when git or
+    /// the repository is unavailable — e.g. running from a tarball).
     pub git_rev: String,
     /// Points indexed by the benchmark's engine(s).
     pub points: u64,
@@ -26,17 +29,31 @@ pub struct Provenance {
     pub available_parallelism: usize,
 }
 
-/// Best-effort git revision of the working tree.
+/// Best-effort git revision of the working tree, `+dirty` when the tree
+/// has uncommitted changes.
 pub fn git_revision() -> String {
-    Command::new("git")
-        .args(["rev-parse", "--short=12", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| String::from("unknown"))
+    let git = |args: &[&str]| {
+        Command::new("git")
+            .args(args)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .and_then(|o| String::from_utf8(o.stdout).ok())
+    };
+    let rev = git(&["rev-parse", "--short=12", "HEAD"]).unwrap_or_default();
+    let status = git(&["status", "--porcelain"]).unwrap_or_default();
+    revision_label(rev.trim(), &status)
+}
+
+/// The provenance label of revision `rev`, given what `git status
+/// --porcelain` printed: `rev` for a clean tree, `<rev>+dirty` when the
+/// status lists anything, `unknown` without a revision.
+fn revision_label(rev: &str, status: &str) -> String {
+    match (rev, status.trim()) {
+        ("", _) => String::from("unknown"),
+        (rev, "") => rev.to_string(),
+        (rev, _) => format!("{rev}+dirty"),
+    }
 }
 
 impl Provenance {
@@ -89,6 +106,15 @@ mod tests {
         assert!(json.contains("\"queries\": 64"));
         assert!(json.contains("\"threads\": 8"));
         assert!(json.starts_with('{') && json.ends_with('}'));
+    }
+
+    #[test]
+    fn dirty_trees_are_labelled() {
+        assert_eq!(revision_label("abc123", ""), "abc123");
+        assert_eq!(revision_label("abc123", "\n"), "abc123");
+        assert_eq!(revision_label("abc123", " M src/lib.rs\n"), "abc123+dirty");
+        assert_eq!(revision_label("abc123", "?? new.rs\n"), "abc123+dirty");
+        assert_eq!(revision_label("", " M src/lib.rs\n"), "unknown");
     }
 
     #[test]

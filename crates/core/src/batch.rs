@@ -5,8 +5,8 @@
 //! `Resolved::run`. A [`QuerySession`](crate::QuerySession) is the
 //! executor's one-area, one-part case: it resolves each area with its own
 //! 64-entry LRU cache and calibrating planner and runs it on its own
-//! scratch. The dynamic engine is the same case, with its tombstone map
-//! and delta scan on top.
+//! scratch. The dynamic engine is the same case, with its tombstone flags
+//! and delta-grid scan on top.
 //!
 //! Both engines' `execute_batch` run `Batch`. It resolves every area
 //! once on the calling thread, with one fresh planner and one cache that
@@ -40,6 +40,7 @@ use crate::stats::{CacheCounters, QueryStats};
 use crate::sync::par_map;
 use std::collections::HashMap;
 use std::sync::Arc;
+use vaq_geom::Point;
 
 /// An area's compiled form, shared by every part and worker that runs it.
 type Prepared = Arc<dyn QueryArea + Send + Sync>;
@@ -184,6 +185,15 @@ impl Resolved {
                 engine.run_sink(&self.spec, prepared, scratch, sink, partial, map, stats);
             }
             None => engine.run_sink(&self.spec, area, scratch, sink, partial, map, stats),
+        }
+    }
+
+    /// Closed containment of `p` in the area as it runs: the compiled form
+    /// when there is one, otherwise `area`.
+    pub(crate) fn contains<A: QueryArea + ?Sized>(&self, area: &A, p: Point) -> bool {
+        match self.prepared.as_deref() {
+            Some(prepared) => prepared.contains(p),
+            None => area.contains(p),
         }
     }
 

@@ -23,8 +23,8 @@
 //!   [`AreaFingerprint`](crate::AreaFingerprint) is already resident in
 //!   the prepared-area cache the query runs with, and whether the area
 //!   has a prepared form at all;
-//! * `delta_len`, `shards` — overlay depth on the dynamic engine and
-//!   shard count on the sharded one;
+//! * `delta_len`, `shards` — the delta points a dynamic query will
+//!   examine and the shard count on the sharded engine;
 //! * `in_hull` — whether the area's MBR stays inside the data bounding
 //!   box (outside it, segment expansion loses its completeness argument,
 //!   so the planner hedges to cell expansion).
@@ -137,8 +137,8 @@ impl ExecutionPlan {
 #[derive(Clone, Copy, Debug)]
 pub struct PlanFeatures {
     /// Points indexed by the engine. On the dynamic engine this is the
-    /// base's point count, tombstoned points included; the delta buffer
-    /// is counted in `delta_len`.
+    /// base's point count, tombstoned points included; the delta is
+    /// counted in `delta_len`.
     pub len: usize,
     /// Expected number of points under the area's MBR, from the engine's
     /// [`DensityMap`]. This is exactly the traditional method's expected
@@ -154,9 +154,12 @@ pub struct PlanFeatures {
     /// `true` when the area has a prepared form at all (plain rectangles
     /// do not; preparation can only be planned when this holds).
     pub cacheable: bool,
-    /// Live delta-buffer depth on the dynamic engine (0 elsewhere). The
-    /// linear delta scan is method-independent, so this raises every
-    /// predicted cost equally — it is recorded for auditability.
+    /// On the dynamic engine, the delta points in the grid cells the
+    /// area's MBR meets, which its delta scan examines (0 elsewhere). The
+    /// scan is method-independent, so this raises every predicted cost
+    /// equally — it is recorded for auditability, and it keeps the
+    /// prediction in step with the observed cost the planner calibrates
+    /// against.
     pub delta_len: usize,
     /// Shard count on sharded engines (0 elsewhere).
     pub shards: usize,

@@ -60,13 +60,18 @@
 //!   a nested engine blob). The engine keeps no planner state, so there
 //!   is no calibration to store.
 //! * **Dynamic** ([`DynamicAreaQueryEngine`]): the base engine blob
-//!   plus the overlay **as data** — the base id table, the delta buffer
-//!   of `(id, point)` entries, tombstones and the id counter are stored
-//!   and replayed on load, not re-executed as operations. The loader
-//!   checks the overlay's id invariants: base ids strictly ascending,
-//!   delta ids distinct from each other and from every base id, every
-//!   tombstone naming a base or delta id, and the id counter above every
-//!   assigned id.
+//!   plus the overlay **as data** — the base id table, the live delta's
+//!   `(id, point)` entries ascending by id, the tombstoned base ids and
+//!   the id counter are stored and replayed on load, not re-executed as
+//!   operations. The loader checks the overlay's id invariants: base ids
+//!   strictly ascending, delta ids distinct from each other and from
+//!   every base id, every tombstone naming a base or delta id, and the id
+//!   counter above every assigned id. A tombstone naming a delta id is
+//!   purged on load: the loader drops that delta entry. Earlier writers
+//!   kept deleted delta points, tombstoned, until a purge; today's
+//!   writer stores only live delta points and base tombstones. The
+//!   section's layout is unchanged, so the format stays v5 and both kinds
+//!   of v5 file load.
 
 use crate::dynamic::DynamicAreaQueryEngine;
 use crate::engine::AreaQueryEngine;
@@ -1084,14 +1089,12 @@ pub fn dynamic_to_bytes(engine: &DynamicAreaQueryEngine) -> Vec<u8> {
     let mut w = SecWriter::default();
     w.u64s(base_ids);
     w.u64(delta.len() as u64);
-    for &(id, p) in delta {
+    for (id, p) in delta {
         w.u64(id);
         w.f64(p.x);
         w.f64(p.y);
     }
-    let mut tombs: Vec<u64> = tombstones.iter().copied().collect();
-    tombs.sort_unstable();
-    w.u64s(&tombs);
+    w.u64s(&tombstones);
     w.u64(next_id);
     c.section(TAG_DYN_OVERLAY, w.buf);
     c.finish()
@@ -1128,7 +1131,8 @@ pub fn engine_from_bytes(bytes: &[u8]) -> Result<AreaQueryEngine, SnapshotError>
 
 /// Deserializes a dynamic engine from container bytes. The overlay is
 /// replayed as data: delta, tombstones and the id counter resume
-/// exactly where the saved engine stood.
+/// exactly where the saved engine stood, less the delta entries that a
+/// tombstone names (see the module doc).
 pub fn dynamic_from_bytes(bytes: &[u8]) -> Result<DynamicAreaQueryEngine, SnapshotError> {
     let c = Container::parse(bytes)?;
     c.expect_kind(SnapshotKind::Dynamic)?;
@@ -1191,9 +1195,18 @@ pub fn dynamic_from_bytes(bytes: &[u8]) -> Result<DynamicAreaQueryEngine, Snapsh
             )));
         }
     }
-    let tombstones: HashSet<u64> = tombs.into_iter().collect();
-    Ok(DynamicAreaQueryEngine::from_snapshot_parts(
-        base, base_ids, delta, tombstones, next_id,
+    // Tombstones become base flags; one naming a delta id drops the entry.
+    let mut dead = vec![false; base_ids.len()];
+    for id in tombs {
+        if let Ok(i) = base_ids.binary_search(&id) {
+            dead[i] = true;
+        } else {
+            delta_ids.remove(&id);
+        }
+    }
+    delta.retain(|(id, _)| delta_ids.contains(id));
+    Ok(DynamicAreaQueryEngine::from_parts(
+        base, base_ids, dead, delta, next_id,
     ))
 }
 
@@ -1421,11 +1434,47 @@ mod tests {
     #[test]
     fn tombstone_naming_no_point_is_rejected() {
         assert_inconsistent(&crafted_overlay(&[], &[], &[5], 6), "tombstone 5");
-        // Tombstones over a base id and a delta id are fine.
+        // Tombstones over a base id and a delta id are fine; the delta
+        // entry a tombstone names is dropped on load.
         let delta = [(3, Point::new(0.3, 0.3))];
         let ok = dynamic_from_bytes(&crafted_overlay(&three_points(), &delta, &[1, 3], 4))
             .expect("tombstones naming live ids load");
         assert_eq!(ok.len(), 2);
+        assert_eq!(ok.delta_len(), 0);
+    }
+
+    /// A removed delta point leaves no tombstone: an engine whose removes
+    /// all hit delta ids, filed or pending, saves an empty tombstone list
+    /// and loads with the same live set.
+    #[test]
+    fn delta_only_removes_save_no_tombstones() {
+        let mut engine = DynamicAreaQueryEngine::new(&three_points());
+        let mut ids: Vec<u64> = (1..=4)
+            .map(|i| engine.insert(Point::new(0.2 * f64::from(i), 0.3)))
+            .collect();
+        let everything = Rect::new(Point::new(0.0, 0.0), Point::new(1.0, 1.0));
+        assert_eq!(engine.query(&everything).len(), 7, "files the delta");
+        ids.push(engine.insert(Point::new(0.6, 0.6)));
+        for id in [ids[0], ids[3], ids[4]] {
+            assert!(engine.remove(id));
+        }
+        let bytes = dynamic_to_bytes(&engine);
+        let c = Container::parse(&bytes).expect("parses");
+        let mut r = SecReader::new(c.section(TAG_DYN_OVERLAY).expect("has an overlay"));
+        assert_eq!(r.u64s().expect("base ids"), vec![0, 1, 2]);
+        let n_delta = r.len(24).expect("delta length");
+        let delta: Vec<u64> = (0..n_delta)
+            .map(|_| {
+                let id = r.u64().expect("id");
+                let _ = (r.f64(), r.f64());
+                id
+            })
+            .collect();
+        assert_eq!(delta, vec![ids[1], ids[2]], "live delta ids, ascending");
+        assert!(r.u64s().expect("tombstones").is_empty());
+        let mut loaded = dynamic_from_bytes(&bytes).expect("loads");
+        assert_eq!((loaded.len(), loaded.delta_len()), (5, 2));
+        assert_eq!(loaded.query(&everything), engine.query(&everything));
     }
 
     /// A delta id must not reuse a base id; a whole-area query would

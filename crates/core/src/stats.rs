@@ -117,10 +117,11 @@ pub struct QueryStats {
     /// the counters differ across the `PrepareMode` axis while every
     /// result-bearing counter stays bit-identical.
     pub predicates: PredicateCounters,
-    /// Live overlay points linearly scanned by the dynamic engine's delta
-    /// pass (zero for static-engine queries). Each scanned point also
-    /// counts as a candidate and a containment test, so the classic
-    /// identities keep holding on the dynamic path.
+    /// Delta points the dynamic engine's delta pass examined: the live
+    /// delta points in the grid cells the area's MBR meets (zero for
+    /// static-engine queries). Each examined point also counts as a
+    /// candidate and a containment test, so the classic identities keep
+    /// holding on the dynamic path.
     pub delta_scanned: usize,
     /// Hidden sites surfaced by the hidden-site R-tree's window lookup and
     /// geometrically examined against the area (weighted engines only;

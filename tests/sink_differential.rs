@@ -361,24 +361,60 @@ fn knn_tie_distances_break_by_id_on_every_path() {
 }
 
 /// Every sink on the dynamic engine agrees with a live-set oracle under
-/// interleaved insert / remove / compact, over three seeded runs.
-/// Tombstoned points must never occupy kNN slots.
+/// interleaved insert / remove / compact. Three seeded runs over uniform
+/// bases, then the delta grid's edge cases: an empty base, a collinear
+/// base (bounds of zero height), and inserts on the base's bounding lines
+/// and on a 1/256 lattice of its width and height, with windows on the
+/// same lattice, so points and windows sit on cell boundaries. Every
+/// query step also asks a window wholly outside the base's bounds, where
+/// the delta points outside them live. Tombstoned points must never
+/// occupy kNN slots.
 #[test]
 fn dynamic_sinks_agree_under_interleaved_updates() {
-    for run in [1u64, 3, 8] {
+    let collinear: Vec<Point> = (0..60)
+        .map(|i| p(0.05 + 0.015 * f64::from(i), 0.5))
+        .collect();
+    let runs = [
+        (1u64, generate(220, Distribution::Uniform, 0xF01), false),
+        (3, generate(220, Distribution::Uniform, 0xF03), false),
+        (8, generate(220, Distribution::Uniform, 0xF08), false),
+        (20, Vec::new(), false),
+        (21, collinear, false),
+        (22, generate(220, Distribution::Uniform, 0xF16), true),
+    ];
+    for (run, initial, lattice) in runs {
         let mut rng = StdRng::seed_from_u64(0xD15C ^ run);
-        let initial = generate(220, Distribution::Uniform, 0xF00 + run);
         let mut flat = DynamicAreaQueryEngine::new(&initial);
         let mut live: Vec<(u64, Point)> = initial
             .iter()
             .enumerate()
             .map(|(i, &q)| (i as u64, q))
             .collect();
+        // The bounds of the base's last build (the unit square stands in
+        // for an empty base), and the 1/256 lattice over them.
+        let frame = |live: &[(u64, Point)]| {
+            let b = Rect::from_points(live.iter().map(|e| e.1));
+            if b.is_empty() {
+                Rect::new(p(0.0, 0.0), p(1.0, 1.0))
+            } else {
+                b
+            }
+        };
+        let mut bounds = frame(&live);
+        let on_lattice = |b: &Rect, fx: f64, fy: f64| {
+            let snap = |lo: f64, len: f64, f: f64| lo + len * ((f * 256.0).round() / 256.0);
+            p(snap(b.min.x, b.width(), fx), snap(b.min.y, b.height(), fy))
+        };
         let origin = p(0.5, 0.5);
         for step in 0..120 {
             match rng.gen_range(0..10) {
                 0..=3 => {
-                    let q = p(rng.gen::<f64>() * 1.2 - 0.1, rng.gen::<f64>() * 1.2 - 0.1);
+                    let (fx, fy) = (rng.gen::<f64>() * 1.2 - 0.1, rng.gen::<f64>() * 1.2 - 0.1);
+                    let q = if lattice {
+                        on_lattice(&bounds, fx.clamp(0.0, 1.0), fy.clamp(0.0, 1.0))
+                    } else {
+                        p(fx, fy)
+                    };
                     live.push((flat.insert(q), q));
                 }
                 4..=5 => {
@@ -389,52 +425,83 @@ fn dynamic_sinks_agree_under_interleaved_updates() {
                     }
                 }
                 6 => {
-                    flat.maybe_compact();
+                    if flat.maybe_compact() {
+                        bounds = frame(&live);
+                    }
                 }
                 _ => {
                     let half = 0.08 + rng.gen::<f64>() * 0.3;
                     let c = p(rng.gen(), rng.gen());
-                    let area = Rect::new(p(c.x - half, c.y - half), p(c.x + half, c.y + half));
-                    let want_ids: Vec<u64> = {
-                        let mut v: Vec<u64> = live
-                            .iter()
-                            .filter(|(_, q)| area.contains(*q))
-                            .map(|&(id, _)| id)
-                            .collect();
-                        v.sort_unstable();
-                        v
+                    let window = if lattice {
+                        Rect::new(
+                            on_lattice(&bounds, c.x - half, c.y - half),
+                            on_lattice(&bounds, c.x + half, c.y + half),
+                        )
+                    } else {
+                        Rect::new(p(c.x - half, c.y - half), p(c.x + half, c.y + half))
                     };
-                    let ctx = format!("run {run} step {step}");
-                    // Collect.
-                    let flat_out = flat.execute(&QuerySpec::new(), &area);
-                    assert_eq!(flat_out.ids, want_ids, "{ctx} flat collect");
-                    // Count: no ids materialised, count in result_size.
-                    let count_spec = QuerySpec::new().output(OutputMode::Count);
-                    let flat_count = flat.execute(&count_spec, &area);
-                    assert!(flat_count.ids.is_empty(), "{ctx}");
-                    assert_eq!(flat_count.stats.result_size, want_ids.len(), "{ctx}");
-                    // kNN, including k = 0 and k >= matches.
-                    for k in [0usize, 2, want_ids.len() + 3] {
-                        let spec = QuerySpec::new().output(OutputMode::TopKNearest { k, origin });
-                        let want = knn_oracle(&live, &area, origin, k);
-                        let out = flat.execute(&spec, &area);
-                        let got: Vec<(u64, f64)> =
-                            out.neighbors.iter().map(|n| (n.id, n.dist_sq)).collect();
-                        assert_eq!(got, want, "{ctx} flat knn k={k}");
-                        let mut ids: Vec<u64> = want.iter().map(|&(id, _)| id).collect();
-                        ids.sort_unstable();
-                        assert_eq!(out.ids, ids, "{ctx} flat knn ids k={k}");
+                    // A strip beyond one side of the bounds, across the
+                    // whole range of inserted points.
+                    let (lo, hi, gap) = (-0.2, 1.2, 1e-9);
+                    let b = bounds;
+                    let outside = match step % 4 {
+                        0 => Rect::new(p(b.max.x + gap, lo), p(hi, hi)),
+                        1 => Rect::new(p(lo, lo), p(b.min.x - gap, hi)),
+                        2 => Rect::new(p(lo, b.max.y + gap), p(hi, hi)),
+                        _ => Rect::new(p(lo, lo), p(hi, b.min.y - gap)),
+                    };
+                    assert!(!outside.intersects(&bounds));
+                    for (kind, area) in [("window", window), ("outside", outside)] {
+                        let ctx = format!("run {run} step {step} {kind}");
+                        assert_dynamic_sinks(&mut flat, &live, &area, origin, &ctx);
                     }
-                    // Materialise: dynamic bases carry no record store, so
-                    // it degrades to collection with a zero checksum.
-                    let mat =
-                        flat.execute(&QuerySpec::new().output(OutputMode::Materialize), &area);
-                    assert_eq!(mat.ids, want_ids, "{ctx} flat materialize");
-                    assert_eq!(mat.stats.payload_checksum, 0, "{ctx}");
                 }
             }
         }
     }
+}
+
+/// Every sink of `flat` over `area` against the live-set oracle.
+fn assert_dynamic_sinks(
+    flat: &mut DynamicAreaQueryEngine,
+    live: &[(u64, Point)],
+    area: &Rect,
+    origin: Point,
+    ctx: &str,
+) {
+    let want_ids: Vec<u64> = {
+        let mut v: Vec<u64> = live
+            .iter()
+            .filter(|(_, q)| area.contains(*q))
+            .map(|&(id, _)| id)
+            .collect();
+        v.sort_unstable();
+        v
+    };
+    // Collect.
+    let flat_out = flat.execute(&QuerySpec::new(), area);
+    assert_eq!(flat_out.ids, want_ids, "{ctx} flat collect");
+    // Count: no ids materialised, count in result_size.
+    let count_spec = QuerySpec::new().output(OutputMode::Count);
+    let flat_count = flat.execute(&count_spec, area);
+    assert!(flat_count.ids.is_empty(), "{ctx}");
+    assert_eq!(flat_count.stats.result_size, want_ids.len(), "{ctx}");
+    // kNN, including k = 0 and k >= matches.
+    for k in [0usize, 2, want_ids.len() + 3] {
+        let spec = QuerySpec::new().output(OutputMode::TopKNearest { k, origin });
+        let want = knn_oracle(live, area, origin, k);
+        let out = flat.execute(&spec, area);
+        let got: Vec<(u64, f64)> = out.neighbors.iter().map(|n| (n.id, n.dist_sq)).collect();
+        assert_eq!(got, want, "{ctx} flat knn k={k}");
+        let mut ids: Vec<u64> = want.iter().map(|&(id, _)| id).collect();
+        ids.sort_unstable();
+        assert_eq!(out.ids, ids, "{ctx} flat knn ids k={k}");
+    }
+    // Materialise: dynamic bases carry no record store, so it degrades to
+    // collection with a zero checksum.
+    let mat = flat.execute(&QuerySpec::new().output(OutputMode::Materialize), area);
+    assert_eq!(mat.ids, want_ids, "{ctx} flat materialize");
+    assert_eq!(mat.stats.payload_checksum, 0, "{ctx}");
 }
 
 /// Stats conservation: for both new sinks, the per-shard breakdown

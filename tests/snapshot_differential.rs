@@ -266,17 +266,26 @@ fn dynamic_overlay_roundtrip_is_bit_identical() {
     let pts = generate(300, Distribution::Uniform, 0xD1A);
     let mut fresh = DynamicAreaQueryEngine::new(&pts);
     // Mutate: inserts, removes of base and delta ids, so the saved
-    // overlay carries every kind of entry (live and tombstoned delta
-    // points, base tombstones).
+    // overlay carries live delta points, filed by a query and still
+    // pending, and base tombstones; a removed delta point leaves none.
     let a = fresh.insert(p(0.101, 0.202));
     fresh.insert(p(0.303, 0.404));
     fresh.insert(p(0.505, 0.606));
+    fresh.query(&star(0x50, 0.1)); // files the delta so far
     assert!(fresh.remove(a));
     assert!(fresh.remove(7)); // a base id
     assert!(fresh.remove(11)); // another base id
+    fresh.insert(p(0.202, 0.303)); // pending from here on
+    fresh.insert(p(1.2, -0.1)); // outside the base's bounds
 
     let bytes = snapshot::dynamic_to_bytes(&fresh);
     let mut loaded = snapshot::dynamic_from_bytes(&bytes).expect("round trip");
+    assert_eq!(loaded.len(), fresh.len());
+    assert_eq!(
+        snapshot::dynamic_to_bytes(&loaded),
+        bytes,
+        "the loaded engine, its delta all filed, saves the same bytes"
+    );
 
     for (i, seed) in [0x51u64, 0x52, 0x53].iter().enumerate() {
         let area = star(*seed, 0.1);
