@@ -83,9 +83,8 @@ mod tests {
             .collect()
     }
 
-    fn setup(seed: u64, n: usize) -> (Vec<Point>, Triangulation, Polygon, Rect) {
-        let pts = uniform(n, seed);
-        let tri = Triangulation::new(&pts).unwrap();
+    fn setup(seed: u64, n: usize) -> (Triangulation, Polygon, Rect) {
+        let tri = Triangulation::new(&uniform(n, seed)).unwrap();
         let area = Polygon::new(vec![
             p(0.3, 0.25),
             p(0.75, 0.3),
@@ -95,15 +94,15 @@ mod tests {
         ])
         .unwrap();
         let window = Rect::new(p(-2.0, -2.0), p(3.0, 3.0));
-        (pts, tri, area, window)
+        (tri, area, window)
     }
 
     #[test]
     fn classes_are_consistent_with_containment() {
-        let (pts, tri, area, window) = setup(71, 300);
+        let (tri, area, window) = setup(71, 300);
         let classes = classify_points(&tri, &area, &window);
         for (v, class) in classes.iter().enumerate() {
-            let inside = area.contains(pts[v]);
+            let inside = area.contains(tri.point(v as u32));
             match class {
                 PointClass::Internal => assert!(inside),
                 PointClass::Boundary | PointClass::External => assert!(!inside),
@@ -117,7 +116,7 @@ mod tests {
     #[test]
     fn internal_and_boundary_points_form_a_connected_subgraph() {
         for seed in [72u64, 73, 74, 75, 76, 77] {
-            let (_, tri, area, window) = setup(seed, 250);
+            let (tri, area, window) = setup(seed, 250);
             let classes = classify_points(&tri, &area, &window);
             let in_set = |v: u32| classes[v as usize] != PointClass::External;
             let members: Vec<u32> = (0..tri.vertex_count() as u32)
@@ -172,9 +171,12 @@ mod tests {
         .unwrap();
         let window = Rect::new(p(-2.0, -2.0), p(3.0, 3.0));
         let classes = classify_points(&tri, &area, &window);
-        assert_eq!(classes[0], PointClass::Internal);
-        for c in &classes[1..] {
-            assert_eq!(*c, PointClass::External);
+        let centre = tri.canonical(0) as usize;
+        assert_eq!(classes[centre], PointClass::Internal);
+        for (v, c) in classes.iter().enumerate() {
+            if v != centre {
+                assert_eq!(*c, PointClass::External);
+            }
         }
     }
 

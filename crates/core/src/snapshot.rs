@@ -44,16 +44,17 @@
 //!
 //! # What is persisted per kind
 //!
-//! * **Plain** ([`AreaQueryEngine`]): points, the triangulation's flat
-//!   arrays ([`TriangulationFlat`]: the adjacency CSR, hull, weights and
-//!   hidden/anchor tables, plus the duplicate maps when inputs
-//!   coincide), payload record pages, shard-boundary flags and the
-//!   R-tree arena. The writer borrows the flat arrays through
-//!   [`Triangulation::as_flat`]; it copies none of them. A load rebuilds
-//!   the rest: the canonical site array (from the points), the planner's
-//!   density map (from the points) and the hidden-site R-tree (from the
-//!   hidden sites). The format stores no triangle mesh: no query reads
-//!   one.
+//! * **Plain** ([`AreaQueryEngine`]): points, the triangulation's graph
+//!   arrays ([`TriangulationFlat`]: the adjacency CSR, hull, weights,
+//!   hidden sites and one anchor per hidden site), payload record pages,
+//!   shard-boundary flags and the R-tree arena. The writer borrows the
+//!   flat arrays through [`Triangulation::as_flat`]; it copies none of
+//!   them. A load rebuilds the rest: the canonical sites and both
+//!   duplicate maps (from the points, by the build's own Hilbert-rank
+//!   numbering, [`rank_sites`]), the planner's density map (from the
+//!   points) and the hidden-site R-tree (from the hidden sites). No file
+//!   stores a canonical map, whether or not inputs coincide. The format
+//!   stores no triangle mesh: no query reads one.
 //! * **Sharded** ([`ShardedAreaQueryEngine`]): the kd-partition
 //!   metadata (point count, diagram family, shard count) plus **one
 //!   independently loadable section per shard** (its global-id table and
@@ -69,9 +70,8 @@
 //!   counter above every assigned id. A tombstone naming a delta id is
 //!   purged on load: the loader drops that delta entry. Earlier writers
 //!   kept deleted delta points, tombstoned, until a purge; today's
-//!   writer stores only live delta points and base tombstones. The
-//!   section's layout is unchanged, so the format stays v5 and both kinds
-//!   of v5 file load.
+//!   writer stores only live delta points and base tombstones; the
+//!   loader accepts both kinds of file.
 
 use crate::dynamic::DynamicAreaQueryEngine;
 use crate::engine::AreaQueryEngine;
@@ -80,6 +80,7 @@ use crate::shard::ShardedAreaQueryEngine;
 use std::collections::HashSet;
 use std::fmt;
 use std::path::Path;
+use vaq_delaunay::hilbert::rank_sites;
 use vaq_delaunay::{DiagramKind, Triangulation, TriangulationFlat};
 use vaq_geom::Point;
 use vaq_rtree::{RTree, RTreeRaw};
@@ -92,7 +93,7 @@ pub const SNAPSHOT_MAGIC: u64 = u64::from_le_bytes(*b"VAQSNAP1");
 /// Current container format version. Bump on **any** change to the
 /// header, section or flat-array layouts (the layout-fingerprint guard
 /// test enforces the coupling).
-pub const SNAPSHOT_VERSION: u32 = 5;
+pub const SNAPSHOT_VERSION: u32 = 6;
 
 /// Section payloads (and the first section) start on multiples of this.
 pub const SNAPSHOT_PAGE: usize = 4096;
@@ -125,14 +126,13 @@ const TAG_SHARD: u64 = 0x1000;
 /// misparsing it. The guard test in this module pins the fingerprint:
 /// editing this string (or the layouts it describes) without bumping
 /// [`SNAPSHOT_VERSION`] fails the build's test suite.
-const LAYOUT: &str = "vaq-snapshot layout v5:\
+const LAYOUT: &str = "vaq-snapshot layout v6:\
  header{magic:u64,version:u32,kind:u32,layout:u64,file_len:u64,sections:u64,\
 table_sum:u64,git_rev:[u8;24],params:[u8;56]}\
  table{tag:u64,offset:u64,len:u64,checksum:u64}*\
- engine{points:[f64x2],tri?{canon_identity:u32,canon?:[u32],\
-members_off?:[u32],members?:[u32],adj_off:[u32],adj:[u32],\
+ engine{points:[f64x2],tri?{sites:hilbert16(points),adj_off:[u32],adj:[u32],\
 hull:[u32],degenerate:u32,weights:[f64],hidden:[u32],\
-anchor:[u32]},records?{record_bytes:u64,data:[u8]},\
+anchor:[u32;hidden]},records?{record_bytes:u64,data:[u8]},\
 straddlers?:[u8],rtree{levels:[u32],entry_offsets:[u32],entry_children:[u32],\
 inner_rects:[f64],root:u32,len:u64,max_entries:u32}}\
  dyn_overlay{base_ids:[u64],delta:[{id:u64,x:f64,y:f64}],tombstones:[u64],\
@@ -844,30 +844,9 @@ fn encode_engine(engine: &AreaQueryEngine) -> Vec<u8> {
         Some(tri) => {
             w.u32(1);
             let flat = tri.as_flat();
-            // The triangulation's site array is not stored: it holds the
-            // first occurrence of every distinct input point, in input
-            // order, which a load re-derives from the engine's points.
-            // With no coincident input points the canonical map and the
-            // members CSR are all identity permutations — the common
-            // case. A flag replaces three `n`-length arrays, and a load
-            // regenerates them faster than it could read them.
-            let n = flat.pts.len();
-            let identity = flat.canon.len() == n
-                && flat.members.len() == n
-                && flat.members_off.len() == n + 1
-                && flat.canon.iter().enumerate().all(|(i, &c)| c == i as u32)
-                && flat
-                    .members_off
-                    .iter()
-                    .enumerate()
-                    .all(|(i, &o)| o == i as u32)
-                && flat.members.iter().enumerate().all(|(i, &m)| m == i as u32);
-            w.u32(identity as u32);
-            if !identity {
-                w.u32s(&flat.canon);
-                w.u32s(&flat.members_off);
-                w.u32s(&flat.members);
-            }
+            // The site array and the duplicate maps are not stored: they
+            // are a function of the engine's points (`rank_sites`, the
+            // build's own numbering), which a load re-derives.
             w.u32s(&flat.adj_off);
             w.u32s(&flat.adj);
             w.u32s(&flat.hull);
@@ -914,34 +893,7 @@ fn decode_engine(payload: &[u8]) -> Result<AreaQueryEngine, SnapshotError> {
     let tri = match r.u32()? {
         0 => None,
         1 => {
-            let (pts, canon, members_off, members) = match r.u32()? {
-                0 => {
-                    let (canon, members_off, members) = (r.u32s()?, r.u32s()?, r.u32s()?);
-                    if canon.len() != n_points {
-                        return Err(SnapshotError::Inconsistent(format!(
-                            "canonical map covers {} inputs but the engine holds {n_points} points",
-                            canon.len()
-                        )));
-                    }
-                    let pts = canonical_sites(&points, &members_off, &members)?;
-                    (pts, canon, members_off, members)
-                }
-                1 => {
-                    let n = points.len() as u32;
-                    let identity = (0..n).collect();
-                    (
-                        points.clone(),
-                        identity,
-                        (0..=n).collect(),
-                        (0..n).collect(),
-                    )
-                }
-                f => {
-                    return Err(SnapshotError::Malformed(format!(
-                        "non-canonical identity flag {f}"
-                    )))
-                }
-            };
+            let (pts, canon, members_off, members) = rank_sites(&points);
             let flat = TriangulationFlat {
                 pts,
                 canon,
@@ -1038,35 +990,6 @@ fn decode_engine(payload: &[u8]) -> Result<AreaQueryEngine, SnapshotError> {
         boundary_straddlers,
         Some(rtree),
     ))
-}
-
-/// The canonical site array of a triangulation whose inputs coincide:
-/// vertex `v` sits at the coordinates of its first member input (the
-/// triangulation keeps the first occurrence of every distinct point, and
-/// each members-CSR row is ascending). Rows must be non-empty and in
-/// bounds; `Triangulation::from_flat` checks the CSR shape afterwards.
-fn canonical_sites(
-    points: &[Point],
-    members_off: &[u32],
-    members: &[u32],
-) -> Result<Vec<Point>, SnapshotError> {
-    members_off
-        .iter()
-        .zip(members_off.iter().skip(1))
-        .enumerate()
-        .map(|(v, (&lo, &hi))| {
-            (lo < hi)
-                .then(|| members.get(lo as usize))
-                .flatten()
-                .and_then(|&i| points.get(i as usize))
-                .copied()
-                .ok_or_else(|| {
-                    SnapshotError::Malformed(format!(
-                        "canonical vertex {v} has no member input in range"
-                    ))
-                })
-        })
-        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -1378,12 +1301,12 @@ mod tests {
     #[test]
     fn layout_fingerprint_is_pinned_to_the_version() {
         assert_eq!(
-            SNAPSHOT_VERSION, 5,
+            SNAPSHOT_VERSION, 6,
             "version changed: re-pin the fingerprint"
         );
         assert_eq!(
             layout_fingerprint(),
-            0xd76c_eb21_51c7_cd98,
+            0xf8c7_5dff_3c77_e9d5,
             "flat layout changed: bump SNAPSHOT_VERSION and re-pin this fingerprint"
         );
     }
@@ -1536,19 +1459,75 @@ mod tests {
     /// rebuild. A plain engine over uniform points stores 16 B of
     /// coordinates, about 28 B of adjacency CSR and about 7 B of R-tree
     /// arena per point; a triangle mesh (48 B per point) or any other
-    /// derivable array would break the bound.
+    /// derivable array would break the bound. Coincident inputs store no
+    /// canonical maps either: a repeated point adds its coordinates and
+    /// its R-tree entry, not the three duplicate-map arrays (about 55 B
+    /// per repeat), and the load derives the same vertex ids.
     #[test]
     fn plain_snapshot_stores_no_derivable_arrays() {
         let mut rng = StdRng::seed_from_u64(20_000);
         let pts: Vec<Point> = (0..20_000)
             .map(|_| Point::new(rng.gen::<f64>(), rng.gen::<f64>()))
             .collect();
-        let bytes = encode_engine(&AreaQueryEngine::build(&pts)).len();
-        let per_point = bytes as f64 / pts.len() as f64;
+        let distinct = encode_engine(&AreaQueryEngine::build(&pts)).len();
+        let per_point = distinct as f64 / pts.len() as f64;
         assert!(
             per_point <= 56.0,
             "{per_point:.2} bytes per point in the engine blob"
         );
+
+        let mut repeated = pts.clone();
+        repeated.extend((0..10_000).map(|i| pts[(i * 7) % pts.len()]));
+        let engine = AreaQueryEngine::build(&repeated);
+        let blob = encode_engine(&engine);
+        let per_repeat = (blob.len() - distinct) as f64 / 10_000.0;
+        assert!(
+            per_repeat <= 30.0,
+            "{per_repeat:.2} bytes per repeated point"
+        );
+        let loaded = decode_engine(&blob).expect("loads");
+        assert_eq!(
+            loaded.triangulation().map(Triangulation::as_flat),
+            engine.triangulation().map(Triangulation::as_flat),
+            "the load derives the build's vertex ids and maps"
+        );
+    }
+
+    /// Anchors stand in for hidden sites in graph walks, so a file whose
+    /// anchor names a hidden site is malformed: a walk seeded there would
+    /// stop at a cell-less site.
+    #[test]
+    fn hidden_anchor_is_rejected() {
+        let mut rng = StdRng::seed_from_u64(31);
+        let pts: Vec<Point> = (0..400)
+            .map(|_| Point::new(rng.gen::<f64>(), rng.gen::<f64>()))
+            .collect();
+        let weights: Vec<f64> = (0..400)
+            .map(|i| if i % 5 == 0 { 0.004 } else { 0.0 })
+            .collect();
+        let engine = AreaQueryEngine::builder(&pts).weights(&weights).build();
+        let hidden = engine.triangulation().expect("built").hidden_vertices();
+        assert!(hidden.len() >= 2, "{} hidden sites", hidden.len());
+        let mut blob = encode_engine(&engine);
+        assert!(decode_engine(&blob).is_ok());
+        // Walk the blob up to the anchor array and point its first entry
+        // at a hidden site.
+        let mut r = SecReader::new(&blob);
+        r.points().expect("points");
+        r.u32().expect("triangulation flag");
+        for _ in 0..3 {
+            r.u32s().expect("adjacency and hull");
+        }
+        r.u32().expect("degenerate flag");
+        r.f64s().expect("weights");
+        assert_eq!(r.u32s().expect("hidden"), hidden);
+        let at = r.pos + 8;
+        blob[at..at + 4].copy_from_slice(&hidden[1].to_le_bytes());
+        match decode_engine(&blob) {
+            Err(SnapshotError::Malformed(msg)) => assert!(msg.contains("anchor"), "{msg}"),
+            Err(e) => panic!("expected a malformed-anchor error, got {e}"),
+            Ok(_) => panic!("a hidden anchor loaded"),
+        }
     }
 
     /// A shard-boundary flag array must hold one flag per vertex: a

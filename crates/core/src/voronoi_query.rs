@@ -260,7 +260,7 @@ mod tests {
         let mut scratch = QueryScratch::new(tri.vertex_count());
         let mut stats = QueryStats::default();
         let win = window_for(pts, area);
-        let mut got = voronoi_area_query(
+        let canonical = voronoi_area_query(
             &tri,
             area,
             seed,
@@ -270,6 +270,11 @@ mod tests {
             &mut scratch,
             &mut stats,
         );
+        let mut got: Vec<u32> = canonical
+            .iter()
+            .flat_map(|&v| tri.inputs_of(v))
+            .copied()
+            .collect();
         got.sort_unstable();
         (got, stats)
     }

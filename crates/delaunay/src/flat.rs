@@ -1,15 +1,15 @@
 //! The flat arrays a [`Triangulation`] is made of.
 //!
 //! A [`TriangulationFlat`] is the triangulation's storage: plain POD
-//! arrays (`u32` ids, `f64` coordinates and weights) in the
-//! structure-of-arrays layout a snapshot file stores verbatim. A built
-//! triangulation keeps the Voronoi graph only, so there is no triangle
-//! arena and no free list. [`Triangulation::as_flat`] borrows the arrays
-//! for the snapshot writer, and [`Triangulation::from_flat`] hands loaded
-//! ones straight back to the engine without per-element decoding. The
-//! round trip `Triangulation::from_flat(tri.as_flat().clone())`
-//! reconstructs a structure that is bit-identical to the original (same
-//! ids, same adjacency rows, same hull, hidden sites and anchors).
+//! arrays (`u32` ids, `f64` coordinates and weights) in a
+//! structure-of-arrays layout. A built triangulation keeps the Voronoi
+//! graph only, so there is no triangle arena and no free list.
+//! [`Triangulation::as_flat`] borrows the arrays for the snapshot writer,
+//! and [`Triangulation::from_flat`] hands loaded ones straight back to the
+//! engine without per-element decoding. The round trip
+//! `Triangulation::from_flat(tri.as_flat().clone())` reconstructs a
+//! structure that is bit-identical to the original (same ids, same
+//! adjacency rows, same hull, hidden sites and anchors).
 //!
 //! The flat layout is **versioned by shape**: any change to the set,
 //! order or meaning of these fields must bump the snapshot container
@@ -20,8 +20,10 @@
 //! [`Triangulation::as_flat`]: crate::Triangulation::as_flat
 //! [`Triangulation::from_flat`]: crate::Triangulation::from_flat
 
-/// The flat POD arrays of a [`Triangulation`](crate::Triangulation),
-/// ready for verbatim storage in a snapshot section.
+/// The flat POD arrays of a [`Triangulation`](crate::Triangulation). A
+/// snapshot stores the graph arrays, from `adj_off` on; `pts`, `canon`
+/// and the members CSR are derived from the input points on load
+/// ([`rank_sites`](crate::hilbert::rank_sites)).
 ///
 /// Borrowed from a triangulation by
 /// [`as_flat`](crate::Triangulation::as_flat); consumed by
@@ -30,9 +32,9 @@
 /// tables) before wrapping the arrays.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct TriangulationFlat {
-    /// Canonical vertex coordinates, indexed by vertex id (a
-    /// [`Point`](vaq_geom::Point) is two `f64`s, so the serialized form
-    /// is still `x0 y0 x1 y1 …`).
+    /// Canonical vertex coordinates, indexed by vertex id. Ids are ranks
+    /// along the Hilbert curve
+    /// ([`rank_sites`](crate::hilbert::rank_sites)).
     pub pts: Vec<vaq_geom::Point>,
     /// Input index → canonical vertex id.
     pub canon: Vec<u32>,
@@ -57,8 +59,8 @@ pub struct TriangulationFlat {
     /// Hidden canonical vertices, sorted ascending (weighted builds
     /// only).
     pub hidden: Vec<u32>,
-    /// For each canonical vertex, a live vertex to stand in for it during
-    /// graph walks: identity for live vertices, a power-nearest live
-    /// vertex for hidden ones. Empty when no vertex is hidden.
+    /// Parallel to [`hidden`](Self::hidden): for each hidden vertex, a
+    /// power-nearest live vertex to stand in for it during graph walks.
+    /// A live vertex stands in for itself.
     pub anchor: Vec<u32>,
 }

@@ -1,6 +1,6 @@
 //! Incremental Delaunay triangulation: Bowyer–Watson insertion with ghost
-//! triangles, Hilbert-ordered insertion, and a stochastic remembering walk
-//! that locates each new point.
+//! triangles, Hilbert-ranked vertex ids inserted in id order, and a
+//! stochastic remembering walk that locates each new point.
 //!
 //! # Algorithm
 //!
@@ -25,9 +25,10 @@
 //!   cannot be triangulated; they fall back to a **degenerate path mode** in
 //!   which the Delaunay graph is the sorted path along the line — the
 //!   correct limit of the Voronoi adjacency.
-//! * **Duplicates** (exactly equal coordinates) are merged up front; every
-//!   input index maps to a canonical vertex via [`Triangulation::canonical`]
-//!   and back via [`Triangulation::inputs_of`].
+//! * **Vertex ids are Hilbert ranks** ([`rank_sites`]): coincident inputs
+//!   merge onto one canonical vertex, and the vertices are inserted in id
+//!   order. [`Triangulation::canonical`] maps an input index to its
+//!   vertex and [`Triangulation::inputs_of`] maps back.
 //! * **Weights are data**: the weights are one more flat array, empty for
 //!   the Euclidean diagram. Building with non-uniform site weights via
 //!   [`Triangulation::with_site_metric`] produces the **regular
@@ -39,7 +40,7 @@
 //!   live *anchor* so graph walks never stall on it.
 
 use crate::flat::TriangulationFlat;
-use crate::hilbert::hilbert_sort;
+use crate::hilbert::rank_sites;
 use crate::mesh::{Mesh, GHOST, NONE};
 use crate::metric::{weights_are_uniform, DiagramKind};
 use vaq_geom::{incircle, orient2d, power_incircle, Point};
@@ -502,14 +503,16 @@ impl Triangulation {
         if !flat.hidden.is_empty() && flat.weights.is_empty() {
             return Err("hidden sites on an unweighted structure".into());
         }
-        if !flat.anchor.is_empty() && flat.anchor.len() != n {
-            return Err("anchor table has wrong length".into());
+        if flat.anchor.len() != flat.hidden.len() {
+            return Err("anchor table is not parallel to the hidden list".into());
         }
-        if flat.anchor.iter().any(|&v| v >= nu) {
-            return Err("anchor out of bounds".into());
-        }
-        if flat.hidden.is_empty() != flat.anchor.is_empty() {
-            return Err("hidden list and anchor table must be empty together".into());
+        // A hidden anchor would stall every walk seeded through it.
+        if flat
+            .anchor
+            .iter()
+            .any(|&v| v >= nu || flat.hidden.binary_search(&v).is_ok())
+        {
+            return Err("anchor out of bounds or hidden".into());
         }
         Ok(Triangulation { flat })
     }
@@ -551,7 +554,7 @@ fn build(points: &[Point], weights: Option<&[f64]>) -> Triangulation {
 /// from (empty in degenerate path mode). Only the structural tests keep
 /// the mesh.
 fn build_with_mesh(points: &[Point], weights: Option<&[f64]>) -> (Triangulation, Mesh) {
-    let (pts, canon, members_off, members) = dedup(points);
+    let (pts, canon, members_off, members) = rank_sites(points);
 
     // Canonical weights: coincident inputs collapse to the max weight of
     // the group (a coincident lighter site is dominated everywhere by the
@@ -570,20 +573,14 @@ fn build_with_mesh(points: &[Point], weights: Option<&[f64]>) -> (Triangulation,
         }
     };
 
-    // Choose the first triangle: the first two points of the Hilbert
-    // order plus the first point not collinear with them. If none
-    // exists the whole input is collinear → degenerate path mode.
-    let ins_order = hilbert_sort(&pts);
-    let tri0 = match ins_order.as_slice() {
-        // `ins_order` is a permutation of the canonical vertices, so
-        // a non-empty `rest` is exactly the pts.len() >= 3 case.
-        [i0, i1, rest @ ..] if !rest.is_empty() => {
-            let (i0, i1) = (*i0, *i1);
-            rest.iter()
-                .copied()
-                .find(|&i2| orient2d(pts[i0 as usize], pts[i1 as usize], pts[i2 as usize]) != 0.0)
-                .map(|i2| (i0, i1, i2))
-        }
+    // Vertices are inserted in id order, which is Hilbert order. The
+    // first triangle is vertices 0 and 1 plus the first vertex after
+    // them not collinear with them. If none exists the whole input is
+    // collinear → degenerate path mode.
+    let tri0 = match pts.as_slice() {
+        [a, b, ..] => (2..pts.len() as u32)
+            .find(|&i2| orient2d(*a, *b, pts[i2 as usize]) != 0.0)
+            .map(|i2| (0, 1, i2)),
         _ => None,
     };
 
@@ -634,7 +631,7 @@ fn build_with_mesh(points: &[Point], weights: Option<&[f64]>) -> (Triangulation,
     debug_assert_eq!(core.mesh.check_links(), Ok(()));
     core.last_finite = t;
 
-    for &v in &ins_order {
+    for v in 0..core.pts.len() as u32 {
         if v == i0 || v == i1 || v == i2 {
             continue;
         }
@@ -656,26 +653,11 @@ fn build_with_mesh(points: &[Point], weights: Option<&[f64]>) -> (Triangulation,
             .filter(|&v| adj_off[v as usize] == adj_off[v as usize + 1])
             .collect()
     };
-    let anchor = if hidden.is_empty() {
-        Vec::new()
-    } else {
-        let mut anchor: Vec<u32> = (0..core.pts.len() as u32).collect();
-        // vaq-lint: allow(panic-hygiene) -- hull[0] exists (non-degenerate
-        // mode) and is live: a site whose projection is a hull vertex is
-        // always a lower-hull vertex.
-        let start = hull[0];
-        for &h in &hidden {
-            anchor[h as usize] = power_descent(
-                &core.pts,
-                &adj_off,
-                &adj,
-                &core.w,
-                core.pts[h as usize],
-                start,
-            );
-        }
-        anchor
-    };
+    // Any hull vertex is live (a site whose projection is a hull vertex
+    // is always a lower-hull vertex), so the first descent may start at
+    // one; the hull of a non-degenerate build is never empty.
+    let start = hull.first().copied().unwrap_or_default();
+    let (anchor, _) = anchor_hidden(&core.pts, &adj_off, &adj, &core.w, &hidden, start);
 
     let flat = TriangulationFlat {
         pts: core.pts,
@@ -693,8 +675,37 @@ fn build_with_mesh(points: &[Point], weights: Option<&[f64]>) -> (Triangulation,
     (Triangulation { flat }, core.mesh)
 }
 
+/// Gives each hidden site its anchor: a live vertex of least power
+/// distance, found by [`power_descent`]. Hidden ids ascend in Hilbert
+/// order, so each descent starts at the previous hidden site's anchor
+/// (the first at the live `start`) and takes a few steps, not a walk
+/// across the diagram. Returns the anchors, parallel to `hidden`, and the
+/// total number of vertices the descents visited.
+fn anchor_hidden(
+    pts: &[Point],
+    adj_off: &[u32],
+    adj: &[u32],
+    w: &[f64],
+    hidden: &[u32],
+    start: u32,
+) -> (Vec<u32>, usize) {
+    let mut from = start;
+    let mut steps = 0;
+    let anchor = hidden
+        .iter()
+        .map(|&h| {
+            let (a, visited) = power_descent(pts, adj_off, adj, w, pts[h as usize], from);
+            steps += visited;
+            from = a;
+            a
+        })
+        .collect();
+    (anchor, steps)
+}
+
 /// Greedy power-distance descent over the CSR adjacency from a **live**
-/// start vertex; returns a live vertex of minimum power distance to `q`.
+/// start vertex; returns a live vertex of minimum power distance to `q`
+/// and the number of vertices visited.
 ///
 /// The power-diagram analogue of the nearest-vertex walk: a live site that
 /// does not minimise the power distance to `q` always has a cell-adjacent
@@ -708,9 +719,10 @@ fn power_descent(
     w: &[f64],
     q: Point,
     start: u32,
-) -> u32 {
+) -> (u32, usize) {
     let mut v = start;
     let mut dv = pts[v as usize].dist_sq(q) - w[v as usize];
+    let mut visited = 1;
     loop {
         let mut best = v;
         let mut bd = dv;
@@ -724,10 +736,11 @@ fn power_descent(
             }
         }
         if best == v {
-            return v;
+            return (v, visited);
         }
         v = best;
         dv = bd;
+        visited += 1;
     }
 }
 
@@ -838,11 +851,9 @@ fn collinear_parts(
     }
 
     let hidden: Vec<u32> = (0..n as u32).filter(|&v| !is_live[v as usize]).collect();
-    let anchor = if hidden.is_empty() {
-        Vec::new()
-    } else {
-        let mut anchor: Vec<u32> = (0..n as u32).collect();
-        for &h in &hidden {
+    let anchor = hidden
+        .iter()
+        .map(|&h| {
             let q = pts[h as usize];
             // vaq-lint: allow(panic-hygiene) -- the lower hull of a
             // non-empty lifted set is non-empty, so `live` has a first
@@ -859,10 +870,9 @@ fn collinear_parts(
                     best = v;
                 }
             }
-            anchor[h as usize] = best;
-        }
-        anchor
-    };
+            best
+        })
+        .collect();
 
     TriangulationFlat {
         pts,
@@ -932,10 +942,9 @@ impl Triangulation {
     /// (no neighbours).
     #[inline]
     pub fn anchor_of(&self, v: u32) -> u32 {
-        if self.flat.anchor.is_empty() {
-            v
-        } else {
-            self.flat.anchor[v as usize]
+        match self.flat.hidden.binary_search(&v) {
+            Ok(k) => self.flat.anchor[k],
+            Err(_) => v,
         }
     }
 
@@ -957,14 +966,17 @@ impl Triangulation {
         &self.flat.pts
     }
 
-    /// The canonical vertex that input index `i` collapsed onto.
+    /// The canonical vertex that input index `i` collapsed onto. Vertex
+    /// ids are Hilbert ranks ([`rank_sites`]), not input indices: map
+    /// through this function and [`Triangulation::inputs_of`].
     #[inline]
     pub fn canonical(&self, i: usize) -> u32 {
         self.flat.canon[i]
     }
 
-    /// The input indices that collapsed onto canonical vertex `v`
-    /// (always at least one).
+    /// The input indices that collapsed onto canonical vertex `v` (always
+    /// at least one, ascending). `v` is a Hilbert rank, so this is how a
+    /// vertex id becomes an input index.
     #[inline]
     pub fn inputs_of(&self, v: u32) -> &[u32] {
         let lo = self.flat.members_off[v as usize] as usize;
@@ -983,7 +995,8 @@ impl Triangulation {
 
     /// The Voronoi neighbours `VN(P, p)` of canonical vertex `v`, sorted
     /// ascending. This is the oracle at the heart of the paper's
-    /// Algorithm 1.
+    /// Algorithm 1. Ids are canonical vertex ids (Hilbert ranks), not
+    /// input indices; [`Triangulation::inputs_of`] maps them back.
     #[inline]
     pub fn neighbors(&self, v: u32) -> &[u32] {
         let lo = self.flat.adj_off[v as usize] as usize;
@@ -1040,10 +1053,7 @@ impl Triangulation {
     /// bit-for-bit, so the descent visits exactly the vertices the
     /// unweighted code did.
     pub fn nearest_vertex(&self, q: Point, hint: Option<u32>) -> u32 {
-        let mut v = hint.unwrap_or(0).min(self.flat.pts.len() as u32 - 1);
-        if !self.flat.anchor.is_empty() {
-            v = self.flat.anchor[v as usize];
-        }
+        let mut v = self.anchor_of(hint.unwrap_or(0).min(self.flat.pts.len() as u32 - 1));
         let mut dv = self.flat.pts[v as usize].dist_sq(q) - self.weight(v);
         loop {
             let mut best = v;
@@ -1062,59 +1072,6 @@ impl Triangulation {
             dv = bd;
         }
     }
-}
-
-/// Merges exactly-coincident input points.
-///
-/// Returns `(unique_points, canon, members_off, members)` where `canon`
-/// maps each input index to its canonical vertex (numbered in order of
-/// first occurrence) and the CSR (`members_off`, `members`) maps each
-/// canonical vertex back to its input indices (ascending).
-fn dedup(points: &[Point]) -> (Vec<Point>, Vec<u32>, Vec<u32>, Vec<u32>) {
-    let n = points.len();
-    let mut sorted: Vec<u32> = (0..n as u32).collect();
-    sorted.sort_by(|&a, &b| {
-        points[a as usize]
-            .cmp_lex(&points[b as usize])
-            .then(a.cmp(&b))
-    });
-    // rep[i] = smallest input index with coordinates equal to points[i].
-    let mut rep = vec![0u32; n];
-    let mut run_start = 0;
-    for k in 0..n {
-        if k > 0 && points[sorted[k] as usize] != points[sorted[run_start] as usize] {
-            run_start = k;
-        }
-        rep[sorted[k] as usize] = sorted[run_start];
-    }
-    // Canonical ids in order of first occurrence.
-    let mut canon = vec![u32::MAX; n];
-    let mut pts = Vec::new();
-    for i in 0..n {
-        if rep[i] == i as u32 {
-            canon[i] = pts.len() as u32;
-            pts.push(points[i]);
-        }
-    }
-    for i in 0..n {
-        canon[i] = canon[rep[i] as usize];
-    }
-    // Members CSR.
-    let k = pts.len();
-    let mut members_off = vec![0u32; k + 1];
-    for i in 0..n {
-        members_off[canon[i] as usize + 1] += 1;
-    }
-    for v in 0..k {
-        members_off[v + 1] += members_off[v];
-    }
-    let mut members = vec![0u32; n];
-    let mut cursor: Vec<u32> = members_off[..k].to_vec();
-    for (i, &c) in canon.iter().enumerate() {
-        members[cursor[c as usize] as usize] = i as u32;
-        cursor[c as usize] += 1;
-    }
-    (pts, canon, members_off, members)
 }
 
 /// Builds the CSR Voronoi-neighbour adjacency from the closed mesh.
@@ -1310,6 +1267,31 @@ mod tests {
             .collect()
     }
 
+    /// The neighbours of input `i`'s vertex, as input indices, ascending:
+    /// vertex ids are Hilbert ranks, so tests that name inputs map
+    /// through `canonical` and `inputs_of`.
+    fn input_neighbors(t: &Triangulation, i: usize) -> Vec<u32> {
+        let mut out: Vec<u32> = t
+            .neighbors(t.canonical(i))
+            .iter()
+            .flat_map(|&v| t.inputs_of(v))
+            .copied()
+            .collect();
+        out.sort_unstable();
+        out
+    }
+
+    /// The input indices of a list of vertices, ascending.
+    fn inputs_of_all(t: &Triangulation, vertices: &[u32]) -> Vec<u32> {
+        let mut out: Vec<u32> = vertices
+            .iter()
+            .flat_map(|&v| t.inputs_of(v))
+            .copied()
+            .collect();
+        out.sort_unstable();
+        out
+    }
+
     /// Brute-force nearest canonical vertex.
     fn brute_nn(pts: &[Point], q: Point) -> f64 {
         pts.iter()
@@ -1353,10 +1335,10 @@ mod tests {
         let t = Triangulation::new(&pts).unwrap();
         assert!(t.is_degenerate());
         // Path order along the line: 1 (0,0) – 3 (1,1) – 2 (2,2) – 0 (3,3).
-        assert_eq!(t.neighbors(1), &[3]);
-        assert_eq!(t.neighbors(3), &[1, 2]);
-        assert_eq!(t.neighbors(2), &[0, 3]);
-        assert_eq!(t.neighbors(0), &[2]);
+        assert_eq!(input_neighbors(&t, 1), [3]);
+        assert_eq!(input_neighbors(&t, 3), [1, 2]);
+        assert_eq!(input_neighbors(&t, 2), [0, 3]);
+        assert_eq!(input_neighbors(&t, 0), [2]);
         assert_eq!(t.edge_count(), 3);
         t.check_structure().unwrap();
     }
@@ -1390,7 +1372,7 @@ mod tests {
         assert!(t.is_delaunay());
         t.check_structure().unwrap();
         // The centre neighbours all four corners.
-        assert_eq!(t.neighbors(4), &[0, 1, 2, 3]);
+        assert_eq!(input_neighbors(&t, 4), [0, 1, 2, 3]);
         assert_eq!(t.hull().len(), 4);
     }
 
@@ -1430,15 +1412,17 @@ mod tests {
         ];
         let t = Triangulation::new(&pts).unwrap();
         assert_eq!(t.vertex_count(), 3);
+        // Ids are Hilbert ranks over the unit bounding box: the curve
+        // starts at (0, 0), passes (0, 1) and ends at (1, 0).
         assert_eq!(t.canonical(0), 0);
         assert_eq!(t.canonical(2), 0);
         assert_eq!(t.canonical(5), 0);
-        assert_eq!(t.canonical(1), 1);
-        assert_eq!(t.canonical(4), 1);
-        assert_eq!(t.canonical(3), 2);
+        assert_eq!(t.canonical(3), 1);
+        assert_eq!(t.canonical(1), 2);
+        assert_eq!(t.canonical(4), 2);
         assert_eq!(t.inputs_of(0), &[0, 2, 5]);
-        assert_eq!(t.inputs_of(1), &[1, 4]);
-        assert_eq!(t.inputs_of(2), &[3]);
+        assert_eq!(t.inputs_of(1), &[3]);
+        assert_eq!(t.inputs_of(2), &[1, 4]);
         t.check_structure().unwrap();
     }
 
@@ -1447,6 +1431,53 @@ mod tests {
         let pts = vec![p(-0.0, 0.0), p(0.0, -0.0), p(1.0, 1.0)];
         let t = Triangulation::new(&pts).unwrap();
         assert_eq!(t.vertex_count(), 2);
+    }
+
+    /// (−0, 1) and (0, 1) are equal under `==` and must merge even when a
+    /// distinct point with x = 0 lies between them in any coordinate
+    /// order. Unmerged, the second copy reached insertion as a duplicate
+    /// and was left a cell-less vertex with no neighbours.
+    #[test]
+    fn signed_zero_duplicates_merge_around_a_point_between_them() {
+        let pts = vec![
+            p(-0.0, 1.0),
+            p(0.0, 0.5),
+            p(0.0, 1.0),
+            p(2.0, 0.0),
+            p(2.0, 2.0),
+            p(-2.0, 0.0),
+        ];
+        let t = Triangulation::new(&pts).unwrap();
+        assert_eq!(t.vertex_count(), 5);
+        assert_eq!(t.canonical(0), t.canonical(2));
+        assert_eq!(t.inputs_of(t.canonical(0)), &[0, 2]);
+        for v in 0..t.vertex_count() as u32 {
+            assert!(t.degree(v) > 0, "vertex {v} has no neighbours");
+        }
+        assert!(t.is_delaunay());
+        t.check_structure().unwrap();
+    }
+
+    /// Delaunay neighbours get nearby ids: on uniform points in generator
+    /// order, the median id gap over the edges is a handful, and nine
+    /// edges in ten stay within 1,024. Input-order ids read a median gap
+    /// of about n / 4 here.
+    #[test]
+    fn hilbert_ids_keep_delaunay_edges_local() {
+        let t = Triangulation::new(&uniform(20_000, 2024)).unwrap();
+        let mut gaps: Vec<u32> = (0..t.vertex_count() as u32)
+            .flat_map(|v| {
+                t.neighbors(v)
+                    .iter()
+                    .filter(move |&&u| u > v)
+                    .map(move |&u| u - v)
+            })
+            .collect();
+        gaps.sort_unstable();
+        let median = gaps[gaps.len() / 2];
+        let near = gaps.iter().filter(|&&g| g <= 1024).count() as f64 / gaps.len() as f64;
+        assert!(median <= 16, "median id gap {median}");
+        assert!(near >= 0.9, "{near:.3} of edges within 1,024 ids");
     }
 
     #[test]
@@ -1473,11 +1504,10 @@ mod tests {
         let pts = uniform(300, 7);
         let t = Triangulation::new(&pts).unwrap();
         let expect = convex_hull_indices(&pts);
-        let mut hull = t.hull().to_vec();
+        let hull = inputs_of_all(&t, t.hull());
         // Same set of vertices (rotation/start may differ).
         let mut expect_sorted: Vec<u32> = expect.iter().map(|&i| i as u32).collect();
         expect_sorted.sort_unstable();
-        hull.sort_unstable();
         assert_eq!(hull, expect_sorted);
     }
 
@@ -1594,8 +1624,13 @@ mod tests {
         assert_eq!(t.diagram_kind(), DiagramKind::Power);
         assert!(t.is_delaunay(), "regularity");
         t.check_structure().unwrap();
-        assert_eq!(t.hidden_vertices(), &[5, 6, 7, 8], "interior sites hide");
-        for v in 0..5u32 {
+        assert_eq!(
+            inputs_of_all(&t, t.hidden_vertices()),
+            [5, 6, 7, 8],
+            "interior sites hide"
+        );
+        for i in 0..5 {
+            let v = t.canonical(i);
             assert!(!t.is_hidden(v), "hull sites and the dominator are live");
             assert!(t.degree(v) > 0);
         }
@@ -1620,12 +1655,13 @@ mod tests {
         ];
         let w = vec![0.0, 0.0, 0.0, 0.0, 500.0, 0.0];
         let t = Triangulation::with_site_metric(&pts, Some(&w)).unwrap();
-        assert_eq!(t.hidden_vertices(), &[5]);
+        let dominated = t.canonical(5);
+        assert_eq!(t.hidden_vertices(), &[dominated]);
         let mut rng = StdRng::seed_from_u64(77);
         for _ in 0..60 {
             let q = p(rng.gen::<f64>() * 12.0 - 1.0, rng.gen::<f64>() * 12.0 - 1.0);
             // Hidden hint must neither stall nor be returned.
-            let v = t.nearest_vertex(q, Some(5));
+            let v = t.nearest_vertex(q, Some(dominated));
             assert!(!t.is_hidden(v));
             let got = t.point(v).dist_sq(q) - t.weight(v);
             let want = brute_power_nn(&t, q);
@@ -1689,6 +1725,41 @@ mod tests {
         assert_eq!(t.hidden_vertices(), &[1]);
         assert!(!t.is_hidden(2), "line-extreme sites cannot hide");
         t.check_structure().unwrap();
+    }
+
+    /// The anchor pass visits the hidden sites in id (Hilbert) order and
+    /// starts each descent at the previous anchor, so a descent takes a
+    /// few steps. Weights follow the benchmark's clustered radii: four
+    /// radius classes up to 1.12 mean spacings, jittered by 25 %, which
+    /// hides about one site in ten. Starting every descent at one fixed
+    /// hull vertex takes about 60 steps per hidden site here.
+    #[test]
+    fn anchor_descents_stay_local() {
+        let n = 20_000;
+        let pts = uniform(n, 404);
+        let mut rng = StdRng::seed_from_u64(405);
+        let max_radius = 1.12 / (n as f64).sqrt();
+        let radii: Vec<f64> = (0..4)
+            .map(|_| (1.0 - rng.gen::<f64>()) * max_radius)
+            .collect();
+        let w: Vec<f64> = (0..n)
+            .map(|_| {
+                let r =
+                    radii[rng.gen_range(0..4usize)] * (1.0 + (rng.gen::<f64>() * 2.0 - 1.0) * 0.25);
+                r * r
+            })
+            .collect();
+        let t = Triangulation::with_site_metric(&pts, Some(&w)).unwrap();
+        let f = t.as_flat();
+        assert!(f.hidden.len() > n / 50, "{} hidden sites", f.hidden.len());
+        let (anchor, steps) =
+            anchor_hidden(&f.pts, &f.adj_off, &f.adj, &f.weights, &f.hidden, f.hull[0]);
+        assert_eq!(anchor, f.anchor, "the build ran this pass");
+        assert!(
+            steps <= 8 * f.hidden.len(),
+            "{steps} descent steps for {} hidden sites",
+            f.hidden.len()
+        );
     }
 
     #[test]

@@ -195,7 +195,7 @@ mod tests {
                 .map(|(i, s)| (i, s.dist_sq(q)))
                 .min_by(|a, b| a.1.total_cmp(&b.1))
                 .unwrap();
-            let cell = Polygon::new(vd.cell(best as u32).polygon.clone()).unwrap();
+            let cell = Polygon::new(vd.cell(tri.canonical(best)).polygon.clone()).unwrap();
             assert!(
                 cell.contains(q),
                 "q={q} not in the cell of its nearest site {best}"
@@ -208,10 +208,13 @@ mod tests {
         let pts = vec![p(0.2, 0.2), p(0.8, 0.2), p(0.5, 0.8), p(0.5, 0.4)];
         let tri = Triangulation::new(&pts).unwrap();
         let vd = VoronoiDiagram::new(&tri, unit_window());
-        assert!(vd.cell(0).unbounded);
-        assert!(vd.cell(1).unbounded);
-        assert!(vd.cell(2).unbounded);
-        assert!(!vd.cell(3).unbounded, "interior vertex cell is bounded");
+        assert!(vd.cell(tri.canonical(0)).unbounded);
+        assert!(vd.cell(tri.canonical(1)).unbounded);
+        assert!(vd.cell(tri.canonical(2)).unbounded);
+        assert!(
+            !vd.cell(tri.canonical(3)).unbounded,
+            "interior vertex cell is bounded"
+        );
     }
 
     #[test]

@@ -189,3 +189,28 @@ fn triangulation_duplicate_bookkeeping_roundtrip() {
     }
     assert!(seen.iter().all(|&s| s));
 }
+
+#[test]
+fn signed_zero_duplicates_answer_like_brute_force() {
+    // (−0, 1) and (0, 1) are one location. With (0, 0.5) between them
+    // in coordinate order they once stayed two vertices, one of them
+    // cell-less, and the Voronoi method dropped input 2.
+    let pts = vec![
+        p(-0.0, 1.0),
+        p(0.0, 0.5),
+        p(0.0, 1.0),
+        p(2.0, 0.0),
+        p(2.0, 2.0),
+        p(-2.0, 0.0),
+    ];
+    let engine = AreaQueryEngine::build(&pts);
+    let tri = engine.triangulation().expect("built");
+    assert_eq!(tri.canonical(0), tri.canonical(2));
+    assert_eq!(tri.vertex_count(), 5);
+    let area = square(0.0, 1.0, 0.1);
+    assert_eq!(
+        run(&engine, QuerySpec::brute_force(), &area).sorted_indices(),
+        vec![0, 2]
+    );
+    check_both(&engine, &area, "signed zero");
+}
