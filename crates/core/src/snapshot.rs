@@ -1,4 +1,4 @@
-//! Zero-copy-style engine snapshots: build once, load many.
+//! Engine snapshots: build once, load many.
 //!
 //! Building the Voronoi substrate dominates cold-start time — the
 //! Delaunay/regular triangulation is orders of magnitude more expensive
@@ -7,14 +7,13 @@
 //! triangle mesh it was built on — as flat little-endian POD arrays in a
 //! versioned, checksummed, page-aligned container file, so a serving
 //! process reaches its first answer by *reading* instead of
-//! *rebuilding*. Loads hand the flat arrays straight back to
-//! [`Triangulation::from_flat`] without per-element decoding and restore
-//! the R-tree's node arena verbatim; the planner's density map and the
-//! hidden-site index are rebuilt deterministically from the points and
-//! the triangulation, so a loaded engine is **bit-identical** to a
-//! freshly built one — same indices, same
-//! [`QueryStats`](crate::QueryStats) work counters on every execution
-//! path.
+//! *rebuilding*. Loads decode the flat arrays into their typed vectors
+//! and hand them to [`Triangulation::from_flat`] and the R-tree's arena
+//! restore; the planner's density map and the hidden-site index are
+//! rebuilt deterministically from the points and the triangulation, so a
+//! loaded engine is **bit-identical** to a freshly built one — same
+//! indices, same [`QueryStats`](crate::QueryStats) work counters on
+//! every execution path.
 //!
 //! # Container layout
 //!
@@ -42,14 +41,40 @@
 //! serialized struct layouts changes the fingerprint, and a guard test
 //! forces a [`SNAPSHOT_VERSION`] bump alongside it.
 //!
+//! # Streaming
+//!
+//! Saves and loads move one section at a time through fixed buffers;
+//! neither holds a copy of the file or a buffer that grows with the
+//! engine.
+//!
+//! * **Writing** takes any `Write + Seek`. The writer reserves the
+//!   header page, streams each section to its page-aligned offset
+//!   through the streaming form of [`checksum64`], then seeks back and
+//!   writes the section table and the header. A shard's nested engine
+//!   blob is length-prefixed; the prefix comes from a counting pass of
+//!   the same encoder.
+//! * **Reading** takes any `Read + Seek` and makes two passes. The first
+//!   reads the header and the table, runs every check above in a fixed
+//!   order and checksums every section. The second decodes each section
+//!   from a bounded reader (`Read::take`), checking each length prefix
+//!   against the bytes left in its section before allocating. The
+//!   passes read the same bytes only if the file does not change in
+//!   between, so serve a snapshot once its save has returned.
+//! * **One code path.** The file API ([`save_engine`], [`load_engine`],
+//!   [`load`], [`inspect`] and kin) runs it over a buffered file, the
+//!   byte API ([`engine_to_bytes`], [`engine_from_bytes`],
+//!   [`inspect_bytes`] and kin) over an in-memory cursor, so both write
+//!   and accept the same bytes.
+//!
 //! # What is persisted per kind
 //!
 //! * **Plain** ([`AreaQueryEngine`]): points, the triangulation's graph
 //!   arrays ([`TriangulationFlat`]: the adjacency CSR, hull, weights,
 //!   hidden sites and one anchor per hidden site), payload record pages,
-//!   shard-boundary flags and the R-tree arena. The writer borrows the
-//!   flat arrays through [`Triangulation::as_flat`]; it copies none of
-//!   them. A load rebuilds the rest: the canonical sites and both
+//!   shard-boundary flags and the R-tree arena. The writer streams the
+//!   flat arrays from [`Triangulation::as_flat`] and the arena from
+//!   [`RTree::raw_view`]; it copies none of them. A load rebuilds the
+//!   rest: the canonical sites and both
 //!   duplicate maps (from the points, by the build's own Hilbert-rank
 //!   numbering, [`rank_sites`]), the planner's density map (from the
 //!   points) and the hidden-site R-tree (from the hidden sites). No file
@@ -79,6 +104,8 @@ use crate::payload::RecordStore;
 use crate::shard::ShardedAreaQueryEngine;
 use std::collections::HashSet;
 use std::fmt;
+use std::fs::File;
+use std::io::{self, BufReader, BufWriter, Cursor, Read, Seek, SeekFrom, Take, Write};
 use std::path::Path;
 use vaq_delaunay::hilbert::rank_sites;
 use vaq_delaunay::{DiagramKind, Triangulation, TriangulationFlat};
@@ -154,37 +181,77 @@ pub fn layout_fingerprint() -> u64 {
 /// length is mixed in at the end, so zero-padding cannot alias two
 /// inputs.
 pub fn checksum64(bytes: &[u8]) -> u64 {
-    const K: u64 = 0x9E37_79B9_7F4A_7C15;
-    let mut lanes: [u64; 4] = [
-        0x5641_5153_4E41_5031, // "VAQSNAP1"
-        0xC2B2_AE3D_27D4_EB4F,
-        0x1656_67B1_9E37_79F9,
-        0x2545_F491_4F6C_DD1D,
-    ];
-    let mut blocks = bytes.chunks_exact(32);
-    for b in &mut blocks {
-        for (lane, wb) in lanes.iter_mut().zip(b.chunks_exact(8)) {
-            let w = u64::from_le_bytes(wb.try_into().expect("chunks_exact(8) yields 8 bytes"));
-            *lane = (lane.rotate_left(5) ^ w).wrapping_mul(K);
+    let mut sum = Checksum64::new();
+    sum.update(bytes);
+    sum.finish()
+}
+
+const CHECKSUM_K: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// [`checksum64`] fed in pieces: every split of the same bytes gives the
+/// same sum. It holds the lanes and at most one partial block.
+struct Checksum64 {
+    lanes: [u64; 4],
+    block: [u8; 32],
+    filled: usize,
+    len: u64,
+}
+
+impl Checksum64 {
+    fn new() -> Checksum64 {
+        Checksum64 {
+            lanes: [
+                0x5641_5153_4E41_5031, // "VAQSNAP1"
+                0xC2B2_AE3D_27D4_EB4F,
+                0x1656_67B1_9E37_79F9,
+                0x2545_F491_4F6C_DD1D,
+            ],
+            block: [0; 32],
+            filled: 0,
+            len: 0,
         }
     }
-    let [l0, l1, l2, l3] = lanes;
-    let mut h = l0;
-    for lane in [l1, l2, l3] {
-        h = (h.rotate_left(17) ^ lane).wrapping_mul(K);
+
+    fn mix(lanes: &mut [u64; 4], block: &[u8; 32]) {
+        for (lane, word) in lanes.iter_mut().zip(block.as_chunks::<8>().0) {
+            *lane = (lane.rotate_left(5) ^ u64::from_le_bytes(*word)).wrapping_mul(CHECKSUM_K);
+        }
     }
-    let mut chunks = blocks.remainder().chunks_exact(8);
-    for c in &mut chunks {
-        let w = u64::from_le_bytes(c.try_into().expect("chunks_exact(8) yields 8 bytes"));
-        h = (h.rotate_left(5) ^ w).wrapping_mul(K);
+
+    fn update(&mut self, mut bytes: &[u8]) {
+        self.len += bytes.len() as u64;
+        if self.filled > 0 {
+            let (head, rest) = bytes.split_at(bytes.len().min(32 - self.filled));
+            self.block[self.filled..self.filled + head.len()].copy_from_slice(head);
+            self.filled += head.len();
+            if self.filled < 32 {
+                return;
+            }
+            Self::mix(&mut self.lanes, &self.block);
+            self.filled = 0;
+            bytes = rest;
+        }
+        let (blocks, tail) = bytes.as_chunks::<32>();
+        for block in blocks {
+            Self::mix(&mut self.lanes, block);
+        }
+        self.block[..tail.len()].copy_from_slice(tail);
+        self.filled = tail.len();
     }
-    let rem = chunks.remainder();
-    if !rem.is_empty() {
-        let mut tail = [0u8; 8];
-        tail[..rem.len()].copy_from_slice(rem);
-        h = (h.rotate_left(5) ^ u64::from_le_bytes(tail)).wrapping_mul(K);
+
+    fn finish(&self) -> u64 {
+        let [l0, l1, l2, l3] = self.lanes;
+        let mut h = l0;
+        for lane in [l1, l2, l3] {
+            h = (h.rotate_left(17) ^ lane).wrapping_mul(CHECKSUM_K);
+        }
+        for word in self.block[..self.filled].chunks(8) {
+            let mut w = [0u8; 8];
+            w[..word.len()].copy_from_slice(word);
+            h = (h.rotate_left(5) ^ u64::from_le_bytes(w)).wrapping_mul(CHECKSUM_K);
+        }
+        (h ^ self.len).wrapping_mul(CHECKSUM_K)
     }
-    (h ^ bytes.len() as u64).wrapping_mul(K)
 }
 
 /// Which engine shape a snapshot holds.
@@ -430,99 +497,153 @@ fn build_params() -> String {
     format!("pkg={} profile={}", env!("CARGO_PKG_VERSION"), profile)
 }
 
-fn align_page(n: usize) -> usize {
-    n.div_ceil(SNAPSHOT_PAGE) * SNAPSHOT_PAGE
+fn align_page(n: u64) -> u64 {
+    n.div_ceil(SNAPSHOT_PAGE as u64) * SNAPSHOT_PAGE as u64
+}
+
+/// The little-endian `u64` at byte `off` of a fixed-size record.
+fn u64_at(b: &[u8], off: usize) -> u64 {
+    u64::from_le_bytes(b[off..off + 8].try_into().expect("an 8-byte field"))
+}
+
+/// Concatenates 8-byte words into one `B`-byte record.
+fn join<const B: usize>(words: &[[u8; 8]]) -> [u8; B] {
+    let mut out = [0; B];
+    for (slot, word) in out.as_chunks_mut::<8>().0.iter_mut().zip(words) {
+        *slot = *word;
+    }
+    out
 }
 
 // ---------------------------------------------------------------------
-// Section payload encoding: length-prefixed little-endian POD arrays.
+// Section payload encoding: length-prefixed little-endian POD arrays,
+// streamed through fixed buffers.
 // ---------------------------------------------------------------------
 
-#[derive(Default)]
-struct SecWriter {
-    buf: Vec<u8>,
+/// Bytes staged per read or write call by the section writer, the
+/// section reader and the checksum pass.
+const IO_CHUNK: usize = 1 << 16;
+
+/// Where a container is written: a buffered file or an in-memory cursor.
+trait WriteSeek: Write + Seek {}
+impl<T: Write + Seek> WriteSeek for T {}
+
+/// Where a container is read from: a buffered file or an in-memory cursor.
+trait ReadSeek: Read + Seek {}
+impl<T: Read + Seek> ReadSeek for T {}
+
+/// Encodes one section's payload straight into the container's stream,
+/// checksumming and counting the bytes as they pass.
+struct SecWriter<'a> {
+    out: &'a mut dyn Write,
+    sum: Checksum64,
 }
 
-impl SecWriter {
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn bytes(&mut self, b: &[u8]) {
-        self.u64(b.len() as u64);
-        self.buf.extend_from_slice(b);
-    }
-
-    fn u32s(&mut self, v: &[u32]) {
-        self.u64(v.len() as u64);
-        self.buf.reserve(v.len() * 4);
-        for &x in v {
-            self.u32(x);
+impl<'a> SecWriter<'a> {
+    fn new(out: &'a mut dyn Write) -> SecWriter<'a> {
+        SecWriter {
+            out,
+            sum: Checksum64::new(),
         }
     }
 
-    fn u64s(&mut self, v: &[u64]) {
-        self.u64(v.len() as u64);
-        for &x in v {
-            self.u64(x);
+    fn put(&mut self, bytes: &[u8]) -> io::Result<()> {
+        self.out.write_all(bytes)?;
+        self.sum.update(bytes);
+        Ok(())
+    }
+
+    fn u32(&mut self, v: u32) -> io::Result<()> {
+        self.put(&v.to_le_bytes())
+    }
+
+    fn u64(&mut self, v: u64) -> io::Result<()> {
+        self.put(&v.to_le_bytes())
+    }
+
+    fn bytes(&mut self, b: &[u8]) -> io::Result<()> {
+        self.u64(b.len() as u64)?;
+        self.put(b)
+    }
+
+    /// Writes a length-prefixed array: the item count, then each item's
+    /// `B` bytes, a buffer at a time. The count comes from a clone of
+    /// `items`, so it always matches what follows.
+    fn array<I: Iterator + Clone, const B: usize>(
+        &mut self,
+        items: I,
+        encode: impl Fn(I::Item) -> [u8; B],
+    ) -> io::Result<()> {
+        self.u64(items.clone().count() as u64)?;
+        let mut items = items;
+        let mut buf = [0u8; IO_CHUNK];
+        loop {
+            let mut filled = 0;
+            for (slot, item) in buf.as_chunks_mut::<B>().0.iter_mut().zip(&mut items) {
+                *slot = encode(item);
+                filled += B;
+            }
+            if filled == 0 {
+                return Ok(());
+            }
+            self.put(&buf[..filled])?;
         }
     }
 
-    fn f64s(&mut self, v: &[f64]) {
-        self.u64(v.len() as u64);
-        for &x in v {
-            self.f64(x);
-        }
+    fn u32s(&mut self, v: &[u32]) -> io::Result<()> {
+        self.array(v.iter().copied(), u32::to_le_bytes)
     }
 
-    fn bools(&mut self, v: &[bool]) {
-        self.u64(v.len() as u64);
-        self.buf.extend(v.iter().map(|&b| b as u8));
+    fn u64s(&mut self, v: &[u64]) -> io::Result<()> {
+        self.array(v.iter().copied(), u64::to_le_bytes)
+    }
+
+    fn f64s(&mut self, v: &[f64]) -> io::Result<()> {
+        self.array(v.iter().copied(), f64::to_le_bytes)
     }
 }
 
+/// Decodes one section's payload, or a blob nested in one, from a
+/// bounded reader. Every length prefix is checked against the bytes
+/// left before anything is allocated.
 struct SecReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+    r: Take<&'a mut dyn Read>,
 }
 
 impl<'a> SecReader<'a> {
-    fn new(buf: &'a [u8]) -> SecReader<'a> {
-        SecReader { buf, pos: 0 }
+    fn new(r: &'a mut dyn Read, len: u64) -> SecReader<'a> {
+        SecReader { r: r.take(len) }
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| SnapshotError::Malformed("section payload underrun".to_string()))?;
-        let out = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(out)
+    /// The next `len` bytes as a payload of their own.
+    fn nested(&mut self, len: usize) -> SecReader<'_> {
+        SecReader::new(&mut self.r, len as u64)
+    }
+
+    /// Payload bytes not yet read.
+    fn left(&self) -> u64 {
+        self.r.limit()
+    }
+
+    fn fill(&mut self, buf: &mut [u8]) -> Result<(), SnapshotError> {
+        if buf.len() as u64 > self.left() {
+            return Err(SnapshotError::Malformed(
+                "section payload underrun".to_string(),
+            ));
+        }
+        Ok(self.r.read_exact(buf)?)
     }
 
     fn u32(&mut self) -> Result<u32, SnapshotError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes(b.try_into().expect("take(4)")))
+        let mut b = [0; 4];
+        self.fill(&mut b)?;
+        Ok(u32::from_le_bytes(b))
     }
 
     fn u64(&mut self) -> Result<u64, SnapshotError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("take(8)")))
-    }
-
-    fn f64(&mut self) -> Result<f64, SnapshotError> {
-        let b = self.take(8)?;
-        Ok(f64::from_le_bytes(b.try_into().expect("take(8)")))
+        let mut b = [0; 8];
+        self.fill(&mut b)?;
+        Ok(u64::from_le_bytes(b))
     }
 
     /// Reads a length prefix and proves `len * elem_bytes` more payload
@@ -536,7 +657,7 @@ impl<'a> SecReader<'a> {
         let bytes = n
             .checked_mul(elem_bytes)
             .ok_or_else(|| SnapshotError::Malformed("array byte size overflows".to_string()))?;
-        if bytes > self.buf.len() - self.pos {
+        if bytes as u64 > self.left() {
             return Err(SnapshotError::Malformed(
                 "array length exceeds section payload".to_string(),
             ));
@@ -544,77 +665,69 @@ impl<'a> SecReader<'a> {
         Ok(n)
     }
 
-    fn bytes(&mut self) -> Result<&'a [u8], SnapshotError> {
-        let n = self.len(1)?;
-        self.take(n)
+    /// Reads a length-prefixed array of `B`-byte items, a buffer at a
+    /// time, straight into its typed vector.
+    fn array<T, const B: usize>(
+        &mut self,
+        decode: impl Fn([u8; B]) -> T,
+    ) -> Result<Vec<T>, SnapshotError> {
+        let n = self.len(B)?;
+        let mut out = Vec::with_capacity(n);
+        let mut buf = [0u8; IO_CHUNK];
+        while out.len() < n {
+            let slots = buf.as_chunks_mut::<B>().0;
+            let k = slots.len().min(n - out.len());
+            let chunk = &mut slots[..k];
+            self.fill(chunk.as_flattened_mut())?;
+            out.extend(chunk.iter().map(|&b| decode(b)));
+        }
+        Ok(out)
     }
 
     fn u32s(&mut self) -> Result<Vec<u32>, SnapshotError> {
-        let n = self.len(4)?;
-        let raw = self.take(n * 4)?;
-        Ok(raw
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().expect("chunks_exact(4)")))
-            .collect())
-    }
-
-    /// Bulk-decodes interleaved `x y` coordinate pairs; one streaming
-    /// pass instead of two per-element reads per point.
-    fn points(&mut self) -> Result<Vec<Point>, SnapshotError> {
-        let n = self.len(16)?;
-        let raw = self.take(n * 16)?;
-        Ok(raw
-            .chunks_exact(16)
-            .map(|c| {
-                let (x, y) = c.split_at(8);
-                Point::new(
-                    f64::from_le_bytes(x.try_into().expect("split_at(8) of a 16-byte chunk")),
-                    f64::from_le_bytes(y.try_into().expect("split_at(8) of a 16-byte chunk")),
-                )
-            })
-            .collect())
+        self.array(u32::from_le_bytes)
     }
 
     fn u64s(&mut self) -> Result<Vec<u64>, SnapshotError> {
-        let n = self.len(8)?;
-        let raw = self.take(n * 8)?;
-        Ok(raw
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("chunks_exact(8)")))
-            .collect())
+        self.array(u64::from_le_bytes)
     }
 
     fn f64s(&mut self) -> Result<Vec<f64>, SnapshotError> {
-        let n = self.len(8)?;
-        let raw = self.take(n * 8)?;
-        Ok(raw
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().expect("chunks_exact(8)")))
-            .collect())
+        self.array(f64::from_le_bytes)
+    }
+
+    /// Interleaved `x y` coordinate pairs.
+    fn points(&mut self) -> Result<Vec<Point>, SnapshotError> {
+        self.array(|b: [u8; 16]| {
+            Point::new(f64::from_bits(u64_at(&b, 0)), f64::from_bits(u64_at(&b, 8)))
+        })
+    }
+
+    /// A length-prefixed byte string, read straight into its vector.
+    fn byte_vec(&mut self) -> Result<Vec<u8>, SnapshotError> {
+        let n = self.len(1)?;
+        let mut v = vec![0; n];
+        self.fill(&mut v)?;
+        Ok(v)
     }
 
     fn bools(&mut self) -> Result<Vec<bool>, SnapshotError> {
-        let n = self.len(1)?;
-        let raw = self.take(n)?;
-        raw.iter()
-            .map(|&b| match b {
-                0 => Ok(false),
-                1 => Ok(true),
-                _ => Err(SnapshotError::Malformed(format!(
-                    "non-canonical bool byte {b:#04x}"
-                ))),
-            })
-            .collect()
-    }
-
-    fn finish(self) -> Result<(), SnapshotError> {
-        if self.pos != self.buf.len() {
+        let raw = self.byte_vec()?;
+        if let Some(b) = raw.iter().find(|&&b| b > 1) {
             return Err(SnapshotError::Malformed(format!(
-                "{} trailing bytes in section payload",
-                self.buf.len() - self.pos
+                "non-canonical bool byte {b:#04x}"
             )));
         }
-        Ok(())
+        Ok(raw.into_iter().map(|b| b == 1).collect())
+    }
+
+    fn finish(&self) -> Result<(), SnapshotError> {
+        match self.left() {
+            0 => Ok(()),
+            n => Err(SnapshotError::Malformed(format!(
+                "{n} trailing bytes in section payload"
+            ))),
+        }
     }
 }
 
@@ -622,88 +735,131 @@ impl<'a> SecReader<'a> {
 // Container framing.
 // ---------------------------------------------------------------------
 
-struct ContainerWriter {
+/// Writes a container front to back: a zeroed header page, then each
+/// section streamed to its page-aligned offset. `finish` seeks back and
+/// writes the header and the section table.
+struct ContainerWriter<'a> {
+    out: &'a mut dyn WriteSeek,
     kind: SnapshotKind,
-    sections: Vec<(u64, Vec<u8>)>,
+    /// Where the first section starts; the table must end before it.
+    first: u64,
+    /// One `{tag, offset, len, checksum}` entry per section written.
+    table: Vec<u8>,
+    /// Bytes written so far.
+    pos: u64,
 }
 
-impl ContainerWriter {
-    fn new(kind: SnapshotKind) -> ContainerWriter {
-        ContainerWriter {
+impl<'a> ContainerWriter<'a> {
+    /// Starts a container whose table will hold `sections` entries.
+    fn new(
+        out: &'a mut dyn WriteSeek,
+        kind: SnapshotKind,
+        sections: usize,
+    ) -> io::Result<ContainerWriter<'a>> {
+        let table_len = sections * TABLE_ENTRY;
+        let mut c = ContainerWriter {
+            out,
             kind,
-            sections: Vec::new(),
-        }
+            first: align_page((HEADER_FIXED + table_len) as u64),
+            table: Vec::with_capacity(table_len),
+            pos: 0,
+        };
+        c.pad_to(c.first)?;
+        Ok(c)
     }
 
-    fn section(&mut self, tag: u64, payload: Vec<u8>) {
-        self.sections.push((tag, payload));
+    /// Writes zeros up to byte `end`.
+    fn pad_to(&mut self, end: u64) -> io::Result<()> {
+        const ZEROS: [u8; SNAPSHOT_PAGE] = [0; SNAPSHOT_PAGE];
+        while self.pos < end {
+            let n = (end - self.pos).min(SNAPSHOT_PAGE as u64) as usize;
+            self.out.write_all(&ZEROS[..n])?;
+            self.pos += n as u64;
+        }
+        Ok(())
     }
 
-    fn finish(self) -> Vec<u8> {
-        let table_len = self.sections.len() * TABLE_ENTRY;
-        let mut offset = align_page(HEADER_FIXED + table_len);
-        let mut table = Vec::with_capacity(table_len);
-        let mut entries = Vec::with_capacity(self.sections.len());
-        for (tag, payload) in &self.sections {
-            entries.push((*tag, offset as u64, payload.len() as u64));
-            table.extend_from_slice(&tag.to_le_bytes());
-            table.extend_from_slice(&(offset as u64).to_le_bytes());
-            table.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-            table.extend_from_slice(&checksum64(payload).to_le_bytes());
-            offset = align_page(offset + payload.len());
+    /// Streams one section, starting on the next page boundary.
+    fn section(
+        &mut self,
+        tag: u64,
+        encode: impl FnOnce(&mut SecWriter<'_>) -> io::Result<()>,
+    ) -> io::Result<()> {
+        self.pad_to(align_page(self.pos))?;
+        let mut w = SecWriter::new(&mut *self.out);
+        encode(&mut w)?;
+        let (len, sum) = (w.sum.len, w.sum.finish());
+        for field in [tag, self.pos, len, sum] {
+            self.table.extend_from_slice(&field.to_le_bytes());
         }
-        let file_len = offset;
-        // The header fields are contiguous, so the file is written
-        // append-only: each fixed field in order, zero padding up to the
-        // next boundary, then the table and the page-aligned sections.
-        let mut out = Vec::with_capacity(file_len);
-        out.extend_from_slice(&SNAPSHOT_MAGIC.to_le_bytes());
-        out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-        out.extend_from_slice(&self.kind.code().to_le_bytes());
-        out.extend_from_slice(&layout_fingerprint().to_le_bytes());
-        out.extend_from_slice(&(file_len as u64).to_le_bytes());
-        out.extend_from_slice(&(self.sections.len() as u64).to_le_bytes());
-        out.extend_from_slice(&checksum64(&table).to_le_bytes());
+        self.pos += len;
+        Ok(())
+    }
+
+    fn finish(mut self) -> io::Result<()> {
+        self.pad_to(align_page(self.pos))?;
+        assert!(
+            (HEADER_FIXED + self.table.len()) as u64 <= self.first,
+            "more sections written than the header page has room for"
+        );
+        let mut head = Vec::with_capacity(HEADER_FIXED);
+        head.extend_from_slice(&SNAPSHOT_MAGIC.to_le_bytes());
+        head.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+        head.extend_from_slice(&self.kind.code().to_le_bytes());
+        head.extend_from_slice(&layout_fingerprint().to_le_bytes());
+        head.extend_from_slice(&self.pos.to_le_bytes());
+        head.extend_from_slice(&((self.table.len() / TABLE_ENTRY) as u64).to_le_bytes());
+        head.extend_from_slice(&checksum64(&self.table).to_le_bytes());
         let rev = git_revision();
         let rev = rev.as_bytes();
-        out.extend_from_slice(&rev[..rev.len().min(GIT_REV_BYTES)]);
-        out.resize(HEADER_FIXED - PARAMS_BYTES, 0);
+        head.extend_from_slice(&rev[..rev.len().min(GIT_REV_BYTES)]);
+        head.resize(HEADER_FIXED - PARAMS_BYTES, 0);
         let params = build_params();
         let params = params.as_bytes();
-        out.extend_from_slice(&params[..params.len().min(PARAMS_BYTES)]);
-        out.resize(HEADER_FIXED, 0);
-        out.extend_from_slice(&table);
-        for ((_, off, _), (_, payload)) in entries.iter().zip(&self.sections) {
-            out.resize(*off as usize, 0);
-            out.extend_from_slice(payload);
-        }
-        out.resize(file_len, 0);
-        out
+        head.extend_from_slice(&params[..params.len().min(PARAMS_BYTES)]);
+        head.resize(HEADER_FIXED, 0);
+        self.out.seek(SeekFrom::Start(0))?;
+        self.out.write_all(&head)?;
+        self.out.write_all(&self.table)
     }
 }
 
-struct Container<'a> {
+/// Where one section's payload lies; its checksum has been verified.
+struct Section {
+    tag: u64,
+    offset: u64,
+    len: u64,
+}
+
+/// A container's validated header and section table.
+struct Container {
     kind: SnapshotKind,
     version: u32,
     git_revision: String,
     build_params: String,
     file_len: u64,
-    /// `(tag, payload)` in table order, checksums already verified.
-    sections: Vec<(u64, &'a [u8])>,
+    sections: Vec<Section>,
 }
 
-impl<'a> Container<'a> {
-    fn parse(bytes: &'a [u8]) -> Result<Container<'a>, SnapshotError> {
-        if bytes.len() < HEADER_FIXED {
+impl Container {
+    /// Reads the header and the table, then makes one checksum pass over
+    /// every section, so no payload byte is decoded before every
+    /// checksum matches. The checks run in a fixed order: size, magic,
+    /// version, layout, kind, length, table checksum, header text, then
+    /// each section's extent and checksum in table order.
+    fn open(r: &mut dyn ReadSeek) -> Result<Container, SnapshotError> {
+        let actual = r.seek(SeekFrom::End(0))?;
+        r.seek(SeekFrom::Start(0))?;
+        if actual < HEADER_FIXED as u64 {
             return Err(SnapshotError::Truncated {
                 needed: HEADER_FIXED as u64,
-                actual: bytes.len() as u64,
+                actual,
             });
         }
-        let word =
-            |off: usize| u64::from_le_bytes(bytes[off..off + 8].try_into().expect("8 bytes"));
-        let half =
-            |off: usize| u32::from_le_bytes(bytes[off..off + 4].try_into().expect("4 bytes"));
+        let mut head = [0u8; HEADER_FIXED];
+        r.read_exact(&mut head)?;
+        let word = |off: usize| u64_at(&head, off);
+        let half = |off: usize| u32::from_le_bytes(head[off..off + 4].try_into().expect("4 bytes"));
         let magic = word(0);
         if magic != SNAPSHOT_MAGIC {
             if magic.swap_bytes() == SNAPSHOT_MAGIC {
@@ -728,16 +884,16 @@ impl<'a> Container<'a> {
         let kind = SnapshotKind::from_code(half(12))
             .ok_or_else(|| SnapshotError::Malformed(format!("unknown kind code {}", half(12))))?;
         let file_len = word(24);
-        if (bytes.len() as u64) < file_len {
+        if actual < file_len {
             return Err(SnapshotError::Truncated {
                 needed: file_len,
-                actual: bytes.len() as u64,
+                actual,
             });
         }
-        if (bytes.len() as u64) > file_len {
+        if actual > file_len {
             return Err(SnapshotError::Malformed(format!(
                 "{} bytes past the declared container end",
-                bytes.len() as u64 - file_len
+                actual - file_len
             )));
         }
         let n_sections: usize = word(32)
@@ -754,9 +910,12 @@ impl<'a> Container<'a> {
                 actual: file_len,
             });
         }
-        let table = &bytes[HEADER_FIXED..table_end];
+        // The table fits in the file, so its buffer is bounded by the
+        // bytes actually present.
+        let mut table = vec![0u8; table_end - HEADER_FIXED];
+        r.read_exact(&mut table)?;
         let stored_table_sum = word(40);
-        let computed_table_sum = checksum64(table);
+        let computed_table_sum = checksum64(&table);
         if stored_table_sum != computed_table_sum {
             return Err(SnapshotError::ChecksumMismatch {
                 section: 0,
@@ -765,7 +924,7 @@ impl<'a> Container<'a> {
             });
         }
         let field = |s: &str, off: usize, len: usize| {
-            let raw = &bytes[off..off + len];
+            let raw = &head[off..off + len];
             let end = raw.iter().position(|&b| b == 0).unwrap_or(len);
             std::str::from_utf8(&raw[..end])
                 .map(str::to_string)
@@ -773,13 +932,13 @@ impl<'a> Container<'a> {
         };
         let git_rev = field("git revision", 48, GIT_REV_BYTES)?;
         let params = field("build params", 72, PARAMS_BYTES)?;
+        let mut buf = vec![0u8; IO_CHUNK];
         let mut sections = Vec::with_capacity(n_sections);
-        for i in 0..n_sections {
-            let base = HEADER_FIXED + i * TABLE_ENTRY;
-            let tag = word(base);
-            let offset = word(base + 8);
-            let len = word(base + 16);
-            let stored = word(base + 24);
+        for entry in table.chunks_exact(TABLE_ENTRY) {
+            let tag = u64_at(entry, 0);
+            let offset = u64_at(entry, 8);
+            let len = u64_at(entry, 16);
+            let stored = u64_at(entry, 24);
             let end = offset.checked_add(len).ok_or_else(|| {
                 SnapshotError::Malformed(format!("section {tag:#x} extent overflows"))
             })?;
@@ -789,8 +948,16 @@ impl<'a> Container<'a> {
                     actual: file_len,
                 });
             }
-            let payload = &bytes[offset as usize..end as usize];
-            let computed = checksum64(payload);
+            r.seek(SeekFrom::Start(offset))?;
+            let mut sum = Checksum64::new();
+            let mut left = len;
+            while left > 0 {
+                let chunk = &mut buf[..left.min(IO_CHUNK as u64) as usize];
+                r.read_exact(chunk)?;
+                sum.update(chunk);
+                left -= chunk.len() as u64;
+            }
+            let computed = sum.finish();
             if stored != computed {
                 return Err(SnapshotError::ChecksumMismatch {
                     section: tag,
@@ -798,7 +965,7 @@ impl<'a> Container<'a> {
                     computed,
                 });
             }
-            sections.push((tag, payload));
+            sections.push(Section { tag, offset, len });
         }
         Ok(Container {
             kind,
@@ -810,12 +977,19 @@ impl<'a> Container<'a> {
         })
     }
 
-    fn section(&self, tag: u64) -> Result<&'a [u8], SnapshotError> {
-        self.sections
+    /// A bounded reader over section `tag`'s payload.
+    fn section<'r>(
+        &self,
+        r: &'r mut dyn ReadSeek,
+        tag: u64,
+    ) -> Result<SecReader<'r>, SnapshotError> {
+        let s = self
+            .sections
             .iter()
-            .find(|(t, _)| *t == tag)
-            .map(|(_, p)| *p)
-            .ok_or_else(|| SnapshotError::Malformed(format!("missing section {tag:#x}")))
+            .find(|s| s.tag == tag)
+            .ok_or_else(|| SnapshotError::Malformed(format!("missing section {tag:#x}")))?;
+        r.seek(SeekFrom::Start(s.offset))?;
+        Ok(SecReader::new(r, s.len))
     }
 
     fn expect_kind(&self, expected: SnapshotKind) -> Result<(), SnapshotError> {
@@ -827,67 +1001,83 @@ impl<'a> Container<'a> {
         }
         Ok(())
     }
+
+    fn info(self) -> SnapshotInfo {
+        SnapshotInfo {
+            kind: self.kind,
+            version: self.version,
+            git_revision: self.git_revision,
+            build_params: self.build_params,
+            file_len: self.file_len,
+            sections: self.sections.len(),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
 // Engine blob: the plain engine's persisted state.
 // ---------------------------------------------------------------------
 
-fn encode_engine(engine: &AreaQueryEngine) -> Vec<u8> {
-    let mut w = SecWriter::default();
-    w.u64(engine.points.len() as u64);
-    for p in &engine.points {
-        w.f64(p.x);
-        w.f64(p.y);
-    }
+fn encode_engine(w: &mut SecWriter<'_>, engine: &AreaQueryEngine) -> io::Result<()> {
+    w.array(engine.points.iter(), |p| {
+        join::<16>(&[p.x.to_le_bytes(), p.y.to_le_bytes()])
+    })?;
     match engine.tri.as_ref() {
         Some(tri) => {
-            w.u32(1);
+            w.u32(1)?;
             let flat = tri.as_flat();
             // The site array and the duplicate maps are not stored: they
             // are a function of the engine's points (`rank_sites`, the
             // build's own numbering), which a load re-derives.
-            w.u32s(&flat.adj_off);
-            w.u32s(&flat.adj);
-            w.u32s(&flat.hull);
-            w.u32(flat.degenerate as u32);
-            w.f64s(&flat.weights);
-            w.u32s(&flat.hidden);
-            w.u32s(&flat.anchor);
+            w.u32s(&flat.adj_off)?;
+            w.u32s(&flat.adj)?;
+            w.u32s(&flat.hull)?;
+            w.u32(flat.degenerate as u32)?;
+            w.f64s(&flat.weights)?;
+            w.u32s(&flat.hidden)?;
+            w.u32s(&flat.anchor)?;
         }
-        None => w.u32(0),
+        None => w.u32(0)?,
     }
     match engine.records.as_ref() {
         Some(rs) => {
-            w.u32(1);
-            w.u64(rs.record_bytes() as u64);
-            w.bytes(rs.raw_bytes());
+            w.u32(1)?;
+            w.u64(rs.record_bytes() as u64)?;
+            w.bytes(rs.raw_bytes())?;
         }
-        None => w.u32(0),
+        None => w.u32(0)?,
     }
     match engine.boundary_straddlers.as_ref() {
         Some(s) => {
-            w.u32(1);
-            w.bools(s);
+            w.u32(1)?;
+            w.array(s.iter(), |&b| [b as u8])?;
         }
-        None => w.u32(0),
+        None => w.u32(0)?,
     }
     // The R-tree arena, flattened. Persisting it (rather than paying the
     // STR bulk load again) is most of the cold-start win; leaf MBRs are
     // degenerate point rects, so only internal rectangles are stored.
-    let raw = engine.rtree().raw_parts();
-    w.u32s(&raw.levels);
-    w.u32s(&raw.entry_offsets);
-    w.u32s(&raw.entry_children);
-    w.f64s(&raw.inner_rects);
-    w.u32(raw.root);
-    w.u64(raw.len);
-    w.u32(raw.max_entries);
-    w.buf
+    let raw = engine.rtree().raw_view();
+    w.array(raw.levels(), u32::to_le_bytes)?;
+    w.array(raw.entry_offsets(), u32::to_le_bytes)?;
+    w.array(raw.entry_children(), u32::to_le_bytes)?;
+    w.array(raw.inner_rects(), f64::to_le_bytes)?;
+    w.u32(raw.root)?;
+    w.u64(raw.len)?;
+    w.u32(raw.max_entries)
 }
 
-fn decode_engine(payload: &[u8]) -> Result<AreaQueryEngine, SnapshotError> {
-    let mut r = SecReader::new(payload);
+/// The length of `encode_engine`'s output, from the same encoder run
+/// into a sink that keeps nothing: a shard's engine blob is length-
+/// prefixed, and the prefix is written before the blob.
+fn encoded_len(engine: &AreaQueryEngine) -> io::Result<u64> {
+    let mut sink = io::sink();
+    let mut w = SecWriter::new(&mut sink);
+    encode_engine(&mut w, engine)?;
+    Ok(w.sum.len)
+}
+
+fn decode_engine(r: &mut SecReader<'_>) -> Result<AreaQueryEngine, SnapshotError> {
     let points = r.points()?;
     let n_points = points.len();
     let tri = match r.u32()? {
@@ -930,7 +1120,7 @@ fn decode_engine(payload: &[u8]) -> Result<AreaQueryEngine, SnapshotError> {
                 .u64()?
                 .try_into()
                 .map_err(|_| SnapshotError::Malformed("record size overflows usize".to_string()))?;
-            let data = r.bytes()?.to_vec();
+            let data = r.byte_vec()?;
             if record_bytes == 0 || n_points.checked_mul(record_bytes) != Some(data.len()) {
                 return Err(SnapshotError::Inconsistent(format!(
                     "record store holds {} bytes, expected {} records x {} bytes",
@@ -993,86 +1183,69 @@ fn decode_engine(payload: &[u8]) -> Result<AreaQueryEngine, SnapshotError> {
 }
 
 // ---------------------------------------------------------------------
-// Public save/load surface.
+// Writers and decoders per engine shape.
 // ---------------------------------------------------------------------
 
-/// Serializes a plain engine into an in-memory container.
-pub fn engine_to_bytes(engine: &AreaQueryEngine) -> Vec<u8> {
-    let mut c = ContainerWriter::new(SnapshotKind::Plain);
-    c.section(TAG_ENGINE, encode_engine(engine));
+fn write_engine(out: &mut dyn WriteSeek, engine: &AreaQueryEngine) -> io::Result<()> {
+    let mut c = ContainerWriter::new(out, SnapshotKind::Plain, 1)?;
+    c.section(TAG_ENGINE, |w| encode_engine(w, engine))?;
     c.finish()
 }
 
-/// Serializes a dynamic engine (base + overlay) into an in-memory
-/// container.
-pub fn dynamic_to_bytes(engine: &DynamicAreaQueryEngine) -> Vec<u8> {
+fn write_dynamic(out: &mut dyn WriteSeek, engine: &DynamicAreaQueryEngine) -> io::Result<()> {
     let (base, base_ids, delta, tombstones, next_id) = engine.snapshot_parts();
-    let mut c = ContainerWriter::new(SnapshotKind::Dynamic);
-    c.section(TAG_DYN_BASE, encode_engine(base));
-    let mut w = SecWriter::default();
-    w.u64s(base_ids);
-    w.u64(delta.len() as u64);
-    for (id, p) in delta {
-        w.u64(id);
-        w.f64(p.x);
-        w.f64(p.y);
-    }
-    w.u64s(&tombstones);
-    w.u64(next_id);
-    c.section(TAG_DYN_OVERLAY, w.buf);
+    let mut c = ContainerWriter::new(out, SnapshotKind::Dynamic, 2)?;
+    c.section(TAG_DYN_BASE, |w| encode_engine(w, base))?;
+    c.section(TAG_DYN_OVERLAY, |w| {
+        w.u64s(base_ids)?;
+        w.array(delta.iter(), |(id, p)| {
+            join::<24>(&[id.to_le_bytes(), p.x.to_le_bytes(), p.y.to_le_bytes()])
+        })?;
+        w.u64s(&tombstones)?;
+        w.u64(next_id)
+    })?;
     c.finish()
 }
 
-/// Serializes a sharded engine into an in-memory container: partition
-/// metadata plus one independently checksummed section per shard.
-pub fn sharded_to_bytes(engine: &ShardedAreaQueryEngine) -> Vec<u8> {
+fn write_sharded(out: &mut dyn WriteSeek, engine: &ShardedAreaQueryEngine) -> io::Result<()> {
     let (shards, len, diagram) = engine.snapshot_parts();
-    let mut c = ContainerWriter::new(SnapshotKind::Sharded);
-    let mut m = SecWriter::default();
-    m.u64(len as u64);
-    m.u32(match diagram {
-        DiagramKind::Euclidean => 0,
-        DiagramKind::Power => 1,
-    });
-    m.u64(shards.len() as u64);
-    c.section(TAG_SH_META, m.buf);
+    let mut c = ContainerWriter::new(out, SnapshotKind::Sharded, 1 + shards.len())?;
+    c.section(TAG_SH_META, |w| {
+        w.u64(len as u64)?;
+        w.u32(match diagram {
+            DiagramKind::Euclidean => 0,
+            DiagramKind::Power => 1,
+        })?;
+        w.u64(shards.len() as u64)
+    })?;
     for (i, shard) in shards.iter().enumerate() {
-        let mut w = SecWriter::default();
-        w.u32s(&shard.global);
-        w.bytes(&encode_engine(&shard.engine));
-        c.section(TAG_SHARD + i as u64, w.buf);
+        c.section(TAG_SHARD + i as u64, |w| {
+            w.u32s(&shard.global)?;
+            w.u64(encoded_len(&shard.engine)?)?;
+            encode_engine(w, &shard.engine)
+        })?;
     }
     c.finish()
 }
 
-/// Deserializes a plain engine from container bytes.
-pub fn engine_from_bytes(bytes: &[u8]) -> Result<AreaQueryEngine, SnapshotError> {
-    let c = Container::parse(bytes)?;
-    c.expect_kind(SnapshotKind::Plain)?;
-    decode_engine(c.section(TAG_ENGINE)?)
+fn decode_plain(c: &Container, r: &mut dyn ReadSeek) -> Result<AreaQueryEngine, SnapshotError> {
+    decode_engine(&mut c.section(r, TAG_ENGINE)?)
 }
 
-/// Deserializes a dynamic engine from container bytes. The overlay is
-/// replayed as data: delta, tombstones and the id counter resume
-/// exactly where the saved engine stood, less the delta entries that a
-/// tombstone names (see the module doc).
-pub fn dynamic_from_bytes(bytes: &[u8]) -> Result<DynamicAreaQueryEngine, SnapshotError> {
-    let c = Container::parse(bytes)?;
-    c.expect_kind(SnapshotKind::Dynamic)?;
-    let base = decode_engine(c.section(TAG_DYN_BASE)?)?;
-    let mut r = SecReader::new(c.section(TAG_DYN_OVERLAY)?);
-    let base_ids = r.u64s()?;
-    let n_delta = r.len(24)?;
-    let mut delta = Vec::with_capacity(n_delta);
-    for _ in 0..n_delta {
-        let id = r.u64()?;
-        let x = r.f64()?;
-        let y = r.f64()?;
-        delta.push((id, Point::new(x, y)));
-    }
-    let tombs = r.u64s()?;
-    let next_id = r.u64()?;
-    r.finish()?;
+fn decode_dynamic(
+    c: &Container,
+    r: &mut dyn ReadSeek,
+) -> Result<DynamicAreaQueryEngine, SnapshotError> {
+    let base = decode_engine(&mut c.section(r, TAG_DYN_BASE)?)?;
+    let mut o = c.section(r, TAG_DYN_OVERLAY)?;
+    let base_ids = o.u64s()?;
+    let mut delta = o.array(|b: [u8; 24]| {
+        let coord = |off| f64::from_bits(u64_at(&b, off));
+        (u64_at(&b, 0), Point::new(coord(8), coord(16)))
+    })?;
+    let tombs = o.u64s()?;
+    let next_id = o.u64()?;
+    o.finish()?;
     if base_ids.len() != base.len() {
         return Err(SnapshotError::Inconsistent(format!(
             "{} base ids for a {}-point base engine",
@@ -1080,8 +1253,7 @@ pub fn dynamic_from_bytes(bytes: &[u8]) -> Result<DynamicAreaQueryEngine, Snapsh
             base.len()
         )));
     }
-    // vaq-lint: allow(panic-hygiene) -- windows(2) yields exactly two elements
-    if !base_ids.windows(2).all(|w| w[0] < w[1]) {
+    if !base_ids.is_sorted_by(|a, b| a < b) {
         return Err(SnapshotError::Malformed(
             "base ids are not strictly ascending".to_string(),
         ));
@@ -1133,13 +1305,11 @@ pub fn dynamic_from_bytes(bytes: &[u8]) -> Result<DynamicAreaQueryEngine, Snapsh
     ))
 }
 
-/// Deserializes a sharded engine from container bytes. Shard MBRs and
-/// the density map are recomputed from the shard point sets
-/// (deterministically, so they match the built engine's bit for bit).
-pub fn sharded_from_bytes(bytes: &[u8]) -> Result<ShardedAreaQueryEngine, SnapshotError> {
-    let c = Container::parse(bytes)?;
-    c.expect_kind(SnapshotKind::Sharded)?;
-    let mut m = SecReader::new(c.section(TAG_SH_META)?);
+fn decode_sharded(
+    c: &Container,
+    r: &mut dyn ReadSeek,
+) -> Result<ShardedAreaQueryEngine, SnapshotError> {
+    let mut m = c.section(r, TAG_SH_META)?;
     let len: usize = m
         .u64()?
         .try_into()
@@ -1158,9 +1328,9 @@ pub fn sharded_from_bytes(bytes: &[u8]) -> Result<ShardedAreaQueryEngine, Snapsh
         .try_into()
         .map_err(|_| SnapshotError::Malformed("shard count overflows usize".to_string()))?;
     m.finish()?;
-    // Both counts are checked against data that is already in memory
-    // before anything is sized by them: each shard has its own section,
-    // and the shards' global ids must add up to the point count.
+    // Both counts are checked against the validated table before
+    // anything is sized by them: each shard has its own section, and the
+    // shards' global ids must add up to the point count.
     if shard_count >= c.sections.len() {
         return Err(SnapshotError::Malformed(format!(
             "{shard_count} shards declared in a container of {} sections",
@@ -1169,10 +1339,11 @@ pub fn sharded_from_bytes(bytes: &[u8]) -> Result<ShardedAreaQueryEngine, Snapsh
     }
     let mut shards = Vec::with_capacity(shard_count);
     for i in 0..shard_count {
-        let mut r = SecReader::new(c.section(TAG_SHARD + i as u64)?);
-        let global = r.u32s()?;
-        let engine = decode_engine(r.bytes()?)?;
-        r.finish()?;
+        let mut s = c.section(r, TAG_SHARD + i as u64)?;
+        let global = s.u32s()?;
+        let blob = s.len(1)?;
+        let engine = decode_engine(&mut s.nested(blob))?;
+        s.finish()?;
         if global.len() != engine.len() {
             return Err(SnapshotError::Inconsistent(format!(
                 "shard {i} maps {} global ids onto {} points",
@@ -1210,67 +1381,147 @@ pub fn sharded_from_bytes(bytes: &[u8]) -> Result<ShardedAreaQueryEngine, Snapsh
     ))
 }
 
-/// Deserializes whichever engine shape the container holds.
-pub fn from_bytes(bytes: &[u8]) -> Result<LoadedEngine, SnapshotError> {
-    let kind = Container::parse(bytes)?.kind;
-    match kind {
-        SnapshotKind::Plain => engine_from_bytes(bytes).map(LoadedEngine::Plain),
-        SnapshotKind::Sharded => sharded_from_bytes(bytes).map(LoadedEngine::Sharded),
-        SnapshotKind::Dynamic => dynamic_from_bytes(bytes).map(LoadedEngine::Dynamic),
+/// Validates a container, checks that it holds `kind`, then decodes it.
+fn read_as<T>(
+    r: &mut dyn ReadSeek,
+    kind: SnapshotKind,
+    decode: fn(&Container, &mut dyn ReadSeek) -> Result<T, SnapshotError>,
+) -> Result<T, SnapshotError> {
+    let c = Container::open(r)?;
+    c.expect_kind(kind)?;
+    decode(&c, r)
+}
+
+/// Validates a container once and decodes whichever shape it holds.
+fn read_any(r: &mut dyn ReadSeek) -> Result<LoadedEngine, SnapshotError> {
+    let c = Container::open(r)?;
+    match c.kind {
+        SnapshotKind::Plain => decode_plain(&c, r).map(LoadedEngine::Plain),
+        SnapshotKind::Sharded => decode_sharded(&c, r).map(LoadedEngine::Sharded),
+        SnapshotKind::Dynamic => decode_dynamic(&c, r).map(LoadedEngine::Dynamic),
     }
 }
 
-/// Reads a snapshot's header facts without decoding any section.
+/// Runs a writer over an in-memory cursor and returns the image.
+fn to_bytes(write: impl FnOnce(&mut dyn WriteSeek) -> io::Result<()>) -> Vec<u8> {
+    let mut image = Cursor::new(Vec::new());
+    write(&mut image).expect("writes to an in-memory cursor do not fail");
+    image.into_inner()
+}
+
+/// Runs a writer over a buffered file created at `path`.
+fn save(
+    path: &Path,
+    write: impl FnOnce(&mut dyn WriteSeek) -> io::Result<()>,
+) -> Result<(), SnapshotError> {
+    let mut out = BufWriter::new(File::create(path)?);
+    write(&mut out)?;
+    Ok(out.flush()?)
+}
+
+fn open(path: &Path) -> Result<BufReader<File>, SnapshotError> {
+    Ok(BufReader::new(File::open(path)?))
+}
+
+// ---------------------------------------------------------------------
+// Public save/load surface.
+// ---------------------------------------------------------------------
+
+/// Serializes a plain engine into an in-memory container.
+pub fn engine_to_bytes(engine: &AreaQueryEngine) -> Vec<u8> {
+    to_bytes(|out| write_engine(out, engine))
+}
+
+/// Serializes a dynamic engine (base + overlay) into an in-memory
+/// container.
+pub fn dynamic_to_bytes(engine: &DynamicAreaQueryEngine) -> Vec<u8> {
+    to_bytes(|out| write_dynamic(out, engine))
+}
+
+/// Serializes a sharded engine into an in-memory container: partition
+/// metadata plus one independently checksummed section per shard.
+pub fn sharded_to_bytes(engine: &ShardedAreaQueryEngine) -> Vec<u8> {
+    to_bytes(|out| write_sharded(out, engine))
+}
+
+/// Deserializes a plain engine from container bytes.
+pub fn engine_from_bytes(bytes: &[u8]) -> Result<AreaQueryEngine, SnapshotError> {
+    read_as(&mut Cursor::new(bytes), SnapshotKind::Plain, decode_plain)
+}
+
+/// Deserializes a dynamic engine from container bytes. The overlay is
+/// replayed as data: delta, tombstones and the id counter resume
+/// exactly where the saved engine stood, less the delta entries that a
+/// tombstone names (see the module doc).
+pub fn dynamic_from_bytes(bytes: &[u8]) -> Result<DynamicAreaQueryEngine, SnapshotError> {
+    read_as(
+        &mut Cursor::new(bytes),
+        SnapshotKind::Dynamic,
+        decode_dynamic,
+    )
+}
+
+/// Deserializes a sharded engine from container bytes. Shard MBRs and
+/// the density map are recomputed from the shard point sets
+/// (deterministically, so they match the built engine's bit for bit).
+pub fn sharded_from_bytes(bytes: &[u8]) -> Result<ShardedAreaQueryEngine, SnapshotError> {
+    read_as(
+        &mut Cursor::new(bytes),
+        SnapshotKind::Sharded,
+        decode_sharded,
+    )
+}
+
+/// Deserializes whichever engine shape the container holds.
+pub fn from_bytes(bytes: &[u8]) -> Result<LoadedEngine, SnapshotError> {
+    read_any(&mut Cursor::new(bytes))
+}
+
+/// Reads a snapshot's header facts, after the same validation a load
+/// runs (every checksum included), without decoding any section.
 pub fn inspect_bytes(bytes: &[u8]) -> Result<SnapshotInfo, SnapshotError> {
-    let c = Container::parse(bytes)?;
-    Ok(SnapshotInfo {
-        kind: c.kind,
-        version: c.version,
-        git_revision: c.git_revision,
-        build_params: c.build_params,
-        file_len: c.file_len,
-        sections: c.sections.len(),
-    })
+    Container::open(&mut Cursor::new(bytes)).map(Container::info)
 }
 
 /// Saves a plain engine to `path`.
 pub fn save_engine(engine: &AreaQueryEngine, path: &Path) -> Result<(), SnapshotError> {
-    Ok(std::fs::write(path, engine_to_bytes(engine))?)
+    save(path, |out| write_engine(out, engine))
 }
 
 /// Saves a dynamic engine to `path`.
 pub fn save_dynamic(engine: &DynamicAreaQueryEngine, path: &Path) -> Result<(), SnapshotError> {
-    Ok(std::fs::write(path, dynamic_to_bytes(engine))?)
+    save(path, |out| write_dynamic(out, engine))
 }
 
 /// Saves a sharded engine to `path`.
 pub fn save_sharded(engine: &ShardedAreaQueryEngine, path: &Path) -> Result<(), SnapshotError> {
-    Ok(std::fs::write(path, sharded_to_bytes(engine))?)
+    save(path, |out| write_sharded(out, engine))
 }
 
 /// Loads a plain engine from `path`.
 pub fn load_engine(path: &Path) -> Result<AreaQueryEngine, SnapshotError> {
-    engine_from_bytes(&std::fs::read(path)?)
+    read_as(&mut open(path)?, SnapshotKind::Plain, decode_plain)
 }
 
 /// Loads a dynamic engine from `path`.
 pub fn load_dynamic(path: &Path) -> Result<DynamicAreaQueryEngine, SnapshotError> {
-    dynamic_from_bytes(&std::fs::read(path)?)
+    read_as(&mut open(path)?, SnapshotKind::Dynamic, decode_dynamic)
 }
 
 /// Loads a sharded engine from `path`.
 pub fn load_sharded(path: &Path) -> Result<ShardedAreaQueryEngine, SnapshotError> {
-    sharded_from_bytes(&std::fs::read(path)?)
+    read_as(&mut open(path)?, SnapshotKind::Sharded, decode_sharded)
 }
 
 /// Loads whichever engine shape the snapshot at `path` holds.
 pub fn load(path: &Path) -> Result<LoadedEngine, SnapshotError> {
-    from_bytes(&std::fs::read(path)?)
+    read_any(&mut open(path)?)
 }
 
-/// Reads the header facts of the snapshot at `path`.
+/// Reads the header facts of the snapshot at `path`, after the same
+/// validation a load runs (every checksum included).
 pub fn inspect(path: &Path) -> Result<SnapshotInfo, SnapshotError> {
-    inspect_bytes(&std::fs::read(path)?)
+    Container::open(&mut open(path)?).map(Container::info)
 }
 
 #[cfg(test)]
@@ -1280,12 +1531,70 @@ mod tests {
     use rand::{Rng, SeedableRng};
     use vaq_geom::Rect;
 
+    /// The engine blob `encode_engine` writes.
+    fn blob(engine: &AreaQueryEngine) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_engine(&mut SecWriter::new(&mut out), engine).expect("a vector accepts every write");
+        out
+    }
+
+    fn decode(blob: &[u8]) -> Result<AreaQueryEngine, SnapshotError> {
+        decode_engine(&mut SecReader::new(&mut &blob[..], blob.len() as u64))
+    }
+
+    fn open_bytes(bytes: &[u8]) -> Result<Container, SnapshotError> {
+        Container::open(&mut Cursor::new(bytes))
+    }
+
     #[test]
     fn checksum_distinguishes_length_and_content() {
         assert_ne!(checksum64(b""), checksum64(b"\0"));
         assert_ne!(checksum64(b"\0"), checksum64(b"\0\0"));
         assert_ne!(checksum64(b"abcdefgh"), checksum64(b"abcdefgi"));
         assert_eq!(checksum64(b"vaqsnap"), checksum64(b"vaqsnap"));
+    }
+
+    /// The streaming checksum equals [`checksum64`] however its input is
+    /// split: at every set of cut points for inputs up to 12 bytes, and
+    /// at every pair of cut points for lengths on both sides of the 8-
+    /// and 32-byte block edges.
+    #[test]
+    fn streaming_checksum_matches_every_split() {
+        let data: Vec<u8> = (0..100u32).map(|i| ((i * 157) ^ 0x5A) as u8).collect();
+        let pieces = |bytes: &[u8], cuts: &[usize]| {
+            let mut sum = Checksum64::new();
+            let mut from = 0;
+            for &cut in cuts.iter().chain([&bytes.len()]) {
+                sum.update(&bytes[from..cut]);
+                from = cut;
+            }
+            sum.finish()
+        };
+        for len in 0..=12 {
+            let bytes = &data[..len];
+            for mask in 0u32..1 << len {
+                let cuts: Vec<usize> = (0..len).filter(|i| mask & (1 << i) != 0).collect();
+                assert_eq!(
+                    pieces(bytes, &cuts),
+                    checksum64(bytes),
+                    "{len} bytes, cuts {cuts:?}"
+                );
+            }
+        }
+        for len in [
+            15, 16, 17, 23, 24, 25, 31, 32, 33, 39, 40, 41, 63, 64, 65, 95, 96, 97,
+        ] {
+            let bytes = &data[..len];
+            for a in 0..=len {
+                for b in a..=len {
+                    assert_eq!(
+                        pieces(bytes, &[a, b]),
+                        checksum64(bytes),
+                        "{len} bytes at {a}, {b}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -1320,20 +1629,24 @@ mod tests {
         tombs: &[u64],
         next_id: u64,
     ) -> Vec<u8> {
-        let mut c = ContainerWriter::new(SnapshotKind::Dynamic);
-        c.section(TAG_DYN_BASE, encode_engine(&AreaQueryEngine::build(base)));
-        let mut w = SecWriter::default();
-        w.u64s(&(0..base.len() as u64).collect::<Vec<u64>>());
-        w.u64(delta.len() as u64);
-        for &(id, p) in delta {
-            w.u64(id);
-            w.f64(p.x);
-            w.f64(p.y);
-        }
-        w.u64s(tombs);
-        w.u64(next_id);
-        c.section(TAG_DYN_OVERLAY, w.buf);
-        c.finish()
+        to_bytes(|out| {
+            let mut c = ContainerWriter::new(out, SnapshotKind::Dynamic, 2)?;
+            c.section(TAG_DYN_BASE, |w| {
+                encode_engine(w, &AreaQueryEngine::build(base))
+            })?;
+            c.section(TAG_DYN_OVERLAY, |w| {
+                w.u64s(&(0..base.len() as u64).collect::<Vec<u64>>())?;
+                w.u64(delta.len() as u64)?;
+                for &(id, p) in delta {
+                    w.u64(id)?;
+                    w.put(&p.x.to_le_bytes())?;
+                    w.put(&p.y.to_le_bytes())?;
+                }
+                w.u64s(tombs)?;
+                w.u64(next_id)
+            })?;
+            c.finish()
+        })
     }
 
     fn assert_inconsistent(bytes: &[u8], what: &str) {
@@ -1382,17 +1695,13 @@ mod tests {
             assert!(engine.remove(id));
         }
         let bytes = dynamic_to_bytes(&engine);
-        let c = Container::parse(&bytes).expect("parses");
-        let mut r = SecReader::new(c.section(TAG_DYN_OVERLAY).expect("has an overlay"));
+        let mut src = Cursor::new(&bytes[..]);
+        let c = Container::open(&mut src).expect("parses");
+        let mut r = c
+            .section(&mut src, TAG_DYN_OVERLAY)
+            .expect("has an overlay");
         assert_eq!(r.u64s().expect("base ids"), vec![0, 1, 2]);
-        let n_delta = r.len(24).expect("delta length");
-        let delta: Vec<u64> = (0..n_delta)
-            .map(|_| {
-                let id = r.u64().expect("id");
-                let _ = (r.f64(), r.f64());
-                id
-            })
-            .collect();
+        let delta = r.array(|b: [u8; 24]| u64_at(&b, 0)).expect("delta");
         assert_eq!(delta, vec![ids[1], ids[2]], "live delta ids, ascending");
         assert!(r.u64s().expect("tombstones").is_empty());
         let mut loaded = dynamic_from_bytes(&bytes).expect("loads");
@@ -1469,7 +1778,7 @@ mod tests {
         let pts: Vec<Point> = (0..20_000)
             .map(|_| Point::new(rng.gen::<f64>(), rng.gen::<f64>()))
             .collect();
-        let distinct = encode_engine(&AreaQueryEngine::build(&pts)).len();
+        let distinct = blob(&AreaQueryEngine::build(&pts)).len();
         let per_point = distinct as f64 / pts.len() as f64;
         assert!(
             per_point <= 56.0,
@@ -1479,13 +1788,13 @@ mod tests {
         let mut repeated = pts.clone();
         repeated.extend((0..10_000).map(|i| pts[(i * 7) % pts.len()]));
         let engine = AreaQueryEngine::build(&repeated);
-        let blob = encode_engine(&engine);
-        let per_repeat = (blob.len() - distinct) as f64 / 10_000.0;
+        let bytes = blob(&engine);
+        let per_repeat = (bytes.len() - distinct) as f64 / 10_000.0;
         assert!(
             per_repeat <= 30.0,
             "{per_repeat:.2} bytes per repeated point"
         );
-        let loaded = decode_engine(&blob).expect("loads");
+        let loaded = decode(&bytes).expect("loads");
         assert_eq!(
             loaded.triangulation().map(Triangulation::as_flat),
             engine.triangulation().map(Triangulation::as_flat),
@@ -1508,11 +1817,12 @@ mod tests {
         let engine = AreaQueryEngine::builder(&pts).weights(&weights).build();
         let hidden = engine.triangulation().expect("built").hidden_vertices();
         assert!(hidden.len() >= 2, "{} hidden sites", hidden.len());
-        let mut blob = encode_engine(&engine);
-        assert!(decode_engine(&blob).is_ok());
+        let mut bytes = blob(&engine);
+        assert!(decode(&bytes).is_ok());
         // Walk the blob up to the anchor array and point its first entry
         // at a hidden site.
-        let mut r = SecReader::new(&blob);
+        let mut src = &bytes[..];
+        let mut r = SecReader::new(&mut src, bytes.len() as u64);
         r.points().expect("points");
         r.u32().expect("triangulation flag");
         for _ in 0..3 {
@@ -1521,9 +1831,9 @@ mod tests {
         r.u32().expect("degenerate flag");
         r.f64s().expect("weights");
         assert_eq!(r.u32s().expect("hidden"), hidden);
-        let at = r.pos + 8;
-        blob[at..at + 4].copy_from_slice(&hidden[1].to_le_bytes());
-        match decode_engine(&blob) {
+        let at = bytes.len() - r.left() as usize + 8;
+        bytes[at..at + 4].copy_from_slice(&hidden[1].to_le_bytes());
+        match decode(&bytes) {
             Err(SnapshotError::Malformed(msg)) => assert!(msg.contains("anchor"), "{msg}"),
             Err(e) => panic!("expected a malformed-anchor error, got {e}"),
             Ok(_) => panic!("a hidden anchor loaded"),
@@ -1548,19 +1858,16 @@ mod tests {
         for flags in [3, vertices - 1, vertices + 1] {
             engine.boundary_straddlers = Some(vec![true; flags]);
             assert!(
-                matches!(
-                    decode_engine(&encode_engine(&engine)),
-                    Err(SnapshotError::Inconsistent(_))
-                ),
+                matches!(decode(&blob(&engine)), Err(SnapshotError::Inconsistent(_))),
                 "{flags} flags for {vertices} vertices"
             );
         }
         engine.boundary_straddlers = Some(vec![true; vertices]);
-        assert!(decode_engine(&encode_engine(&engine)).is_ok());
+        assert!(decode(&blob(&engine)).is_ok());
         let mut empty = AreaQueryEngine::build(&[]);
         empty.boundary_straddlers = Some(vec![false; 5]);
         assert!(matches!(
-            decode_engine(&encode_engine(&empty)),
+            decode(&blob(&empty)),
             Err(SnapshotError::Inconsistent(_))
         ));
     }
@@ -1572,10 +1879,14 @@ mod tests {
             .collect();
         let bytes = engine_to_bytes(&AreaQueryEngine::build(&pts));
         assert_eq!(bytes.len() % SNAPSHOT_PAGE, 0);
-        let c = Container::parse(&bytes).expect("parse");
-        for (tag, payload) in &c.sections {
-            let offset = payload.as_ptr() as usize - bytes.as_ptr() as usize;
-            assert_eq!(offset % SNAPSHOT_PAGE, 0, "section {tag:#x} unaligned");
+        let c = open_bytes(&bytes).expect("parse");
+        for s in &c.sections {
+            assert_eq!(
+                s.offset % SNAPSHOT_PAGE as u64,
+                0,
+                "section {:#x} unaligned",
+                s.tag
+            );
         }
     }
 
@@ -1622,13 +1933,12 @@ mod tests {
             Err(SnapshotError::Truncated { .. })
         ));
 
-        let c = Container::parse(&bytes).expect("clean parse");
-        let (tag, payload) = c.sections[0];
-        let offset = payload.as_ptr() as usize - bytes.as_ptr() as usize;
+        let c = open_bytes(&bytes).expect("clean parse");
+        let s = &c.sections[0];
         let mut flipped = bytes.clone();
-        flipped[offset + payload.len() / 2] ^= 0x01;
+        flipped[(s.offset + s.len / 2) as usize] ^= 0x01;
         match engine_from_bytes(&flipped) {
-            Err(SnapshotError::ChecksumMismatch { section, .. }) => assert_eq!(section, tag),
+            Err(SnapshotError::ChecksumMismatch { section, .. }) => assert_eq!(section, s.tag),
             Err(e) => panic!("expected ChecksumMismatch, got {e}"),
             Ok(_) => panic!("flipped payload byte must not load"),
         }

@@ -12,9 +12,9 @@
 //!
 //! The tree is bulk loaded once with sort-tile-recursive packing
 //! ([`RTree::bulk_load`]); both queries feed the [`AccessStats`] counters
-//! the benchmark harness reports. [`RTree::raw_parts`] and
-//! [`RTree::from_raw`] flatten and restore the node arena for engine
-//! snapshots.
+//! the benchmark harness reports. [`RTree::raw_parts`] (or, borrowed,
+//! [`RTree::raw_view`]) and [`RTree::from_raw`] flatten and restore the
+//! node arena for engine snapshots.
 //!
 //! ## Example
 //!
@@ -46,4 +46,4 @@ pub mod query;
 pub mod tree;
 
 pub use query::AccessStats;
-pub use tree::{RTree, RTreeRaw};
+pub use tree::{RTree, RTreeRaw, RTreeRawView};

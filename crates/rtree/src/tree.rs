@@ -169,32 +169,27 @@ impl RTree {
     /// entries keep their full rectangles. [`RTree::from_raw`] restores
     /// the exact arena given the same points.
     pub fn raw_parts(&self) -> RTreeRaw {
-        let mut raw = RTreeRaw {
-            levels: Vec::with_capacity(self.nodes.len()),
-            entry_offsets: Vec::with_capacity(self.nodes.len() + 1),
-            entry_children: Vec::new(),
-            inner_rects: Vec::new(),
+        let view = self.raw_view();
+        RTreeRaw {
+            levels: view.levels().collect(),
+            entry_offsets: view.entry_offsets().collect(),
+            entry_children: view.entry_children().collect(),
+            inner_rects: view.inner_rects().collect(),
+            root: view.root,
+            len: view.len,
+            max_entries: view.max_entries,
+        }
+    }
+
+    /// The arrays of [`RTree::raw_parts`], borrowed from the arena instead
+    /// of copied, so a snapshot writer can stream them.
+    pub fn raw_view(&self) -> RTreeRawView<'_> {
+        RTreeRawView {
+            nodes: &self.nodes,
             root: self.root,
             len: self.len as u64,
             max_entries: self.max_entries as u32,
-        };
-        raw.entry_offsets.push(0);
-        for node in &self.nodes {
-            raw.levels.push(node.level);
-            for e in &node.entries {
-                raw.entry_children.push(e.child);
-                if node.level > 0 {
-                    raw.inner_rects.extend_from_slice(&[
-                        e.rect.min.x,
-                        e.rect.min.y,
-                        e.rect.max.x,
-                        e.rect.max.y,
-                    ]);
-                }
-            }
-            raw.entry_offsets.push(raw.entry_children.len() as u32);
         }
-        raw
     }
 
     /// Rebuilds a tree from [`RTree::raw_parts`] output and the points
@@ -314,6 +309,51 @@ pub struct RTreeRaw {
     pub len: u64,
     /// Maximum entries per node.
     pub max_entries: u32,
+}
+
+/// [`RTreeRaw`] borrowed from the arena (see [`RTree::raw_view`]): each
+/// array is an iterator yielding the same elements in the same order.
+#[derive(Clone, Copy)]
+pub struct RTreeRawView<'a> {
+    nodes: &'a [Node],
+    /// Root node id.
+    pub root: u32,
+    /// Indexed point count.
+    pub len: u64,
+    /// Maximum entries per node.
+    pub max_entries: u32,
+}
+
+impl<'a> RTreeRawView<'a> {
+    /// [`RTreeRaw::levels`].
+    pub fn levels(self) -> impl Iterator<Item = u32> + Clone + 'a {
+        self.nodes.iter().map(|n| n.level)
+    }
+
+    /// [`RTreeRaw::entry_offsets`].
+    pub fn entry_offsets(self) -> impl Iterator<Item = u32> + Clone + 'a {
+        let ends = self.nodes.iter().scan(0u32, |end, n| {
+            *end += n.entries.len() as u32;
+            Some(*end)
+        });
+        std::iter::once(0).chain(ends)
+    }
+
+    /// [`RTreeRaw::entry_children`].
+    pub fn entry_children(self) -> impl Iterator<Item = u32> + Clone + 'a {
+        self.nodes
+            .iter()
+            .flat_map(|n| n.entries.iter().map(|e| e.child))
+    }
+
+    /// [`RTreeRaw::inner_rects`].
+    pub fn inner_rects(self) -> impl Iterator<Item = f64> + Clone + 'a {
+        self.nodes
+            .iter()
+            .filter(|n| n.level > 0)
+            .flat_map(|n| n.entries.iter())
+            .flat_map(|e| [e.rect.min.x, e.rect.min.y, e.rect.max.x, e.rect.max.y])
+    }
 }
 
 #[cfg(test)]

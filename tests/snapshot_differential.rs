@@ -8,6 +8,7 @@
 //! `SnapshotError`s, never as garbage engines.
 
 use proptest::prelude::*;
+use std::path::{Path, PathBuf};
 use voronoi_area_query::core::snapshot::{
     self, checksum64, SnapshotError, SnapshotKind, SNAPSHOT_PAGE, SNAPSHOT_VERSION,
 };
@@ -635,6 +636,197 @@ fn crafted_length_fields_are_typed_errors() {
         .unwrap();
     reseal_u64(&mut evil, 0x01, at + 4, (1 << 62) + 16);
     expect_typed(&evil, "record size");
+}
+
+// ---------------------------------------------------------------------
+// The file API runs the byte API's code over a buffered file: the same
+// bytes out, the same errors back.
+// ---------------------------------------------------------------------
+
+/// A snapshot file under the system temp dir, removed on drop.
+struct TempSnap(PathBuf);
+
+impl TempSnap {
+    fn new(tag: &str) -> TempSnap {
+        let name = format!("vaq-snapshot-test-{tag}-{}.snap", std::process::id());
+        TempSnap(std::env::temp_dir().join(name))
+    }
+
+    fn path(&self) -> &Path {
+        &self.0
+    }
+
+    fn holding(self, bytes: &[u8]) -> TempSnap {
+        std::fs::write(&self.0, bytes).unwrap();
+        self
+    }
+
+    fn bytes(&self) -> Vec<u8> {
+        std::fs::read(&self.0).unwrap()
+    }
+}
+
+impl Drop for TempSnap {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
+}
+
+/// A power-diagram plain engine with payload records.
+fn power_payload_engine() -> AreaQueryEngine {
+    let pts = generate(
+        320,
+        Distribution::Clustered {
+            clusters: 4,
+            sigma: 0.05,
+        },
+        0xF11E,
+    );
+    let engine = AreaQueryEngine::builder(&pts)
+        .weights(&power_weights(pts.len()))
+        .payload_bytes(24)
+        .build();
+    assert_eq!(engine.diagram_kind(), DiagramKind::Power);
+    engine
+}
+
+/// A dynamic engine whose overlay holds filed and pending delta points
+/// and base tombstones.
+fn churned_dynamic_engine() -> DynamicAreaQueryEngine {
+    let mut engine = DynamicAreaQueryEngine::new(&generate(280, Distribution::Uniform, 0xF12));
+    let gone = engine.insert(p(0.11, 0.22));
+    engine.insert(p(0.33, 0.44));
+    engine.query(&star(0xF3, 0.1)); // files the delta so far
+    engine.insert(p(0.55, 0.66)); // pending from here on
+    assert!(engine.remove(gone));
+    assert!(engine.remove(5)); // a base id
+    assert!(engine.remove(9)); // another base id
+    engine
+}
+
+#[test]
+fn saved_files_hold_exactly_the_container_bytes() {
+    let plain = power_payload_engine();
+    let file = TempSnap::new("save-plain");
+    snapshot::save_engine(&plain, file.path()).expect("save");
+    let bytes = snapshot::engine_to_bytes(&plain);
+    assert_eq!(file.bytes(), bytes, "plain");
+    let loaded = snapshot::load_engine(file.path()).expect("load");
+    assert_eq!(snapshot::engine_to_bytes(&loaded), bytes, "plain reload");
+
+    let dynamic = churned_dynamic_engine();
+    let file = TempSnap::new("save-dynamic");
+    snapshot::save_dynamic(&dynamic, file.path()).expect("save");
+    let bytes = snapshot::dynamic_to_bytes(&dynamic);
+    assert_eq!(file.bytes(), bytes, "dynamic");
+    let loaded = snapshot::load_dynamic(file.path()).expect("load");
+    assert_eq!(snapshot::dynamic_to_bytes(&loaded), bytes, "dynamic reload");
+
+    let sharded = ShardedAreaQueryEngine::build(&with_repeats(400, 0xF14), 4);
+    let file = TempSnap::new("save-sharded");
+    snapshot::save_sharded(&sharded, file.path()).expect("save");
+    let bytes = snapshot::sharded_to_bytes(&sharded);
+    assert_eq!(file.bytes(), bytes, "sharded");
+    let loaded = snapshot::load_sharded(file.path()).expect("load");
+    assert_eq!(snapshot::sharded_to_bytes(&loaded), bytes, "sharded reload");
+    let info = snapshot::inspect(file.path()).expect("inspect");
+    assert_eq!(info.kind, SnapshotKind::Sharded);
+    assert_eq!(info.file_len as usize, bytes.len());
+    assert_eq!(info.sections, 5);
+}
+
+/// Loads `evil` through every file entry point and its byte twin; each
+/// pair must fail, with the same error.
+fn assert_file_errors_match_bytes(evil: &[u8], what: &str) {
+    let file = TempSnap::new(&format!("errors-{}", what.replace(' ', "-"))).holding(evil);
+    let path = file.path();
+    let err = |r: Result<(), SnapshotError>| match r {
+        Err(e) => e.to_string(),
+        Ok(()) => panic!("{what}: a corrupted container loaded"),
+    };
+    let pairs = [
+        (
+            err(snapshot::load_engine(path).map(drop)),
+            err(snapshot::engine_from_bytes(evil).map(drop)),
+        ),
+        (
+            err(snapshot::load_dynamic(path).map(drop)),
+            err(snapshot::dynamic_from_bytes(evil).map(drop)),
+        ),
+        (
+            err(snapshot::load_sharded(path).map(drop)),
+            err(snapshot::sharded_from_bytes(evil).map(drop)),
+        ),
+        (
+            err(snapshot::load(path).map(drop)),
+            err(snapshot::from_bytes(evil).map(drop)),
+        ),
+        (
+            err(snapshot::inspect(path).map(drop)),
+            err(snapshot::inspect_bytes(evil).map(drop)),
+        ),
+    ];
+    for (from_file, from_bytes) in pairs {
+        assert_eq!(from_file, from_bytes, "{what}");
+    }
+}
+
+#[test]
+fn file_loads_fail_like_byte_loads() {
+    let containers = [
+        ("plain", snapshot::engine_to_bytes(&power_payload_engine())),
+        (
+            "dynamic",
+            snapshot::dynamic_to_bytes(&churned_dynamic_engine()),
+        ),
+        ("sharded", sample_container()),
+    ];
+    for (kind, bytes) in &containers {
+        let mut cuts: Vec<usize> = vec![0, 1, 127, 128];
+        for (_, offset, len) in section_table(bytes) {
+            cuts.extend([offset, offset + len / 2, offset + len]);
+        }
+        cuts.push(bytes.len() - 1);
+        for cut in cuts {
+            let cut = cut.min(bytes.len() - 1);
+            assert_file_errors_match_bytes(&bytes[..cut], &format!("{kind} cut at {cut}"));
+        }
+        for (tag, offset, len) in section_table(bytes) {
+            let mut evil = bytes.clone();
+            evil[offset + len / 2] ^= 0x40;
+            assert_file_errors_match_bytes(&evil, &format!("{kind} flip in {tag:#x}"));
+        }
+    }
+}
+
+#[test]
+fn length_prefix_past_its_section_is_malformed_on_the_file_path() {
+    let expect_overrun =
+        |evil: &[u8], what: &str, load: &dyn Fn(&Path) -> Option<SnapshotError>| {
+            let file = TempSnap::new(what).holding(evil);
+            match load(file.path()) {
+                Some(SnapshotError::Malformed(msg)) => {
+                    assert!(msg.contains("exceeds section payload"), "{what}: {msg}")
+                }
+                Some(e) => panic!("{what}: expected Malformed, got {e}"),
+                None => panic!("{what}: crafted container loaded"),
+            }
+        };
+    // engine{points:[f64x2], ...}: the point count opens the section.
+    let mut plain = snapshot::engine_to_bytes(&power_payload_engine());
+    reseal_u64(&mut plain, 0x01, 0, 1 << 40);
+    expect_overrun(&plain, "point-count", &|path| {
+        snapshot::load_engine(path).err()
+    });
+    // shard{global:[u32], engine:[u8]}: the nested blob's length follows
+    // the global ids.
+    let mut sharded = sample_container();
+    let (_, offset, len) = section_table(&sharded)[1];
+    let globals = u64_at(&sharded, offset) as usize;
+    reseal_u64(&mut sharded, 0x1000, 8 + 4 * globals, len as u64);
+    expect_overrun(&sharded, "shard-blob-length", &|path| {
+        snapshot::load_sharded(path).err()
+    });
 }
 
 #[test]
