@@ -143,8 +143,8 @@ impl EngineBuilder {
         })
     }
 
-    /// Builds the engine: STR-bulk-loaded R-tree and Delaunay (or
-    /// regular) triangulation.
+    /// Builds the engine: Delaunay (or regular) triangulation, and the
+    /// R-tree packed in its vertex order.
     pub fn build(mut self) -> AreaQueryEngine {
         let tri = if self.points.is_empty() {
             None
@@ -155,7 +155,7 @@ impl EngineBuilder {
             )
         };
         let records = self.take_records();
-        AreaQueryEngine::assemble(self.points, tri, records, None, None)
+        AreaQueryEngine::assemble(self.points, tri, records, None)
     }
 
     /// Builds a [`ShardedAreaQueryEngine`] over the same options: the
@@ -224,20 +224,23 @@ pub struct AreaQueryEngine {
 impl AreaQueryEngine {
     /// Assembles an engine from a built (or loaded) triangulation — the
     /// shared tail of [`EngineBuilder::build`] and the snapshot loader.
-    /// The planner's density map is a deterministic function of the
-    /// points and the hidden-site index one of the triangulation, so
-    /// rebuilding both here keeps a loaded engine bit-identical to a
+    /// The R-tree is packed in the triangulation's vertex order (its
+    /// members: input ids, coincident ones adjacent), so both indexes
+    /// share one Hilbert order and a build sorts the points once. The
+    /// R-tree, the planner's density map and the hidden-site index are
+    /// deterministic functions of the points and the triangulation, so
+    /// rebuilding them here keeps a loaded engine bit-identical to a
     /// freshly built one.
+    ///
+    /// `tri` is `None` only for an empty point set.
     pub(crate) fn assemble(
         points: Vec<Point>,
         tri: Option<Triangulation>,
         records: Option<RecordStore>,
         boundary_straddlers: Option<Vec<bool>>,
-        prebuilt_rtree: Option<RTree>,
     ) -> AreaQueryEngine {
-        // A snapshot hands back the exact arena the saved engine was
-        // built with; fresh builds construct it here.
-        let rtree = prebuilt_rtree.unwrap_or_else(|| RTree::bulk_load(&points));
+        let order = tri.as_ref().map_or(&[][..], |t| &t.as_flat().members[..]);
+        let rtree = RTree::pack(&points, order);
         // How far a positive weight can pull a cell towards a location:
         // pow_p(x) = |x − p|² − w ≤ 0 within distance √w of p, so window
         // and shard-boundary expansions grow by the largest such radius.
@@ -275,8 +278,8 @@ impl AreaQueryEngine {
         }
     }
 
-    /// Builds with defaults: STR-bulk-loaded R-tree + Delaunay
-    /// triangulation (exactly the paper's setup).
+    /// Builds with defaults: Delaunay triangulation + packed R-tree
+    /// (exactly the paper's setup).
     pub fn build(points: &[Point]) -> AreaQueryEngine {
         EngineBuilder::new(points).build()
     }

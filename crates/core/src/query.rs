@@ -3,11 +3,12 @@
 //!
 //! The paper's evaluation is a grid over independent axes — query method,
 //! expansion policy, prepared-or-raw area, and output shape. Both methods
-//! run on one STR-bulk-loaded R-tree, as in the paper: its window query is
-//! the traditional filter and its nearest-neighbour query the Voronoi
-//! seed. Instead of one entrypoint per grid cell, [`QuerySpec`] is a
-//! plain-data point in that grid and every single query funnels through
-//! [`QuerySession::execute`]:
+//! run on one R-tree, as in the paper: its window query is the traditional
+//! filter and its nearest-neighbour query the Voronoi seed. The tree is
+//! packed along the triangulation's Hilbert order, so the traditional
+//! method emits in that order. Instead of one entrypoint per grid cell,
+//! [`QuerySpec`] is a plain-data point in that grid and every single
+//! query funnels through [`QuerySession::execute`]:
 //!
 //! ```
 //! use vaq_core::{ExpansionPolicy, OutputMode, QuerySpec};

@@ -8,9 +8,9 @@
 //! versioned, checksummed, page-aligned container file, so a serving
 //! process reaches its first answer by *reading* instead of
 //! *rebuilding*. Loads decode the flat arrays into their typed vectors
-//! and hand them to [`Triangulation::from_flat`] and the R-tree's arena
-//! restore; the planner's density map and the hidden-site index are
-//! rebuilt deterministically from the points and the triangulation, so a
+//! and hand them to [`Triangulation::from_flat`]; the R-tree, the
+//! planner's density map and the hidden-site index are rebuilt
+//! deterministically from the points and the triangulation, so a
 //! loaded engine is **bit-identical** to a freshly built one — same
 //! indices, same [`QueryStats`](crate::QueryStats) work counters on
 //! every execution path.
@@ -70,16 +70,18 @@
 //!
 //! * **Plain** ([`AreaQueryEngine`]): points, the triangulation's graph
 //!   arrays ([`TriangulationFlat`]: the adjacency CSR, hull, weights,
-//!   hidden sites and one anchor per hidden site), payload record pages,
-//!   shard-boundary flags and the R-tree arena. The writer streams the
-//!   flat arrays from [`Triangulation::as_flat`] and the arena from
-//!   [`RTree::raw_view`]; it copies none of them. A load rebuilds the
-//!   rest: the canonical sites and both
-//!   duplicate maps (from the points, by the build's own Hilbert-rank
-//!   numbering, [`rank_sites`]), the planner's density map (from the
-//!   points) and the hidden-site R-tree (from the hidden sites). No file
-//!   stores a canonical map, whether or not inputs coincide. The format
-//!   stores no triangle mesh: no query reads one.
+//!   hidden sites and one anchor per hidden site), payload record pages
+//!   and shard-boundary flags. The writer streams the flat arrays from
+//!   [`Triangulation::as_flat`]; it copies none of them. A load rebuilds
+//!   the rest: the canonical sites and both duplicate maps (from the
+//!   points, by the build's own Hilbert-rank numbering, [`rank_sites`]),
+//!   the R-tree (packed in that vertex order in one `O(n)` pass), the
+//!   planner's density map (from the points) and the hidden-site R-tree
+//!   (from the hidden sites). No file stores a canonical map or an index,
+//!   whether or not inputs coincide, and none stores a triangle mesh: no
+//!   query reads one. A blob with points has a triangulation: no build
+//!   makes one without, and its R-tree is packed in the triangulation's
+//!   order.
 //! * **Sharded** ([`ShardedAreaQueryEngine`]): the kd-partition
 //!   metadata (point count, diagram family, shard count) plus **one
 //!   independently loadable section per shard** (its global-id table and
@@ -89,20 +91,16 @@
 //!   plus the overlay **as data** — the base id table, the live delta's
 //!   `(id, point)` entries ascending by id, the tombstoned base ids and
 //!   the id counter are stored and replayed on load, not re-executed as
-//!   operations. The loader checks the overlay's id invariants: base ids
-//!   strictly ascending, delta ids distinct from each other and from
-//!   every base id, every tombstone naming a base or delta id, and the id
-//!   counter above every assigned id. A tombstone naming a delta id is
-//!   purged on load: the loader drops that delta entry. Earlier writers
-//!   kept deleted delta points, tombstoned, until a purge; today's
-//!   writer stores only live delta points and base tombstones; the
-//!   loader accepts both kinds of file.
+//!   operations. A removed delta point leaves the delta, so tombstones
+//!   name base points only. The loader checks the overlay's id
+//!   invariants: base ids and delta ids each strictly ascending, no delta
+//!   id equal to a base id, every tombstone naming a base id, and the id
+//!   counter above every assigned id.
 
 use crate::dynamic::DynamicAreaQueryEngine;
 use crate::engine::AreaQueryEngine;
 use crate::payload::RecordStore;
 use crate::shard::ShardedAreaQueryEngine;
-use std::collections::HashSet;
 use std::fmt;
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Cursor, Read, Seek, SeekFrom, Take, Write};
@@ -110,7 +108,6 @@ use std::path::Path;
 use vaq_delaunay::hilbert::rank_sites;
 use vaq_delaunay::{DiagramKind, Triangulation, TriangulationFlat};
 use vaq_geom::Point;
-use vaq_rtree::{RTree, RTreeRaw};
 
 /// The container magic: the bytes `VAQSNAP1` read as a little-endian
 /// `u64`. A byte-swapped magic identifies a container written on a
@@ -120,7 +117,7 @@ pub const SNAPSHOT_MAGIC: u64 = u64::from_le_bytes(*b"VAQSNAP1");
 /// Current container format version. Bump on **any** change to the
 /// header, section or flat-array layouts (the layout-fingerprint guard
 /// test enforces the coupling).
-pub const SNAPSHOT_VERSION: u32 = 6;
+pub const SNAPSHOT_VERSION: u32 = 7;
 
 /// Section payloads (and the first section) start on multiples of this.
 pub const SNAPSHOT_PAGE: usize = 4096;
@@ -153,15 +150,14 @@ const TAG_SHARD: u64 = 0x1000;
 /// misparsing it. The guard test in this module pins the fingerprint:
 /// editing this string (or the layouts it describes) without bumping
 /// [`SNAPSHOT_VERSION`] fails the build's test suite.
-const LAYOUT: &str = "vaq-snapshot layout v6:\
+const LAYOUT: &str = "vaq-snapshot layout v7:\
  header{magic:u64,version:u32,kind:u32,layout:u64,file_len:u64,sections:u64,\
 table_sum:u64,git_rev:[u8;24],params:[u8;56]}\
  table{tag:u64,offset:u64,len:u64,checksum:u64}*\
  engine{points:[f64x2],tri?{sites:hilbert16(points),adj_off:[u32],adj:[u32],\
 hull:[u32],degenerate:u32,weights:[f64],hidden:[u32],\
 anchor:[u32;hidden]},records?{record_bytes:u64,data:[u8]},\
-straddlers?:[u8],rtree{levels:[u32],entry_offsets:[u32],entry_children:[u32],\
-inner_rects:[f64],root:u32,len:u64,max_entries:u32}}\
+straddlers?:[u8]}\
  dyn_overlay{base_ids:[u64],delta:[{id:u64,x:f64,y:f64}],tombstones:[u64],\
 next_id:u64}\
  sh_meta{len:u64,diagram:u32,shard_count:u64}\
@@ -1050,21 +1046,10 @@ fn encode_engine(w: &mut SecWriter<'_>, engine: &AreaQueryEngine) -> io::Result<
     match engine.boundary_straddlers.as_ref() {
         Some(s) => {
             w.u32(1)?;
-            w.array(s.iter(), |&b| [b as u8])?;
+            w.array(s.iter(), |&b| [b as u8])
         }
-        None => w.u32(0)?,
+        None => w.u32(0),
     }
-    // The R-tree arena, flattened. Persisting it (rather than paying the
-    // STR bulk load again) is most of the cold-start win; leaf MBRs are
-    // degenerate point rects, so only internal rectangles are stored.
-    let raw = engine.rtree().raw_view();
-    w.array(raw.levels(), u32::to_le_bytes)?;
-    w.array(raw.entry_offsets(), u32::to_le_bytes)?;
-    w.array(raw.entry_children(), u32::to_le_bytes)?;
-    w.array(raw.inner_rects(), f64::to_le_bytes)?;
-    w.u32(raw.root)?;
-    w.u64(raw.len)?;
-    w.u32(raw.max_entries)
 }
 
 /// The length of `encode_engine`'s output, from the same encoder run
@@ -1113,6 +1098,11 @@ fn decode_engine(r: &mut SecReader<'_>) -> Result<AreaQueryEngine, SnapshotError
             )))
         }
     };
+    if tri.is_none() && n_points > 0 {
+        return Err(SnapshotError::Inconsistent(format!(
+            "{n_points} points but no triangulation"
+        )));
+    }
     let records = match r.u32()? {
         0 => None,
         1 => {
@@ -1156,29 +1146,12 @@ fn decode_engine(r: &mut SecReader<'_>) -> Result<AreaQueryEngine, SnapshotError
             flags.len()
         )));
     }
-    let raw = RTreeRaw {
-        levels: r.u32s()?,
-        entry_offsets: r.u32s()?,
-        entry_children: r.u32s()?,
-        inner_rects: r.f64s()?,
-        root: r.u32()?,
-        len: r.u64()?,
-        max_entries: r.u32()?,
-    };
     r.finish()?;
-    let rtree = RTree::from_raw(raw, &points).map_err(SnapshotError::Malformed)?;
-    if rtree.len() != n_points {
-        return Err(SnapshotError::Inconsistent(format!(
-            "rtree indexes {} points but the engine holds {n_points}",
-            rtree.len()
-        )));
-    }
     Ok(AreaQueryEngine::assemble(
         points,
         tri,
         records,
         boundary_straddlers,
-        Some(rtree),
     ))
 }
 
@@ -1239,7 +1212,7 @@ fn decode_dynamic(
     let base = decode_engine(&mut c.section(r, TAG_DYN_BASE)?)?;
     let mut o = c.section(r, TAG_DYN_OVERLAY)?;
     let base_ids = o.u64s()?;
-    let mut delta = o.array(|b: [u8; 24]| {
+    let delta = o.array(|b: [u8; 24]| {
         let coord = |off| f64::from_bits(u64_at(&b, off));
         (u64_at(&b, 0), Point::new(coord(8), coord(16)))
     })?;
@@ -1258,48 +1231,33 @@ fn decode_dynamic(
             "base ids are not strictly ascending".to_string(),
         ));
     }
-    // Every id names one point: delta ids are distinct from each other
-    // and from every base id (sorted, so a binary search each), and
-    // every tombstone masks a base or delta id. Without these checks a
-    // query reports an id twice, and the live count underflows.
-    let mut delta_ids: HashSet<u64> = HashSet::with_capacity(delta.len());
+    // Every id names one point: delta ids ascend strictly, none is a
+    // base id (sorted, so a binary search each), and every tombstone
+    // masks a base id. Without these checks a query reports an id twice,
+    // and the live count underflows.
+    let mut prev = None;
     for &(id, _) in &delta {
-        if base_ids.binary_search(&id).is_ok() || !delta_ids.insert(id) {
+        if base_ids.binary_search(&id).is_ok() || prev >= Some(id) {
             return Err(SnapshotError::Inconsistent(format!(
-                "id {id} is assigned to more than one point"
+                "delta id {id} is a base id or does not exceed the previous delta id"
             )));
         }
+        prev = Some(id);
     }
-    if let Some(&id) = tombs
-        .iter()
-        .find(|&&id| base_ids.binary_search(&id).is_err() && !delta_ids.contains(&id))
-    {
-        return Err(SnapshotError::Inconsistent(format!(
-            "tombstone {id} names no base or delta point"
-        )));
+    let mut dead = vec![false; base_ids.len()];
+    for id in tombs {
+        let i = base_ids.binary_search(&id).map_err(|_| {
+            SnapshotError::Inconsistent(format!("tombstone {id} names no base point"))
+        })?;
+        dead[i] = true;
     }
-    let ceiling = base_ids
-        .iter()
-        .chain(delta.iter().map(|(id, _)| id))
-        .max()
-        .copied();
-    if let Some(max_id) = ceiling {
+    if let Some(max_id) = base_ids.last().copied().max(prev) {
         if next_id <= max_id {
             return Err(SnapshotError::Inconsistent(format!(
                 "next id {next_id} does not exceed the largest assigned id {max_id}"
             )));
         }
     }
-    // Tombstones become base flags; one naming a delta id drops the entry.
-    let mut dead = vec![false; base_ids.len()];
-    for id in tombs {
-        if let Ok(i) = base_ids.binary_search(&id) {
-            dead[i] = true;
-        } else {
-            delta_ids.remove(&id);
-        }
-    }
-    delta.retain(|(id, _)| delta_ids.contains(id));
     Ok(DynamicAreaQueryEngine::from_parts(
         base, base_ids, dead, delta, next_id,
     ))
@@ -1451,8 +1409,8 @@ pub fn engine_from_bytes(bytes: &[u8]) -> Result<AreaQueryEngine, SnapshotError>
 
 /// Deserializes a dynamic engine from container bytes. The overlay is
 /// replayed as data: delta, tombstones and the id counter resume
-/// exactly where the saved engine stood, less the delta entries that a
-/// tombstone names (see the module doc).
+/// exactly where the saved engine stood (see the module doc for the id
+/// checks).
 pub fn dynamic_from_bytes(bytes: &[u8]) -> Result<DynamicAreaQueryEngine, SnapshotError> {
     read_as(
         &mut Cursor::new(bytes),
@@ -1610,12 +1568,12 @@ mod tests {
     #[test]
     fn layout_fingerprint_is_pinned_to_the_version() {
         assert_eq!(
-            SNAPSHOT_VERSION, 6,
+            SNAPSHOT_VERSION, 7,
             "version changed: re-pin the fingerprint"
         );
         assert_eq!(
             layout_fingerprint(),
-            0xf8c7_5dff_3c77_e9d5,
+            0xe7a0_e5b4_bc89_e433,
             "flat layout changed: bump SNAPSHOT_VERSION and re-pin this fingerprint"
         );
     }
@@ -1665,18 +1623,28 @@ mod tests {
         ]
     }
 
-    /// A tombstone must mask a base or delta point; an empty base with
-    /// tombstone 5 would report a live count of `0 − 1`.
+    /// A tombstone must mask a base point; an empty base with tombstone
+    /// 5 would report a live count of `0 − 1`. A removed delta point
+    /// leaves the delta instead of being tombstoned, so a tombstone
+    /// naming a delta id is rejected too.
     #[test]
     fn tombstone_naming_no_point_is_rejected() {
         assert_inconsistent(&crafted_overlay(&[], &[], &[5], 6), "tombstone 5");
-        // Tombstones over a base id and a delta id are fine; the delta
-        // entry a tombstone names is dropped on load.
         let delta = [(3, Point::new(0.3, 0.3))];
-        let ok = dynamic_from_bytes(&crafted_overlay(&three_points(), &delta, &[1, 3], 4))
-            .expect("tombstones naming live ids load");
-        assert_eq!(ok.len(), 2);
-        assert_eq!(ok.delta_len(), 0);
+        assert_inconsistent(
+            &crafted_overlay(&three_points(), &delta, &[1, 3], 4),
+            "tombstone 3",
+        );
+        let ok = dynamic_from_bytes(&crafted_overlay(&three_points(), &delta, &[1], 4))
+            .expect("a tombstone naming a base id loads");
+        assert_eq!((ok.len(), ok.delta_len()), (3, 1));
+    }
+
+    /// Delta entries ascend strictly by id, as the writer stores them.
+    #[test]
+    fn descending_delta_ids_are_rejected() {
+        let descending = [(8, Point::new(0.2, 0.2)), (7, Point::new(0.4, 0.4))];
+        assert_inconsistent(&crafted_overlay(&[], &descending, &[], 9), "id 7");
     }
 
     /// A removed delta point leaves no tombstone: an engine whose removes
@@ -1766,12 +1734,14 @@ mod tests {
 
     /// The file keeps only what a query reads and a load cannot cheaply
     /// rebuild. A plain engine over uniform points stores 16 B of
-    /// coordinates, about 28 B of adjacency CSR and about 7 B of R-tree
-    /// arena per point; a triangle mesh (48 B per point) or any other
-    /// derivable array would break the bound. Coincident inputs store no
-    /// canonical maps either: a repeated point adds its coordinates and
-    /// its R-tree entry, not the three duplicate-map arrays (about 55 B
-    /// per repeat), and the load derives the same vertex ids.
+    /// coordinates and about 28 B of adjacency CSR per point, 46 B at
+    /// most; re-persisting any derivable per-point array breaks that
+    /// bound, from a triangle mesh (48 B per point) down to one 4-byte
+    /// R-tree leaf id. Coincident inputs store no canonical maps or
+    /// index entries either: a repeated point adds its 16 B of
+    /// coordinates and nothing else (17 B at most), not the three
+    /// duplicate-map arrays (about 55 B per repeat), and the load
+    /// derives the same vertex ids.
     #[test]
     fn plain_snapshot_stores_no_derivable_arrays() {
         let mut rng = StdRng::seed_from_u64(20_000);
@@ -1781,7 +1751,7 @@ mod tests {
         let distinct = blob(&AreaQueryEngine::build(&pts)).len();
         let per_point = distinct as f64 / pts.len() as f64;
         assert!(
-            per_point <= 56.0,
+            per_point <= 46.0,
             "{per_point:.2} bytes per point in the engine blob"
         );
 
@@ -1791,7 +1761,7 @@ mod tests {
         let bytes = blob(&engine);
         let per_repeat = (bytes.len() - distinct) as f64 / 10_000.0;
         assert!(
-            per_repeat <= 30.0,
+            per_repeat <= 17.0,
             "{per_repeat:.2} bytes per repeated point"
         );
         let loaded = decode(&bytes).expect("loads");
@@ -1870,6 +1840,24 @@ mod tests {
             decode(&blob(&empty)),
             Err(SnapshotError::Inconsistent(_))
         ));
+    }
+
+    /// A blob with points has a triangulation: the R-tree is packed in
+    /// its vertex order, and without one the Voronoi method would answer
+    /// nothing where the traditional method answers every point.
+    #[test]
+    fn points_without_a_triangulation_are_rejected() {
+        let pts: Vec<Point> = (0..50)
+            .map(|i| Point::new(f64::from(i % 10), f64::from(i / 10)))
+            .collect();
+        let mut engine = AreaQueryEngine::build(&pts);
+        engine.tri = None;
+        match decode(&blob(&engine)) {
+            Err(SnapshotError::Inconsistent(msg)) => assert!(msg.contains("50 points"), "{msg}"),
+            Err(e) => panic!("expected an inconsistent-engine error, got {e}"),
+            Ok(_) => panic!("points without a triangulation loaded"),
+        }
+        assert!(decode(&blob(&AreaQueryEngine::build(&[]))).is_ok());
     }
 
     #[test]

@@ -26,6 +26,9 @@
 //!   triangulation hull bookkeeping.
 //! * [`clip`] — Sutherland–Hodgman half-plane clipping, used to clip
 //!   unbounded Voronoi cells to a bounding rectangle.
+//! * [`hilbert`] — the Hilbert curve over a point set's bounding box
+//!   ([`hilbert::curve_order`]), the one order the triangulation's vertex
+//!   ids and the R-tree's leaves share.
 //! * [`prepared`] — **query-compiled areas**: [`PreparedPolygon`] /
 //!   [`PreparedRegion`] preprocess a query area once (slab decomposition +
 //!   edge-bucket grid + cached MBR/interior point) so the hot-path
@@ -48,6 +51,7 @@
 pub mod clip;
 pub mod convex_hull;
 pub mod expansion;
+pub mod hilbert;
 pub mod point;
 pub mod polygon;
 pub mod power;

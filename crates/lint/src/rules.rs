@@ -19,21 +19,19 @@ pub struct FileKind {
     pub is_predicate_module: bool,
 }
 
+/// The `vaq_geom` predicate modules (under `crates/geom/src/`) the float
+/// rule audits: these file names, and every file whose name starts with
+/// [`PREDICATE_MODULE_PREFIX`].
+pub const PREDICATE_MODULES: [&str; 3] = ["segment.rs", "polygon.rs", "power.rs"];
+/// See [`PREDICATE_MODULES`].
+pub const PREDICATE_MODULE_PREFIX: &str = "prepared";
+
 pub fn classify(rel: &str) -> FileKind {
     let is_bin = rel.contains("/bin/") || rel == "src/main.rs";
     let is_bench_crate = rel.starts_with("crates/bench/");
-    let is_predicate_module = rel.starts_with("crates/geom/src/")
-        && rel
-            .rsplit('/')
-            .next()
-            .map(|f| {
-                f == "segment.rs"
-                    || f == "triangle.rs"
-                    || f == "polygon.rs"
-                    || f == "power.rs"
-                    || f.starts_with("prepared")
-            })
-            .unwrap_or(false);
+    let is_predicate_module = rel
+        .strip_prefix("crates/geom/src/")
+        .is_some_and(|f| PREDICATE_MODULES.contains(&f) || f.starts_with(PREDICATE_MODULE_PREFIX));
     FileKind {
         is_bin,
         is_bench_crate,
@@ -67,8 +65,7 @@ fn has_token(hay: &str, needle: &str) -> bool {
 // ---------------------------------------------------------------------------
 
 /// **float-exactness** — inside the `vaq_geom` predicate modules
-/// (`segment.rs`, `triangle.rs`, `polygon.rs`, `power.rs`,
-/// `prepared*.rs`), flags:
+/// (`segment.rs`, `polygon.rs`, `power.rs`, `prepared*.rs`), flags:
 ///
 /// * a comparison operator (`==` `!=` `<` `>` `<=` `>=`) with a float
 ///   *literal* on either side — the classic "compare a computed float
@@ -214,7 +211,7 @@ fn find_float_literals(code: &str) -> impl Iterator<Item = (usize, usize)> + '_ 
 /// underlying exact value, so comparing them against zero is robust.
 /// `power_incircle` is its own token here — `has_token` treats the `_`
 /// as an ident char, so the `incircle` entry does not match inside it.
-const EXACT_SIGN_FNS: [&str; 4] = ["orient2d", "incircle", "expansion_sign", "power_incircle"];
+pub const EXACT_SIGN_FNS: [&str; 4] = ["orient2d", "incircle", "expansion_sign", "power_incircle"];
 
 /// Identifiers `let`-bound (as a plain name, not a tuple pattern) from a
 /// direct `orient2d(...)`/`incircle(...)` call anywhere in the file.
@@ -335,6 +332,9 @@ fn starts_with_comparison(s: &str) -> bool {
 // Rule 2: sink-dispatch
 // ---------------------------------------------------------------------------
 
+/// The one module that may dispatch on `OutputMode`, in `Sink::of`.
+pub const SINK_MODULE: &str = "crates/core/src/sink.rs";
+
 /// **sink-dispatch** — the single `match` over `OutputMode` lives in
 /// `crates/core/src/sink.rs` (`Sink::of`); everywhere else, flags:
 ///
@@ -348,7 +348,7 @@ fn starts_with_comparison(s: &str) -> bool {
 /// `Sink` value `Sink::of` builds instead of re-growing per-mode
 /// branches.
 pub fn sink_dispatch(file: &SourceFile, out: &mut Vec<Finding>) {
-    if file.rel == "crates/core/src/sink.rs" {
+    if file.rel == SINK_MODULE {
         return;
     }
     for (idx, code) in file.code.iter().enumerate() {
@@ -383,6 +383,12 @@ pub fn sink_dispatch(file: &SourceFile, out: &mut Vec<Finding>) {
 // Rule 3: stats-conservation
 // ---------------------------------------------------------------------------
 
+/// The struct the stats rule starts from, and the merge functions it
+/// looks for in an `impl` of each audited struct, in order.
+pub const STATS_ROOT: &str = "QueryStats";
+/// See [`STATS_ROOT`].
+pub const MERGE_FNS: [&str; 3] = ["absorb_shard", "absorb", "merge"];
+
 /// **stats-conservation** — every public field of `QueryStats`, and of
 /// any field type that itself defines an `absorb`/`absorb_shard`/`merge`
 /// method (`CacheCounters`, `PredicateCounters`, `AccessStats`, …), must
@@ -395,7 +401,7 @@ pub fn sink_dispatch(file: &SourceFile, out: &mut Vec<Finding>) {
 /// justification names the field.
 pub fn stats_conservation(files: &[SourceFile], out: &mut Vec<Finding>) {
     let mut visited: Vec<String> = Vec::new();
-    check_struct_merge(files, "QueryStats", &mut visited, out);
+    check_struct_merge(files, STATS_ROOT, &mut visited, out);
 }
 
 struct StructDef<'a> {
@@ -420,7 +426,7 @@ fn check_struct_merge(
     let merge = find_merge_body(def.file, name);
     match merge {
         None => {
-            if name == "QueryStats" {
+            if name == STATS_ROOT {
                 out.push(Finding {
                     file: def.file.rel.clone(),
                     line: 1,
@@ -526,7 +532,7 @@ fn find_struct<'a>(files: &'a [SourceFile], name: &str) -> Option<StructDef<'a>>
 
 /// Finds `fn absorb_shard` / `fn absorb` / `fn merge` inside `impl <name>`
 /// in the struct's file. Returns (fn line, body line range, fn name).
-fn find_merge_body(
+pub fn find_merge_body(
     file: &SourceFile,
     name: &str,
 ) -> Option<(usize, std::ops::Range<usize>, &'static str)> {
@@ -534,7 +540,7 @@ fn find_merge_body(
     let mut in_impl = false;
     let mut impl_exit = 0i64;
     let mut depth = 0i64;
-    for fn_name in ["absorb_shard", "absorb", "merge"] {
+    for fn_name in MERGE_FNS {
         let needle = format!("fn {fn_name}(");
         depth = 0;
         in_impl = false;
@@ -675,6 +681,9 @@ fn has_literal_index(code: &str) -> bool {
 // Rule 5: bench-provenance
 // ---------------------------------------------------------------------------
 
+/// The snapshot container magic's prefix, which marks a container writer.
+pub const SNAPSHOT_MAGIC_PREFIX: &str = "VAQSNAP";
+
 /// **bench-provenance** — artifacts that outlive the process must carry
 /// their own provenance. Two writer classes are audited:
 ///
@@ -717,10 +726,9 @@ pub fn bench_provenance(file: &SourceFile, kind: &FileKind, out: &mut Vec<Findin
     }
     // Snapshot-container arm: the magic in a (byte-)string literal marks
     // a writer of the on-disk header, whatever crate it lives in.
-    let magic_line =
-        file.strings.iter().enumerate().find_map(|(idx, line)| {
-            (!file.in_test[idx] && line.contains("VAQSNAP")).then_some(idx)
-        });
+    let magic_line = file.strings.iter().enumerate().find_map(|(idx, line)| {
+        (!file.in_test[idx] && line.contains(SNAPSHOT_MAGIC_PREFIX)).then_some(idx)
+    });
     if let Some(idx) = magic_line {
         // `code` view (literals and comments blanked): the identifiers
         // must appear in executable code, not in a comment or a doc
@@ -752,9 +760,7 @@ const ATOMIC_ORDERINGS: [&str; 5] = ["Relaxed", "Acquire", "Release", "AcqRel", 
 
 /// The sync facade: the one module allowed to touch raw `std::sync`
 /// primitives, and the only home of the documented `Relaxed` idiom.
-fn is_sync_facade(rel: &str) -> bool {
-    rel == "crates/core/src/sync.rs"
-}
+pub const SYNC_FACADE_MODULE: &str = "crates/core/src/sync.rs";
 
 /// **atomic-ordering** — outside `#[cfg(test)]` regions, every use of a
 /// memory-ordering constant (`Ordering::Relaxed` / `Acquire` / `Release`
@@ -781,7 +787,7 @@ pub fn atomic_ordering(file: &SourceFile, out: &mut Vec<Finding>) {
         else {
             continue;
         };
-        if *variant == "Relaxed" && !is_sync_facade(&file.rel) {
+        if *variant == "Relaxed" && file.rel != SYNC_FACADE_MODULE {
             out.push(Finding {
                 file: file.rel.clone(),
                 line: idx + 1,
@@ -840,7 +846,7 @@ fn has_comment_tag(file: &SourceFile, line: usize, tag: &str) -> bool {
 /// Calls that enter a user-visible emit/merge/execute path. Holding a
 /// lock guard across any of these serialises result production (and, for
 /// sinks that call back into user code, risks re-entrant deadlock).
-const GUARD_CROSSING: [&str; 6] = [
+pub const GUARD_CROSSING: [&str; 6] = [
     ".emit(",
     ".merge(",
     ".run_sink(",
@@ -991,7 +997,7 @@ fn strip_trailing_simple_call<'a>(expr: &'a str, opener: &str) -> Option<&'a str
 /// module — a raw primitive anywhere else would be shared state nobody
 /// declared.
 pub fn sync_facade(file: &SourceFile, out: &mut Vec<Finding>) {
-    if is_sync_facade(&file.rel) {
+    if file.rel == SYNC_FACADE_MODULE {
         return;
     }
     for (idx, code) in file.code.iter().enumerate() {

@@ -10,11 +10,14 @@
 //!   ([`RTree::nearest_with_stats`]) — the paper uses the same R-tree "for
 //!   fairness".
 //!
-//! The tree is bulk loaded once with sort-tile-recursive packing
-//! ([`RTree::bulk_load`]); both queries feed the [`AccessStats`] counters
-//! the benchmark harness reports. [`RTree::raw_parts`] (or, borrowed,
-//! [`RTree::raw_view`]) and [`RTree::from_raw`] flatten and restore the
-//! node arena for engine snapshots.
+//! The tree is a **packed Hilbert R-tree** (Kamel & Faloutsos, "On
+//! Packing R-trees", CIKM 1993): its leaves are runs of 16 consecutive
+//! points along the Hilbert curve, and each level above holds the unions
+//! of runs of 16 rectangles of the level below. [`RTree::bulk_load`]
+//! sorts the points along the curve ([`vaq_geom::hilbert::curve_order`]);
+//! [`RTree::pack`] takes an order the caller already has, such as a
+//! triangulation's vertex order, in one `O(n)` pass. Both queries feed
+//! the [`AccessStats`] counters the benchmark harness reports.
 //!
 //! ## Example
 //!
@@ -41,9 +44,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod node;
 pub mod query;
 pub mod tree;
 
 pub use query::AccessStats;
-pub use tree::{RTree, RTreeRaw, RTreeRawView};
+pub use tree::RTree;

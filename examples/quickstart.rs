@@ -13,9 +13,9 @@ fn main() {
     // 50 000 uniformly distributed points in the unit square.
     let points = generate(50_000, Distribution::Uniform, 7);
 
-    // Build both indexes once: an STR-packed R-tree (for the traditional
-    // filter and the seed NN query) and the Delaunay triangulation (the
-    // Voronoi-neighbour oracle).
+    // Build both indexes once: the Delaunay triangulation (the
+    // Voronoi-neighbour oracle) and an R-tree packed along the same
+    // Hilbert order (for the traditional filter and the seed NN query).
     let engine = AreaQueryEngine::build(&points);
 
     // A session owns the per-caller state: reusable scratch and the
