@@ -56,8 +56,9 @@
 //! layer is exact, so `Raw`, `PrepareOnce` and `Cached` return the same
 //! indices and the same work counters. Only the two *how*-was-it-computed
 //! fields differ: the cache counters, and the exact-predicate pipeline
-//! split ([`QueryStats::predicates`] — prepared areas evaluate far fewer
-//! edges per primitive).
+//! split ([`QueryStats::predicates`]). Raw areas skip most orientations
+//! too, deciding every edge whose box misses the probe by coordinate
+//! comparisons, but prepared areas examine fewer edges per primitive.
 
 use crate::area::QueryArea;
 use crate::batch::{PreparedAreaCache, Resolved};

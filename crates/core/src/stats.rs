@@ -45,10 +45,13 @@ impl CacheCounters {
 /// in the prepared segment screen) versus evaluations that fell back to
 /// the adaptive **exact** stages (expansion arithmetic).
 ///
-/// These count *work per primitive evaluation*, not per query answer, so
-/// they legitimately differ across the `PrepareMode` axis (a prepared
-/// area evaluates far fewer edges than a raw scan) while every
-/// result-bearing counter stays bit-identical.
+/// These count *work per primitive evaluation*, not per query answer.
+/// Raw and prepared areas both decide most edges by coordinate
+/// comparisons and evaluate an orientation only where comparisons
+/// cannot decide, but they examine different edges (a prepared area
+/// lists fewer and screens segment tests through the filter), so the
+/// counters legitimately differ across the `PrepareMode` axis while
+/// every result-bearing counter stays bit-identical.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PredicateCounters {
     /// Orientation evaluations whose sign the cheap filter certified.
@@ -113,9 +116,12 @@ pub struct QueryStats {
     /// Exact-predicate pipeline split of this query: orientation
     /// evaluations decided by the cheap filter vs. adaptive fallbacks.
     /// Like `prepared_cache`, this measures *how* the answer was
-    /// computed, not the answer: prepared areas evaluate fewer edges, so
-    /// the counters differ across the `PrepareMode` axis while every
-    /// result-bearing counter stays bit-identical.
+    /// computed, not the answer. Containment and segment tests on raw and
+    /// prepared areas alike skip every edge that coordinate comparisons
+    /// decide, so only the remaining edges count here; prepared areas
+    /// examine fewer edges still, so the counters differ across the
+    /// `PrepareMode` axis while every result-bearing counter stays
+    /// bit-identical.
     pub predicates: PredicateCounters,
     /// Delta points the dynamic engine's delta pass examined: the live
     /// delta points in the grid cells the area's MBR meets (zero for

@@ -98,6 +98,16 @@ impl Polygon {
         (0..n).map(move |i| Segment::new(self.vertices[i], self.vertices[(i + 1) % n]))
     }
 
+    /// The same edges as [`Polygon::edges`], as endpoint pairs starting with
+    /// the closing edge: one pass over the ring without the index modulo,
+    /// for the hot scans.
+    fn ring_edges(&self) -> impl Iterator<Item = (Point, Point)> + '_ {
+        let mut a = self.vertices.last().copied().unwrap_or(Point::ORIGIN);
+        self.vertices
+            .iter()
+            .map(move |&b| (std::mem::replace(&mut a, b), b))
+    }
+
     /// Signed area: positive for counter-clockwise winding (shoelace).
     pub fn signed_area(&self) -> f64 {
         let n = self.vertices.len();
@@ -242,36 +252,29 @@ impl Polygon {
     /// `true` when `p` lies inside the polygon or exactly on its boundary.
     ///
     /// Robust crossing-number test: the straddle rule uses strict/non-strict
-    /// `y` comparisons so each crossing is counted exactly once, and all
-    /// sidedness decisions go through the exact [`orient2d`] predicate.
-    /// This is the `Contains(A, p)` primitive of the paper's Algorithm 1 and
-    /// of the traditional refine step.
+    /// `y` comparisons so each crossing is counted exactly once, and every
+    /// sidedness decision is exact. This is the `Contains(A, p)` primitive
+    /// of the paper's Algorithm 1 and of the traditional refine step.
     ///
-    /// `O(k)` per call. [`crate::PreparedPolygon::contains`] runs the same
-    /// crossing step over only the edges whose y-range holds `p.y`. The
-    /// predicate reports its filter/fallback split through
+    /// `O(k)` per call, but only an edge whose bounding box holds `p` costs
+    /// an [`orient2d`]: a point outside the cached MBR is rejected at once,
+    /// and every other edge is skipped or counted by coordinate comparisons
+    /// alone (see [`crate::prepared`]'s exactness contract).
+    /// [`crate::PreparedPolygon::contains`] runs the same crossing step over
+    /// only the edges whose y-range holds `p.y`. The predicate reports its
+    /// filter/fallback split through
     /// [`crate::predicates::predicate_totals`].
     pub fn contains(&self, p: Point) -> bool {
-        let n = self.vertices.len();
-        if n < 3 {
+        if self.vertices.len() < 3 || !self.mbr.contains_point(p) {
+            // Outside the MBR no edge holds `p` and the ring crosses the
+            // horizontal line through `p` an even number of times, all on
+            // one side of it: the scan would answer `false`.
             return false;
         }
         let mut inside = false;
-        for i in 0..n {
-            let vi = self.vertices[i];
-            let vj = self.vertices[(i + 1) % n];
-            // Boundary check first: exact, and also catches horizontal edges
-            // that the straddle rule skips.
-            if Rect::new(vi, vj).contains_point(p) && orient2d(vi, vj, p) == 0.0 {
+        for (a, b) in self.ring_edges() {
+            if !y_range_excludes(a, b, p) && crossing_step(a, b, p, &mut inside) {
                 return true;
-            }
-            if (vi.y > p.y) != (vj.y > p.y) {
-                let o = orient2d(vi, vj, p);
-                // For an upward edge, a crossing to the right of p means p is
-                // strictly left of the directed edge; downward is symmetric.
-                if o != 0.0 && (o > 0.0) == (vj.y > vi.y) {
-                    inside = !inside;
-                }
             }
         }
         inside
@@ -284,7 +287,7 @@ impl Polygon {
 
     /// `true` when `p` lies exactly on the boundary ring.
     pub fn on_boundary(&self, p: Point) -> bool {
-        self.edges().any(|e| e.contains_point(p))
+        self.mbr.contains_point(p) && self.edges().any(|e| e.contains_point(p))
     }
 
     /// `true` when the segment shares at least one point with the **closed
@@ -298,10 +301,7 @@ impl Polygon {
         if !self.mbr().intersects(&s.bbox()) {
             return false;
         }
-        if self.contains(s.a) || self.contains(s.b) {
-            return true;
-        }
-        self.edges().any(|e| e.intersects(s))
+        self.contains(s.a) || self.contains(s.b) || self.boundary_intersects_segment(s)
     }
 
     /// `true` when the segment crosses or touches the polygon's **boundary
@@ -313,11 +313,23 @@ impl Polygon {
     /// the boundary — while skipping both containment tests. The Voronoi
     /// area query's expansion step (where the popped point has just failed
     /// the containment test) uses this fast path.
+    ///
+    /// The segment's box is computed once; an edge whose box misses it is
+    /// rejected by coordinate comparisons (the fast reject
+    /// [`Segment::intersects`] would start with), so only the remaining
+    /// edges pay the exact test.
     pub fn boundary_intersects_segment(&self, s: &Segment) -> bool {
-        if !self.mbr().intersects(&s.bbox()) {
+        let sbox = s.bbox();
+        if !self.mbr().intersects(&sbox) {
             return false;
         }
-        self.edges().any(|e| e.intersects(s))
+        self.ring_edges().any(|(a, b)| {
+            let misses = (a.x < sbox.min.x && b.x < sbox.min.x)
+                || (a.x > sbox.max.x && b.x > sbox.max.x)
+                || (a.y < sbox.min.y && b.y < sbox.min.y)
+                || (a.y > sbox.max.y && b.y > sbox.max.y);
+            !misses && Segment::new(a, b).intersects(s)
+        })
     }
 
     /// `true` when the closed rectangle and the closed polygon share a point.
@@ -336,8 +348,7 @@ impl Polygon {
         // Any boundary crossing?
         let corners = r.corners();
         (0..4).any(|i| {
-            let side = Segment::new(corners[i], corners[(i + 1) % 4]);
-            self.edges().any(|e| e.intersects(&side))
+            self.boundary_intersects_segment(&Segment::new(corners[i], corners[(i + 1) % 4]))
         })
     }
 
@@ -354,8 +365,7 @@ impl Polygon {
         if self.vertices.iter().any(|&v| other.contains(v)) {
             return true;
         }
-        self.edges()
-            .any(|e| other.edges().any(|f| e.intersects(&f)))
+        other.edges().any(|f| self.boundary_intersects_segment(&f))
     }
 
     /// `true` when no two non-adjacent edges intersect and adjacent edges
@@ -519,6 +529,49 @@ impl Polygon {
         }
         wn
     }
+}
+
+/// The crossing-number step for the directed edge `a → b` against `p`,
+/// shared by [`Polygon::contains`] and the prepared slab scan. `p.y` must
+/// lie in the edge's closed y-range: the raw scan skips every other edge,
+/// and the slab lists never hold one. Returns `true` when `p` lies exactly
+/// on the edge; otherwise toggles `inside` exactly when the edge crosses
+/// the horizontal ray from `p` towards +x.
+///
+/// Coordinate comparisons decide every edge whose bounding box misses `p`
+/// (the proofs are the exactness contract in [`crate::prepared`]); only an
+/// edge whose box holds `p` pays one [`orient2d`].
+#[inline]
+pub(crate) fn crossing_step(a: Point, b: Point, p: Point, inside: &mut bool) -> bool {
+    debug_assert!(a.y.min(b.y) <= p.y && p.y <= a.y.max(b.y));
+    // Half-open straddle rule: each crossing of the line y = p.y counts once.
+    let straddles = (a.y > p.y) != (b.y > p.y);
+    // Bitwise `&`: both operands are single comparisons, and a
+    // short-circuit branch would follow each edge's direction.
+    if (p.x < a.x) & (p.x < b.x) {
+        // Strictly right of p: a straddling edge crosses the ray.
+        *inside ^= straddles;
+        return false;
+    }
+    if (a.x < p.x) & (b.x < p.x) {
+        // Strictly left of p: never on the ray, never through p.
+        return false;
+    }
+    let o = orient2d(a, b, p);
+    if o == 0.0 {
+        return true;
+    }
+    // For an upward edge, a crossing right of p means p is strictly left of
+    // the directed edge; downward is symmetric.
+    *inside ^= straddles & ((o > 0.0) == (b.y > a.y));
+    false
+}
+
+/// `true` when the closed y-range of the edge `a → b` excludes `p.y`: the
+/// edge neither crosses the horizontal line through `p` nor holds `p`.
+#[inline]
+fn y_range_excludes(a: Point, b: Point, p: Point) -> bool {
+    ((a.y > p.y) & (b.y > p.y)) | ((a.y < p.y) & (b.y < p.y))
 }
 
 impl From<Rect> for Polygon {

@@ -10,8 +10,9 @@
 //! * `Intersects(p–pn, A)` — Algorithm 1 line 21 (the segment expansion
 //!   test): one call per frontier edge.
 //!
-//! A raw [`Polygon`] answers each with a scan over every edge. A
-//! [`PreparedPolygon`] preprocesses the ring once into
+//! A raw [`Polygon`] answers each with a scan over every edge, deciding
+//! most edges by coordinate comparisons alone (see the exactness contract
+//! below). A [`PreparedPolygon`] preprocesses the ring once into
 //!
 //! 1. a **slab decomposition** over the sorted distinct vertex
 //!    y-coordinates, listing for each open slab the edges that span it
@@ -29,37 +30,53 @@
 //! ## Exactness contract
 //!
 //! Every prepared operation returns **bit-identical results** to the raw
-//! [`Polygon`]/[`Region`] implementation, for *any* ring — including
-//! non-simple and degenerate ones. The indexes only prune which edges are
-//! examined; every surviving edge goes through the *same* exact
-//! [`orient2d`]-based predicate as the raw code, and every pruned edge is
-//! pruned by a proof in exact arithmetic (coordinate comparisons only):
+//! [`Polygon`]/[`Region`] implementation, for *any* ring of finite
+//! coordinates — including non-simple and degenerate ones — and both
+//! return what an exact [`orient2d`] on every edge would. Raw and
+//! prepared containment run one crossing step per examined edge
+//! (`crossing_step` in `polygon.rs`). It calls [`orient2d`] once, and only
+//! for an edge whose closed bounding box holds `p`; every other edge is
+//! decided by a proof in exact arithmetic (coordinate comparisons only):
 //!
 //! * an edge whose closed y-range excludes `p.y` neither straddles the
-//!   horizontal ray through `p` nor can contain `p` on its boundary;
+//!   horizontal ray through `p` nor can contain `p` on its boundary — so
+//!   the step skips it, and the slab lists may leave it out;
 //! * a straddling edge lying entirely strictly right of `p`
-//!   (`min_x > p.x`) crosses the ray strictly right of `p` and therefore
+//!   (`p.x < min_x`) crosses the ray strictly right of `p` and therefore
 //!   toggles the crossing parity — for either edge direction — without
 //!   needing the orientation predicate;
 //! * a straddling edge entirely strictly left of `p` (`max_x < p.x`)
 //!   crosses strictly left and never toggles;
+//! * a point outside the MBR lies in no edge's box, and the ring crosses
+//!   the horizontal line through it an even number of times, all on one
+//!   side: both paths answer `false` before scanning;
 //! * a polygon edge whose bounding box misses a query segment's bounding
-//!   box fails the raw [`Segment::intersects`] fast-reject, so grid cells
-//!   outside the segment's bounding box cannot hide a hit.
+//!   box fails the [`Segment::intersects`] fast-reject, so the raw segment
+//!   scan rejects it by comparison and grid cells outside the segment's
+//!   bounding box cannot hide a hit.
 //!
-//! The differential property suite in `tests/prepared_differential.rs`
-//! enforces the contract on random, degenerate and adversarial inputs.
+//! The oracle does not share this step: a test-only reference
+//! (`tests/reference/mod.rs`) keeps the all-edges scans, a box check plus
+//! [`orient2d`] on every edge for containment and [`Segment::intersects`]
+//! on every edge for segments. The differential property suite
+//! (`tests/prepared_differential.rs`) checks raw and prepared areas
+//! against it on random, degenerate and adversarial inputs, and
+//! `tests/lattice_sweep.rs` checks every triangle and quad with corners on
+//! a 4 × 4 integer lattice exhaustively.
+//!
+//! [`orient2d`]: crate::predicates::orient2d
 
 use crate::point::Point;
-use crate::polygon::Polygon;
-use crate::predicates::{orient2d, orient2d_filter};
+use crate::polygon::{crossing_step, Polygon};
+use crate::predicates::orient2d_filter;
 use crate::rect::Rect;
 use crate::region::Region;
 use crate::segment::Segment;
 use std::sync::OnceLock;
 
-/// One preprocessed boundary edge: endpoints in ring order plus the exact
-/// coordinate extremes used by the pruning proofs.
+/// One preprocessed boundary edge: endpoints in ring order plus the
+/// coordinate extremes the slab and grid builds and the segment box
+/// reject read.
 #[derive(Clone, Copy, Debug)]
 struct PreparedEdge {
     a: Point,
@@ -85,41 +102,6 @@ impl PreparedEdge {
     #[inline]
     fn segment(&self) -> Segment {
         Segment::new(self.a, self.b)
-    }
-
-    /// Closed bounding box contains `p` (identical to
-    /// `Rect::new(a, b).contains_point(p)` in the raw code).
-    #[inline]
-    fn bbox_contains(&self, p: Point) -> bool {
-        p.x >= self.min_x && p.x <= self.max_x && p.y >= self.min_y && p.y <= self.max_y
-    }
-
-    /// The raw crossing-number step for this edge, pruned-edge decisions
-    /// replaced by their exact-comparison proofs. Returns `true` when `p`
-    /// lies exactly on the edge (the raw code's early boundary return);
-    /// otherwise toggles `inside` exactly when the raw code would.
-    #[inline]
-    fn process(&self, p: Point, inside: &mut bool) -> bool {
-        if self.bbox_contains(p) {
-            // Same order as the raw code: boundary test first.
-            let o = orient2d(self.a, self.b, p);
-            if o == 0.0 {
-                return true;
-            }
-            if (self.a.y > p.y) != (self.b.y > p.y) && (o > 0.0) == (self.b.y > self.a.y) {
-                *inside = !*inside;
-            }
-        } else if (self.a.y > p.y) != (self.b.y > p.y) {
-            // Straddling edge with p outside its x-extent: since the edge
-            // straddles, its y-range contains p.y, so the bbox miss is on
-            // x. The crossing with the horizontal line at p.y lies inside
-            // [min_x, max_x]; strictly right of p it toggles (for either
-            // direction), strictly left it never does.
-            if self.min_x > p.x {
-                *inside = !*inside;
-            }
-        }
-        false
     }
 }
 
@@ -440,8 +422,7 @@ impl PreparedPolygon {
     /// `O(log k + s)` per call, with `s` the length of that list.
     pub fn contains(&self, p: Point) -> bool {
         if self.poly.len() < 3 || !self.poly.mbr().contains_point(p) {
-            // Outside the MBR the raw scan finds no boundary edge and an
-            // even number of strictly-right crossings, i.e. `false`.
+            // The raw scan's own up-front reject.
             return false;
         }
         let ys = &self.slabs.ys;
@@ -458,7 +439,8 @@ impl PreparedPolygon {
         };
         let mut inside = false;
         for &ei in candidates {
-            if self.edges[ei as usize].process(p, &mut inside) {
+            let e = &self.edges[ei as usize];
+            if crossing_step(e.a, e.b, p, &mut inside) {
                 return true;
             }
         }

@@ -44,10 +44,11 @@ impl Segment {
         Rect::new(self.a, self.b)
     }
 
-    /// `true` when `p` lies exactly on the segment (robust: uses exact
-    /// collinearity plus a bounding-box check).
+    /// `true` when `p` lies exactly on the segment (robust: a bounding-box
+    /// check, then exact collinearity — a point outside the box never pays
+    /// the orientation).
     pub fn contains_point(&self, p: Point) -> bool {
-        orient2d(self.a, self.b, p) == 0.0 && self.bbox().contains_point(p)
+        self.bbox().contains_point(p) && orient2d(self.a, self.b, p) == 0.0
     }
 
     /// `true` when the two **closed** segments share at least one point.
